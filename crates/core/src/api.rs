@@ -4,16 +4,15 @@
 //! These free functions reproduce the paper's per-invocation accounting —
 //! layout transformations (into/out of the transpose or DLT layout)
 //! happen inside each call, exactly as the sequential experiments
-//! (Fig. 7) measure them. Since the plan refactor they are **thin
-//! wrappers** over the execution engine: one plan is built, used for one
-//! run, and dropped — pinned to [`Parallelism::Off`], because the paper's
-//! sequential experiments are exactly single-threaded. Since the erased
-//! API landed they are routed through
+//! (Fig. 7) measure them. They are **thin wrappers** over the execution
+//! engine: one plan is built, used for one run, and dropped — pinned to
+//! [`Parallelism::Off`], because the paper's sequential experiments are
+//! exactly single-threaded. They route through
 //! [`Plan::stencil`]/[`DynPlan`](crate::exec::DynPlan) — the stencil's
 //! weights are lifted into a [`StencilSpec`] and validated there, which
-//! is why they now return `Result<(), PlanError>` instead of panicking
-//! on a bad configuration (e.g. a stencil whose weight slice implies a
-//! radius past [`MAX_R`](crate::stencil::MAX_R)).
+//! is why they return `Result<(), PlanError>` rather than panicking on a
+//! bad configuration (e.g. a stencil whose weight slice implies a radius
+//! past [`MAX_R`](crate::stencil::MAX_R)).
 //!
 //! These entry points **pin the paper's constant-halo (Dirichlet)
 //! semantics**: the sequential experiments assume halos that never
@@ -52,8 +51,7 @@ fn expect_len(axis: &'static str, got: usize, expected: usize) -> Result<(), Pla
 
 /// Run `t` Jacobi steps of a runtime-described stencil on any grid with
 /// the legacy per-call accounting (build a plan, run once, drop it,
-/// sequentially) — the erased entry the typed `run*` wrappers route
-/// through.
+/// sequentially) — the entry the typed `run*` wrappers route through.
 ///
 /// Pins the paper's constant-halo semantics: the grid's halo cells carry
 /// the (Dirichlet) boundary value and are never refreshed.

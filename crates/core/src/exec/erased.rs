@@ -1,19 +1,23 @@
-//! The type-erased plan surface: [`DynPlan`] / [`DynSession`] over a
-//! runtime [`StencilSpec`].
+//! The runtime-spec plan surface: [`DynPlan`] / [`DynSession`] over a
+//! [`StencilSpec`].
 //!
-//! The typed terminals ([`Plan::star1`] … [`Plan::box3`]) return five
-//! different plan types, one per stencil family — zero-overhead, but a
-//! caller that picks the stencil at runtime ends up writing a 5-way
-//! match everywhere a plan flows. [`Plan::stencil`] erases that axis:
-//! the spec's `(shape, ndim, radius)` is matched **once, at compile
-//! time of the plan**, re-attaching the runtime weights to a
-//! const-radius carrier type and boxing the resulting typed plan behind
-//! a vtable. Every hot loop below the erasure boundary is the same
-//! fully monomorphized kernel the typed path runs — the only dynamic
-//! dispatch is one virtual call per `run`/`session` invocation, so
-//! results are bit-identical to the typed plans and the steady-state
-//! cost is unmeasurable (see the `plan_reuse` bench's `dyn_session`
-//! row).
+//! The typed terminals ([`Plan::star1`] … [`Plan::box3`]) return
+//! [`Plan1`]/[`Plan2`]/[`Plan3`], generic over the element type and
+//! bound to typed grids — so a caller that learns the stencil at runtime
+//! would still have to match on dimension and dtype wherever a plan
+//! flows. [`Plan::stencil`] folds those two axes into an enum. That is
+//! all it erases: the stencil itself (family, radius, weights) is already
+//! gone from the plan types, compiled into the boxed kernel object every
+//! plan holds (see [`crate::kernels`]), and `Plan::stencil` builds that
+//! object from the spec and hands it to the very constructor the typed
+//! terminals use.
+//!
+//! Dispatch accounting: one enum match per `run`/`session` call here,
+//! then the plan's one indirect kernel call per range sweep or tile
+//! step — the same call a typed plan makes. Every loop beneath it is the
+//! monomorphized kernel, so results are bit-identical to the typed
+//! terminals and the steady-state cost is unmeasurable (see the
+//! `plan_reuse` bench's `dyn_session` row).
 //!
 //! ```
 //! use stencil_core::exec::{Plan, Shape};
@@ -36,16 +40,11 @@
 //! # assert_eq!(grid.ndim(), 2);
 //! ```
 
-use stencil_simd::{Dtype, Elem, Isa};
+use stencil_simd::Dtype;
 
-use super::{
-    Boundary, Method, Parallelism, PhaseTotals, Plan, Plan1, Plan2Box, Plan2Star, Plan3Box,
-    Plan3Star, PlanError, Session1, Session2Box, Session2Star, Session3Box, Session3Star, Shape,
-    Tiling,
-};
+use super::{Plan, Plan1, Plan2, Plan3, PlanCore, PlanError, Session1, Session2, Session3, Shape};
 use crate::grid::{AnyGrid, Grid1, Grid2, Grid3};
-use crate::spec::{DynBox2, DynBox3, DynStar1, DynStar2, DynStar3, StencilShape, StencilSpec};
-use crate::stencil::{Box2, Box3, Star1, Star2, Star3};
+use crate::spec::StencilSpec;
 
 /// A mutable borrow of a grid of any dimensionality — what the erased
 /// entry points ([`DynPlan::run`], [`DynPlan::session`]) accept.
@@ -148,132 +147,52 @@ impl<'a> From<&'a mut AnyGrid> for AnyGridMut<'a> {
     }
 }
 
-/// Object-safe face of the five typed plan types. The method names are
-/// prefixed to stay distinct from the inherent accessors they forward
-/// to.
-trait ErasedPlan: Send {
-    fn run_any(&mut self, g: AnyGridMut<'_>, t: usize);
-    fn session_any<'p>(&'p mut self, g: AnyGridMut<'p>) -> Box<dyn ErasedSession + 'p>;
-    fn plan_method(&self) -> Method;
-    fn plan_isa(&self) -> Isa;
-    fn plan_tiling(&self) -> Tiling;
-    fn plan_parallelism(&self) -> Parallelism;
-    fn plan_threads(&self) -> usize;
-    fn plan_shape(&self) -> Shape;
-    fn plan_boundary(&self) -> Boundary;
-    fn plan_phase_totals(&self) -> PhaseTotals;
-    fn plan_reset_phase_totals(&self);
+/// The plan behind a [`DynPlan`]: one variant per dimension × element
+/// type — all that is left to erase once the stencil lives in the plan's
+/// boxed kernel.
+enum AnyPlan {
+    D1(Plan1<f64>),
+    D2(Plan2<f64>),
+    D3(Plan3<f64>),
+    D1F32(Plan1<f32>),
+    D2F32(Plan2<f32>),
+    D3F32(Plan3<f32>),
 }
-
-/// Object-safe face of the five typed session types. `Send` is a
-/// supertrait (like [`ErasedPlan`]'s) so [`DynSession`] stays movable
-/// across threads — the service layer in `stencil-server` runs sessions
-/// on dispatcher threads, and `crates/core/tests/auto_traits.rs` pins
-/// the guarantee at compile time.
-trait ErasedSession: Send {
-    fn run_steps(&mut self, t: usize);
-}
-
-macro_rules! erased_impl {
-    ($Plan:ident, $Session:ident, $bound:ident, $ty:ty, $var:ident, $ndim:literal) => {
-        impl<S: $bound> ErasedPlan for $Plan<S, $ty> {
-            fn run_any(&mut self, g: AnyGridMut<'_>, t: usize) {
-                let AnyGridMut::$var(g) = g else {
-                    panic!(
-                        "plan was compiled for a {}D {} stencil but the grid is {}D {}",
-                        $ndim,
-                        <$ty as Elem>::DTYPE,
-                        g.ndim(),
-                        g.dtype()
-                    )
-                };
-                self.run(g, t);
-            }
-
-            fn session_any<'p>(&'p mut self, g: AnyGridMut<'p>) -> Box<dyn ErasedSession + 'p> {
-                let AnyGridMut::$var(g) = g else {
-                    panic!(
-                        "plan was compiled for a {}D {} stencil but the grid is {}D {}",
-                        $ndim,
-                        <$ty as Elem>::DTYPE,
-                        g.ndim(),
-                        g.dtype()
-                    )
-                };
-                Box::new(self.session(g))
-            }
-
-            fn plan_method(&self) -> Method {
-                self.method()
-            }
-            fn plan_isa(&self) -> Isa {
-                self.isa()
-            }
-            fn plan_tiling(&self) -> Tiling {
-                self.tiling()
-            }
-            fn plan_parallelism(&self) -> Parallelism {
-                self.parallelism()
-            }
-            fn plan_threads(&self) -> usize {
-                self.threads()
-            }
-            fn plan_shape(&self) -> Shape {
-                self.shape()
-            }
-            fn plan_boundary(&self) -> Boundary {
-                self.boundary()
-            }
-            fn plan_phase_totals(&self) -> PhaseTotals {
-                self.phase_totals()
-            }
-            fn plan_reset_phase_totals(&self) {
-                self.reset_phase_totals()
-            }
-        }
-
-        impl<S: $bound> ErasedSession for $Session<'_, S, $ty> {
-            fn run_steps(&mut self, t: usize) {
-                self.run(t)
-            }
-        }
-    };
-}
-
-erased_impl!(Plan1, Session1, Star1, f64, D1, 1);
-erased_impl!(Plan2Star, Session2Star, Star2, f64, D2, 2);
-erased_impl!(Plan2Box, Session2Box, Box2, f64, D2, 2);
-erased_impl!(Plan3Star, Session3Star, Star3, f64, D3, 3);
-erased_impl!(Plan3Box, Session3Box, Box3, f64, D3, 3);
-erased_impl!(Plan1, Session1, Star1, f32, D1F32, 1);
-erased_impl!(Plan2Star, Session2Star, Star2, f32, D2F32, 2);
-erased_impl!(Plan2Box, Session2Box, Box2, f32, D2F32, 2);
-erased_impl!(Plan3Star, Session3Star, Star3, f32, D3F32, 3);
-erased_impl!(Plan3Box, Session3Box, Box3, f32, D3F32, 3);
 
 /// A compiled execution plan whose stencil was described at runtime by
-/// a [`StencilSpec`] — the type-erased sibling of [`Plan1`],
-/// [`Plan2Star`], …
+/// a [`StencilSpec`].
 ///
-/// Built by [`Plan::stencil`]. Internally this *is* one of the typed
-/// plans (the spec's family and radius select the instantiation), so
-/// buffers, pool, validation, and the kernels themselves are exactly
-/// the typed machinery; see the [module docs](self) for the dispatch
-/// accounting.
+/// Built by [`Plan::stencil`]. It *is* a [`Plan1`]/[`Plan2`]/[`Plan3`]
+/// — the very object the typed terminals build — with the dimension and
+/// element type folded into an enum, so buffers, pool, validation, and
+/// kernels are shared with the typed surface; the configuration
+/// accessors come from [`PlanCore`] by deref. See the
+/// [module docs](self) for the dispatch accounting.
 pub struct DynPlan {
-    inner: Box<dyn ErasedPlan + Send>,
+    inner: AnyPlan,
     spec: StencilSpec,
+}
+
+impl std::ops::Deref for DynPlan {
+    type Target = PlanCore;
+    fn deref(&self) -> &PlanCore {
+        match &self.inner {
+            AnyPlan::D1(p) => p,
+            AnyPlan::D2(p) => p,
+            AnyPlan::D3(p) => p,
+            AnyPlan::D1F32(p) => p,
+            AnyPlan::D2F32(p) => p,
+            AnyPlan::D3F32(p) => p,
+        }
+    }
 }
 
 impl std::fmt::Debug for DynPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DynPlan")
             .field("spec", &self.spec.to_string())
-            .field("method", &self.method())
-            .field("isa", &self.isa())
-            .field("tiling", &self.tiling())
-            .field("shape", &self.shape())
-            .finish_non_exhaustive()
+            .field("plan", &**self)
+            .finish()
     }
 }
 
@@ -283,10 +202,13 @@ impl DynPlan {
     /// `&mut Grid1`/`Grid2`/`Grid3`.
     ///
     /// # Panics
-    /// If the grid's dimensionality or extents do not match the shape
-    /// the plan was compiled for (same contract as the typed plans).
+    /// If the grid's dimensionality, element type, or extents do not
+    /// match what the plan was compiled for (same contract as the typed
+    /// plans).
     pub fn run<'a>(&mut self, g: impl Into<AnyGridMut<'a>>, t: usize) {
-        self.inner.run_any(g.into(), t);
+        if t > 0 {
+            self.session(g.into()).run(t);
+        }
     }
 
     /// Open a layout-resident stepping session on `g`; see
@@ -294,12 +216,24 @@ impl DynPlan {
     /// order.
     ///
     /// # Panics
-    /// If the grid does not match the plan's shape (see
-    /// [`DynPlan::run`]).
+    /// If the grid does not match the plan (see [`DynPlan::run`]).
     pub fn session<'p>(&'p mut self, g: impl Into<AnyGridMut<'p>>) -> DynSession<'p> {
-        DynSession {
-            inner: self.inner.session_any(g.into()),
-        }
+        let inner = match (&mut self.inner, g.into()) {
+            (AnyPlan::D1(p), AnyGridMut::D1(g)) => AnySession::D1(p.session(g)),
+            (AnyPlan::D2(p), AnyGridMut::D2(g)) => AnySession::D2(p.session(g)),
+            (AnyPlan::D3(p), AnyGridMut::D3(g)) => AnySession::D3(p.session(g)),
+            (AnyPlan::D1F32(p), AnyGridMut::D1F32(g)) => AnySession::D1F32(p.session(g)),
+            (AnyPlan::D2F32(p), AnyGridMut::D2F32(g)) => AnySession::D2F32(p.session(g)),
+            (AnyPlan::D3F32(p), AnyGridMut::D3F32(g)) => AnySession::D3F32(p.session(g)),
+            (_, g) => panic!(
+                "plan was compiled for a {}D {} stencil but the grid is {}D {}",
+                self.spec.ndim(),
+                self.spec.dtype(),
+                g.ndim(),
+                g.dtype()
+            ),
+        };
+        DynSession { inner }
     }
 
     /// The stencil description this plan was compiled from.
@@ -312,152 +246,65 @@ impl DynPlan {
     pub fn dtype(&self) -> Dtype {
         self.spec.dtype()
     }
-
-    /// The plan's vectorization method.
-    pub fn method(&self) -> Method {
-        self.inner.plan_method()
-    }
-
-    /// The plan's instruction set.
-    pub fn isa(&self) -> Isa {
-        self.inner.plan_isa()
-    }
-
-    /// The plan's tiling framework.
-    pub fn tiling(&self) -> Tiling {
-        self.inner.plan_tiling()
-    }
-
-    /// The plan's parallelism knob.
-    pub fn parallelism(&self) -> Parallelism {
-        self.inner.plan_parallelism()
-    }
-
-    /// Worker count the parallelism knob resolved to at build time (≥ 1).
-    pub fn threads(&self) -> usize {
-        self.inner.plan_threads()
-    }
-
-    /// The shape the plan was compiled for.
-    pub fn shape(&self) -> Shape {
-        self.inner.plan_shape()
-    }
-
-    /// The plan's boundary condition (resolved from the spec's
-    /// [`StencilSpec::boundary`] unless an explicit [`Plan::boundary`]
-    /// knob overrode it).
-    pub fn boundary(&self) -> Boundary {
-        self.inner.plan_boundary()
-    }
-
-    /// Accumulated per-phase wall time for the tiled (staged) drivers;
-    /// all-zero for plans that never enter a staged tessellation path.
-    pub fn phase_totals(&self) -> PhaseTotals {
-        self.inner.plan_phase_totals()
-    }
-
-    /// Zero the per-phase counters (e.g. between measured repetitions).
-    pub fn reset_phase_totals(&self) {
-        self.inner.plan_reset_phase_totals()
-    }
 }
 
-/// Layout-resident stepping session opened by [`DynPlan::session`] —
-/// the erased sibling of [`Session1`], [`Session2Star`], … Dropping it
-/// restores the grid to natural order.
+/// The session behind a [`DynSession`] (see [`AnyPlan`]).
+enum AnySession<'p> {
+    D1(Session1<'p, f64>),
+    D2(Session2<'p, f64>),
+    D3(Session3<'p, f64>),
+    D1F32(Session1<'p, f32>),
+    D2F32(Session2<'p, f32>),
+    D3F32(Session3<'p, f32>),
+}
+
+/// Layout-resident stepping session opened by [`DynPlan::session`].
+/// Dropping it restores the grid to natural order.
 pub struct DynSession<'p> {
-    inner: Box<dyn ErasedSession + 'p>,
+    inner: AnySession<'p>,
 }
 
 impl DynSession<'_> {
     /// Advance the grid `t` Jacobi steps (no allocation, no layout
     /// transform — see [`Session1::run`]).
     pub fn run(&mut self, t: usize) {
-        self.inner.run_steps(t);
+        match &mut self.inner {
+            AnySession::D1(s) => s.run(t),
+            AnySession::D2(s) => s.run(t),
+            AnySession::D3(s) => s.run(t),
+            AnySession::D1F32(s) => s.run(t),
+            AnySession::D2F32(s) => s.run(t),
+            AnySession::D3F32(s) => s.run(t),
+        }
     }
 }
 
 impl Plan {
     /// Compile the plan against a runtime stencil description,
-    /// producing a type-erased [`DynPlan`].
+    /// producing a [`DynPlan`].
     ///
-    /// The spec's family and radius select one of the typed plan
-    /// instantiations internally, so validation and errors are
-    /// identical to the matching typed terminal (plus nothing: specs
-    /// are already validated at construction). Results are
-    /// bit-identical to the typed path.
+    /// The spec compiles to a boxed kernel object
+    /// (family and radius are picked there — see
+    /// [`crate::kernels`]) and the plan is built around it by the same
+    /// body the typed terminals use, so validation, errors, and results
+    /// are those of the matching typed terminal, bit for bit.
     ///
     /// The spec's [`StencilSpec::boundary`] becomes the plan's
-    /// [`Boundary`] unless an explicit [`Plan::boundary`] call already
-    /// chose one (the builder knob wins).
+    /// [`Boundary`](super::Boundary) unless an explicit
+    /// [`Plan::boundary`] call already chose one (the builder knob wins).
     pub fn stencil(self, spec: &StencilSpec) -> Result<DynPlan, PlanError> {
-        let resolved = Plan {
+        let plan = Plan {
             boundary: Some(self.boundary.unwrap_or_else(|| spec.boundary())),
             ..self
         };
-        // The match below instantiates one carrier per (dtype, family,
-        // radius) with radii written out literally; raising MAX_R must
-        // extend it or validated specs would hit the unreachable arm at
-        // runtime. The f32 rows double the instantiation count — that is
-        // a cold-build (compile-time) cost only; each runtime plan still
-        // monomorphizes exactly one carrier.
-        const _: () = assert!(
-            crate::stencil::MAX_R == 4,
-            "extend the radius arms in Plan::stencil for the new MAX_R"
-        );
-        macro_rules! arm {
-            ($terminal:ident, $T:ty, $Carrier:ident, $r:literal) => {
-                Box::new(resolved.$terminal::<$T, _>($Carrier::<$r>::new(spec))?)
-                    as Box<dyn ErasedPlan + Send>
-            };
-        }
-        use stencil_simd::Dtype::{F32, F64};
-        use StencilShape::{Box as BoxS, Star};
-        let inner = match (spec.dtype(), spec.shape(), spec.ndim(), spec.radius()) {
-            (F64, Star, 1, 1) => arm!(star1_elem, f64, DynStar1, 1),
-            (F64, Star, 1, 2) => arm!(star1_elem, f64, DynStar1, 2),
-            (F64, Star, 1, 3) => arm!(star1_elem, f64, DynStar1, 3),
-            (F64, Star, 1, 4) => arm!(star1_elem, f64, DynStar1, 4),
-            (F64, Star, 2, 1) => arm!(star2_elem, f64, DynStar2, 1),
-            (F64, Star, 2, 2) => arm!(star2_elem, f64, DynStar2, 2),
-            (F64, Star, 2, 3) => arm!(star2_elem, f64, DynStar2, 3),
-            (F64, Star, 2, 4) => arm!(star2_elem, f64, DynStar2, 4),
-            (F64, Star, 3, 1) => arm!(star3_elem, f64, DynStar3, 1),
-            (F64, Star, 3, 2) => arm!(star3_elem, f64, DynStar3, 2),
-            (F64, Star, 3, 3) => arm!(star3_elem, f64, DynStar3, 3),
-            (F64, Star, 3, 4) => arm!(star3_elem, f64, DynStar3, 4),
-            (F64, BoxS, 2, 1) => arm!(box2_elem, f64, DynBox2, 1),
-            (F64, BoxS, 2, 2) => arm!(box2_elem, f64, DynBox2, 2),
-            (F64, BoxS, 2, 3) => arm!(box2_elem, f64, DynBox2, 3),
-            (F64, BoxS, 2, 4) => arm!(box2_elem, f64, DynBox2, 4),
-            (F64, BoxS, 3, 1) => arm!(box3_elem, f64, DynBox3, 1),
-            (F64, BoxS, 3, 2) => arm!(box3_elem, f64, DynBox3, 2),
-            (F64, BoxS, 3, 3) => arm!(box3_elem, f64, DynBox3, 3),
-            (F64, BoxS, 3, 4) => arm!(box3_elem, f64, DynBox3, 4),
-            (F32, Star, 1, 1) => arm!(star1_elem, f32, DynStar1, 1),
-            (F32, Star, 1, 2) => arm!(star1_elem, f32, DynStar1, 2),
-            (F32, Star, 1, 3) => arm!(star1_elem, f32, DynStar1, 3),
-            (F32, Star, 1, 4) => arm!(star1_elem, f32, DynStar1, 4),
-            (F32, Star, 2, 1) => arm!(star2_elem, f32, DynStar2, 1),
-            (F32, Star, 2, 2) => arm!(star2_elem, f32, DynStar2, 2),
-            (F32, Star, 2, 3) => arm!(star2_elem, f32, DynStar2, 3),
-            (F32, Star, 2, 4) => arm!(star2_elem, f32, DynStar2, 4),
-            (F32, Star, 3, 1) => arm!(star3_elem, f32, DynStar3, 1),
-            (F32, Star, 3, 2) => arm!(star3_elem, f32, DynStar3, 2),
-            (F32, Star, 3, 3) => arm!(star3_elem, f32, DynStar3, 3),
-            (F32, Star, 3, 4) => arm!(star3_elem, f32, DynStar3, 4),
-            (F32, BoxS, 2, 1) => arm!(box2_elem, f32, DynBox2, 1),
-            (F32, BoxS, 2, 2) => arm!(box2_elem, f32, DynBox2, 2),
-            (F32, BoxS, 2, 3) => arm!(box2_elem, f32, DynBox2, 3),
-            (F32, BoxS, 2, 4) => arm!(box2_elem, f32, DynBox2, 4),
-            (F32, BoxS, 3, 1) => arm!(box3_elem, f32, DynBox3, 1),
-            (F32, BoxS, 3, 2) => arm!(box3_elem, f32, DynBox3, 2),
-            (F32, BoxS, 3, 3) => arm!(box3_elem, f32, DynBox3, 3),
-            (F32, BoxS, 3, 4) => arm!(box3_elem, f32, DynBox3, 4),
-            // Spec construction bounds ndim to 1–3 and radius to
-            // 1..=MAX_R, and 1D box degenerates to 1D star (no 1D box
-            // constructor exists).
-            _ => unreachable!("StencilSpec invariants bound the match"),
+        // StencilSpec construction bounds ndim to 1–3.
+        let inner = match (spec.ndim(), spec.dtype()) {
+            (1, Dtype::F64) => AnyPlan::D1(plan.plan1(spec.kernel1()?)?),
+            (2, Dtype::F64) => AnyPlan::D2(plan.plan2(spec.kernel2()?)?),
+            (_, Dtype::F64) => AnyPlan::D3(plan.plan3(spec.kernel3()?)?),
+            (1, Dtype::F32) => AnyPlan::D1F32(plan.plan1(spec.kernel1()?)?),
+            (2, Dtype::F32) => AnyPlan::D2F32(plan.plan2(spec.kernel2()?)?),
+            (_, Dtype::F32) => AnyPlan::D3F32(plan.plan3(spec.kernel3()?)?),
         };
         Ok(DynPlan {
             inner,

@@ -541,12 +541,12 @@ pub(crate) unsafe fn refresh3_band<T: Elem>(
 }
 
 // ---------------------------------------------------------------------------
-// Hoisted buffer plumbing (shared by the five typed plan types)
+// Buffer plumbing shared by the plan types
 // ---------------------------------------------------------------------------
 
 /// Grid-like containers whose halo cells can be carried wholesale into a
 /// staging partner — the one audited home for the "copy everything so
-/// the halos come along" idiom the plan types used to repeat inline.
+/// the halos come along" idiom.
 pub(crate) trait HaloCarrier: Clone {
     /// Overwrite every cell of `self` (halos included) with `src`'s.
     fn carry_from(&mut self, src: &Self);

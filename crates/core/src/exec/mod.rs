@@ -12,8 +12,8 @@
 //!
 //! * **validate once** — the builder rejects invalid combinations (e.g.
 //!   DLT under tessellate tiling, split tiling without DLT, a chunk
-//!   height the tile width cannot support) with a [`PlanError`] instead
-//!   of a mid-run panic;
+//!   height the tile width cannot support, a radius the kernels cannot
+//!   hold) with a [`PlanError`] instead of a mid-run panic;
 //! * **allocate once** — the ping-pong scratch grid, the DLT staging
 //!   pair, the k = 2 ring buffer, and the **persistent worker pool** live
 //!   in the plan and are reused by every [`Plan1::run`] (no buffer
@@ -28,6 +28,18 @@
 //!   subdomains with per-step halo synchronization on the pool's barrier
 //!   (see `exec::par`), tiled plans size the pool their stages run on,
 //!   and every parallel result is bit-identical to sequential.
+//!
+//! # Where the stencil ends
+//!
+//! Nothing in this module tree is generic over a stencil. A compiled
+//! plan ([`Plan1`]/[`Plan2`]/[`Plan3`], generic over the element type
+//! only) holds the stencil as one boxed kernel object
+//! ([`Kernel1`]/[`Kernel2`]/[`Kernel3`] — see [`crate::kernels`] for the
+//! boundary), and the sessions and the `tess`/`par`/`split` drivers call
+//! it once per range sweep or tile step. The typed terminals
+//! ([`Plan::star1`] … [`Plan::box3`]) and the runtime-spec terminal
+//! ([`Plan::stencil`]) differ only in how that object is made; both hand
+//! it to the same plan constructor, so they cannot drift apart.
 //!
 //! ```
 //! use stencil_core::exec::{Plan, Shape, Tiling};
@@ -49,9 +61,6 @@
 //! sess.run(2); // no transform, no allocation between these
 //! drop(sess); // grid back in natural order
 //! ```
-//!
-//! The legacy `run*`/`tessellate*`/`split*` free functions are thin
-//! wrappers over `Plan`, kept for paper-figure fidelity.
 
 pub mod erased;
 pub mod halo;
@@ -66,10 +75,10 @@ pub use erased::{AnyGridMut, DynPlan, DynSession};
 pub use halo::Boundary;
 pub use stage::PhaseTotals;
 
-use stencil_simd::{dispatch_elem, AlignedBuf, Elem, Isa, Vector};
+use stencil_simd::{AlignedBuf, Elem, Isa};
 
 use crate::grid::{Grid1, Grid2, Grid3};
-use crate::kernels::{dlt, isa_entry, orig, scalar};
+use crate::kernels::{kernel1, kernel2, kernel3, BoxK, Kernel1, Kernel2, Kernel3, StarK};
 use crate::layout::{
     dlt_grid1, dlt_grid2, dlt_grid3, tl_grid1, tl_grid2, tl_grid3, DltGeo, SetGeo,
 };
@@ -418,7 +427,8 @@ impl Cfg {
 /// typed terminal methods ([`Plan::star1`], [`Plan::star2`],
 /// [`Plan::box2`], [`Plan::star3`], [`Plan::box3`]) or against a
 /// runtime [`StencilSpec`](crate::spec::StencilSpec) with
-/// [`Plan::stencil`], which yields a type-erased [`DynPlan`].
+/// [`Plan::stencil`], which yields a [`DynPlan`] — the same plan with
+/// its dimension and element type folded into an enum.
 ///
 /// Defaults: `Method::TransLayout2` (the paper's best scheme),
 /// `Isa::detect_best()`, `Tiling::None`.
@@ -654,23 +664,6 @@ impl Plan {
         }
     }
 
-    fn cfg(&self, threads: usize, boundary: Boundary) -> Cfg {
-        Cfg {
-            method: self.method,
-            isa: self.isa,
-            tiling: self.tiling,
-            par: self.par,
-            threads,
-            boundary,
-        }
-    }
-
-    /// The boundary the typed terminals resolve to: the explicit knob,
-    /// else the default constant-zero Dirichlet halos.
-    fn resolved_boundary(&self) -> Boundary {
-        self.boundary.unwrap_or_default()
-    }
-
     /// The ISA the plan actually compiles for. The transpose-layout
     /// methods vectorize whole `vl²`-cell sets along x, so a row
     /// shorter than one set would fall entirely to the scalar tail —
@@ -759,177 +752,153 @@ impl Plan {
         Some(stage::TileArena::for_tess(&dims, h, r, workers))
     }
 
+    /// Validate the configuration against a kernel of `ndim` dimensions
+    /// and radius `r` over element type `T`, and allocate what every run
+    /// shares: the worker pool and (tessellate + transpose methods) the
+    /// per-worker staging arena.
+    fn compile<T: Elem>(
+        mut self,
+        ndim: usize,
+        r: usize,
+    ) -> Result<(PlanCore, Option<stage::TileArena<T>>), PlanError> {
+        self.isa = self.narrowed_isa::<T>(r);
+        let boundary = self.boundary.unwrap_or_default();
+        let (threads, pool) = self.validate(ndim, r, boundary, self.isa.lanes_for::<T>())?;
+        let arena = self.tess_arena::<T>(ndim, r, pool.as_ref());
+        let cfg = Cfg {
+            method: self.method,
+            isa: self.isa,
+            tiling: self.tiling,
+            par: self.par,
+            threads,
+            boundary,
+        };
+        let core = PlanCore {
+            cfg,
+            shape: self.shape,
+            phases: stage::PhaseCounters::new(),
+            pool,
+        };
+        Ok((core, arena))
+    }
+
+    /// Compile the plan around a boxed 1D kernel — the single body every
+    /// 1D terminal and [`Plan::stencil`] end in.
+    fn plan1<T: Elem>(self, kernel: Box<dyn Kernel1<T>>) -> Result<Plan1<T>, PlanError> {
+        let (core, arena) = self.compile(1, kernel.radius())?;
+        Ok(Plan1 {
+            core,
+            kernel,
+            scratch: None,
+            stage: None,
+            arena,
+        })
+    }
+
+    /// Compile the plan around a boxed 2D kernel (see [`Plan::plan1`]).
+    fn plan2<T: Elem>(self, kernel: Box<dyn Kernel2<T>>) -> Result<Plan2<T>, PlanError> {
+        let (core, arena) = self.compile(2, kernel.radius())?;
+        Ok(Plan2 {
+            core,
+            kernel,
+            scratch: None,
+            stage: None,
+            ring: None,
+            arena,
+        })
+    }
+
+    /// Compile the plan around a boxed 3D kernel (see [`Plan::plan1`]).
+    fn plan3<T: Elem>(self, kernel: Box<dyn Kernel3<T>>) -> Result<Plan3<T>, PlanError> {
+        let (core, arena) = self.compile(3, kernel.radius())?;
+        Ok(Plan3 {
+            core,
+            kernel,
+            scratch: None,
+            stage: None,
+            ring: None,
+            arena,
+        })
+    }
+
     /// Compile the plan for a 1D star stencil (over `f64`).
-    pub fn star1<S: Star1>(self, stencil: S) -> Result<Plan1<S>, PlanError> {
+    pub fn star1<S: Star1>(self, stencil: S) -> Result<Plan1, PlanError> {
         self.star1_elem(stencil)
     }
 
     /// Compile the plan for a 1D star stencil over element type `T`.
-    pub fn star1_elem<T: Elem, S: Star1>(mut self, stencil: S) -> Result<Plan1<S, T>, PlanError> {
-        self.isa = self.narrowed_isa::<T>(S::R);
-        let boundary = self.resolved_boundary();
-        let (threads, pool) = self.validate(1, S::R, boundary, self.isa.lanes_for::<T>())?;
-        let arena = self.tess_arena::<T>(1, S::R, pool.as_ref());
-        Ok(Plan1 {
-            cfg: self.cfg(threads, boundary),
-            n: self.shape.dims[0],
-            stencil,
-            scratch: None,
-            stage: None,
-            arena,
-            phases: stage::PhaseCounters::new(),
-            pool,
-        })
+    pub fn star1_elem<T: Elem, S: Star1>(self, stencil: S) -> Result<Plan1<T>, PlanError> {
+        self.plan1(kernel1(stencil)?)
     }
 
     /// Compile the plan for a 2D star stencil (over `f64`).
-    pub fn star2<S: Star2>(self, stencil: S) -> Result<Plan2Star<S>, PlanError> {
+    pub fn star2<S: Star2>(self, stencil: S) -> Result<Plan2, PlanError> {
         self.star2_elem(stencil)
     }
 
     /// Compile the plan for a 2D star stencil over element type `T`.
-    pub fn star2_elem<T: Elem, S: Star2>(
-        mut self,
-        stencil: S,
-    ) -> Result<Plan2Star<S, T>, PlanError> {
-        self.isa = self.narrowed_isa::<T>(S::R);
-        let boundary = self.resolved_boundary();
-        let (threads, pool) = self.validate(2, S::R, boundary, self.isa.lanes_for::<T>())?;
-        let arena = self.tess_arena::<T>(2, S::R, pool.as_ref());
-        Ok(Plan2Star {
-            cfg: self.cfg(threads, boundary),
-            nx: self.shape.dims[0],
-            ny: self.shape.dims[1],
-            stencil,
-            scratch: None,
-            stage: None,
-            ring: None,
-            arena,
-            phases: stage::PhaseCounters::new(),
-            pool,
-        })
+    pub fn star2_elem<T: Elem, S: Star2>(self, stencil: S) -> Result<Plan2<T>, PlanError> {
+        self.plan2(kernel2::<T, StarK<S>>(stencil)?)
     }
 
     /// Compile the plan for a 2D box stencil (over `f64`).
-    pub fn box2<S: Box2>(self, stencil: S) -> Result<Plan2Box<S>, PlanError> {
+    pub fn box2<S: Box2>(self, stencil: S) -> Result<Plan2, PlanError> {
         self.box2_elem(stencil)
     }
 
     /// Compile the plan for a 2D box stencil over element type `T`.
-    pub fn box2_elem<T: Elem, S: Box2>(mut self, stencil: S) -> Result<Plan2Box<S, T>, PlanError> {
-        self.isa = self.narrowed_isa::<T>(S::R);
-        let boundary = self.resolved_boundary();
-        let (threads, pool) = self.validate(2, S::R, boundary, self.isa.lanes_for::<T>())?;
-        let arena = self.tess_arena::<T>(2, S::R, pool.as_ref());
-        Ok(Plan2Box {
-            cfg: self.cfg(threads, boundary),
-            nx: self.shape.dims[0],
-            ny: self.shape.dims[1],
-            stencil,
-            scratch: None,
-            stage: None,
-            ring: None,
-            arena,
-            phases: stage::PhaseCounters::new(),
-            pool,
-        })
+    pub fn box2_elem<T: Elem, S: Box2>(self, stencil: S) -> Result<Plan2<T>, PlanError> {
+        self.plan2(kernel2::<T, BoxK<S>>(stencil)?)
     }
 
     /// Compile the plan for a 3D star stencil (over `f64`).
-    pub fn star3<S: Star3>(self, stencil: S) -> Result<Plan3Star<S>, PlanError> {
+    pub fn star3<S: Star3>(self, stencil: S) -> Result<Plan3, PlanError> {
         self.star3_elem(stencil)
     }
 
     /// Compile the plan for a 3D star stencil over element type `T`.
-    pub fn star3_elem<T: Elem, S: Star3>(
-        mut self,
-        stencil: S,
-    ) -> Result<Plan3Star<S, T>, PlanError> {
-        self.isa = self.narrowed_isa::<T>(S::R);
-        let boundary = self.resolved_boundary();
-        let (threads, pool) = self.validate(3, S::R, boundary, self.isa.lanes_for::<T>())?;
-        let arena = self.tess_arena::<T>(3, S::R, pool.as_ref());
-        Ok(Plan3Star {
-            cfg: self.cfg(threads, boundary),
-            nx: self.shape.dims[0],
-            ny: self.shape.dims[1],
-            nz: self.shape.dims[2],
-            stencil,
-            scratch: None,
-            stage: None,
-            ring: None,
-            arena,
-            phases: stage::PhaseCounters::new(),
-            pool,
-        })
+    pub fn star3_elem<T: Elem, S: Star3>(self, stencil: S) -> Result<Plan3<T>, PlanError> {
+        self.plan3(kernel3::<T, StarK<S>>(stencil)?)
     }
 
     /// Compile the plan for a 3D box stencil (over `f64`).
-    pub fn box3<S: Box3>(self, stencil: S) -> Result<Plan3Box<S>, PlanError> {
+    pub fn box3<S: Box3>(self, stencil: S) -> Result<Plan3, PlanError> {
         self.box3_elem(stencil)
     }
 
     /// Compile the plan for a 3D box stencil over element type `T`.
-    pub fn box3_elem<T: Elem, S: Box3>(mut self, stencil: S) -> Result<Plan3Box<S, T>, PlanError> {
-        self.isa = self.narrowed_isa::<T>(S::R);
-        let boundary = self.resolved_boundary();
-        let (threads, pool) = self.validate(3, S::R, boundary, self.isa.lanes_for::<T>())?;
-        let arena = self.tess_arena::<T>(3, S::R, pool.as_ref());
-        Ok(Plan3Box {
-            cfg: self.cfg(threads, boundary),
-            nx: self.shape.dims[0],
-            ny: self.shape.dims[1],
-            nz: self.shape.dims[2],
-            stencil,
-            scratch: None,
-            stage: None,
-            ring: None,
-            arena,
-            phases: stage::PhaseCounters::new(),
-            pool,
-        })
+    pub fn box3_elem<T: Elem, S: Box3>(self, stencil: S) -> Result<Plan3<T>, PlanError> {
+        self.plan3(kernel3::<T, BoxK<S>>(stencil)?)
     }
 }
 
-/// Shared `Debug` body for the compiled plan types (buffers elided).
-macro_rules! fmt_plan_debug {
-    ($Plan:ident) => {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct(stringify!($Plan))
-                .field("method", &self.cfg.method)
-                .field("isa", &self.cfg.isa)
-                .field("tiling", &self.cfg.tiling)
-                .field("shape", &self.shape())
-                .finish_non_exhaustive()
-        }
-    };
-}
-
 // ---------------------------------------------------------------------------
-// 1D plan
+// Compiled plans
 // ---------------------------------------------------------------------------
 
-/// Compiled execution plan for a 1D star stencil.
-///
-/// Owns every buffer the method needs (ping-pong scratch, DLT staging,
-/// worker pool); [`Plan1::run`] and [`Plan1::session`] reuse them across
-/// calls.
-pub struct Plan1<S: Star1, T: Elem = f64> {
+/// What every compiled plan shares, whatever its dimension and element
+/// type: the validated configuration, the worker pool, and the phase
+/// counters. [`Plan1`], [`Plan2`], [`Plan3`] and [`DynPlan`] all deref to
+/// it, so these accessors are available on each of them.
+pub struct PlanCore {
     cfg: Cfg,
-    n: usize,
-    stencil: S,
-    scratch: Option<Grid1<T>>,
-    stage: Option<(Grid1<T>, Grid1<T>)>,
-    arena: Option<stage::TileArena<T>>,
+    shape: Shape,
     phases: stage::PhaseCounters,
     pool: Option<rayon::ThreadPool>,
 }
 
-impl<S: Star1, T: Elem> std::fmt::Debug for Plan1<S, T> {
-    fmt_plan_debug!(Plan1);
+impl std::fmt::Debug for PlanCore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PlanCore")
+            .field("method", &self.cfg.method)
+            .field("isa", &self.cfg.isa)
+            .field("tiling", &self.cfg.tiling)
+            .field("shape", &self.shape)
+            .finish_non_exhaustive()
+    }
 }
 
-impl<S: Star1, T: Elem> Plan1<S, T> {
+impl PlanCore {
     /// The plan's vectorization method.
     pub fn method(&self) -> Method {
         self.cfg.method
@@ -962,7 +931,7 @@ impl<S: Star1, T: Elem> Plan1<S, T> {
 
     /// The shape the plan was compiled for.
     pub fn shape(&self) -> Shape {
-        Shape::d1(self.n)
+        self.shape
     }
 
     /// Cumulative wall-time phase totals recorded by the tiled drivers
@@ -976,15 +945,69 @@ impl<S: Star1, T: Elem> Plan1<S, T> {
         self.phases.reset()
     }
 
-    fn ensure_scratch(&mut self, g: &Grid1<T>) {
-        halo::ensure_scratch(&mut self.scratch, g);
+    /// The plan's pool; present whenever a driver that needs one can run.
+    fn pool(&self) -> &rayon::ThreadPool {
+        self.pool.as_ref().expect("pool")
     }
+}
 
-    fn ensure_stage(&mut self, g: &Grid1<T>) {
-        let isa = self.cfg.isa;
-        halo::ensure_stage(&mut self.stage, g, |g, a| dlt_grid1(g, a, isa, false));
+/// Sequential untiled stepping, shared by the three session types: with
+/// `fused`, `t / 2` in-place k = 2 passes on buffer 0, then the remaining
+/// steps one at a time, ping-ponging. `refresh(p)` brings buffer `p`'s
+/// halos to its interior's time level (a no-op under Dirichlet),
+/// `step(time)` advances buffer `time % 2` into the other. Returns the
+/// number of ping-pong steps taken (its parity says where the result is).
+fn step_sequential(
+    t: usize,
+    fused: bool,
+    refresh: impl Fn(usize),
+    pass2: impl Fn(),
+    step: impl Fn(usize),
+) -> usize {
+    let pairs = if fused { t / 2 } else { 0 };
+    for _ in 0..pairs {
+        refresh(0);
+        pass2();
     }
+    let rest = t - 2 * pairs;
+    for time in 0..rest {
+        refresh(time % 2);
+        step(time);
+    }
+    rest
+}
 
+// ---------------------------------------------------------------------------
+// 1D
+// ---------------------------------------------------------------------------
+
+/// Compiled execution plan for a 1D stencil over element type `T`.
+///
+/// Owns the boxed stencil kernel and every buffer the method needs
+/// (ping-pong scratch, DLT staging, staging arena, worker pool);
+/// [`Plan1::run`] and [`Plan1::session`] reuse them across calls.
+pub struct Plan1<T: Elem = f64> {
+    core: PlanCore,
+    kernel: Box<dyn Kernel1<T>>,
+    scratch: Option<Grid1<T>>,
+    stage: Option<(Grid1<T>, Grid1<T>)>,
+    arena: Option<stage::TileArena<T>>,
+}
+
+impl<T: Elem> std::ops::Deref for Plan1<T> {
+    type Target = PlanCore;
+    fn deref(&self) -> &PlanCore {
+        &self.core
+    }
+}
+
+impl<T: Elem> std::fmt::Debug for Plan1<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Plan1").field(&self.core).finish()
+    }
+}
+
+impl<T: Elem> Plan1<T> {
     /// Run `t` Jacobi steps on `g` (natural layout in, natural layout
     /// out). Buffers are reused across calls; for repeated stepping
     /// without the per-call layout round-trip, use [`Plan1::session`].
@@ -999,15 +1022,22 @@ impl<S: Star1, T: Elem> Plan1<S, T> {
     /// transformed into the method's layout once, every
     /// [`Session1::run`] steps it in place, and dropping the session
     /// restores natural order.
-    pub fn session<'p>(&'p mut self, g: &'p mut Grid1<T>) -> Session1<'p, S, T> {
-        assert_eq!(g.n(), self.n, "grid does not match the plan's shape");
-        match self.cfg.layout() {
-            Layout::Natural => self.ensure_scratch(g),
+    pub fn session<'p>(&'p mut self, g: &'p mut Grid1<T>) -> Session1<'p, T> {
+        assert_eq!(
+            Shape::d1(g.n()),
+            self.core.shape,
+            "grid does not match the plan's shape"
+        );
+        let isa = self.core.cfg.isa;
+        match self.core.cfg.layout() {
+            Layout::Natural => halo::ensure_scratch(&mut self.scratch, g),
             Layout::Transpose => {
-                tl_grid1(g, self.cfg.isa);
-                self.ensure_scratch(g);
+                tl_grid1(g, isa);
+                halo::ensure_scratch(&mut self.scratch, g);
             }
-            Layout::Dlt => self.ensure_stage(g),
+            Layout::Dlt => {
+                halo::ensure_stage(&mut self.stage, g, |g, a| dlt_grid1(g, a, isa, false))
+            }
         }
         Session1 { plan: self, g }
     }
@@ -1015,12 +1045,12 @@ impl<S: Star1, T: Elem> Plan1<S, T> {
 
 /// Layout-resident stepping session over a 1D grid (see
 /// [`Plan1::session`]).
-pub struct Session1<'p, S: Star1, T: Elem = f64> {
-    plan: &'p mut Plan1<S, T>,
+pub struct Session1<'p, T: Elem = f64> {
+    plan: &'p mut Plan1<T>,
     g: &'p mut Grid1<T>,
 }
 
-impl<S: Star1, T: Elem> Session1<'_, S, T> {
+impl<T: Elem> Session1<'_, T> {
     /// Advance the grid `t` Jacobi steps. No buffer allocation and no
     /// layout transform happen here — only kernel stepping (tiled runs
     /// copy small precomputed tile lists per chunk), plus the O(surface)
@@ -1029,330 +1059,97 @@ impl<S: Star1, T: Elem> Session1<'_, S, T> {
         if t == 0 {
             return;
         }
-        match self.plan.cfg.tiling {
-            Tiling::None if self.plan.cfg.threads > 1 => self.run_parallel(t),
-            Tiling::None if self.plan.cfg.boundary.is_dirichlet() => self.run_untiled(t),
-            // Non-Dirichlet TL2 keeps the fused k = 2 pass: the t+1 halo
-            // values the second step needs are the folds of edge-interior
-            // cells the kernel itself computes, staged in registers (see
-            // `kernels::tl2::star1_tl2_wide`). Other methods refresh the
-            // source halos and take exactly one step, t times.
-            Tiling::None if self.plan.cfg.method == Method::TransLayout2 => {
-                self.run_fused_refreshed(t)
-            }
-            Tiling::None => {
-                for _ in 0..t {
-                    self.refresh_boundary();
-                    self.run_untiled(1);
-                }
-            }
-            Tiling::Tessellate { w, h, .. } => self.run_tessellate(w[0], h, t),
-            Tiling::Split { w, h, .. } => self.run_split(w, h, t),
-        }
-    }
-
-    /// Refresh the halo cells of the step's source buffer from its
-    /// interior (see [`halo`]); no-op under Dirichlet.
-    fn refresh_boundary(&mut self) {
+        let plan = &mut *self.plan;
         let Cfg {
             method,
             isa,
-            boundary,
-            ..
-        } = self.plan.cfg;
-        let n = self.g.n();
-        let map = halo::RowMap::for_method::<T>(method, isa, n);
-        let ptr = if method == Method::Dlt {
-            // dlt_steps keeps its result in the first staging grid.
-            self.plan.stage.as_mut().expect("stage").0.ptr_mut()
-        } else {
-            self.g.ptr_mut()
-        };
-        // SAFETY: ptr spans the interior plus HALO_PAD on both sides and
-        // n ≥ S::R was validated at plan build.
-        unsafe { halo::refresh1(ptr, n, S::R, boundary, &map) };
-    }
-
-    /// Non-Dirichlet `TransLayout2`: refresh the halos to the current
-    /// time level, then run the fused k = 2 pass with register-staged
-    /// t+1 halo values — two steps per memory round-trip, matching the
-    /// Dirichlet fast path. Odd steps (and degenerate set counts) fall
-    /// back to refreshed k = 1 stepping.
-    fn run_fused_refreshed(&mut self, t: usize) {
-        let Cfg { isa, boundary, .. } = self.plan.cfg;
-        let s = self.plan.stencil;
-        let n = self.g.n();
-        let nsets = SetGeo::new(n, isa.lanes_for::<T>()).nsets;
-        let pairs = if nsets >= 2 { t / 2 } else { 0 };
-        // Derived once: at L1 sizes the fused pair is a few µs, so the
-        // per-pair constant work has to stay tiny to hold the ≤10%
-        // boundary-parity budget.
-        let map = halo::RowMap::for_method::<T>(Method::TransLayout2, isa, n);
-        let gp = self.g.ptr_mut();
-        for _ in 0..pairs {
-            // SAFETY: gp spans the interior plus HALO_PAD on both sides
-            // and n ≥ S::R was validated at plan build.
-            unsafe {
-                halo::refresh1(gp, n, S::R, boundary, &map);
-                isa_entry::star1_tl2_wide(isa, gp, n, boundary, &s);
-            }
-        }
-        for _ in 0..t - 2 * pairs {
-            self.refresh_boundary();
-            self.run_untiled(1);
-        }
-    }
-
-    /// Domain-decomposed stepping on the plan's pool (untiled plans with
-    /// a resolved thread count > 1); see [`par`](self) module docs on
-    /// `exec::par`.
-    fn run_parallel(&mut self, t: usize) {
-        let Cfg {
-            method,
-            isa,
+            tiling,
             threads,
             boundary,
             ..
-        } = self.plan.cfg;
-        let s = self.plan.stencil;
-        let n = self.g.n();
-        if method == Method::Dlt {
-            let geo = DltGeo::new(n, isa.lanes_for::<T>());
-            if geo.cols <= 4 * S::R {
-                // Degenerate column space: sequential stepping (mirrors
-                // the split-tiling driver's fallback).
-                if boundary.is_dirichlet() {
-                    self.dlt_steps(t);
-                } else {
-                    for _ in 0..t {
-                        self.refresh_boundary();
-                        self.dlt_steps(1);
-                    }
-                }
-                return;
-            }
-            let (a, b) = self.plan.stage.as_mut().expect("stage");
-            let bufs = [SyncPtr(a.ptr_mut()), SyncPtr(b.ptr_mut())];
-            let pool = self.plan.pool.as_ref().expect("pool");
-            par::drive1_dlt(isa, bufs, &geo, t, &s, pool, threads, boundary);
-            if t % 2 == 1 {
-                std::mem::swap(a, b);
-            }
-        } else {
-            let other = self.plan.scratch.as_mut().expect("scratch");
-            let bufs = [SyncPtr(self.g.ptr_mut()), SyncPtr(other.ptr_mut())];
-            let pool = self.plan.pool.as_ref().expect("pool");
-            par::drive1(method, isa, bufs, n, t, &s, pool, threads, boundary);
-            if t % 2 == 1 {
-                std::mem::swap(self.g, other);
-            }
-        }
-    }
-
-    fn run_untiled(&mut self, t: usize) {
-        let Cfg { method, isa, .. } = self.plan.cfg;
-        let s = self.plan.stencil;
-        let n = self.g.n();
-        match method {
-            Method::Scalar => {
-                let other = self.plan.scratch.as_mut().expect("scratch");
-                let mut in_g = true;
-                for _ in 0..t {
-                    let (sp, dp) = if in_g {
-                        (self.g.ptr(), other.ptr_mut())
-                    } else {
-                        (other.ptr(), self.g.ptr_mut())
-                    };
-                    unsafe { scalar::star1_range(sp, dp, 0, n, &s) };
-                    in_g = !in_g;
-                }
-                if !in_g {
-                    std::mem::swap(self.g, other);
-                }
-            }
-            Method::MultiLoad | Method::Reorg => {
-                let reorg = method == Method::Reorg;
-                let other = self.plan.scratch.as_mut().expect("scratch");
-                let gp = self.g.ptr_mut();
-                let op = other.ptr_mut();
-                // Ping-pong `t` steps; returns whether the result is in
-                // `gp` (hoisted into a named fn so `dispatch_elem!` can
-                // monomorphize it per register width).
-                unsafe fn steps<V: Vector, S: Star1>(
-                    gp: *mut V::Elem,
-                    op: *mut V::Elem,
-                    n: usize,
-                    t: usize,
-                    reorg: bool,
-                    s: &S,
-                ) -> bool {
-                    let mut in_g = true;
-                    for _ in 0..t {
-                        let (sp, dp) = if in_g {
-                            (gp.cast_const(), op)
-                        } else {
-                            (op.cast_const(), gp)
-                        };
-                        if reorg {
-                            orig::star1_orig::<V, S, true>(sp, dp, 0, n, s);
-                        } else {
-                            orig::star1_orig::<V, S, false>(sp, dp, 0, n, s);
-                        }
-                        in_g = !in_g;
-                    }
-                    in_g
-                }
-                let in_g = dispatch_elem!(isa, T, steps::<V, S>(gp, op, n, t, reorg, &s));
-                if !in_g {
-                    std::mem::swap(self.g, other);
-                }
-            }
-            Method::Dlt => self.dlt_steps(t),
-            Method::TransLayout => self.tl_k1_steps(t),
-            Method::TransLayout2 => {
-                let pairs = t / 2;
-                let nsets = SetGeo::new(n, isa.lanes_for::<T>()).nsets;
-                if nsets >= 2 {
-                    let gp = self.g.ptr_mut();
-                    for _ in 0..pairs {
-                        unsafe { isa_entry::star1_tl2(isa, gp, n, &s) };
-                    }
-                } else {
-                    self.tl_k1_steps(2 * pairs);
-                }
-                if t % 2 == 1 {
-                    self.tl_k1_steps(1);
-                }
-            }
-        }
-    }
-
-    /// k = 1 transpose-layout stepping (grid already in transpose layout).
-    fn tl_k1_steps(&mut self, t: usize) {
-        if t == 0 {
-            return;
-        }
-        let isa = self.plan.cfg.isa;
-        let s = self.plan.stencil;
-        let n = self.g.n();
-        let other = self.plan.scratch.as_mut().expect("scratch");
-        let gp = self.g.ptr_mut();
-        let op = other.ptr_mut();
-        let mut in_g = true;
-        for _ in 0..t {
-            let (sp, dp) = if in_g {
-                (gp.cast_const(), op)
-            } else {
-                (op.cast_const(), gp)
-            };
-            unsafe { isa_entry::star1_tl(isa, sp, dp, n, 0, n, &s) };
-            in_g = !in_g;
-        }
-        if !in_g {
-            std::mem::swap(self.g, other);
-        }
-    }
-
-    /// DLT stepping on the staging pair; the result invariantly ends in
-    /// the first staging grid.
-    fn dlt_steps(&mut self, t: usize) {
-        let isa = self.plan.cfg.isa;
-        let s = self.plan.stencil;
-        let n = self.g.n();
-        let (a, b) = self.plan.stage.as_mut().expect("stage");
-        let ap = a.ptr_mut();
-        let bp = b.ptr_mut();
-        // Ping-pong `t` DLT steps; returns whether the result is in `a`.
-        unsafe fn steps<V: Vector, S: Star1>(
-            ap: *mut V::Elem,
-            bp: *mut V::Elem,
-            n: usize,
-            t: usize,
-            s: &S,
-        ) -> bool {
-            let mut in_a = true;
-            for _ in 0..t {
-                let (sp, dp) = if in_a {
-                    (ap.cast_const(), bp)
-                } else {
-                    (bp.cast_const(), ap)
-                };
-                dlt::star1_dlt::<V, S>(sp, dp, n, s);
-                in_a = !in_a;
-            }
-            in_a
-        }
-        let in_a = dispatch_elem!(isa, T, steps::<V, S>(ap, bp, n, t, &s));
-        if !in_a {
-            std::mem::swap(a, b);
-        }
-    }
-
-    fn run_tessellate(&mut self, w: usize, h: usize, t: usize) {
-        let Cfg {
-            method,
-            isa,
-            boundary,
-            ..
-        } = self.plan.cfg;
-        let s = self.plan.stencil;
-        let n = self.g.n();
-        let d = DimTiling::new(n, w.min(n), S::R, true);
-        let other = self.plan.scratch.as_mut().expect("scratch");
-        let bufs = [SyncPtr(self.g.ptr_mut()), SyncPtr(other.ptr_mut())];
-        let pool = self.plan.pool.as_ref().expect("pool");
-        tess::drive1(
-            method,
-            isa,
-            bufs,
-            n,
-            &d,
-            t,
-            h,
-            &s,
-            pool,
-            boundary,
-            self.plan.arena.as_ref(),
-            &self.plan.phases,
-        );
-        if t % 2 == 1 {
-            std::mem::swap(self.g, other);
-        }
-    }
-
-    fn run_split(&mut self, w: usize, h: usize, t: usize) {
-        let Cfg { isa, boundary, .. } = self.plan.cfg;
-        let s = self.plan.stencil;
-        let n = self.g.n();
-        let geo = DltGeo::new(n, isa.lanes_for::<T>());
-        if geo.cols <= 4 * S::R {
-            // Degenerate width: plain stepping is the only sensible
-            // schedule (validated fallback, mirrors the legacy driver).
-            if boundary.is_dirichlet() {
-                self.dlt_steps(t);
-            } else {
-                for _ in 0..t {
-                    self.refresh_boundary();
-                    self.dlt_steps(1);
-                }
-            }
-            return;
-        }
-        let d = DimTiling::new(geo.cols, w.min(geo.cols), S::R, false);
-        let (a, b) = self.plan.stage.as_mut().expect("stage");
+        } = plan.core.cfg;
+        let k = &*plan.kernel;
+        let (r, n) = (k.radius(), self.g.n());
+        // The ping-pong pair the method steps: the DLT staging grids, or
+        // the caller's grid and the plan's scratch.
+        let (a, b) = match plan.stage.as_mut() {
+            Some((a, b)) => (a, b),
+            None => (&mut *self.g, plan.scratch.as_mut().expect("scratch")),
+        };
         let bufs = [SyncPtr(a.ptr_mut()), SyncPtr(b.ptr_mut())];
-        let pool = self.plan.pool.as_ref().expect("pool");
-        split::drive1(isa, bufs, &geo, n, &d, t, h, &s, pool, boundary);
-        if t % 2 == 1 {
+        let core = &plan.core;
+        let geo = DltGeo::new(n, isa.lanes_for::<T>());
+        // A DLT column space too narrow to band or tile steps
+        // sequentially — the only sensible schedule at that width.
+        let narrow_dlt = method == Method::Dlt && geo.cols <= 4 * r;
+        let pingpongs = match tiling {
+            Tiling::Tessellate { w, h, .. } => {
+                let d = DimTiling::new(n, w[0].min(n), r, true);
+                let arena = plan.arena.as_ref();
+                tess::drive1(
+                    k,
+                    method,
+                    isa,
+                    bufs,
+                    n,
+                    &d,
+                    t,
+                    h,
+                    core.pool(),
+                    boundary,
+                    arena,
+                    &core.phases,
+                );
+                t
+            }
+            Tiling::Split { w, h, .. } if !narrow_dlt => {
+                let d = DimTiling::new(geo.cols, w.min(geo.cols), r, false);
+                split::drive1(k, isa, bufs, &geo, n, &d, t, h, core.pool(), boundary);
+                t
+            }
+            Tiling::None if threads > 1 && method != Method::Dlt => {
+                par::drive1(k, method, isa, bufs, n, t, core.pool(), threads, boundary);
+                t
+            }
+            Tiling::None if threads > 1 && !narrow_dlt => {
+                par::drive1_dlt(k, isa, bufs, &geo, t, core.pool(), threads, boundary);
+                t
+            }
+            _ => {
+                // Derived once: at L1 sizes a fused pair is a few µs, so
+                // the per-pair constant work has to stay tiny.
+                let map = halo::RowMap::for_method::<T>(method, isa, n);
+                // TL2 keeps its fused k = 2 pass under every boundary:
+                // the t+1 halo values the second step needs are folds of
+                // edge cells the kernel computes itself (see
+                // `kernels::tl2::star1_tl2_wide`).
+                let fused = method == Method::TransLayout2
+                    && SetGeo::new(n, isa.lanes_for::<T>()).nsets >= 2;
+                let wide = (!boundary.is_dirichlet()).then_some(boundary);
+                // SAFETY: both buffers span the interior plus HALO_PAD on
+                // both sides, and n ≥ r was validated at plan build.
+                step_sequential(
+                    t,
+                    fused,
+                    |p| unsafe { halo::refresh1(bufs[p].0, n, r, boundary, &map) },
+                    || unsafe { k.pass2(isa, bufs[0].0, n, wide) },
+                    |time| unsafe {
+                        let (src, dst) = (bufs[time % 2].0, bufs[(time + 1) % 2].0);
+                        k.step(method, isa, src, dst, n, 0, n)
+                    },
+                )
+            }
+        };
+        if pingpongs % 2 == 1 {
             std::mem::swap(a, b);
         }
     }
 }
 
-impl<S: Star1, T: Elem> Drop for Session1<'_, S, T> {
+impl<T: Elem> Drop for Session1<'_, T> {
     fn drop(&mut self) {
-        let isa = self.plan.cfg.isa;
-        match self.plan.cfg.layout() {
+        let isa = self.plan.core.cfg.isa;
+        match self.plan.core.cfg.layout() {
             Layout::Natural => {}
             Layout::Transpose => tl_grid1(self.g, isa),
             Layout::Dlt => {
@@ -1364,425 +1161,133 @@ impl<S: Star1, T: Elem> Drop for Session1<'_, S, T> {
 }
 
 // ---------------------------------------------------------------------------
-// 2D plans (star and box, generated by one macro)
+// 2D
 // ---------------------------------------------------------------------------
 
-macro_rules! plan2_impl {
-    ($(#[$doc:meta])* $Plan:ident, $Session:ident, $bound:ident,
-     $scalar_k:ident, $orig_k:ident, $dlt_k:ident, $tl_e:ident, $tl2_e:ident,
-     $tl2_wide_e:ident, $tess_drive:ident, $split_drive:ident) => {
-        $(#[$doc])*
-        ///
-        /// Owns every buffer the method needs (ping-pong scratch, DLT
-        /// staging, k = 2 ring, worker pool); `run` and `session` reuse
-        /// them across calls.
-        pub struct $Plan<S: $bound, T: Elem = f64> {
-            cfg: Cfg,
-            nx: usize,
-            ny: usize,
-            stencil: S,
-            scratch: Option<Grid2<T>>,
-            stage: Option<(Grid2<T>, Grid2<T>)>,
-            ring: Option<AlignedBuf<T>>,
-            arena: Option<stage::TileArena<T>>,
-            phases: stage::PhaseCounters,
-            pool: Option<rayon::ThreadPool>,
+/// Compiled execution plan for a 2D stencil (star or box — the boxed
+/// kernel knows which) over element type `T`.
+///
+/// Owns the kernel and every buffer the method needs (ping-pong scratch,
+/// DLT staging, k = 2 ring, staging arena, worker pool); `run` and
+/// `session` reuse them across calls.
+pub struct Plan2<T: Elem = f64> {
+    core: PlanCore,
+    kernel: Box<dyn Kernel2<T>>,
+    scratch: Option<Grid2<T>>,
+    stage: Option<(Grid2<T>, Grid2<T>)>,
+    ring: Option<AlignedBuf<T>>,
+    arena: Option<stage::TileArena<T>>,
+}
+
+impl<T: Elem> std::ops::Deref for Plan2<T> {
+    type Target = PlanCore;
+    fn deref(&self) -> &PlanCore {
+        &self.core
+    }
+}
+
+impl<T: Elem> std::fmt::Debug for Plan2<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Plan2").field(&self.core).finish()
+    }
+}
+
+/// Whether a session runs the sequential fused k = 2 pass, which needs
+/// the ring buffer: untiled single-threaded `TransLayout2` (parallel
+/// untiled stepping ping-pongs), under Dirichlet or on a grid whose halo
+/// (`halo` cells per side) is wide enough to stage the t+1 halo level
+/// (see `kernels::tl2`'s wide section) — narrower halos step k = 1 with
+/// a refresh in between.
+fn runs_fused(cfg: &Cfg, halo: usize, r: usize) -> bool {
+    cfg.method == Method::TransLayout2
+        && cfg.tiling == Tiling::None
+        && cfg.threads == 1
+        && (cfg.boundary.is_dirichlet() || halo >= 2 * r)
+}
+
+/// (Re)size the k = 2 ring buffer to `len` elements.
+fn ensure_ring<T: Elem>(ring: &mut Option<AlignedBuf<T>>, len: usize) {
+    if ring.as_ref().map(|r| r.len()) != Some(len) {
+        *ring = Some(AlignedBuf::zeroed(len));
+    }
+}
+
+impl<T: Elem> Plan2<T> {
+    /// Run `t` Jacobi steps on `g` (natural layout in, natural layout
+    /// out). Buffers are reused across calls; for repeated stepping
+    /// without the per-call layout round-trip, use `session`.
+    pub fn run(&mut self, g: &mut Grid2<T>, t: usize) {
+        if t == 0 {
+            return;
         }
+        self.session(g).run(t);
+    }
 
-        impl<S: $bound, T: Elem> std::fmt::Debug for $Plan<S, T> {
-            fmt_plan_debug!($Plan);
-        }
-
-        impl<S: $bound, T: Elem> $Plan<S, T> {
-            /// The plan's vectorization method.
-            pub fn method(&self) -> Method {
-                self.cfg.method
-            }
-
-            /// The plan's instruction set.
-            pub fn isa(&self) -> Isa {
-                self.cfg.isa
-            }
-
-            /// The plan's tiling framework.
-            pub fn tiling(&self) -> Tiling {
-                self.cfg.tiling
-            }
-
-            /// The plan's parallelism knob.
-            pub fn parallelism(&self) -> Parallelism {
-                self.cfg.par
-            }
-
-            /// Worker count the parallelism knob resolved to at build
-            /// time (≥ 1).
-            pub fn threads(&self) -> usize {
-                self.cfg.threads
-            }
-
-            /// The plan's boundary condition.
-            pub fn boundary(&self) -> Boundary {
-                self.cfg.boundary
-            }
-
-            /// The shape the plan was compiled for.
-            pub fn shape(&self) -> Shape {
-                Shape::d2(self.nx, self.ny)
-            }
-
-            /// Cumulative wall-time phase totals recorded by the tiled
-            /// drivers (all zero for untiled plans); see
-            /// [`PhaseTotals`].
-            pub fn phase_totals(&self) -> PhaseTotals {
-                self.phases.totals()
-            }
-
-            /// Reset the phase totals to zero.
-            pub fn reset_phase_totals(&self) {
-                self.phases.reset()
-            }
-
-            fn ensure_scratch(&mut self, g: &Grid2<T>) {
+    /// Open a layout-resident stepping session on `g` (see
+    /// [`Plan1::session`]).
+    pub fn session<'p>(&'p mut self, g: &'p mut Grid2<T>) -> Session2<'p, T> {
+        assert_eq!(
+            Shape::d2(g.nx(), g.ny()),
+            self.core.shape,
+            "grid does not match the plan's shape"
+        );
+        let r = self.kernel.radius();
+        assert!(g.ry() >= r, "grid halo narrower than stencil radius");
+        let cfg = &self.core.cfg;
+        match cfg.layout() {
+            Layout::Natural => halo::ensure_scratch(&mut self.scratch, g),
+            Layout::Transpose => {
+                tl_grid2(g, cfg.isa);
                 halo::ensure_scratch(&mut self.scratch, g);
-            }
-
-            fn ensure_stage(&mut self, g: &Grid2<T>) {
-                let isa = self.cfg.isa;
-                halo::ensure_stage(&mut self.stage, g, |g, a| dlt_grid2(g, a, isa, false));
-            }
-
-            fn ensure_ring(&mut self, g: &Grid2<T>) {
-                let len = halo::ring2_len::<T>(S::R, g.row_stride());
-                if self.ring.as_ref().map(|r| r.len()) != Some(len) {
-                    self.ring = Some(AlignedBuf::zeroed(len));
+                if runs_fused(cfg, g.ry(), r) {
+                    ensure_ring(&mut self.ring, halo::ring2_len::<T>(r, g.row_stride()));
                 }
             }
-
-            /// Run `t` Jacobi steps on `g` (natural layout in, natural
-            /// layout out). Buffers are reused across calls; for repeated
-            /// stepping without the per-call layout round-trip, use
-            /// `session`.
-            pub fn run(&mut self, g: &mut Grid2<T>, t: usize) {
-                if t == 0 {
-                    return;
-                }
-                self.session(g).run(t);
-            }
-
-            /// Open a layout-resident stepping session on `g` (see
-            /// [`Plan1::session`]).
-            pub fn session<'p>(&'p mut self, g: &'p mut Grid2<T>) -> $Session<'p, S, T> {
-                assert_eq!(
-                    (g.nx(), g.ny()),
-                    (self.nx, self.ny),
-                    "grid does not match the plan's shape"
-                );
-                assert!(g.ry() >= S::R, "grid halo narrower than stencil radius");
-                match self.cfg.layout() {
-                    Layout::Natural => self.ensure_scratch(g),
-                    Layout::Transpose => {
-                        tl_grid2(g, self.cfg.isa);
-                        self.ensure_scratch(g);
-                        // The k = 2 ring only serves the sequential fused
-                        // pass; parallel untiled stepping ping-pongs.
-                        // Non-Dirichlet plans run the fused pass too when
-                        // the grid's halo is wide enough to stage the t+1
-                        // halo rows (see `kernels::tl2`'s wide section);
-                        // narrower halos step k = 1 with a refresh in
-                        // between and skip the ring.
-                        if self.cfg.method == Method::TransLayout2
-                            && self.cfg.tiling == Tiling::None
-                            && self.cfg.threads == 1
-                            && (self.cfg.boundary.is_dirichlet() || g.ry() >= 2 * S::R)
-                        {
-                            self.ensure_ring(g);
-                        }
-                    }
-                    Layout::Dlt => self.ensure_stage(g),
-                }
-                $Session { plan: self, g }
+            Layout::Dlt => {
+                halo::ensure_stage(&mut self.stage, g, |g, a| dlt_grid2(g, a, cfg.isa, false))
             }
         }
+        Session2 { plan: self, g }
+    }
+}
 
-        /// Layout-resident stepping session over a 2D grid (see
-        /// [`Plan1::session`]).
-        pub struct $Session<'p, S: $bound, T: Elem = f64> {
-            plan: &'p mut $Plan<S, T>,
-            g: &'p mut Grid2<T>,
+/// Layout-resident stepping session over a 2D grid (see
+/// [`Plan1::session`]).
+pub struct Session2<'p, T: Elem = f64> {
+    plan: &'p mut Plan2<T>,
+    g: &'p mut Grid2<T>,
+}
+
+impl<T: Elem> Session2<'_, T> {
+    /// Advance the grid `t` Jacobi steps; see [`Session1::run`].
+    pub fn run(&mut self, t: usize) {
+        if t == 0 {
+            return;
         }
-
-        impl<S: $bound, T: Elem> $Session<'_, S, T> {
-            /// Advance the grid `t` Jacobi steps. No buffer allocation
-            /// and no layout transform happen here — only kernel stepping
-            /// (tiled runs copy small precomputed tile lists per chunk),
-            /// plus the O(surface) per-step halo refresh under a
-            /// non-Dirichlet [`Boundary`].
-            pub fn run(&mut self, t: usize) {
-                if t == 0 {
-                    return;
-                }
-                match self.plan.cfg.tiling {
-                    Tiling::None if self.plan.cfg.threads > 1 => self.run_parallel(t),
-                    Tiling::None if self.plan.cfg.boundary.is_dirichlet() => self.run_untiled(t),
-                    // Non-Dirichlet TL2 on a wide-halo grid keeps the
-                    // fused k = 2 pass (t+1 halo rows staged in the
-                    // outer halo — see `kernels::tl2`); otherwise
-                    // refresh + one step, t times.
-                    Tiling::None
-                        if self.plan.cfg.method == Method::TransLayout2
-                            && self.g.ry() >= 2 * S::R =>
-                    {
-                        self.run_fused_refreshed(t)
-                    }
-                    Tiling::None => {
-                        for _ in 0..t {
-                            self.refresh_boundary();
-                            self.run_untiled(1);
-                        }
-                    }
-                    Tiling::Tessellate { w, h, .. } => self.run_tessellate(w[0], w[1], h, t),
-                    Tiling::Split { w, h, .. } => self.run_split(w, h, t),
-                }
-            }
-
-            /// Non-Dirichlet `TransLayout2` on a wide-halo grid: refresh
-            /// the (inner) halo frame to the current time level, then run
-            /// the fused k = 2 pass, which stages the t+1 halo rows in
-            /// the outer half of the `2R`-wide halo — two steps per
-            /// memory round-trip, matching the Dirichlet fast path.
-            fn run_fused_refreshed(&mut self, t: usize) {
-                let Cfg { isa, boundary, .. } = self.plan.cfg;
-                let s = self.plan.stencil;
-                let (nx, ny, rs) = (self.g.nx(), self.g.ny(), self.g.row_stride());
-                let map = halo::RowMap::for_method::<T>(Method::TransLayout2, isa, nx);
-                for _ in 0..t / 2 {
-                    self.refresh_boundary();
-                    let ring = self.plan.ring.as_mut().expect("ring");
-                    let ring = unsafe { halo::ring2_origin(ring.as_mut_ptr()) };
-                    let gp = self.g.ptr_mut();
-                    unsafe {
-                        isa_entry::$tl2_wide_e(isa, gp, rs, nx, ny, ring, boundary, &map, &s)
-                    };
-                }
-                if t % 2 == 1 {
-                    self.refresh_boundary();
-                    self.tl_k1_steps(1);
-                }
-            }
-
-            /// Refresh the halo frame of the step's source buffer from
-            /// its interior (see [`halo`]); no-op under Dirichlet.
-            fn refresh_boundary(&mut self) {
-                let Cfg {
-                    method,
-                    isa,
-                    boundary,
-                    ..
-                } = self.plan.cfg;
-                let (nx, ny, rs) = (self.g.nx(), self.g.ny(), self.g.row_stride());
-                let map = halo::RowMap::for_method::<T>(method, isa, nx);
-                let ptr = if method == Method::Dlt {
-                    // dlt_steps keeps its result in the first staging grid.
-                    self.plan.stage.as_mut().expect("stage").0.ptr_mut()
-                } else {
-                    self.g.ptr_mut()
-                };
-                // SAFETY: the buffer carries ≥ S::R halo rows (asserted
-                // at session open) and HALO_PAD row padding; extents ≥
-                // S::R were validated at plan build.
-                unsafe { halo::refresh2(ptr, rs, nx, ny, S::R, boundary, &map) };
-            }
-
-            /// Domain-decomposed stepping on the plan's pool (untiled
-            /// plans with a resolved thread count > 1); the `par` drivers
-            /// share the tess drivers' names, so `$tess_drive` routes
-            /// here too.
-            fn run_parallel(&mut self, t: usize) {
-                let Cfg {
-                    method,
-                    isa,
-                    threads,
-                    boundary,
-                    ..
-                } = self.plan.cfg;
-                let s = self.plan.stencil;
-                let (nx, ny, rs) = (self.g.nx(), self.g.ny(), self.g.row_stride());
-                let pool = self.plan.pool.as_ref().expect("pool");
-                if method == Method::Dlt {
-                    let (a, b) = self.plan.stage.as_mut().expect("stage");
-                    let bufs = [SyncPtr(a.ptr_mut()), SyncPtr(b.ptr_mut())];
-                    par::$tess_drive(
-                        method, isa, bufs, rs, nx, ny, t, &s, pool, threads, boundary,
-                    );
-                    if t % 2 == 1 {
-                        std::mem::swap(a, b);
-                    }
-                } else {
-                    let other = self.plan.scratch.as_mut().expect("scratch");
-                    let bufs = [SyncPtr(self.g.ptr_mut()), SyncPtr(other.ptr_mut())];
-                    par::$tess_drive(
-                        method, isa, bufs, rs, nx, ny, t, &s, pool, threads, boundary,
-                    );
-                    if t % 2 == 1 {
-                        std::mem::swap(self.g, other);
-                    }
-                }
-            }
-
-            fn run_untiled(&mut self, t: usize) {
-                let Cfg { method, isa, .. } = self.plan.cfg;
-                let s = self.plan.stencil;
-                let (nx, ny, rs) = (self.g.nx(), self.g.ny(), self.g.row_stride());
-                match method {
-                    Method::Scalar => {
-                        let other = self.plan.scratch.as_mut().expect("scratch");
-                        let mut in_g = true;
-                        for _ in 0..t {
-                            let (sp, dp) = if in_g {
-                                (self.g.ptr(), other.ptr_mut())
-                            } else {
-                                (other.ptr(), self.g.ptr_mut())
-                            };
-                            unsafe { scalar::$scalar_k(sp, dp, rs, 0, ny, 0, nx, &s) };
-                            in_g = !in_g;
-                        }
-                        if !in_g {
-                            std::mem::swap(self.g, other);
-                        }
-                    }
-                    Method::MultiLoad | Method::Reorg => {
-                        let reorg = method == Method::Reorg;
-                        let other = self.plan.scratch.as_mut().expect("scratch");
-                        let gp = self.g.ptr_mut();
-                        let op = other.ptr_mut();
-                        // Ping-pong `t` steps; returns whether the result
-                        // is in `gp` (named fn for `dispatch_elem!`).
-                        #[allow(clippy::too_many_arguments)]
-                        unsafe fn steps<V: Vector, S: $bound>(
-                            gp: *mut V::Elem,
-                            op: *mut V::Elem,
-                            rs: usize,
-                            nx: usize,
-                            ny: usize,
-                            t: usize,
-                            reorg: bool,
-                            s: &S,
-                        ) -> bool {
-                            let mut in_g = true;
-                            for _ in 0..t {
-                                let (sp, dp) = if in_g {
-                                    (gp.cast_const(), op)
-                                } else {
-                                    (op.cast_const(), gp)
-                                };
-                                if reorg {
-                                    orig::$orig_k::<V, S, true>(sp, dp, rs, 0, ny, 0, nx, s);
-                                } else {
-                                    orig::$orig_k::<V, S, false>(sp, dp, rs, 0, ny, 0, nx, s);
-                                }
-                                in_g = !in_g;
-                            }
-                            in_g
-                        }
-                        let in_g =
-                            dispatch_elem!(isa, T, steps::<V, S>(gp, op, rs, nx, ny, t, reorg, &s));
-                        if !in_g {
-                            std::mem::swap(self.g, other);
-                        }
-                    }
-                    Method::Dlt => self.dlt_steps(t),
-                    Method::TransLayout => self.tl_k1_steps(t),
-                    Method::TransLayout2 => {
-                        let pairs = t / 2;
-                        if pairs > 0 {
-                            let ring = self.plan.ring.as_mut().expect("ring");
-                            let ring = unsafe { halo::ring2_origin(ring.as_mut_ptr()) };
-                            let gp = self.g.ptr_mut();
-                            for _ in 0..pairs {
-                                unsafe { isa_entry::$tl2_e(isa, gp, rs, nx, ny, ring, &s) };
-                            }
-                        }
-                        if t % 2 == 1 {
-                            self.tl_k1_steps(1);
-                        }
-                    }
-                }
-            }
-
-            /// k = 1 transpose-layout stepping (grid already in transpose
-            /// layout).
-            fn tl_k1_steps(&mut self, t: usize) {
-                if t == 0 {
-                    return;
-                }
-                let isa = self.plan.cfg.isa;
-                let s = self.plan.stencil;
-                let (nx, ny, rs) = (self.g.nx(), self.g.ny(), self.g.row_stride());
-                let other = self.plan.scratch.as_mut().expect("scratch");
-                let gp = self.g.ptr_mut();
-                let op = other.ptr_mut();
-                let mut in_g = true;
-                for _ in 0..t {
-                    let (sp, dp) =
-                        if in_g { (gp.cast_const(), op) } else { (op.cast_const(), gp) };
-                    unsafe { isa_entry::$tl_e(isa, sp, dp, rs, nx, 0, ny, 0, nx, &s) };
-                    in_g = !in_g;
-                }
-                if !in_g {
-                    std::mem::swap(self.g, other);
-                }
-            }
-
-            /// DLT stepping on the staging pair; the result invariantly
-            /// ends in the first staging grid.
-            fn dlt_steps(&mut self, t: usize) {
-                let isa = self.plan.cfg.isa;
-                let s = self.plan.stencil;
-                let (nx, ny, rs) = (self.g.nx(), self.g.ny(), self.g.row_stride());
-                let (a, b) = self.plan.stage.as_mut().expect("stage");
-                let ap = a.ptr_mut();
-                let bp = b.ptr_mut();
-                // Ping-pong `t` DLT steps; returns whether the result is
-                // in `a` (named fn for `dispatch_elem!`).
-                unsafe fn steps<V: Vector, S: $bound>(
-                    ap: *mut V::Elem,
-                    bp: *mut V::Elem,
-                    rs: usize,
-                    nx: usize,
-                    ny: usize,
-                    t: usize,
-                    s: &S,
-                ) -> bool {
-                    let mut in_a = true;
-                    for _ in 0..t {
-                        let (sp, dp) =
-                            if in_a { (ap.cast_const(), bp) } else { (bp.cast_const(), ap) };
-                        dlt::$dlt_k::<V, S>(sp, dp, rs, nx, 0, ny, s);
-                        in_a = !in_a;
-                    }
-                    in_a
-                }
-                let in_a = dispatch_elem!(isa, T, steps::<V, S>(ap, bp, rs, nx, ny, t, &s));
-                if !in_a {
-                    std::mem::swap(a, b);
-                }
-            }
-
-            fn run_tessellate(&mut self, wx: usize, wy: usize, h: usize, t: usize) {
-                let Cfg {
-                    method,
-                    isa,
-                    boundary,
-                    ..
-                } = self.plan.cfg;
-                let s = self.plan.stencil;
-                let (nx, ny, rs) = (self.g.nx(), self.g.ny(), self.g.row_stride());
-                let dx = DimTiling::new(nx, wx.min(nx), S::R, true);
-                let dy = DimTiling::new(ny, wy.min(ny), S::R, true);
-                let other = self.plan.scratch.as_mut().expect("scratch");
-                let bufs = [SyncPtr(self.g.ptr_mut()), SyncPtr(other.ptr_mut())];
-                let pool = self.plan.pool.as_ref().expect("pool");
-                tess::$tess_drive(
+        let plan = &mut *self.plan;
+        let cfg = plan.core.cfg;
+        let Cfg {
+            method,
+            isa,
+            boundary,
+            ..
+        } = cfg;
+        let k = &*plan.kernel;
+        let r = k.radius();
+        let (nx, ny, rs, ry) = (self.g.nx(), self.g.ny(), self.g.row_stride(), self.g.ry());
+        let (a, b) = match plan.stage.as_mut() {
+            Some((a, b)) => (a, b),
+            None => (&mut *self.g, plan.scratch.as_mut().expect("scratch")),
+        };
+        let bufs = [SyncPtr(a.ptr_mut()), SyncPtr(b.ptr_mut())];
+        let core = &plan.core;
+        let pingpongs = match cfg.tiling {
+            Tiling::Tessellate { w, h, .. } => {
+                let dx = DimTiling::new(nx, w[0].min(nx), r, true);
+                let dy = DimTiling::new(ny, w[1].min(ny), r, true);
+                let arena = plan.arena.as_ref();
+                tess::drive2(
+                    k,
                     method,
                     isa,
                     bufs,
@@ -1792,514 +1297,186 @@ macro_rules! plan2_impl {
                     &dy,
                     t,
                     h,
-                    &s,
-                    pool,
+                    core.pool(),
                     boundary,
-                    self.plan.arena.as_ref(),
-                    &self.plan.phases,
+                    arena,
+                    &core.phases,
                 );
-                if t % 2 == 1 {
-                    std::mem::swap(self.g, other);
-                }
+                t
             }
-
-            fn run_split(&mut self, w: usize, h: usize, t: usize) {
-                let Cfg { isa, boundary, .. } = self.plan.cfg;
-                let s = self.plan.stencil;
-                let (nx, ny, rs) = (self.g.nx(), self.g.ny(), self.g.row_stride());
-                let d = DimTiling::new(ny, w.min(ny), S::R, true);
-                let (a, b) = self.plan.stage.as_mut().expect("stage");
-                let bufs = [SyncPtr(a.ptr_mut()), SyncPtr(b.ptr_mut())];
-                let pool = self.plan.pool.as_ref().expect("pool");
-                split::$split_drive(isa, bufs, rs, nx, &d, t, h, &s, pool, boundary);
-                if t % 2 == 1 {
-                    std::mem::swap(a, b);
-                }
+            Tiling::Split { w, h, .. } => {
+                let d = DimTiling::new(ny, w.min(ny), r, true);
+                split::drive2(k, isa, bufs, rs, nx, &d, t, h, core.pool(), boundary);
+                t
             }
+            Tiling::None if cfg.threads > 1 => {
+                let pool = core.pool();
+                par::drive2(
+                    k,
+                    method,
+                    isa,
+                    bufs,
+                    rs,
+                    nx,
+                    ny,
+                    t,
+                    pool,
+                    cfg.threads,
+                    boundary,
+                );
+                t
+            }
+            Tiling::None => {
+                let map = halo::RowMap::for_method::<T>(method, isa, nx);
+                let fused = runs_fused(&cfg, ry, r);
+                let ring = match plan.ring.as_mut() {
+                    // SAFETY: the ring was sized by `ring2_len` at session open.
+                    Some(ring) if fused => unsafe { halo::ring2_origin(ring.as_mut_ptr()) },
+                    _ => std::ptr::null_mut(),
+                };
+                let wide = (!boundary.is_dirichlet()).then_some((boundary, &map));
+                // SAFETY: both buffers carry ≥ r halo rows (asserted at
+                // session open) and HALO_PAD row padding; extents ≥ r
+                // were validated at plan build; the fused pass runs only
+                // with its ring allocated.
+                step_sequential(
+                    t,
+                    fused,
+                    |p| unsafe { halo::refresh2(bufs[p].0, rs, nx, ny, r, boundary, &map) },
+                    || unsafe { k.pass2(isa, bufs[0].0, rs, nx, ny, ring, wide) },
+                    |time| unsafe {
+                        let (src, dst) = (bufs[time % 2].0, bufs[(time + 1) % 2].0);
+                        k.step(method, isa, src, dst, rs, nx, (0, ny), (0, nx))
+                    },
+                )
+            }
+        };
+        if pingpongs % 2 == 1 {
+            std::mem::swap(a, b);
         }
-
-        impl<S: $bound, T: Elem> Drop for $Session<'_, S, T> {
-            fn drop(&mut self) {
-                let isa = self.plan.cfg.isa;
-                match self.plan.cfg.layout() {
-                    Layout::Natural => {}
-                    Layout::Transpose => tl_grid2(self.g, isa),
-                    Layout::Dlt => {
-                        let (a, _) = self.plan.stage.as_ref().expect("stage");
-                        dlt_grid2(a, self.g, isa, true);
-                    }
-                }
-            }
-        }
-    };
+    }
 }
 
-plan2_impl!(
-    /// Compiled execution plan for a 2D star stencil.
-    Plan2Star, Session2Star, Star2,
-    star2_range, star2_orig, star2_dlt, star2_tl, star2_tl2,
-    star2_tl2_wide, drive2_star, drive2_star
-);
-plan2_impl!(
-    /// Compiled execution plan for a 2D box stencil.
-    Plan2Box, Session2Box, Box2,
-    box2_range, box2_orig, box2_dlt, box2_tl, box2_tl2,
-    box2_tl2_wide, drive2_box, drive2_box
-);
+impl<T: Elem> Drop for Session2<'_, T> {
+    fn drop(&mut self) {
+        let isa = self.plan.core.cfg.isa;
+        match self.plan.core.cfg.layout() {
+            Layout::Natural => {}
+            Layout::Transpose => tl_grid2(self.g, isa),
+            Layout::Dlt => {
+                let (a, _) = self.plan.stage.as_ref().expect("stage");
+                dlt_grid2(a, self.g, isa, true);
+            }
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
-// 3D plans (star and box, generated by one macro)
+// 3D
 // ---------------------------------------------------------------------------
 
-macro_rules! plan3_impl {
-    ($(#[$doc:meta])* $Plan:ident, $Session:ident, $bound:ident,
-     $scalar_k:ident, $orig_k:ident, $dlt_k:ident, $tl_e:ident, $tl2_e:ident,
-     $tl2_wide_e:ident, $tess_drive:ident, $split_drive:ident) => {
-        $(#[$doc])*
-        ///
-        /// Owns every buffer the method needs (ping-pong scratch, DLT
-        /// staging, k = 2 ring, worker pool); `run` and `session` reuse
-        /// them across calls.
-        pub struct $Plan<S: $bound, T: Elem = f64> {
-            cfg: Cfg,
-            nx: usize,
-            ny: usize,
-            nz: usize,
-            stencil: S,
-            scratch: Option<Grid3<T>>,
-            stage: Option<(Grid3<T>, Grid3<T>)>,
-            ring: Option<AlignedBuf<T>>,
-            arena: Option<stage::TileArena<T>>,
-            phases: stage::PhaseCounters,
-            pool: Option<rayon::ThreadPool>,
+/// Compiled execution plan for a 3D stencil (star or box) over element
+/// type `T`; see [`Plan2`].
+pub struct Plan3<T: Elem = f64> {
+    core: PlanCore,
+    kernel: Box<dyn Kernel3<T>>,
+    scratch: Option<Grid3<T>>,
+    stage: Option<(Grid3<T>, Grid3<T>)>,
+    ring: Option<AlignedBuf<T>>,
+    arena: Option<stage::TileArena<T>>,
+}
+
+impl<T: Elem> std::ops::Deref for Plan3<T> {
+    type Target = PlanCore;
+    fn deref(&self) -> &PlanCore {
+        &self.core
+    }
+}
+
+impl<T: Elem> std::fmt::Debug for Plan3<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Plan3").field(&self.core).finish()
+    }
+}
+
+impl<T: Elem> Plan3<T> {
+    /// Run `t` Jacobi steps on `g` (natural layout in, natural layout
+    /// out). Buffers are reused across calls; for repeated stepping
+    /// without the per-call layout round-trip, use `session`.
+    pub fn run(&mut self, g: &mut Grid3<T>, t: usize) {
+        if t == 0 {
+            return;
         }
+        self.session(g).run(t);
+    }
 
-        impl<S: $bound, T: Elem> std::fmt::Debug for $Plan<S, T> {
-            fmt_plan_debug!($Plan);
-        }
-
-        impl<S: $bound, T: Elem> $Plan<S, T> {
-            /// The plan's vectorization method.
-            pub fn method(&self) -> Method {
-                self.cfg.method
-            }
-
-            /// The plan's instruction set.
-            pub fn isa(&self) -> Isa {
-                self.cfg.isa
-            }
-
-            /// The plan's tiling framework.
-            pub fn tiling(&self) -> Tiling {
-                self.cfg.tiling
-            }
-
-            /// The plan's parallelism knob.
-            pub fn parallelism(&self) -> Parallelism {
-                self.cfg.par
-            }
-
-            /// Worker count the parallelism knob resolved to at build
-            /// time (≥ 1).
-            pub fn threads(&self) -> usize {
-                self.cfg.threads
-            }
-
-            /// The plan's boundary condition.
-            pub fn boundary(&self) -> Boundary {
-                self.cfg.boundary
-            }
-
-            /// The shape the plan was compiled for.
-            pub fn shape(&self) -> Shape {
-                Shape::d3(self.nx, self.ny, self.nz)
-            }
-
-            /// Cumulative wall-time phase totals recorded by the tiled
-            /// drivers (all zero for untiled plans); see
-            /// [`PhaseTotals`].
-            pub fn phase_totals(&self) -> PhaseTotals {
-                self.phases.totals()
-            }
-
-            /// Reset the phase totals to zero.
-            pub fn reset_phase_totals(&self) {
-                self.phases.reset()
-            }
-
-            fn ensure_scratch(&mut self, g: &Grid3<T>) {
+    /// Open a layout-resident stepping session on `g` (see
+    /// [`Plan1::session`]).
+    pub fn session<'p>(&'p mut self, g: &'p mut Grid3<T>) -> Session3<'p, T> {
+        assert_eq!(
+            Shape::d3(g.nx(), g.ny(), g.nz()),
+            self.core.shape,
+            "grid does not match the plan's shape"
+        );
+        let r = self.kernel.radius();
+        assert!(g.r() >= r, "grid halo narrower than stencil radius");
+        let cfg = &self.core.cfg;
+        match cfg.layout() {
+            Layout::Natural => halo::ensure_scratch(&mut self.scratch, g),
+            Layout::Transpose => {
+                tl_grid3(g, cfg.isa);
                 halo::ensure_scratch(&mut self.scratch, g);
-            }
-
-            fn ensure_stage(&mut self, g: &Grid3<T>) {
-                let isa = self.cfg.isa;
-                halo::ensure_stage(&mut self.stage, g, |g, a| dlt_grid3(g, a, isa, false));
-            }
-
-            fn ensure_ring(&mut self, g: &Grid3<T>) {
-                let len = halo::ring3_len(S::R, g.plane_stride());
-                if self.ring.as_ref().map(|r| r.len()) != Some(len) {
-                    self.ring = Some(AlignedBuf::zeroed(len));
+                if runs_fused(cfg, g.r(), r) {
+                    ensure_ring(&mut self.ring, halo::ring3_len(r, g.plane_stride()));
                 }
             }
-
-            /// Run `t` Jacobi steps on `g` (natural layout in, natural
-            /// layout out). Buffers are reused across calls; for repeated
-            /// stepping without the per-call layout round-trip, use
-            /// `session`.
-            pub fn run(&mut self, g: &mut Grid3<T>, t: usize) {
-                if t == 0 {
-                    return;
-                }
-                self.session(g).run(t);
-            }
-
-            /// Open a layout-resident stepping session on `g` (see
-            /// [`Plan1::session`]).
-            pub fn session<'p>(&'p mut self, g: &'p mut Grid3<T>) -> $Session<'p, S, T> {
-                assert_eq!(
-                    (g.nx(), g.ny(), g.nz()),
-                    (self.nx, self.ny, self.nz),
-                    "grid does not match the plan's shape"
-                );
-                assert!(g.r() >= S::R, "grid halo narrower than stencil radius");
-                match self.cfg.layout() {
-                    Layout::Natural => self.ensure_scratch(g),
-                    Layout::Transpose => {
-                        tl_grid3(g, self.cfg.isa);
-                        self.ensure_scratch(g);
-                        // The k = 2 ring only serves the sequential fused
-                        // pass; parallel untiled stepping ping-pongs.
-                        // Non-Dirichlet plans run the fused pass too when
-                        // the grid's halo is wide enough to stage the t+1
-                        // halo planes (see `kernels::tl2`'s wide
-                        // section); narrower halos step k = 1 with a
-                        // refresh in between and skip the ring.
-                        if self.cfg.method == Method::TransLayout2
-                            && self.cfg.tiling == Tiling::None
-                            && self.cfg.threads == 1
-                            && (self.cfg.boundary.is_dirichlet() || g.r() >= 2 * S::R)
-                        {
-                            self.ensure_ring(g);
-                        }
-                    }
-                    Layout::Dlt => self.ensure_stage(g),
-                }
-                $Session { plan: self, g }
+            Layout::Dlt => {
+                halo::ensure_stage(&mut self.stage, g, |g, a| dlt_grid3(g, a, cfg.isa, false))
             }
         }
+        Session3 { plan: self, g }
+    }
+}
 
-        /// Layout-resident stepping session over a 3D grid (see
-        /// [`Plan1::session`]).
-        pub struct $Session<'p, S: $bound, T: Elem = f64> {
-            plan: &'p mut $Plan<S, T>,
-            g: &'p mut Grid3<T>,
+/// Layout-resident stepping session over a 3D grid (see
+/// [`Plan1::session`]).
+pub struct Session3<'p, T: Elem = f64> {
+    plan: &'p mut Plan3<T>,
+    g: &'p mut Grid3<T>,
+}
+
+impl<T: Elem> Session3<'_, T> {
+    /// Advance the grid `t` Jacobi steps; see [`Session1::run`].
+    pub fn run(&mut self, t: usize) {
+        if t == 0 {
+            return;
         }
-
-        impl<S: $bound, T: Elem> $Session<'_, S, T> {
-            /// Advance the grid `t` Jacobi steps. No buffer allocation
-            /// and no layout transform happen here — only kernel stepping
-            /// (tiled runs copy small precomputed tile lists per chunk),
-            /// plus the O(surface) per-step halo refresh under a
-            /// non-Dirichlet [`Boundary`].
-            pub fn run(&mut self, t: usize) {
-                if t == 0 {
-                    return;
-                }
-                match self.plan.cfg.tiling {
-                    Tiling::None if self.plan.cfg.threads > 1 => self.run_parallel(t),
-                    Tiling::None if self.plan.cfg.boundary.is_dirichlet() => self.run_untiled(t),
-                    // Non-Dirichlet TL2 on a wide-halo grid keeps the
-                    // fused k = 2 pass (t+1 halo planes staged in the
-                    // outer halo — see `kernels::tl2`); otherwise
-                    // refresh + one step, t times.
-                    Tiling::None
-                        if self.plan.cfg.method == Method::TransLayout2
-                            && self.g.r() >= 2 * S::R =>
-                    {
-                        self.run_fused_refreshed(t)
-                    }
-                    Tiling::None => {
-                        for _ in 0..t {
-                            self.refresh_boundary();
-                            self.run_untiled(1);
-                        }
-                    }
-                    Tiling::Tessellate { w, h, .. } => {
-                        self.run_tessellate(w[0], w[1], w[2], h, t)
-                    }
-                    Tiling::Split { w, h, .. } => self.run_split(w, h, t),
-                }
-            }
-
-            /// Non-Dirichlet `TransLayout2` on a wide-halo grid: refresh
-            /// the (inner) halo shell to the current time level, then run
-            /// the fused k = 2 pass, which stages the t+1 halo planes in
-            /// the outer half of the `2R`-wide halo — two steps per
-            /// memory round-trip, matching the Dirichlet fast path.
-            fn run_fused_refreshed(&mut self, t: usize) {
-                let Cfg { isa, boundary, .. } = self.plan.cfg;
-                let s = self.plan.stencil;
-                let (nx, ny, nz) = (self.g.nx(), self.g.ny(), self.g.nz());
-                let (rs, ps) = (self.g.row_stride(), self.g.plane_stride());
-                let map = halo::RowMap::for_method::<T>(Method::TransLayout2, isa, nx);
-                for _ in 0..t / 2 {
-                    self.refresh_boundary();
-                    let ring = self.plan.ring.as_mut().expect("ring");
-                    let ring = unsafe { halo::ring3_origin(ring.as_mut_ptr(), S::R, rs) };
-                    let gp = self.g.ptr_mut();
-                    unsafe {
-                        isa_entry::$tl2_wide_e(
-                            isa, gp, rs, ps, nx, ny, nz, ring, boundary, &map, &s,
-                        )
-                    };
-                }
-                if t % 2 == 1 {
-                    self.refresh_boundary();
-                    self.tl_k1_steps(1);
-                }
-            }
-
-            /// Refresh the halo shell of the step's source buffer from
-            /// its interior (see [`halo`]); no-op under Dirichlet.
-            fn refresh_boundary(&mut self) {
-                let Cfg {
-                    method,
-                    isa,
-                    boundary,
-                    ..
-                } = self.plan.cfg;
-                let (nx, ny, nz) = (self.g.nx(), self.g.ny(), self.g.nz());
-                let (rs, ps) = (self.g.row_stride(), self.g.plane_stride());
-                let map = halo::RowMap::for_method::<T>(method, isa, nx);
-                let ptr = if method == Method::Dlt {
-                    // dlt_steps keeps its result in the first staging grid.
-                    self.plan.stage.as_mut().expect("stage").0.ptr_mut()
-                } else {
-                    self.g.ptr_mut()
-                };
-                // SAFETY: the buffer carries ≥ S::R halo rows/planes
-                // (asserted at session open) and HALO_PAD row padding;
-                // extents ≥ S::R were validated at plan build.
-                unsafe { halo::refresh3(ptr, rs, ps, nx, ny, nz, S::R, boundary, &map) };
-            }
-
-            /// Domain-decomposed stepping on the plan's pool (untiled
-            /// plans with a resolved thread count > 1); the `par` drivers
-            /// share the tess drivers' names, so `$tess_drive` routes
-            /// here too.
-            fn run_parallel(&mut self, t: usize) {
-                let Cfg {
-                    method,
-                    isa,
-                    threads,
-                    boundary,
-                    ..
-                } = self.plan.cfg;
-                let s = self.plan.stencil;
-                let (nx, ny, nz) = (self.g.nx(), self.g.ny(), self.g.nz());
-                let (rs, ps) = (self.g.row_stride(), self.g.plane_stride());
-                let pool = self.plan.pool.as_ref().expect("pool");
-                if method == Method::Dlt {
-                    let (a, b) = self.plan.stage.as_mut().expect("stage");
-                    let bufs = [SyncPtr(a.ptr_mut()), SyncPtr(b.ptr_mut())];
-                    par::$tess_drive(
-                        method, isa, bufs, rs, ps, nx, ny, nz, t, &s, pool, threads, boundary,
-                    );
-                    if t % 2 == 1 {
-                        std::mem::swap(a, b);
-                    }
-                } else {
-                    let other = self.plan.scratch.as_mut().expect("scratch");
-                    let bufs = [SyncPtr(self.g.ptr_mut()), SyncPtr(other.ptr_mut())];
-                    par::$tess_drive(
-                        method, isa, bufs, rs, ps, nx, ny, nz, t, &s, pool, threads, boundary,
-                    );
-                    if t % 2 == 1 {
-                        std::mem::swap(self.g, other);
-                    }
-                }
-            }
-
-            fn run_untiled(&mut self, t: usize) {
-                let Cfg { method, isa, .. } = self.plan.cfg;
-                let s = self.plan.stencil;
-                let (nx, ny, nz) = (self.g.nx(), self.g.ny(), self.g.nz());
-                let (rs, ps) = (self.g.row_stride(), self.g.plane_stride());
-                match method {
-                    Method::Scalar => {
-                        let other = self.plan.scratch.as_mut().expect("scratch");
-                        let mut in_g = true;
-                        for _ in 0..t {
-                            let (sp, dp) = if in_g {
-                                (self.g.ptr(), other.ptr_mut())
-                            } else {
-                                (other.ptr(), self.g.ptr_mut())
-                            };
-                            unsafe {
-                                scalar::$scalar_k(sp, dp, rs, ps, 0, nz, 0, ny, 0, nx, &s)
-                            };
-                            in_g = !in_g;
-                        }
-                        if !in_g {
-                            std::mem::swap(self.g, other);
-                        }
-                    }
-                    Method::MultiLoad | Method::Reorg => {
-                        let reorg = method == Method::Reorg;
-                        let other = self.plan.scratch.as_mut().expect("scratch");
-                        let gp = self.g.ptr_mut();
-                        let op = other.ptr_mut();
-                        // Ping-pong `t` steps; returns whether the result
-                        // is in `gp` (named fn for `dispatch_elem!`).
-                        #[allow(clippy::too_many_arguments)]
-                        unsafe fn steps<V: Vector, S: $bound>(
-                            gp: *mut V::Elem,
-                            op: *mut V::Elem,
-                            rs: usize,
-                            ps: usize,
-                            nx: usize,
-                            ny: usize,
-                            nz: usize,
-                            t: usize,
-                            reorg: bool,
-                            s: &S,
-                        ) -> bool {
-                            let mut in_g = true;
-                            for _ in 0..t {
-                                let (sp, dp) = if in_g {
-                                    (gp.cast_const(), op)
-                                } else {
-                                    (op.cast_const(), gp)
-                                };
-                                if reorg {
-                                    orig::$orig_k::<V, S, true>(
-                                        sp, dp, rs, ps, 0, nz, 0, ny, 0, nx, s,
-                                    );
-                                } else {
-                                    orig::$orig_k::<V, S, false>(
-                                        sp, dp, rs, ps, 0, nz, 0, ny, 0, nx, s,
-                                    );
-                                }
-                                in_g = !in_g;
-                            }
-                            in_g
-                        }
-                        let in_g = dispatch_elem!(
-                            isa,
-                            T,
-                            steps::<V, S>(gp, op, rs, ps, nx, ny, nz, t, reorg, &s)
-                        );
-                        if !in_g {
-                            std::mem::swap(self.g, other);
-                        }
-                    }
-                    Method::Dlt => self.dlt_steps(t),
-                    Method::TransLayout => self.tl_k1_steps(t),
-                    Method::TransLayout2 => {
-                        let pairs = t / 2;
-                        if pairs > 0 {
-                            let ring = self.plan.ring.as_mut().expect("ring");
-                            let ring =
-                                unsafe { halo::ring3_origin(ring.as_mut_ptr(), S::R, rs) };
-                            let gp = self.g.ptr_mut();
-                            for _ in 0..pairs {
-                                unsafe {
-                                    isa_entry::$tl2_e(isa, gp, rs, ps, nx, ny, nz, ring, &s)
-                                };
-                            }
-                        }
-                        if t % 2 == 1 {
-                            self.tl_k1_steps(1);
-                        }
-                    }
-                }
-            }
-
-            /// k = 1 transpose-layout stepping (grid already in transpose
-            /// layout).
-            fn tl_k1_steps(&mut self, t: usize) {
-                if t == 0 {
-                    return;
-                }
-                let isa = self.plan.cfg.isa;
-                let s = self.plan.stencil;
-                let (nx, ny, nz) = (self.g.nx(), self.g.ny(), self.g.nz());
-                let (rs, ps) = (self.g.row_stride(), self.g.plane_stride());
-                let other = self.plan.scratch.as_mut().expect("scratch");
-                let gp = self.g.ptr_mut();
-                let op = other.ptr_mut();
-                let mut in_g = true;
-                for _ in 0..t {
-                    let (sp, dp) =
-                        if in_g { (gp.cast_const(), op) } else { (op.cast_const(), gp) };
-                    unsafe {
-                        isa_entry::$tl_e(isa, sp, dp, rs, ps, nx, 0, nz, 0, ny, 0, nx, &s)
-                    };
-                    in_g = !in_g;
-                }
-                if !in_g {
-                    std::mem::swap(self.g, other);
-                }
-            }
-
-            /// DLT stepping on the staging pair; the result invariantly
-            /// ends in the first staging grid.
-            fn dlt_steps(&mut self, t: usize) {
-                let isa = self.plan.cfg.isa;
-                let s = self.plan.stencil;
-                let (nx, ny, nz) = (self.g.nx(), self.g.ny(), self.g.nz());
-                let (rs, ps) = (self.g.row_stride(), self.g.plane_stride());
-                let (a, b) = self.plan.stage.as_mut().expect("stage");
-                let ap = a.ptr_mut();
-                let bp = b.ptr_mut();
-                // Ping-pong `t` DLT steps; returns whether the result is
-                // in `a` (named fn for `dispatch_elem!`).
-                #[allow(clippy::too_many_arguments)]
-                unsafe fn steps<V: Vector, S: $bound>(
-                    ap: *mut V::Elem,
-                    bp: *mut V::Elem,
-                    rs: usize,
-                    ps: usize,
-                    nx: usize,
-                    ny: usize,
-                    nz: usize,
-                    t: usize,
-                    s: &S,
-                ) -> bool {
-                    let mut in_a = true;
-                    for _ in 0..t {
-                        let (sp, dp) =
-                            if in_a { (ap.cast_const(), bp) } else { (bp.cast_const(), ap) };
-                        dlt::$dlt_k::<V, S>(sp, dp, rs, ps, nx, ny, 0, nz, s);
-                        in_a = !in_a;
-                    }
-                    in_a
-                }
-                let in_a =
-                    dispatch_elem!(isa, T, steps::<V, S>(ap, bp, rs, ps, nx, ny, nz, t, &s));
-                if !in_a {
-                    std::mem::swap(a, b);
-                }
-            }
-
-            fn run_tessellate(&mut self, wx: usize, wy: usize, wz: usize, h: usize, t: usize) {
-                let Cfg {
-                    method,
-                    isa,
-                    boundary,
-                    ..
-                } = self.plan.cfg;
-                let s = self.plan.stencil;
-                let (nx, ny, nz) = (self.g.nx(), self.g.ny(), self.g.nz());
-                let (rs, ps) = (self.g.row_stride(), self.g.plane_stride());
-                let dx = DimTiling::new(nx, wx.min(nx), S::R, true);
-                let dy = DimTiling::new(ny, wy.min(ny), S::R, true);
-                let dz = DimTiling::new(nz, wz.min(nz), S::R, true);
-                let other = self.plan.scratch.as_mut().expect("scratch");
-                let bufs = [SyncPtr(self.g.ptr_mut()), SyncPtr(other.ptr_mut())];
-                let pool = self.plan.pool.as_ref().expect("pool");
-                tess::$tess_drive(
+        let plan = &mut *self.plan;
+        let cfg = plan.core.cfg;
+        let Cfg {
+            method,
+            isa,
+            boundary,
+            ..
+        } = cfg;
+        let k = &*plan.kernel;
+        let r = k.radius();
+        let (nx, ny, nz) = (self.g.nx(), self.g.ny(), self.g.nz());
+        let (rs, ps, halo) = (self.g.row_stride(), self.g.plane_stride(), self.g.r());
+        let (a, b) = match plan.stage.as_mut() {
+            Some((a, b)) => (a, b),
+            None => (&mut *self.g, plan.scratch.as_mut().expect("scratch")),
+        };
+        let bufs = [SyncPtr(a.ptr_mut()), SyncPtr(b.ptr_mut())];
+        let core = &plan.core;
+        let pingpongs = match cfg.tiling {
+            Tiling::Tessellate { w, h, .. } => {
+                let dx = DimTiling::new(nx, w[0].min(nx), r, true);
+                let dy = DimTiling::new(ny, w[1].min(ny), r, true);
+                let dz = DimTiling::new(nz, w[2].min(nz), r, true);
+                let arena = plan.arena.as_ref();
+                tess::drive3(
+                    k,
                     method,
                     isa,
                     bufs,
@@ -2311,61 +1488,81 @@ macro_rules! plan3_impl {
                     &dz,
                     t,
                     h,
-                    &s,
-                    pool,
+                    core.pool(),
                     boundary,
-                    self.plan.arena.as_ref(),
-                    &self.plan.phases,
+                    arena,
+                    &core.phases,
                 );
-                if t % 2 == 1 {
-                    std::mem::swap(self.g, other);
-                }
+                t
             }
-
-            fn run_split(&mut self, w: usize, h: usize, t: usize) {
-                let Cfg { isa, boundary, .. } = self.plan.cfg;
-                let s = self.plan.stencil;
-                let (nx, ny, nz) = (self.g.nx(), self.g.ny(), self.g.nz());
-                let (rs, ps) = (self.g.row_stride(), self.g.plane_stride());
-                let d = DimTiling::new(nz, w.min(nz), S::R, true);
-                let (a, b) = self.plan.stage.as_mut().expect("stage");
-                let bufs = [SyncPtr(a.ptr_mut()), SyncPtr(b.ptr_mut())];
-                let pool = self.plan.pool.as_ref().expect("pool");
-                split::$split_drive(isa, bufs, rs, ps, nx, ny, &d, t, h, &s, pool, boundary);
-                if t % 2 == 1 {
-                    std::mem::swap(a, b);
-                }
+            Tiling::Split { w, h, .. } => {
+                let d = DimTiling::new(nz, w.min(nz), r, true);
+                let pool = core.pool();
+                split::drive3(k, isa, bufs, rs, ps, nx, ny, &d, t, h, pool, boundary);
+                t
             }
+            Tiling::None if cfg.threads > 1 => {
+                par::drive3(
+                    k,
+                    method,
+                    isa,
+                    bufs,
+                    rs,
+                    ps,
+                    nx,
+                    ny,
+                    nz,
+                    t,
+                    core.pool(),
+                    cfg.threads,
+                    boundary,
+                );
+                t
+            }
+            Tiling::None => {
+                let map = halo::RowMap::for_method::<T>(method, isa, nx);
+                let fused = runs_fused(&cfg, halo, r);
+                let ring = match plan.ring.as_mut() {
+                    // SAFETY: the ring was sized by `ring3_len` at session open.
+                    Some(ring) if fused => unsafe { halo::ring3_origin(ring.as_mut_ptr(), r, rs) },
+                    _ => std::ptr::null_mut(),
+                };
+                let wide = (!boundary.is_dirichlet()).then_some((boundary, &map));
+                // SAFETY: both buffers carry ≥ r halo rows/planes
+                // (asserted at session open) and HALO_PAD row padding;
+                // extents ≥ r were validated at plan build; the fused
+                // pass runs only with its ring allocated.
+                step_sequential(
+                    t,
+                    fused,
+                    |p| unsafe { halo::refresh3(bufs[p].0, rs, ps, nx, ny, nz, r, boundary, &map) },
+                    || unsafe { k.pass2(isa, bufs[0].0, rs, ps, nx, ny, nz, ring, wide) },
+                    |time| unsafe {
+                        let (src, dst) = (bufs[time % 2].0, bufs[(time + 1) % 2].0);
+                        k.step(method, isa, src, dst, rs, ps, nx, (0, nz), (0, ny), (0, nx))
+                    },
+                )
+            }
+        };
+        if pingpongs % 2 == 1 {
+            std::mem::swap(a, b);
         }
-
-        impl<S: $bound, T: Elem> Drop for $Session<'_, S, T> {
-            fn drop(&mut self) {
-                let isa = self.plan.cfg.isa;
-                match self.plan.cfg.layout() {
-                    Layout::Natural => {}
-                    Layout::Transpose => tl_grid3(self.g, isa),
-                    Layout::Dlt => {
-                        let (a, _) = self.plan.stage.as_ref().expect("stage");
-                        dlt_grid3(a, self.g, isa, true);
-                    }
-                }
-            }
-        }
-    };
+    }
 }
 
-plan3_impl!(
-    /// Compiled execution plan for a 3D star stencil.
-    Plan3Star, Session3Star, Star3,
-    star3_range, star3_orig, star3_dlt, star3_tl, star3_tl2,
-    star3_tl2_wide, drive3_star, drive3_star
-);
-plan3_impl!(
-    /// Compiled execution plan for a 3D box stencil.
-    Plan3Box, Session3Box, Box3,
-    box3_range, box3_orig, box3_dlt, box3_tl, box3_tl2,
-    box3_tl2_wide, drive3_box, drive3_box
-);
+impl<T: Elem> Drop for Session3<'_, T> {
+    fn drop(&mut self) {
+        let isa = self.plan.core.cfg.isa;
+        match self.plan.core.cfg.layout() {
+            Layout::Natural => {}
+            Layout::Transpose => tl_grid3(self.g, isa),
+            Layout::Dlt => {
+                let (a, _) = self.plan.stage.as_ref().expect("stage");
+                dlt_grid3(a, self.g, isa, true);
+            }
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

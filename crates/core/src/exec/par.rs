@@ -38,14 +38,14 @@
 //! read halo cells.
 
 use rayon::prelude::*;
-use stencil_simd::{dispatch_elem, Elem, Isa};
+use stencil_simd::{Elem, Isa};
 
 use super::halo::{self, Boundary, RowMap};
-use super::tess::{step1, step2_box, step2_star, step3_box, step3_star, SyncPtr};
-use crate::api::Method;
-use crate::kernels::dlt;
+use super::split::dlt_cols_scalar;
+use super::tess::{step1, step2, step3, SyncPtr};
+use super::Method;
+use crate::kernels::{Kernel1, Kernel2, Kernel3};
 use crate::layout::DltGeo;
-use crate::stencil::{Box2, Box3, Star1, Star2, Star3};
 
 /// Split `[0, n)` into `k.min(n)` contiguous bands whose sizes differ by
 /// at most one. Deterministic in `(n, k)`, which (with a fixed thread
@@ -68,13 +68,13 @@ pub(crate) fn bands(n: usize, k: usize) -> Vec<(usize, usize)> {
 /// step-`t` result lands in `bufs[t % 2]` — the caller owns the parity
 /// swap.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn drive1<T: Elem, S: Star1>(
+pub(crate) fn drive1<T: Elem>(
+    k: &dyn Kernel1<T>,
     method: Method,
     isa: Isa,
     bufs: [SyncPtr<T>; 2],
     n: usize,
     t: usize,
-    s: &S,
     pool: &rayon::ThreadPool,
     nthreads: usize,
     b: Boundary,
@@ -87,8 +87,8 @@ pub(crate) fn drive1<T: Elem, S: Star1>(
                 // Fused wrap/mirror refresh of the halo cells this band
                 // reads (no-op under Dirichlet); overlapping bands write
                 // identical bits from the shared immutable source.
-                unsafe { halo::refresh1_band(bufs[time % 2].0, n, S::R, b, &map, lo, hi) };
-                step1(method, isa, bufs, n, lo, hi, time, s);
+                unsafe { halo::refresh1_band(bufs[time % 2].0, n, k.radius(), b, &map, lo, hi) };
+                step1(k, method, isa, bufs, n, lo, hi, time);
             });
         }
     });
@@ -108,17 +108,17 @@ enum DltItem {
 /// `geo.cols > 2·R` (the plan falls back to sequential stepping below
 /// that). The step-`t` result lands in `bufs[t % 2]`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn drive1_dlt<T: Elem, S: Star1>(
+pub(crate) fn drive1_dlt<T: Elem>(
+    k: &dyn Kernel1<T>,
     isa: Isa,
     bufs: [SyncPtr<T>; 2],
     geo: &DltGeo,
     t: usize,
-    s: &S,
     pool: &rayon::ThreadPool,
     nthreads: usize,
     b: Boundary,
 ) {
-    let r = S::R;
+    let r = k.radius();
     let map = RowMap::Dlt(*geo);
     let mut items: Vec<DltItem> = bands(geo.cols - 2 * r, nthreads)
         .into_iter()
@@ -131,16 +131,15 @@ pub(crate) fn drive1_dlt<T: Elem, S: Star1>(
                 let src = bufs[time % 2].0.cast_const();
                 let dst = bufs[(time + 1) % 2].0;
                 match item {
-                    DltItem::Cols(j0, j1) => {
-                        dispatch_elem!(isa, T, dlt::star1_dlt_cols::<V, S>(src, dst, j0, j1, s));
-                    }
+                    DltItem::Cols(j0, j1) => k.dlt_cols(isa, src, dst, j0, j1),
                     DltItem::Edges => {
                         // The interior Cols items are seam-free and never
                         // read halo cells, so the wrap/mirror refresh is
                         // fused into the one item that does.
-                        halo::refresh1(bufs[time % 2].0, geo.n, S::R, b, &map);
-                        dlt::star1_dlt_seams(src, dst, geo, s);
-                        dlt::star1_dlt_scalar(src, dst, geo.region, geo.n, geo, s);
+                        halo::refresh1(bufs[time % 2].0, geo.n, r, b, &map);
+                        dlt_cols_scalar(k, src, dst, geo, 0, r);
+                        dlt_cols_scalar(k, src, dst, geo, geo.cols - r, geo.cols);
+                        k.dlt_scalar(src, dst, geo.region, geo.n, geo);
                     }
                 }
             });
@@ -148,135 +147,76 @@ pub(crate) fn drive1_dlt<T: Elem, S: Star1>(
     });
 }
 
-macro_rules! drive2_impl {
-    ($name:ident, $bound:ident, $step:ident, $dlt_k:ident) => {
-        /// Step `t` levels of a 2D stencil over pre-prepared ping-pong
-        /// buffers, one `y`-band per pool thread, barrier per step. DLT
-        /// plans step full DLT rows inside each band. The step-`t` result
-        /// lands in `bufs[t % 2]`.
-        #[allow(clippy::too_many_arguments)]
-        pub(crate) fn $name<T: Elem, S: $bound>(
-            method: Method,
-            isa: Isa,
-            bufs: [SyncPtr<T>; 2],
-            rs: usize,
-            nx: usize,
-            ny: usize,
-            t: usize,
-            s: &S,
-            pool: &rayon::ThreadPool,
-            nthreads: usize,
-            b: Boundary,
-        ) {
-            let bands = bands(ny, nthreads);
-            let map = RowMap::for_method::<T>(method, isa, nx);
-            pool.install(|| {
-                for time in 0..t {
-                    bands.clone().into_par_iter().for_each(|(y0, y1)| {
-                        // Fused wrap/mirror refresh of the rows this band
-                        // reads (no-op under Dirichlet); seam overlaps
-                        // write identical bits from the shared source.
-                        unsafe {
-                            halo::refresh2_band(bufs[time % 2].0, rs, nx, ny, S::R, b, &map, y0, y1)
-                        };
-                        if method == Method::Dlt {
-                            let src = bufs[time % 2].0.cast_const();
-                            let dst = bufs[(time + 1) % 2].0;
-                            dispatch_elem!(
-                                isa,
-                                T,
-                                dlt::$dlt_k::<V, S>(src, dst, rs, nx, y0, y1, s)
-                            );
-                        } else {
-                            $step(method, isa, bufs, rs, nx, (y0, y1), (0, nx), time, s);
-                        }
-                    });
-                }
+/// Step `t` levels of a 2D stencil over pre-prepared ping-pong buffers,
+/// one `y`-band per pool thread, barrier per step (DLT plans step full
+/// DLT rows inside each band). The step-`t` result lands in
+/// `bufs[t % 2]`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive2<T: Elem>(
+    k: &dyn Kernel2<T>,
+    method: Method,
+    isa: Isa,
+    bufs: [SyncPtr<T>; 2],
+    rs: usize,
+    nx: usize,
+    ny: usize,
+    t: usize,
+    pool: &rayon::ThreadPool,
+    nthreads: usize,
+    b: Boundary,
+) {
+    let bands = bands(ny, nthreads);
+    let map = RowMap::for_method::<T>(method, isa, nx);
+    pool.install(|| {
+        for time in 0..t {
+            bands.clone().into_par_iter().for_each(|(y0, y1)| {
+                // Fused wrap/mirror refresh of the rows this band reads
+                // (no-op under Dirichlet); seam overlaps write identical
+                // bits from the shared source.
+                let src = bufs[time % 2].0;
+                unsafe { halo::refresh2_band(src, rs, nx, ny, k.radius(), b, &map, y0, y1) };
+                step2(k, method, isa, bufs, rs, nx, (y0, y1), (0, nx), time);
             });
         }
-    };
+    });
 }
 
-drive2_impl!(drive2_star, Star2, step2_star, star2_dlt);
-drive2_impl!(drive2_box, Box2, step2_box, box2_dlt);
-
-macro_rules! drive3_impl {
-    ($name:ident, $bound:ident, $step:ident, $dlt_k:ident) => {
-        /// Step `t` levels of a 3D stencil over pre-prepared ping-pong
-        /// buffers, one `z`-band per pool thread, barrier per step. DLT
-        /// plans step full DLT rows inside each band. The step-`t` result
-        /// lands in `bufs[t % 2]`.
-        #[allow(clippy::too_many_arguments)]
-        pub(crate) fn $name<T: Elem, S: $bound>(
-            method: Method,
-            isa: Isa,
-            bufs: [SyncPtr<T>; 2],
-            rs: usize,
-            ps: usize,
-            nx: usize,
-            ny: usize,
-            nz: usize,
-            t: usize,
-            s: &S,
-            pool: &rayon::ThreadPool,
-            nthreads: usize,
-            b: Boundary,
-        ) {
-            let bands = bands(nz, nthreads);
-            let map = RowMap::for_method::<T>(method, isa, nx);
-            pool.install(|| {
-                for time in 0..t {
-                    bands.clone().into_par_iter().for_each(|(z0, z1)| {
-                        // Fused wrap/mirror refresh of the planes this
-                        // band reads (no-op under Dirichlet); seam
-                        // overlaps write identical bits.
-                        unsafe {
-                            halo::refresh3_band(
-                                bufs[time % 2].0,
-                                rs,
-                                ps,
-                                nx,
-                                ny,
-                                nz,
-                                S::R,
-                                b,
-                                &map,
-                                z0,
-                                z1,
-                            )
-                        };
-                        if method == Method::Dlt {
-                            let src = bufs[time % 2].0.cast_const();
-                            let dst = bufs[(time + 1) % 2].0;
-                            dispatch_elem!(
-                                isa,
-                                T,
-                                dlt::$dlt_k::<V, S>(src, dst, rs, ps, nx, ny, z0, z1, s)
-                            );
-                        } else {
-                            $step(
-                                method,
-                                isa,
-                                bufs,
-                                rs,
-                                ps,
-                                nx,
-                                (z0, z1),
-                                (0, ny),
-                                (0, nx),
-                                time,
-                                s,
-                            );
-                        }
-                    });
-                }
+/// Step `t` levels of a 3D stencil over pre-prepared ping-pong buffers,
+/// one `z`-band per pool thread, barrier per step (DLT plans step full
+/// DLT rows inside each band). The step-`t` result lands in
+/// `bufs[t % 2]`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive3<T: Elem>(
+    k: &dyn Kernel3<T>,
+    method: Method,
+    isa: Isa,
+    bufs: [SyncPtr<T>; 2],
+    rs: usize,
+    ps: usize,
+    nx: usize,
+    ny: usize,
+    nz: usize,
+    t: usize,
+    pool: &rayon::ThreadPool,
+    nthreads: usize,
+    b: Boundary,
+) {
+    let bands = bands(nz, nthreads);
+    let map = RowMap::for_method::<T>(method, isa, nx);
+    pool.install(|| {
+        for time in 0..t {
+            bands.clone().into_par_iter().for_each(|(z0, z1)| {
+                // Fused wrap/mirror refresh of the planes this band reads
+                // (no-op under Dirichlet); seam overlaps write identical
+                // bits.
+                let (src, r) = (bufs[time % 2].0, k.radius());
+                unsafe { halo::refresh3_band(src, rs, ps, nx, ny, nz, r, b, &map, z0, z1) };
+                let (zr, yr, xr) = ((z0, z1), (0, ny), (0, nx));
+                step3(k, method, isa, bufs, rs, ps, nx, zr, yr, xr, time);
             });
         }
-    };
+    });
 }
-
-drive3_impl!(drive3_star, Star3, step3_star, star3_dlt);
-drive3_impl!(drive3_box, Box3, step3_box, box3_dlt);
 
 #[cfg(test)]
 mod tests {

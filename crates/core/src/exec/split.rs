@@ -35,31 +35,31 @@
 //! whole halo-row builds read each other's rows under periodic folds —
 //! need fusing into an edge group.
 
-use stencil_simd::{dispatch_elem, Elem, Isa};
+use stencil_simd::{Elem, Isa};
 
 use super::halo::{self, Boundary, RowMap};
-use super::tess::{reach1, Shape, SyncPtr};
+use super::tess::{reach1, step2, step3, Shape, SyncPtr};
 use super::tile::DimTiling;
 use super::wave::{box1, FootBox, Wave};
-use crate::kernels::dlt;
+use super::Method;
+use crate::kernels::{Kernel1, Kernel2, Kernel3};
 use crate::layout::DltGeo;
-use crate::stencil::{Box2, Box3, Star1, Star2, Star3};
 
 /// Scalar update of DLT columns `[j0, j1)` across all lanes (mapped).
 ///
 /// # Safety
 /// Standard row contracts; used for seam-adjacent column fragments.
-unsafe fn dlt_cols_scalar<T: Elem, S: Star1>(
+pub(crate) unsafe fn dlt_cols_scalar<T: Elem>(
+    k: &dyn Kernel1<T>,
     src: *const T,
     dst: *mut T,
     geo: &DltGeo,
     j0: usize,
     j1: usize,
-    s: &S,
 ) {
     for lane in 0..geo.vl {
         let base = lane * geo.cols;
-        dlt::star1_dlt_scalar(src, dst, base + j0, base + j1, geo, s);
+        k.dlt_scalar(src, dst, base + j0, base + j1, geo);
     }
 }
 
@@ -67,30 +67,30 @@ unsafe fn dlt_cols_scalar<T: Elem, S: Star1>(
 /// vector core over seam-free columns, scalar mapped access at the seam
 /// fringes.
 #[allow(clippy::too_many_arguments)]
-fn col_step1<T: Elem, S: Star1>(
+fn col_step1<T: Elem>(
+    k: &dyn Kernel1<T>,
     isa: Isa,
     bufs: [SyncPtr<T>; 2],
     geo: &DltGeo,
     j_lo: usize,
     j_hi: usize,
     time: usize,
-    s: &S,
 ) {
     if j_lo >= j_hi {
         return;
     }
     let src = bufs[time % 2].0.cast_const();
     let dst = bufs[(time + 1) % 2].0;
-    let r = S::R;
+    let r = k.radius();
     let v_lo = j_lo.max(r);
     let v_hi = j_hi.min(geo.cols - r).max(v_lo);
     unsafe {
-        dlt_cols_scalar(src, dst, geo, j_lo, v_lo.min(j_hi), s);
+        dlt_cols_scalar(k, src, dst, geo, j_lo, v_lo.min(j_hi));
         if v_lo < v_hi {
-            dispatch_elem!(isa, T, dlt::star1_dlt_cols::<V, S>(src, dst, v_lo, v_hi, s));
-            dlt_cols_scalar(src, dst, geo, v_hi, j_hi, s);
+            k.dlt_cols(isa, src, dst, v_lo, v_hi);
+            dlt_cols_scalar(k, src, dst, geo, v_hi, j_hi);
         } else {
-            dlt_cols_scalar(src, dst, geo, v_lo.max(j_lo).min(j_hi), j_hi, s);
+            dlt_cols_scalar(k, src, dst, geo, v_lo.max(j_lo).min(j_hi), j_hi);
         }
     }
 }
@@ -99,16 +99,16 @@ fn col_step1<T: Elem, S: Star1>(
 /// `lam·cols`, scalar via the index map); the rightmost seam also owns the
 /// natural tail strip, which advances every step.
 #[allow(clippy::too_many_arguments)]
-fn seam_step1<T: Elem, S: Star1>(
+fn seam_step1<T: Elem>(
+    k: &dyn Kernel1<T>,
     bufs: [SyncPtr<T>; 2],
     geo: &DltGeo,
     n: usize,
     lam: usize,
     ss: usize,
     time: usize,
-    s: &S,
 ) {
-    let r = S::R;
+    let r = k.radius();
     let c = lam * geo.cols;
     let reach = r * ss;
     let lo = c.saturating_sub(reach);
@@ -121,7 +121,7 @@ fn seam_step1<T: Elem, S: Star1>(
     }
     let src = bufs[time % 2].0.cast_const();
     let dst = bufs[(time + 1) % 2].0;
-    unsafe { dlt::star1_dlt_scalar(src, dst, lo, hi, geo, s) };
+    unsafe { k.dlt_scalar(src, dst, lo, hi, geo) };
 }
 
 /// One member / interior tile of the 1D split wavefront.
@@ -139,8 +139,9 @@ enum Piece1 {
 impl Piece1 {
     /// Run chunk step `ss` of this piece (absolute time `tau + ss`).
     #[allow(clippy::too_many_arguments)]
-    fn step<T: Elem, S: Star1>(
+    fn step<T: Elem>(
         self,
+        k: &dyn Kernel1<T>,
         isa: Isa,
         bufs: [SyncPtr<T>; 2],
         geo: &DltGeo,
@@ -148,19 +149,18 @@ impl Piece1 {
         d: &DimTiling,
         ss: usize,
         tau: usize,
-        s: &S,
     ) {
         match self {
-            Piece1::Tri(k) => {
-                let (lo, hi) = d.tri(k, ss);
-                col_step1(isa, bufs, geo, lo, hi, tau + ss, s);
+            Piece1::Tri(tri) => {
+                let (lo, hi) = d.tri(tri, ss);
+                col_step1(k, isa, bufs, geo, lo, hi, tau + ss);
             }
             Piece1::Inv(bnd) => {
-                let lo = (bnd * d.w).saturating_sub(S::R * ss);
-                let hi = (bnd * d.w + S::R * ss).min(geo.cols);
-                col_step1(isa, bufs, geo, lo, hi, tau + ss, s);
+                let lo = (bnd * d.w).saturating_sub(k.radius() * ss);
+                let hi = (bnd * d.w + k.radius() * ss).min(geo.cols);
+                col_step1(k, isa, bufs, geo, lo, hi, tau + ss);
             }
-            Piece1::Seam(lam) => seam_step1(bufs, geo, n, lam, ss, tau + ss, s),
+            Piece1::Seam(lam) => seam_step1(k, bufs, geo, n, lam, ss, tau + ss),
         }
     }
 }
@@ -201,7 +201,8 @@ fn lane_boxes(geo: &DltGeo, jlo: usize, jhi: usize, r: usize) -> Vec<FootBox> {
 /// height `h`), wavefront-scheduled on `pool`. The step-`t` result lands
 /// in `bufs[t % 2]`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn drive1<T: Elem, S: Star1>(
+pub(crate) fn drive1<T: Elem>(
+    k: &dyn Kernel1<T>,
     isa: Isa,
     bufs: [SyncPtr<T>; 2],
     geo: &DltGeo,
@@ -209,11 +210,10 @@ pub(crate) fn drive1<T: Elem, S: Star1>(
     d: &DimTiling,
     t: usize,
     h: usize,
-    s: &S,
     pool: &rayon::ThreadPool,
     b: Boundary,
 ) {
-    let r = S::R;
+    let r = k.radius();
     let map = RowMap::Dlt(*geo);
     let mut wave = Wave::new();
     let (mut tau, mut chunk) = (0usize, 0usize);
@@ -242,16 +242,16 @@ pub(crate) fn drive1<T: Elem, S: Star1>(
         };
         // Stage 0: column triangles (shrink at both ends — the ends are
         // cross-lane seams, not halo).
-        for k in 0..d.ntri() {
+        for tri in 0..d.ntri() {
             let (mut jlo, mut jhi) = (usize::MAX, 0usize);
             for ss in 0..hh {
-                let (a, c) = d.tri(k, ss);
+                let (a, c) = d.tri(tri, ss);
                 if a < c {
                     jlo = jlo.min(a);
                     jhi = jhi.max(c);
                 }
             }
-            place(0, Piece1::Tri(k), lane_boxes(geo, jlo, jhi, r));
+            place(0, Piece1::Tri(tri), lane_boxes(geo, jlo, jhi, r));
         }
         // Stage 1: interior inverted column tiles + per-lane seam tiles
         // (+ tail strip on the rightmost seam).
@@ -283,7 +283,7 @@ pub(crate) fn drive1<T: Elem, S: Star1>(
     wave.run(pool, pool.current_num_threads(), |_w, node| match node {
         SNode1::Tile { piece, tau, hh } => {
             for ss in 0..*hh {
-                piece.step(isa, bufs, geo, n, d, ss, *tau, s);
+                piece.step(k, isa, bufs, geo, n, d, ss, *tau);
             }
         }
         SNode1::Edge { members, tau, hh } => {
@@ -291,9 +291,9 @@ pub(crate) fn drive1<T: Elem, S: Star1>(
                 // Fold sources at level `tau + ss` are the outermost
                 // original-space cells — owned by this group's own
                 // members, which step in lockstep.
-                unsafe { halo::refresh1(bufs[(tau + ss) % 2].0, n, S::R, b, &map) };
+                unsafe { halo::refresh1(bufs[(tau + ss) % 2].0, n, r, b, &map) };
                 for &piece in members {
-                    piece.step(isa, bufs, geo, n, d, ss, *tau, s);
+                    piece.step(k, isa, bufs, geo, n, d, ss, *tau);
                 }
             }
         }
@@ -350,137 +350,100 @@ fn hybrid_wave(d: &DimTiling, t: usize, h: usize, r: usize, b: Boundary) -> Wave
     wave
 }
 
-macro_rules! drive2_impl {
-    ($name:ident, $bound:ident, $kernel:ident) => {
-        /// Step `t` levels of a 2D stencil over pre-transformed DLT
-        /// staging buffers under SDSL-style hybrid tiling: split tiling
-        /// over `y` (triangle base `d.w`, chunk height `h`), DLT rows
-        /// along `x`, wavefront-scheduled. Every tile owns full rows, so
-        /// it refreshes the x halos of exactly the rows it reads (its own
-        /// previous-step output) before each step — the per-band
-        /// benign-race contract of [`super::par`]. The step-`t` result
-        /// lands in `bufs[t % 2]`.
-        #[allow(clippy::too_many_arguments)]
-        pub(crate) fn $name<T: Elem, S: $bound>(
-            isa: Isa,
-            bufs: [SyncPtr<T>; 2],
-            rs: usize,
-            nx: usize,
-            d: &DimTiling,
-            t: usize,
-            h: usize,
-            s: &S,
-            pool: &rayon::ThreadPool,
-            b: Boundary,
-        ) {
-            let ny = d.n;
-            let map = RowMap::for_method::<T>(crate::api::Method::Dlt, isa, nx);
-            let run_piece = |shape: &Shape, tau: usize, ss: usize| {
-                let (y0, y1) = shape.range(d, ss);
-                if y0 >= y1 {
-                    return;
-                }
-                let time = tau + ss;
-                let src = bufs[time % 2].0.cast_const();
-                let dst = bufs[(time + 1) % 2].0;
-                unsafe {
-                    halo::refresh2_band(bufs[time % 2].0, rs, nx, ny, S::R, b, &map, y0, y1);
-                }
-                dispatch_elem!(isa, T, dlt::$kernel::<V, S>(src, dst, rs, nx, y0, y1, s));
-            };
-            let wave = hybrid_wave(d, t, h, S::R, b);
-            wave.run(pool, pool.current_num_threads(), |_w, node| match node {
-                HNode::Tile { shape, tau, hh } => {
-                    for ss in 0..*hh {
-                        run_piece(shape, *tau, ss);
-                    }
-                }
-                HNode::Edge { members, tau, hh } => {
-                    for ss in 0..*hh {
-                        for shape in members {
-                            run_piece(shape, *tau, ss);
-                        }
-                    }
-                }
-            });
+/// Run every node of a hybrid wavefront: interior tiles step their own
+/// chunk, the edge group steps its members in lockstep.
+fn run_hybrid(
+    wave: Wave<HNode>,
+    pool: &rayon::ThreadPool,
+    run_piece: impl Fn(&Shape, usize, usize) + Sync,
+) {
+    wave.run(pool, pool.current_num_threads(), |_w, node| match node {
+        HNode::Tile { shape, tau, hh } => {
+            for ss in 0..*hh {
+                run_piece(shape, *tau, ss);
+            }
         }
-    };
+        HNode::Edge { members, tau, hh } => {
+            for ss in 0..*hh {
+                for shape in members {
+                    run_piece(shape, *tau, ss);
+                }
+            }
+        }
+    });
 }
 
-drive2_impl!(drive2_star, Star2, star2_dlt);
-drive2_impl!(drive2_box, Box2, box2_dlt);
-
-macro_rules! drive3_impl {
-    ($name:ident, $bound:ident, $kernel:ident) => {
-        /// Step `t` levels of a 3D stencil over pre-transformed DLT
-        /// staging buffers under SDSL-style hybrid tiling: split tiling
-        /// over `z`, DLT rows along `x`, wavefront-scheduled with the
-        /// per-band halo refresh fused into every tile (see the 2D
-        /// drivers). The step-`t` result lands in `bufs[t % 2]`.
-        #[allow(clippy::too_many_arguments)]
-        pub(crate) fn $name<T: Elem, S: $bound>(
-            isa: Isa,
-            bufs: [SyncPtr<T>; 2],
-            rs: usize,
-            ps: usize,
-            nx: usize,
-            ny: usize,
-            d: &DimTiling,
-            t: usize,
-            h: usize,
-            s: &S,
-            pool: &rayon::ThreadPool,
-            b: Boundary,
-        ) {
-            let nz = d.n;
-            let map = RowMap::for_method::<T>(crate::api::Method::Dlt, isa, nx);
-            let run_piece = |shape: &Shape, tau: usize, ss: usize| {
-                let (z0, z1) = shape.range(d, ss);
-                if z0 >= z1 {
-                    return;
-                }
-                let time = tau + ss;
-                let src = bufs[time % 2].0.cast_const();
-                let dst = bufs[(time + 1) % 2].0;
-                unsafe {
-                    halo::refresh3_band(
-                        bufs[time % 2].0,
-                        rs,
-                        ps,
-                        nx,
-                        ny,
-                        nz,
-                        S::R,
-                        b,
-                        &map,
-                        z0,
-                        z1,
-                    );
-                }
-                dispatch_elem!(
-                    isa,
-                    T,
-                    dlt::$kernel::<V, S>(src, dst, rs, ps, nx, ny, z0, z1, s)
-                );
-            };
-            let wave = hybrid_wave(d, t, h, S::R, b);
-            wave.run(pool, pool.current_num_threads(), |_w, node| match node {
-                HNode::Tile { shape, tau, hh } => {
-                    for ss in 0..*hh {
-                        run_piece(shape, *tau, ss);
-                    }
-                }
-                HNode::Edge { members, tau, hh } => {
-                    for ss in 0..*hh {
-                        for shape in members {
-                            run_piece(shape, *tau, ss);
-                        }
-                    }
-                }
-            });
+/// Step `t` levels of a 2D stencil over pre-transformed DLT staging
+/// buffers under SDSL-style hybrid tiling: split tiling over `y`
+/// (triangle base `d.w`, chunk height `h`), DLT rows along `x`,
+/// wavefront-scheduled. Every tile owns full rows, so it refreshes the x
+/// halos of exactly the rows it reads (its own previous-step output)
+/// before each step — the per-band benign-race contract of
+/// [`super::par`]. The step-`t` result lands in `bufs[t % 2]`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive2<T: Elem>(
+    k: &dyn Kernel2<T>,
+    isa: Isa,
+    bufs: [SyncPtr<T>; 2],
+    rs: usize,
+    nx: usize,
+    d: &DimTiling,
+    t: usize,
+    h: usize,
+    pool: &rayon::ThreadPool,
+    b: Boundary,
+) {
+    let (r, ny) = (k.radius(), d.n);
+    let map = RowMap::for_method::<T>(Method::Dlt, isa, nx);
+    run_hybrid(hybrid_wave(d, t, h, r, b), pool, |shape, tau, ss| {
+        let (y0, y1) = shape.range(d, ss);
+        if y0 < y1 {
+            let src = bufs[(tau + ss) % 2].0;
+            unsafe { halo::refresh2_band(src, rs, nx, ny, r, b, &map, y0, y1) };
+            step2(
+                k,
+                Method::Dlt,
+                isa,
+                bufs,
+                rs,
+                nx,
+                (y0, y1),
+                (0, nx),
+                tau + ss,
+            );
         }
-    };
+    });
 }
 
-drive3_impl!(drive3_star, Star3, star3_dlt);
-drive3_impl!(drive3_box, Box3, box3_dlt);
+/// Step `t` levels of a 3D stencil over pre-transformed DLT staging
+/// buffers under SDSL-style hybrid tiling: split tiling over `z`, DLT
+/// rows along `x`, wavefront-scheduled with the per-band halo refresh
+/// fused into every tile (see [`drive2`]). The step-`t` result lands in
+/// `bufs[t % 2]`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive3<T: Elem>(
+    k: &dyn Kernel3<T>,
+    isa: Isa,
+    bufs: [SyncPtr<T>; 2],
+    rs: usize,
+    ps: usize,
+    nx: usize,
+    ny: usize,
+    d: &DimTiling,
+    t: usize,
+    h: usize,
+    pool: &rayon::ThreadPool,
+    b: Boundary,
+) {
+    let (r, nz) = (k.radius(), d.n);
+    let map = RowMap::for_method::<T>(Method::Dlt, isa, nx);
+    run_hybrid(hybrid_wave(d, t, h, r, b), pool, |shape, tau, ss| {
+        let (z0, z1) = shape.range(d, ss);
+        if z0 < z1 {
+            let src = bufs[(tau + ss) % 2].0;
+            unsafe { halo::refresh3_band(src, rs, ps, nx, ny, nz, r, b, &map, z0, z1) };
+            let (zr, yr, xr) = ((z0, z1), (0, ny), (0, nx));
+            step3(k, Method::Dlt, isa, bufs, rs, ps, nx, zr, yr, xr, tau + ss);
+        }
+    });
+}

@@ -40,16 +40,15 @@
 
 use std::time::Instant;
 
-use stencil_simd::{dispatch_elem, Elem, Isa};
+use stencil_simd::{Elem, Isa};
 
 use super::halo::{self, Boundary, RowMap};
 use super::stage::{self, PhaseCounters, TileArena};
 use super::tile::DimTiling;
 use super::wave::{box1, box2, box3, FootBox, Wave};
-use crate::api::Method;
-use crate::kernels::{orig, scalar};
+use super::Method;
+use crate::kernels::{Kernel1, Kernel2, Kernel3};
 use crate::layout::SetGeo;
-use crate::stencil::{Box2, Box3, Star1, Star2, Star3};
 
 /// Raw pointer that may cross threads; tile disjointness (see module docs)
 /// makes the concurrent accesses race-free.
@@ -194,10 +193,11 @@ fn dest_prestage_needed<const D: usize>(
 // 1D
 // ---------------------------------------------------------------------------
 
-/// One intra-tile step of a 1D stencil at chunk step `ss` (absolute time
-/// `tau + ss`), on the method's layout.
+/// One k = 1 step of cells `[lo, hi)` at absolute `time` between the
+/// ping-pong buffers, on the method's layout (empty ranges skipped).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn step1<T: Elem, S: Star1>(
+pub(crate) fn step1<T: Elem>(
+    k: &dyn Kernel1<T>,
     method: Method,
     isa: Isa,
     bufs: [SyncPtr<T>; 2],
@@ -205,28 +205,14 @@ pub(crate) fn step1<T: Elem, S: Star1>(
     lo: usize,
     hi: usize,
     time: usize,
-    s: &S,
 ) {
     if lo >= hi {
         return;
     }
-    let src = bufs[time % 2].0.cast_const();
-    let dst = bufs[(time + 1) % 2].0;
-    unsafe {
-        match method {
-            Method::Scalar => scalar::star1_range(src, dst, lo, hi, s),
-            Method::MultiLoad => {
-                dispatch_elem!(isa, T, orig::star1_orig::<V, S, false>(src, dst, lo, hi, s))
-            }
-            Method::Reorg => {
-                dispatch_elem!(isa, T, orig::star1_orig::<V, S, true>(src, dst, lo, hi, s))
-            }
-            Method::TransLayout | Method::TransLayout2 => {
-                crate::kernels::isa_entry::star1_tl(isa, src, dst, n, lo, hi, s)
-            }
-            Method::Dlt => unreachable!("DLT tiles run under the split-tiling driver"),
-        }
-    }
+    let (src, dst) = (bufs[time % 2].0, bufs[(time + 1) % 2].0);
+    // SAFETY: the plan prepared both buffers in the method's layout with
+    // halo pads, and validated the ISA at build time.
+    unsafe { k.step(method, isa, src, dst, n, lo, hi) }
 }
 
 /// Fused pair of steps at absolute times (time, time+1) for the 1D
@@ -235,14 +221,14 @@ pub(crate) fn step1<T: Elem, S: Star1>(
 /// `r0`/`r1` are the two steps' update ranges in the coordinates of
 /// `bufs` (grid-global, or tile-local when staged).
 #[allow(clippy::too_many_arguments)]
-fn pair1<T: Elem, S: Star1>(
+fn pair1<T: Elem>(
+    k: &dyn Kernel1<T>,
     isa: Isa,
     bufs: [SyncPtr<T>; 2],
     n: usize,
     r0: (usize, usize),
     r1: (usize, usize),
     time: usize,
-    s: &S,
 ) {
     let ((lo0, hi0), (lo1, hi1)) = (r0, r1);
     let l = isa.lanes_for::<T>();
@@ -253,8 +239,8 @@ fn pair1<T: Elem, S: Star1>(
     let sb = (hi / bs).min(SetGeo::new(n, l).nsets);
     if sb < sa + 2 {
         // Tile fragment too small for the pipeline — two plain steps.
-        step1(Method::TransLayout2, isa, bufs, n, lo0, hi0, time, s);
-        step1(Method::TransLayout2, isa, bufs, n, lo1, hi1, time + 1, s);
+        step1(k, Method::TransLayout2, isa, bufs, n, lo0, hi0, time);
+        step1(k, Method::TransLayout2, isa, bufs, n, lo1, hi1, time + 1);
         return;
     }
     let (a, b) = (sa * bs, sb * bs);
@@ -262,21 +248,18 @@ fn pair1<T: Elem, S: Star1>(
     let buf_b = bufs[(time + 1) % 2].0;
 
     // step ss margins (t → t+1, written to the t+1 parity)
-    step1(Method::TransLayout2, isa, bufs, n, lo0, a, time, s);
-    step1(Method::TransLayout2, isa, bufs, n, b, hi0, time, s);
-    // fused interior (t → t+2 in parity A; boundary-set t+1 exported to B).
-    // Routed through the explicit #[target_feature] entry: the pipeline is
-    // too large for the dispatch! closure to inline reliably (DESIGN.md §5).
-    unsafe {
-        crate::kernels::isa_entry::star1_tl2_range(isa, buf_a, buf_b, n, sa, sb, s);
-    }
+    step1(k, Method::TransLayout2, isa, bufs, n, lo0, a, time);
+    step1(k, Method::TransLayout2, isa, bufs, n, b, hi0, time);
+    // fused interior (t → t+2 in parity A; boundary-set t+1 exported to B)
+    unsafe { k.pass2_range(isa, buf_a, buf_b, n, sa, sb) };
     // step ss+1 margins (t+1 → t+2)
-    step1(Method::TransLayout2, isa, bufs, n, lo1, a, time + 1, s);
-    step1(Method::TransLayout2, isa, bufs, n, b, hi1, time + 1, s);
+    step1(k, Method::TransLayout2, isa, bufs, n, lo1, a, time + 1);
+    step1(k, Method::TransLayout2, isa, bufs, n, b, hi1, time + 1);
 }
 
 #[allow(clippy::too_many_arguments)]
-fn run_tile1<T: Elem, S: Star1>(
+fn run_tile1<T: Elem>(
+    k: &dyn Kernel1<T>,
     method: Method,
     isa: Isa,
     bufs: [SyncPtr<T>; 2],
@@ -285,24 +268,23 @@ fn run_tile1<T: Elem, S: Star1>(
     shape: Shape,
     tau: usize,
     hh: usize,
-    s: &S,
 ) {
     if method == Method::TransLayout2 {
         let mut ss = 0;
         while ss + 1 < hh {
             let r0 = shape.range(d, ss);
             let r1 = shape.range(d, ss + 1);
-            pair1(isa, bufs, n, r0, r1, tau + ss, s);
+            pair1(k, isa, bufs, n, r0, r1, tau + ss);
             ss += 2;
         }
         if ss < hh {
             let (lo, hi) = shape.range(d, ss);
-            step1(method, isa, bufs, n, lo, hi, tau + ss, s);
+            step1(k, method, isa, bufs, n, lo, hi, tau + ss);
         }
     } else {
         for ss in 0..hh {
             let (lo, hi) = shape.range(d, ss);
-            step1(method, isa, bufs, n, lo, hi, tau + ss, s);
+            step1(k, method, isa, bufs, n, lo, hi, tau + ss);
         }
     }
 }
@@ -314,7 +296,8 @@ fn run_tile1<T: Elem, S: Star1>(
 /// natural global grid. See [`super::stage`] for the coherence
 /// argument.
 #[allow(clippy::too_many_arguments)]
-fn run_tile1_staged<T: Elem, S: Star1>(
+fn run_tile1_staged<T: Elem>(
+    k: &dyn Kernel1<T>,
     method: Method,
     isa: Isa,
     bufs: [SyncPtr<T>; 2],
@@ -322,11 +305,11 @@ fn run_tile1_staged<T: Elem, S: Star1>(
     shape: Shape,
     tau: usize,
     hh: usize,
-    s: &S,
     arena: &TileArena<T>,
     w: usize,
     phases: &PhaseCounters,
 ) {
+    let r = k.radius();
     let nonempty = |ss: usize| {
         let (a, b) = shape.range(d, ss);
         (a < b).then_some((a, b))
@@ -334,11 +317,11 @@ fn run_tile1_staged<T: Elem, S: Star1>(
     if !(0..hh).any(|ss| nonempty(ss).is_some()) {
         return;
     }
-    let (rlo, rhi) = reach1(d, shape, hh, S::R);
+    let (rlo, rhi) = reach1(d, shape, hh, r);
     let wx = (rhi - rlo) as usize;
     let loc = |x: usize| (x as i64 - rlo) as usize;
-    let pbx = parity_boxes1(tau, hh, S::R, nonempty);
-    let need_dest = dest_prestage_needed(hh, S::R, |ss| nonempty(ss).map(|x| [x]));
+    let pbx = parity_boxes1(tau, hh, r, nonempty);
+    let need_dest = dest_prestage_needed(hh, r, |ss| nonempty(ss).map(|x| [x]));
 
     let t0 = Instant::now();
     let mut slot = arena.slot(w);
@@ -374,25 +357,25 @@ fn run_tile1_staged<T: Elem, S: Star1>(
             let (a0, b0) = shape.range(d, ss);
             let (a1, b1) = shape.range(d, ss + 1);
             pair1(
+                k,
                 isa,
                 ab,
                 wx,
                 (loc(a0), loc(b0).max(loc(a0))),
                 (loc(a1), loc(b1).max(loc(a1))),
                 tau + ss,
-                s,
             );
             ss += 2;
         }
         if ss < hh {
             if let Some((a, b)) = nonempty(ss) {
-                step1(method, isa, ab, wx, loc(a), loc(b), tau + ss, s);
+                step1(k, method, isa, ab, wx, loc(a), loc(b), tau + ss);
             }
         }
     } else {
         for ss in 0..hh {
             if let Some((a, b)) = nonempty(ss) {
-                step1(method, isa, ab, wx, loc(a), loc(b), tau + ss, s);
+                step1(k, method, isa, ab, wx, loc(a), loc(b), tau + ss);
             }
         }
     }
@@ -454,7 +437,8 @@ enum Node1 {
 /// `bufs[0]` holds the step-0 data; the step-`t` result lands in
 /// `bufs[t % 2]` — the caller owns the final parity swap.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn drive1<T: Elem, S: Star1>(
+pub(crate) fn drive1<T: Elem>(
+    k: &dyn Kernel1<T>,
     method: Method,
     isa: Isa,
     bufs: [SyncPtr<T>; 2],
@@ -462,12 +446,12 @@ pub(crate) fn drive1<T: Elem, S: Star1>(
     d: &DimTiling,
     t: usize,
     h: usize,
-    s: &S,
     pool: &rayon::ThreadPool,
     b: Boundary,
     arena: Option<&TileArena<T>>,
     phases: &PhaseCounters,
 ) {
+    let r = k.radius();
     // With a staging arena the global grid stays natural: interior
     // tiles run transposed inside their arena slots, and the edge
     // group (plus its halo refresh) steps the natural grid directly.
@@ -486,7 +470,7 @@ pub(crate) fn drive1<T: Elem, S: Star1>(
         let mut interior = Vec::new();
         for (stage, inverted) in [(0u8, false), (1u8, true)] {
             for shape in Shape::all(d, inverted) {
-                let (lo, hi) = reach1(d, shape, hh, S::R);
+                let (lo, hi) = reach1(d, shape, hh, r);
                 if !b.is_dirichlet() && (lo < 0 || hi > n as i64) {
                     members.push(shape);
                     group_boxes.push(box1(lo, hi));
@@ -507,9 +491,9 @@ pub(crate) fn drive1<T: Elem, S: Star1>(
     wave.run(pool, pool.current_num_threads(), |w, node| match node {
         Node1::Tile { shape, tau, hh } => {
             if let Some(ar) = arena {
-                run_tile1_staged(method, isa, bufs, d, *shape, *tau, *hh, s, ar, w, phases);
+                run_tile1_staged(k, method, isa, bufs, d, *shape, *tau, *hh, ar, w, phases);
             } else {
-                run_tile1(method, isa, bufs, n, d, *shape, *tau, *hh, s);
+                run_tile1(k, method, isa, bufs, n, d, *shape, *tau, *hh);
             }
         }
         Node1::Edge { members, tau, hh } => {
@@ -519,14 +503,14 @@ pub(crate) fn drive1<T: Elem, S: Star1>(
                 // lockstep — the refresh reads exactly the values the
                 // members' halo reads need.
                 let t0 = Instant::now();
-                unsafe { halo::refresh1(bufs[(tau + ss) % 2].0, n, S::R, b, &map) };
+                unsafe { halo::refresh1(bufs[(tau + ss) % 2].0, n, r, b, &map) };
                 phases.add_halo(t0);
                 let t1 = Instant::now();
                 for &shape in members {
                     let (lo, hi) = shape.range(d, ss);
                     // Single-step even under TL2: the fused step-pair
                     // kernel cannot interleave the per-step refresh.
-                    step1(emethod, isa, bufs, n, lo, hi, tau + ss, s);
+                    step1(k, emethod, isa, bufs, n, lo, hi, tau + ss);
                 }
                 phases.add_compute(t1);
             }
@@ -538,8 +522,11 @@ pub(crate) fn drive1<T: Elem, S: Star1>(
 // 2D
 // ---------------------------------------------------------------------------
 
+/// One k = 1 step of the box `yr × xr` at absolute `time` between the
+/// ping-pong buffers (empty boxes skipped).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn step2_star<T: Elem, S: Star2>(
+pub(crate) fn step2<T: Elem>(
+    k: &dyn Kernel2<T>,
     method: Method,
     isa: Isa,
     bufs: [SyncPtr<T>; 2],
@@ -548,80 +535,13 @@ pub(crate) fn step2_star<T: Elem, S: Star2>(
     yr: (usize, usize),
     xr: (usize, usize),
     time: usize,
-    s: &S,
 ) {
-    let ((y0, y1), (x0, x1)) = (yr, xr);
-    if y0 >= y1 || x0 >= x1 {
+    if yr.0 >= yr.1 || xr.0 >= xr.1 {
         return;
     }
-    let src = bufs[time % 2].0.cast_const();
-    let dst = bufs[(time + 1) % 2].0;
-    unsafe {
-        match method {
-            Method::Scalar => scalar::star2_range(src, dst, rs, y0, y1, x0, x1, s),
-            Method::MultiLoad => {
-                dispatch_elem!(
-                    isa,
-                    T,
-                    orig::star2_orig::<V, S, false>(src, dst, rs, y0, y1, x0, x1, s)
-                )
-            }
-            Method::Reorg => {
-                dispatch_elem!(
-                    isa,
-                    T,
-                    orig::star2_orig::<V, S, true>(src, dst, rs, y0, y1, x0, x1, s)
-                )
-            }
-            Method::TransLayout | Method::TransLayout2 => {
-                crate::kernels::isa_entry::star2_tl(isa, src, dst, rs, nx, y0, y1, x0, x1, s)
-            }
-            Method::Dlt => unreachable!("DLT tiles run under the split-tiling driver"),
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn step2_box<T: Elem, S: Box2>(
-    method: Method,
-    isa: Isa,
-    bufs: [SyncPtr<T>; 2],
-    rs: usize,
-    nx: usize,
-    yr: (usize, usize),
-    xr: (usize, usize),
-    time: usize,
-    s: &S,
-) {
-    let ((y0, y1), (x0, x1)) = (yr, xr);
-    if y0 >= y1 || x0 >= x1 {
-        return;
-    }
-    let src = bufs[time % 2].0.cast_const();
-    let dst = bufs[(time + 1) % 2].0;
-    unsafe {
-        match method {
-            Method::Scalar => scalar::box2_range(src, dst, rs, y0, y1, x0, x1, s),
-            Method::MultiLoad => {
-                dispatch_elem!(
-                    isa,
-                    T,
-                    orig::box2_orig::<V, S, false>(src, dst, rs, y0, y1, x0, x1, s)
-                )
-            }
-            Method::Reorg => {
-                dispatch_elem!(
-                    isa,
-                    T,
-                    orig::box2_orig::<V, S, true>(src, dst, rs, y0, y1, x0, x1, s)
-                )
-            }
-            Method::TransLayout | Method::TransLayout2 => {
-                crate::kernels::isa_entry::box2_tl(isa, src, dst, rs, nx, y0, y1, x0, x1, s)
-            }
-            Method::Dlt => unreachable!("DLT tiles run under the split-tiling driver"),
-        }
-    }
+    let (src, dst) = (bufs[time % 2].0, bufs[(time + 1) % 2].0);
+    // SAFETY: as `step1`; the box lies inside the buffers' interior.
+    unsafe { k.step(method, isa, src, dst, rs, nx, yr, xr) }
 }
 
 /// One wavefront node of the 2D drivers.
@@ -641,219 +561,210 @@ enum Node2 {
     },
 }
 
-macro_rules! drive2_impl {
-    ($name:ident, $bound:ident, $step:ident) => {
-        /// Step `t` levels of a 2D stencil over pre-prepared ping-pong
-        /// buffers under tessellate tiling, wavefront-scheduled. Product
-        /// tiles by inverted-dimension count: (tri,tri) → (inv,tri) +
-        /// (tri,inv) → (inv,inv); halo-touching tiles fuse into one edge
-        /// group per chunk under non-Dirichlet boundaries. The step-`t`
-        /// result lands in `bufs[t % 2]`.
-        #[allow(clippy::too_many_arguments)]
-        pub(crate) fn $name<T: Elem, S: $bound>(
-            method: Method,
-            isa: Isa,
-            bufs: [SyncPtr<T>; 2],
-            rs: usize,
-            nx: usize,
-            dx: &DimTiling,
-            dy: &DimTiling,
-            t: usize,
-            h: usize,
-            s: &S,
-            pool: &rayon::ThreadPool,
-            b: Boundary,
-            arena: Option<&TileArena<T>>,
-            phases: &PhaseCounters,
-        ) {
-            let ny = dy.n;
-            // See `drive1`: staged tiles keep the global grid natural.
-            let emethod = if arena.is_some() {
-                Method::MultiLoad
-            } else {
-                method
-            };
-            let map = RowMap::for_method::<T>(emethod, isa, nx);
-            let mut wave = Wave::new();
-            let (mut tau, mut chunk) = (0usize, 0usize);
-            while tau < t {
-                let hh = h.min(t - tau);
-                let mut members = Vec::new();
-                let mut group_boxes: Vec<FootBox> = Vec::new();
-                let mut interior = Vec::new();
-                for stage in 0..3u8 {
-                    for &ix in &[false, true] {
-                        for &iy in &[false, true] {
-                            if (ix as u8) + (iy as u8) != stage {
-                                continue;
-                            }
-                            for sx in Shape::all(dx, ix) {
-                                for sy in Shape::all(dy, iy) {
-                                    let bx = reach1(dx, sx, hh, S::R);
-                                    let by = reach1(dy, sy, hh, S::R);
-                                    let exits = bx.0 < 0
-                                        || bx.1 > nx as i64
-                                        || by.0 < 0
-                                        || by.1 > ny as i64;
-                                    if !b.is_dirichlet() && exits {
-                                        members.push((sx, sy));
-                                        group_boxes.push(box2(by, bx));
-                                    } else {
-                                        interior.push((stage, sx, sy, box2(by, bx)));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                if !members.is_empty() {
-                    wave.push(chunk, 0, group_boxes, Node2::Edge { members, tau, hh });
-                }
-                for (stage, sx, sy, fb) in interior {
-                    wave.push(chunk, stage, vec![fb], Node2::Tile { sx, sy, tau, hh });
-                }
-                tau += hh;
-                chunk += 1;
-            }
-            wave.run(pool, pool.current_num_threads(), |w, node| match node {
-                Node2::Tile { sx, sy, tau, hh } => {
-                    let Some(ar) = arena else {
-                        for ss in 0..*hh {
-                            let xr = sx.range(dx, ss);
-                            let yr = sy.range(dy, ss);
-                            $step(method, isa, bufs, rs, nx, yr, xr, tau + ss, s);
-                        }
-                        return;
-                    };
-                    // Staged chunk: stage the per-parity footprint in,
-                    // run every step tile-locally, write owned spans
-                    // back (see `run_tile1_staged` / `super::stage`).
-                    let nonempty = |ss: usize| {
-                        let (xa, xb) = sx.range(dx, ss);
-                        let (ya, yb) = sy.range(dy, ss);
-                        (xa < xb && ya < yb).then_some(((xa, xb), (ya, yb)))
-                    };
-                    if !(0..*hh).any(|ss| nonempty(ss).is_some()) {
-                        return;
-                    }
-                    let (xlo, xhi) = reach1(dx, *sx, *hh, S::R);
-                    let (ylo, yhi) = reach1(dy, *sy, *hh, S::R);
-                    let wx = (xhi - xlo) as usize;
-                    let hy = (yhi - ylo) as usize;
-                    let base = (ylo * rs as i64 + xlo) as isize;
-                    let pbx = parity_boxes1(*tau, *hh, S::R, |ss| nonempty(ss).map(|r| r.0));
-                    let pby = parity_boxes1(*tau, *hh, S::R, |ss| nonempty(ss).map(|r| r.1));
-                    let need_dest =
-                        dest_prestage_needed(*hh, S::R, |ss| nonempty(ss).map(|(x, y)| [x, y]));
-
-                    let t0 = Instant::now();
-                    let mut slot = ar.slot(w);
-                    let slot = &mut *slot;
-                    for p in 0..2 {
-                        if pbx[p].0 >= pbx[p].1 || (p == (tau + 1) % 2 && !need_dest) {
-                            continue;
-                        }
-                        let cx = ((pbx[p].0 - xlo) as usize, (pbx[p].1 - xlo) as usize);
-                        let cy = ((pby[p].0 - ylo) as usize, (pby[p].1 - ylo) as usize);
-                        unsafe {
-                            stage::stage_in::<T>(
-                                isa,
-                                bufs[p].0.offset(base),
-                                rs,
-                                0,
-                                slot.origin(p),
-                                ar.sxs,
-                                0,
-                                wx,
-                                cx,
-                                cy,
-                                (0, 1),
-                            );
-                        }
-                    }
-                    phases.add_stage_in(t0);
-
-                    let ab = [SyncPtr(slot.origin(0)), SyncPtr(slot.origin(1))];
-                    let t1 = Instant::now();
-                    for ss in 0..*hh {
-                        let Some(((xa, xb), (ya, yb))) = nonempty(ss) else {
-                            continue;
-                        };
-                        let xr = ((xa as i64 - xlo) as usize, (xb as i64 - xlo) as usize);
-                        let yr = ((ya as i64 - ylo) as usize, (yb as i64 - ylo) as usize);
-                        $step(method, isa, ab, ar.sxs, wx, yr, xr, tau + ss, s);
-                    }
-                    phases.add_compute(t1);
-
-                    let t2 = Instant::now();
-                    for p in 0..2 {
-                        slot.spans.clear();
-                        slot.spans.resize(hy, (u32::MAX, 0));
-                        for ss in 0..*hh {
-                            if (tau + ss + 1) % 2 != p {
-                                continue;
-                            }
-                            let Some(((xa, xb), (ya, yb))) = nonempty(ss) else {
-                                continue;
-                            };
-                            let la = (xa as i64 - xlo) as u32;
-                            let lb = (xb as i64 - xlo) as u32;
-                            for y in ya..yb {
-                                let e = &mut slot.spans[(y as i64 - ylo) as usize];
-                                e.0 = e.0.min(la);
-                                e.1 = e.1.max(lb);
-                            }
-                        }
-                        unsafe {
-                            stage::unstage::<T>(
-                                isa,
-                                slot.origin(p),
-                                ar.sxs,
-                                0,
-                                bufs[p].0.offset(base),
-                                rs,
-                                0,
-                                wx,
-                                hy,
-                                &slot.spans,
-                            );
-                        }
-                    }
-                    phases.add_stage_out(t2);
-                }
-                Node2::Edge { members, tau, hh } => {
-                    for ss in 0..*hh {
-                        // Whole-grid refresh: every fold source is an
-                        // edge-frame cell owned by this group's members,
-                        // all at level `tau + ss` in lockstep.
-                        let t0 = Instant::now();
-                        unsafe {
-                            halo::refresh2(bufs[(tau + ss) % 2].0, rs, nx, ny, S::R, b, &map)
-                        };
-                        phases.add_halo(t0);
-                        let t1 = Instant::now();
-                        for &(sx, sy) in members {
-                            let xr = sx.range(dx, ss);
-                            let yr = sy.range(dy, ss);
-                            $step(emethod, isa, bufs, rs, nx, yr, xr, tau + ss, s);
-                        }
-                        phases.add_compute(t1);
-                    }
-                }
-            });
-        }
+/// Step `t` levels of a 2D stencil over pre-prepared ping-pong
+/// buffers under tessellate tiling, wavefront-scheduled. Product
+/// tiles by inverted-dimension count: (tri,tri) → (inv,tri) +
+/// (tri,inv) → (inv,inv); halo-touching tiles fuse into one edge
+/// group per chunk under non-Dirichlet boundaries. The step-`t`
+/// result lands in `bufs[t % 2]`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive2<T: Elem>(
+    k: &dyn Kernel2<T>,
+    method: Method,
+    isa: Isa,
+    bufs: [SyncPtr<T>; 2],
+    rs: usize,
+    nx: usize,
+    dx: &DimTiling,
+    dy: &DimTiling,
+    t: usize,
+    h: usize,
+    pool: &rayon::ThreadPool,
+    b: Boundary,
+    arena: Option<&TileArena<T>>,
+    phases: &PhaseCounters,
+) {
+    let (r, ny) = (k.radius(), dy.n);
+    // See `drive1`: staged tiles keep the global grid natural.
+    let emethod = if arena.is_some() {
+        Method::MultiLoad
+    } else {
+        method
     };
-}
+    let map = RowMap::for_method::<T>(emethod, isa, nx);
+    let mut wave = Wave::new();
+    let (mut tau, mut chunk) = (0usize, 0usize);
+    while tau < t {
+        let hh = h.min(t - tau);
+        let mut members = Vec::new();
+        let mut group_boxes: Vec<FootBox> = Vec::new();
+        let mut interior = Vec::new();
+        for stage in 0..3u8 {
+            for &ix in &[false, true] {
+                for &iy in &[false, true] {
+                    if (ix as u8) + (iy as u8) != stage {
+                        continue;
+                    }
+                    for sx in Shape::all(dx, ix) {
+                        for sy in Shape::all(dy, iy) {
+                            let bx = reach1(dx, sx, hh, r);
+                            let by = reach1(dy, sy, hh, r);
+                            let exits =
+                                bx.0 < 0 || bx.1 > nx as i64 || by.0 < 0 || by.1 > ny as i64;
+                            if !b.is_dirichlet() && exits {
+                                members.push((sx, sy));
+                                group_boxes.push(box2(by, bx));
+                            } else {
+                                interior.push((stage, sx, sy, box2(by, bx)));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if !members.is_empty() {
+            wave.push(chunk, 0, group_boxes, Node2::Edge { members, tau, hh });
+        }
+        for (stage, sx, sy, fb) in interior {
+            wave.push(chunk, stage, vec![fb], Node2::Tile { sx, sy, tau, hh });
+        }
+        tau += hh;
+        chunk += 1;
+    }
+    wave.run(pool, pool.current_num_threads(), |w, node| match node {
+        Node2::Tile { sx, sy, tau, hh } => {
+            let Some(ar) = arena else {
+                for ss in 0..*hh {
+                    let xr = sx.range(dx, ss);
+                    let yr = sy.range(dy, ss);
+                    step2(k, method, isa, bufs, rs, nx, yr, xr, tau + ss);
+                }
+                return;
+            };
+            // Staged chunk: stage the per-parity footprint in,
+            // run every step tile-locally, write owned spans
+            // back (see `run_tile1_staged` / `super::stage`).
+            let nonempty = |ss: usize| {
+                let (xa, xb) = sx.range(dx, ss);
+                let (ya, yb) = sy.range(dy, ss);
+                (xa < xb && ya < yb).then_some(((xa, xb), (ya, yb)))
+            };
+            if !(0..*hh).any(|ss| nonempty(ss).is_some()) {
+                return;
+            }
+            let (xlo, xhi) = reach1(dx, *sx, *hh, r);
+            let (ylo, yhi) = reach1(dy, *sy, *hh, r);
+            let wx = (xhi - xlo) as usize;
+            let hy = (yhi - ylo) as usize;
+            let base = (ylo * rs as i64 + xlo) as isize;
+            let pbx = parity_boxes1(*tau, *hh, r, |ss| nonempty(ss).map(|q| q.0));
+            let pby = parity_boxes1(*tau, *hh, r, |ss| nonempty(ss).map(|q| q.1));
+            let need_dest = dest_prestage_needed(*hh, r, |ss| nonempty(ss).map(|(x, y)| [x, y]));
 
-drive2_impl!(drive2_star, Star2, step2_star);
-drive2_impl!(drive2_box, Box2, step2_box);
+            let t0 = Instant::now();
+            let mut slot = ar.slot(w);
+            let slot = &mut *slot;
+            for p in 0..2 {
+                if pbx[p].0 >= pbx[p].1 || (p == (tau + 1) % 2 && !need_dest) {
+                    continue;
+                }
+                let cx = ((pbx[p].0 - xlo) as usize, (pbx[p].1 - xlo) as usize);
+                let cy = ((pby[p].0 - ylo) as usize, (pby[p].1 - ylo) as usize);
+                unsafe {
+                    stage::stage_in::<T>(
+                        isa,
+                        bufs[p].0.offset(base),
+                        rs,
+                        0,
+                        slot.origin(p),
+                        ar.sxs,
+                        0,
+                        wx,
+                        cx,
+                        cy,
+                        (0, 1),
+                    );
+                }
+            }
+            phases.add_stage_in(t0);
+
+            let ab = [SyncPtr(slot.origin(0)), SyncPtr(slot.origin(1))];
+            let t1 = Instant::now();
+            for ss in 0..*hh {
+                let Some(((xa, xb), (ya, yb))) = nonempty(ss) else {
+                    continue;
+                };
+                let xr = ((xa as i64 - xlo) as usize, (xb as i64 - xlo) as usize);
+                let yr = ((ya as i64 - ylo) as usize, (yb as i64 - ylo) as usize);
+                step2(k, method, isa, ab, ar.sxs, wx, yr, xr, tau + ss);
+            }
+            phases.add_compute(t1);
+
+            let t2 = Instant::now();
+            for p in 0..2 {
+                slot.spans.clear();
+                slot.spans.resize(hy, (u32::MAX, 0));
+                for ss in 0..*hh {
+                    if (tau + ss + 1) % 2 != p {
+                        continue;
+                    }
+                    let Some(((xa, xb), (ya, yb))) = nonempty(ss) else {
+                        continue;
+                    };
+                    let la = (xa as i64 - xlo) as u32;
+                    let lb = (xb as i64 - xlo) as u32;
+                    for y in ya..yb {
+                        let e = &mut slot.spans[(y as i64 - ylo) as usize];
+                        e.0 = e.0.min(la);
+                        e.1 = e.1.max(lb);
+                    }
+                }
+                unsafe {
+                    stage::unstage::<T>(
+                        isa,
+                        slot.origin(p),
+                        ar.sxs,
+                        0,
+                        bufs[p].0.offset(base),
+                        rs,
+                        0,
+                        wx,
+                        hy,
+                        &slot.spans,
+                    );
+                }
+            }
+            phases.add_stage_out(t2);
+        }
+        Node2::Edge { members, tau, hh } => {
+            for ss in 0..*hh {
+                // Whole-grid refresh: every fold source is an
+                // edge-frame cell owned by this group's members,
+                // all at level `tau + ss` in lockstep.
+                let t0 = Instant::now();
+                unsafe { halo::refresh2(bufs[(tau + ss) % 2].0, rs, nx, ny, r, b, &map) };
+                phases.add_halo(t0);
+                let t1 = Instant::now();
+                for &(sx, sy) in members {
+                    let xr = sx.range(dx, ss);
+                    let yr = sy.range(dy, ss);
+                    step2(k, emethod, isa, bufs, rs, nx, yr, xr, tau + ss);
+                }
+                phases.add_compute(t1);
+            }
+        }
+    });
+}
 
 // ---------------------------------------------------------------------------
 // 3D
 // ---------------------------------------------------------------------------
 
+/// One k = 1 step of the box `zr × yr × xr` at absolute `time` between
+/// the ping-pong buffers (empty boxes skipped).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn step3_star<T: Elem, S: Star3>(
+pub(crate) fn step3<T: Elem>(
+    k: &dyn Kernel3<T>,
     method: Method,
     isa: Isa,
     bufs: [SyncPtr<T>; 2],
@@ -864,82 +775,13 @@ pub(crate) fn step3_star<T: Elem, S: Star3>(
     yr: (usize, usize),
     xr: (usize, usize),
     time: usize,
-    s: &S,
 ) {
-    let ((z0, z1), (y0, y1), (x0, x1)) = (zr, yr, xr);
-    if z0 >= z1 || y0 >= y1 || x0 >= x1 {
+    if zr.0 >= zr.1 || yr.0 >= yr.1 || xr.0 >= xr.1 {
         return;
     }
-    let src = bufs[time % 2].0.cast_const();
-    let dst = bufs[(time + 1) % 2].0;
-    unsafe {
-        match method {
-            Method::Scalar => scalar::star3_range(src, dst, rs, ps, z0, z1, y0, y1, x0, x1, s),
-            Method::MultiLoad => {
-                dispatch_elem!(
-                    isa,
-                    T,
-                    orig::star3_orig::<V, S, false>(src, dst, rs, ps, z0, z1, y0, y1, x0, x1, s)
-                )
-            }
-            Method::Reorg => {
-                dispatch_elem!(
-                    isa,
-                    T,
-                    orig::star3_orig::<V, S, true>(src, dst, rs, ps, z0, z1, y0, y1, x0, x1, s)
-                )
-            }
-            Method::TransLayout | Method::TransLayout2 => crate::kernels::isa_entry::star3_tl(
-                isa, src, dst, rs, ps, nx, z0, z1, y0, y1, x0, x1, s,
-            ),
-            Method::Dlt => unreachable!("DLT tiles run under the split-tiling driver"),
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn step3_box<T: Elem, S: Box3>(
-    method: Method,
-    isa: Isa,
-    bufs: [SyncPtr<T>; 2],
-    rs: usize,
-    ps: usize,
-    nx: usize,
-    zr: (usize, usize),
-    yr: (usize, usize),
-    xr: (usize, usize),
-    time: usize,
-    s: &S,
-) {
-    let ((z0, z1), (y0, y1), (x0, x1)) = (zr, yr, xr);
-    if z0 >= z1 || y0 >= y1 || x0 >= x1 {
-        return;
-    }
-    let src = bufs[time % 2].0.cast_const();
-    let dst = bufs[(time + 1) % 2].0;
-    unsafe {
-        match method {
-            Method::Scalar => scalar::box3_range(src, dst, rs, ps, z0, z1, y0, y1, x0, x1, s),
-            Method::MultiLoad => {
-                dispatch_elem!(
-                    isa,
-                    T,
-                    orig::box3_orig::<V, S, false>(src, dst, rs, ps, z0, z1, y0, y1, x0, x1, s)
-                )
-            }
-            Method::Reorg => {
-                dispatch_elem!(
-                    isa,
-                    T,
-                    orig::box3_orig::<V, S, true>(src, dst, rs, ps, z0, z1, y0, y1, x0, x1, s)
-                )
-            }
-            Method::TransLayout | Method::TransLayout2 => crate::kernels::isa_entry::box3_tl(
-                isa, src, dst, rs, ps, nx, z0, z1, y0, y1, x0, x1, s,
-            ),
-            Method::Dlt => unreachable!("DLT tiles run under the split-tiling driver"),
-        }
-    }
+    let (src, dst) = (bufs[time % 2].0, bufs[(time + 1) % 2].0);
+    // SAFETY: as `step1`; the box lies inside the buffers' interior.
+    unsafe { k.step(method, isa, src, dst, rs, ps, nx, zr, yr, xr) }
 }
 
 /// One wavefront node of the 3D drivers.
@@ -960,260 +802,234 @@ enum Node3 {
     },
 }
 
-macro_rules! drive3_impl {
-    ($name:ident, $bound:ident, $step:ident) => {
-        /// Step `t` levels of a 3D stencil over pre-prepared ping-pong
-        /// buffers under tessellate tiling, wavefront-scheduled (4 stages
-        /// by inverted-dimension count; halo-touching tiles fuse into one
-        /// edge group per chunk under non-Dirichlet boundaries). The
-        /// step-`t` result lands in `bufs[t % 2]`.
-        #[allow(clippy::too_many_arguments)]
-        pub(crate) fn $name<T: Elem, S: $bound>(
-            method: Method,
-            isa: Isa,
-            bufs: [SyncPtr<T>; 2],
-            rs: usize,
-            ps: usize,
-            nx: usize,
-            dx: &DimTiling,
-            dy: &DimTiling,
-            dz: &DimTiling,
-            t: usize,
-            h: usize,
-            s: &S,
-            pool: &rayon::ThreadPool,
-            b: Boundary,
-            arena: Option<&TileArena<T>>,
-            phases: &PhaseCounters,
-        ) {
-            let (ny, nz) = (dy.n, dz.n);
-            // See `drive1`: staged tiles keep the global grid natural.
-            let emethod = if arena.is_some() {
-                Method::MultiLoad
-            } else {
-                method
-            };
-            let map = RowMap::for_method::<T>(emethod, isa, nx);
-            let mut wave = Wave::new();
-            let (mut tau, mut chunk) = (0usize, 0usize);
-            while tau < t {
-                let hh = h.min(t - tau);
-                let mut members = Vec::new();
-                let mut group_boxes: Vec<FootBox> = Vec::new();
-                let mut interior = Vec::new();
-                for stage in 0..4u8 {
-                    for &ix in &[false, true] {
-                        for &iy in &[false, true] {
-                            for &iz in &[false, true] {
-                                if (ix as u8) + (iy as u8) + (iz as u8) != stage {
-                                    continue;
-                                }
-                                for sx in Shape::all(dx, ix) {
-                                    for sy in Shape::all(dy, iy) {
-                                        for sz in Shape::all(dz, iz) {
-                                            let bx = reach1(dx, sx, hh, S::R);
-                                            let by = reach1(dy, sy, hh, S::R);
-                                            let bz = reach1(dz, sz, hh, S::R);
-                                            let exits = bx.0 < 0
-                                                || bx.1 > nx as i64
-                                                || by.0 < 0
-                                                || by.1 > ny as i64
-                                                || bz.0 < 0
-                                                || bz.1 > nz as i64;
-                                            if !b.is_dirichlet() && exits {
-                                                members.push((sx, sy, sz));
-                                                group_boxes.push(box3(bz, by, bx));
-                                            } else {
-                                                interior.push((
-                                                    stage,
-                                                    sx,
-                                                    sy,
-                                                    sz,
-                                                    box3(bz, by, bx),
-                                                ));
-                                            }
-                                        }
+/// Step `t` levels of a 3D stencil over pre-prepared ping-pong
+/// buffers under tessellate tiling, wavefront-scheduled (4 stages
+/// by inverted-dimension count; halo-touching tiles fuse into one
+/// edge group per chunk under non-Dirichlet boundaries). The
+/// step-`t` result lands in `bufs[t % 2]`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive3<T: Elem>(
+    k: &dyn Kernel3<T>,
+    method: Method,
+    isa: Isa,
+    bufs: [SyncPtr<T>; 2],
+    rs: usize,
+    ps: usize,
+    nx: usize,
+    dx: &DimTiling,
+    dy: &DimTiling,
+    dz: &DimTiling,
+    t: usize,
+    h: usize,
+    pool: &rayon::ThreadPool,
+    b: Boundary,
+    arena: Option<&TileArena<T>>,
+    phases: &PhaseCounters,
+) {
+    let (r, ny, nz) = (k.radius(), dy.n, dz.n);
+    // See `drive1`: staged tiles keep the global grid natural.
+    let emethod = if arena.is_some() {
+        Method::MultiLoad
+    } else {
+        method
+    };
+    let map = RowMap::for_method::<T>(emethod, isa, nx);
+    let mut wave = Wave::new();
+    let (mut tau, mut chunk) = (0usize, 0usize);
+    while tau < t {
+        let hh = h.min(t - tau);
+        let mut members = Vec::new();
+        let mut group_boxes: Vec<FootBox> = Vec::new();
+        let mut interior = Vec::new();
+        for stage in 0..4u8 {
+            for &ix in &[false, true] {
+                for &iy in &[false, true] {
+                    for &iz in &[false, true] {
+                        if (ix as u8) + (iy as u8) + (iz as u8) != stage {
+                            continue;
+                        }
+                        for sx in Shape::all(dx, ix) {
+                            for sy in Shape::all(dy, iy) {
+                                for sz in Shape::all(dz, iz) {
+                                    let bx = reach1(dx, sx, hh, r);
+                                    let by = reach1(dy, sy, hh, r);
+                                    let bz = reach1(dz, sz, hh, r);
+                                    let exits = bx.0 < 0
+                                        || bx.1 > nx as i64
+                                        || by.0 < 0
+                                        || by.1 > ny as i64
+                                        || bz.0 < 0
+                                        || bz.1 > nz as i64;
+                                    if !b.is_dirichlet() && exits {
+                                        members.push((sx, sy, sz));
+                                        group_boxes.push(box3(bz, by, bx));
+                                    } else {
+                                        interior.push((stage, sx, sy, sz, box3(bz, by, bx)));
                                     }
                                 }
                             }
                         }
                     }
                 }
-                if !members.is_empty() {
-                    wave.push(chunk, 0, group_boxes, Node3::Edge { members, tau, hh });
-                }
-                for (stage, sx, sy, sz, fb) in interior {
-                    wave.push(
-                        chunk,
-                        stage,
-                        vec![fb],
-                        Node3::Tile {
-                            sx,
-                            sy,
-                            sz,
-                            tau,
-                            hh,
-                        },
-                    );
-                }
-                tau += hh;
-                chunk += 1;
             }
-            wave.run(pool, pool.current_num_threads(), |w, node| match node {
+        }
+        if !members.is_empty() {
+            wave.push(chunk, 0, group_boxes, Node3::Edge { members, tau, hh });
+        }
+        for (stage, sx, sy, sz, fb) in interior {
+            wave.push(
+                chunk,
+                stage,
+                vec![fb],
                 Node3::Tile {
                     sx,
                     sy,
                     sz,
                     tau,
                     hh,
-                } => {
-                    let Some(ar) = arena else {
-                        for ss in 0..*hh {
-                            let xr = sx.range(dx, ss);
-                            let yr = sy.range(dy, ss);
-                            let zr = sz.range(dz, ss);
-                            $step(method, isa, bufs, rs, ps, nx, zr, yr, xr, tau + ss, s);
-                        }
-                        return;
-                    };
-                    // Staged chunk; see the 2D driver's `Tile` arm.
-                    let nonempty = |ss: usize| {
-                        let (xa, xb) = sx.range(dx, ss);
-                        let (ya, yb) = sy.range(dy, ss);
-                        let (za, zb) = sz.range(dz, ss);
-                        (xa < xb && ya < yb && za < zb).then_some(((xa, xb), (ya, yb), (za, zb)))
-                    };
-                    if !(0..*hh).any(|ss| nonempty(ss).is_some()) {
-                        return;
-                    }
-                    let (xlo, xhi) = reach1(dx, *sx, *hh, S::R);
-                    let (ylo, yhi) = reach1(dy, *sy, *hh, S::R);
-                    let (zlo, zhi) = reach1(dz, *sz, *hh, S::R);
-                    let wx = (xhi - xlo) as usize;
-                    let hy = (yhi - ylo) as usize;
-                    let hz = (zhi - zlo) as usize;
-                    let base = (zlo * ps as i64 + ylo * rs as i64 + xlo) as isize;
-                    let pbx = parity_boxes1(*tau, *hh, S::R, |ss| nonempty(ss).map(|r| r.0));
-                    let pby = parity_boxes1(*tau, *hh, S::R, |ss| nonempty(ss).map(|r| r.1));
-                    let pbz = parity_boxes1(*tau, *hh, S::R, |ss| nonempty(ss).map(|r| r.2));
-                    let need_dest = dest_prestage_needed(*hh, S::R, |ss| {
-                        nonempty(ss).map(|(x, y, z)| [x, y, z])
-                    });
-
-                    let t0 = Instant::now();
-                    let mut slot = ar.slot(w);
-                    let slot = &mut *slot;
-                    for p in 0..2 {
-                        if pbx[p].0 >= pbx[p].1 || (p == (tau + 1) % 2 && !need_dest) {
-                            continue;
-                        }
-                        let cx = ((pbx[p].0 - xlo) as usize, (pbx[p].1 - xlo) as usize);
-                        let cy = ((pby[p].0 - ylo) as usize, (pby[p].1 - ylo) as usize);
-                        let cz = ((pbz[p].0 - zlo) as usize, (pbz[p].1 - zlo) as usize);
-                        unsafe {
-                            stage::stage_in::<T>(
-                                isa,
-                                bufs[p].0.offset(base),
-                                rs,
-                                ps,
-                                slot.origin(p),
-                                ar.sxs,
-                                ar.sys,
-                                wx,
-                                cx,
-                                cy,
-                                cz,
-                            );
-                        }
-                    }
-                    phases.add_stage_in(t0);
-
-                    let ab = [SyncPtr(slot.origin(0)), SyncPtr(slot.origin(1))];
-                    let t1 = Instant::now();
-                    for ss in 0..*hh {
-                        let Some(((xa, xb), (ya, yb), (za, zb))) = nonempty(ss) else {
-                            continue;
-                        };
-                        let xr = ((xa as i64 - xlo) as usize, (xb as i64 - xlo) as usize);
-                        let yr = ((ya as i64 - ylo) as usize, (yb as i64 - ylo) as usize);
-                        let zr = ((za as i64 - zlo) as usize, (zb as i64 - zlo) as usize);
-                        $step(method, isa, ab, ar.sxs, ar.sys, wx, zr, yr, xr, tau + ss, s);
-                    }
-                    phases.add_compute(t1);
-
-                    let t2 = Instant::now();
-                    for p in 0..2 {
-                        slot.spans.clear();
-                        slot.spans.resize(hy * hz, (u32::MAX, 0));
-                        for ss in 0..*hh {
-                            if (tau + ss + 1) % 2 != p {
-                                continue;
-                            }
-                            let Some(((xa, xb), (ya, yb), (za, zb))) = nonempty(ss) else {
-                                continue;
-                            };
-                            let la = (xa as i64 - xlo) as u32;
-                            let lb = (xb as i64 - xlo) as u32;
-                            for z in za..zb {
-                                let zoff = (z as i64 - zlo) as usize * hy;
-                                for y in ya..yb {
-                                    let e = &mut slot.spans[zoff + (y as i64 - ylo) as usize];
-                                    e.0 = e.0.min(la);
-                                    e.1 = e.1.max(lb);
-                                }
-                            }
-                        }
-                        unsafe {
-                            stage::unstage::<T>(
-                                isa,
-                                slot.origin(p),
-                                ar.sxs,
-                                ar.sys,
-                                bufs[p].0.offset(base),
-                                rs,
-                                ps,
-                                wx,
-                                hy,
-                                &slot.spans,
-                            );
-                        }
-                    }
-                    phases.add_stage_out(t2);
-                }
-                Node3::Edge { members, tau, hh } => {
-                    for ss in 0..*hh {
-                        // Whole-grid refresh: every fold source is an
-                        // edge-frame cell owned by this group's members,
-                        // all at level `tau + ss` in lockstep.
-                        let t0 = Instant::now();
-                        unsafe {
-                            halo::refresh3(
-                                bufs[(tau + ss) % 2].0,
-                                rs,
-                                ps,
-                                nx,
-                                ny,
-                                nz,
-                                S::R,
-                                b,
-                                &map,
-                            )
-                        };
-                        phases.add_halo(t0);
-                        let t1 = Instant::now();
-                        for &(sx, sy, sz) in members {
-                            let xr = sx.range(dx, ss);
-                            let yr = sy.range(dy, ss);
-                            let zr = sz.range(dz, ss);
-                            $step(emethod, isa, bufs, rs, ps, nx, zr, yr, xr, tau + ss, s);
-                        }
-                        phases.add_compute(t1);
-                    }
-                }
-            });
+                },
+            );
         }
-    };
-}
+        tau += hh;
+        chunk += 1;
+    }
+    wave.run(pool, pool.current_num_threads(), |w, node| match node {
+        Node3::Tile {
+            sx,
+            sy,
+            sz,
+            tau,
+            hh,
+        } => {
+            let Some(ar) = arena else {
+                for ss in 0..*hh {
+                    let xr = sx.range(dx, ss);
+                    let yr = sy.range(dy, ss);
+                    let zr = sz.range(dz, ss);
+                    step3(k, method, isa, bufs, rs, ps, nx, zr, yr, xr, tau + ss);
+                }
+                return;
+            };
+            // Staged chunk; see the 2D driver's `Tile` arm.
+            let nonempty = |ss: usize| {
+                let (xa, xb) = sx.range(dx, ss);
+                let (ya, yb) = sy.range(dy, ss);
+                let (za, zb) = sz.range(dz, ss);
+                (xa < xb && ya < yb && za < zb).then_some(((xa, xb), (ya, yb), (za, zb)))
+            };
+            if !(0..*hh).any(|ss| nonempty(ss).is_some()) {
+                return;
+            }
+            let (xlo, xhi) = reach1(dx, *sx, *hh, r);
+            let (ylo, yhi) = reach1(dy, *sy, *hh, r);
+            let (zlo, zhi) = reach1(dz, *sz, *hh, r);
+            let wx = (xhi - xlo) as usize;
+            let hy = (yhi - ylo) as usize;
+            let hz = (zhi - zlo) as usize;
+            let base = (zlo * ps as i64 + ylo * rs as i64 + xlo) as isize;
+            let pbx = parity_boxes1(*tau, *hh, r, |ss| nonempty(ss).map(|q| q.0));
+            let pby = parity_boxes1(*tau, *hh, r, |ss| nonempty(ss).map(|q| q.1));
+            let pbz = parity_boxes1(*tau, *hh, r, |ss| nonempty(ss).map(|q| q.2));
+            let need_dest =
+                dest_prestage_needed(*hh, r, |ss| nonempty(ss).map(|(x, y, z)| [x, y, z]));
 
-drive3_impl!(drive3_star, Star3, step3_star);
-drive3_impl!(drive3_box, Box3, step3_box);
+            let t0 = Instant::now();
+            let mut slot = ar.slot(w);
+            let slot = &mut *slot;
+            for p in 0..2 {
+                if pbx[p].0 >= pbx[p].1 || (p == (tau + 1) % 2 && !need_dest) {
+                    continue;
+                }
+                let cx = ((pbx[p].0 - xlo) as usize, (pbx[p].1 - xlo) as usize);
+                let cy = ((pby[p].0 - ylo) as usize, (pby[p].1 - ylo) as usize);
+                let cz = ((pbz[p].0 - zlo) as usize, (pbz[p].1 - zlo) as usize);
+                unsafe {
+                    stage::stage_in::<T>(
+                        isa,
+                        bufs[p].0.offset(base),
+                        rs,
+                        ps,
+                        slot.origin(p),
+                        ar.sxs,
+                        ar.sys,
+                        wx,
+                        cx,
+                        cy,
+                        cz,
+                    );
+                }
+            }
+            phases.add_stage_in(t0);
+
+            let ab = [SyncPtr(slot.origin(0)), SyncPtr(slot.origin(1))];
+            let t1 = Instant::now();
+            for ss in 0..*hh {
+                let Some(((xa, xb), (ya, yb), (za, zb))) = nonempty(ss) else {
+                    continue;
+                };
+                let xr = ((xa as i64 - xlo) as usize, (xb as i64 - xlo) as usize);
+                let yr = ((ya as i64 - ylo) as usize, (yb as i64 - ylo) as usize);
+                let zr = ((za as i64 - zlo) as usize, (zb as i64 - zlo) as usize);
+                step3(k, method, isa, ab, ar.sxs, ar.sys, wx, zr, yr, xr, tau + ss);
+            }
+            phases.add_compute(t1);
+
+            let t2 = Instant::now();
+            for p in 0..2 {
+                slot.spans.clear();
+                slot.spans.resize(hy * hz, (u32::MAX, 0));
+                for ss in 0..*hh {
+                    if (tau + ss + 1) % 2 != p {
+                        continue;
+                    }
+                    let Some(((xa, xb), (ya, yb), (za, zb))) = nonempty(ss) else {
+                        continue;
+                    };
+                    let la = (xa as i64 - xlo) as u32;
+                    let lb = (xb as i64 - xlo) as u32;
+                    for z in za..zb {
+                        let zoff = (z as i64 - zlo) as usize * hy;
+                        for y in ya..yb {
+                            let e = &mut slot.spans[zoff + (y as i64 - ylo) as usize];
+                            e.0 = e.0.min(la);
+                            e.1 = e.1.max(lb);
+                        }
+                    }
+                }
+                unsafe {
+                    stage::unstage::<T>(
+                        isa,
+                        slot.origin(p),
+                        ar.sxs,
+                        ar.sys,
+                        bufs[p].0.offset(base),
+                        rs,
+                        ps,
+                        wx,
+                        hy,
+                        &slot.spans,
+                    );
+                }
+            }
+            phases.add_stage_out(t2);
+        }
+        Node3::Edge { members, tau, hh } => {
+            for ss in 0..*hh {
+                // Whole-grid refresh: every fold source is an
+                // edge-frame cell owned by this group's members,
+                // all at level `tau + ss` in lockstep.
+                let t0 = Instant::now();
+                unsafe { halo::refresh3(bufs[(tau + ss) % 2].0, rs, ps, nx, ny, nz, r, b, &map) };
+                phases.add_halo(t0);
+                let t1 = Instant::now();
+                for &(sx, sy, sz) in members {
+                    let xr = sx.range(dx, ss);
+                    let yr = sy.range(dy, ss);
+                    let zr = sz.range(dz, ss);
+                    step3(k, emethod, isa, bufs, rs, ps, nx, zr, yr, xr, tau + ss);
+                }
+                phases.add_compute(t1);
+            }
+        }
+    });
+}

@@ -13,8 +13,9 @@
 use stencil_simd::{Elem, Vector};
 
 use super::orig::splat_w;
+use super::row::{Row2, Row3};
 use crate::layout::{dlt_read, DltGeo};
-use crate::stencil::{Box2, Box3, Star1, Star2, Star3, MAX_R};
+use crate::stencil::{Star1, MAX_R};
 
 /// Scalar update of logical cells `[lo, hi)` of a DLT row (mapped access).
 ///
@@ -108,160 +109,72 @@ pub unsafe fn star1_dlt<V: Vector, S: Star1>(
     star1_dlt_scalar(src, dst, geo.region, n, &geo, s); // tail
 }
 
-/// One Jacobi step of a 2D star stencil over rows `[y0, y1)` (full x) in
-/// DLT layout; y-neighbours are aligned loads at identical offsets.
+/// Scalar seams + tail of one DLT row of `nx` cells: `cell(i)` is the
+/// canonical accumulation at logical cell `i` (through the index map).
+/// Returns whether a seam-free column range `[r, cols - r)` remains for
+/// the caller's vector core (which stays out of this closure-taking
+/// helper so it inlines into the caller's ISA feature context).
+#[inline(always)]
+unsafe fn dlt_row_edges<T: Elem>(
+    d: *mut T,
+    nx: usize,
+    r: usize,
+    geo: &DltGeo,
+    cell: impl Fn(isize) -> T,
+) -> bool {
+    let scalar_cells = |lo: usize, hi: usize| {
+        for i in lo..hi {
+            *d.add(geo.map(i)) = cell(i as isize);
+        }
+    };
+    if geo.cols <= 2 * r {
+        scalar_cells(0, nx);
+        return false;
+    }
+    for lane in 0..geo.vl {
+        let base = lane * geo.cols;
+        scalar_cells(base, base + r);
+        scalar_cells(base + geo.cols - r, base + geo.cols);
+    }
+    scalar_cells(geo.region, nx);
+    true
+}
+
+/// One Jacobi step of a 2D stencil of family `K` over rows `[y0, y1)`
+/// (full x) in DLT layout; y-neighbours are aligned loads at identical
+/// offsets, so the steady state is pure aligned loads (DLT's best case).
 ///
 /// # Safety
 /// Rows `y0-R..y1+R` addressable; `src != dst`.
 #[inline(always)]
-pub unsafe fn star2_dlt<V: Vector, S: Star2>(
+pub unsafe fn grid2_dlt<V: Vector, K: Row2>(
     src: *const V::Elem,
     dst: *mut V::Elem,
     rs: usize,
     nx: usize,
     y0: usize,
     y1: usize,
-    s: &S,
+    s: &K::S,
 ) {
-    let l = V::LANES;
-    let r = S::R;
-    let geo = DltGeo::new(nx, l);
-    let wxv: [V; 2 * MAX_R + 1] = splat_w(s.wx());
-    let wyv: [V; 2 * MAX_R + 1] = splat_w(s.wy());
+    let geo = DltGeo::new(nx, V::LANES);
+    let w = K::splat::<V>(s);
     for y in y0..y1 {
         let c = src.add(y * rs);
         let d = dst.add(y * rs);
-        // scalar seams + tail (x- and y-terms through the map)
-        let scalar_cells = |lo: usize, hi: usize| {
-            let wx = s.wx();
-            let wy = s.wy();
-            let cv = <V::Elem as Elem>::from_f64;
-            let ri = r as isize;
-            for i in lo..hi {
-                let ii = i as isize;
-                let mut acc = cv(wx[0]) * dlt_read(c, ii - ri, &geo);
-                for o in 1..=2 * r {
-                    acc = dlt_read(c, ii - ri + o as isize, &geo).mul_add(cv(wx[o]), acc);
-                }
-                for dd in 1..=r {
-                    acc = dlt_read(c.offset(-((dd * rs) as isize)), ii, &geo)
-                        .mul_add(cv(wy[r - dd]), acc);
-                    acc = dlt_read(c.add(dd * rs), ii, &geo).mul_add(cv(wy[r + dd]), acc);
-                }
-                *d.add(geo.map(i)) = acc;
-            }
-        };
-        if geo.cols <= 2 * r {
-            scalar_cells(0, nx);
-            continue;
-        }
-        for lane in 0..l {
-            let base = lane * geo.cols;
-            scalar_cells(base, base + r);
-            scalar_cells(base + geo.cols - r, base + geo.cols);
-        }
-        scalar_cells(geo.region, nx);
-        for j in r..geo.cols - r {
-            let base = j * l;
-            let mut acc = V::load(c.add(base - r * l)).mul(wxv[0]);
-            for o in 1..=2 * r {
-                let off = base as isize + (o as isize - r as isize) * l as isize;
-                acc = V::load(c.offset(off)).mul_add(wxv[o], acc);
-            }
-            for dd in 1..=r {
-                acc =
-                    V::load(c.offset(base as isize - (dd * rs) as isize)).mul_add(wyv[r - dd], acc);
-                acc = V::load(c.add(base + dd * rs)).mul_add(wyv[r + dd], acc);
-            }
-            acc.store(d.add(base));
+        if dlt_row_edges(d, nx, K::R, &geo, |i| K::dlt_cell(c, rs, i, &geo, s)) {
+            K::dlt_cols::<V>(c, d, rs, K::R, geo.cols - K::R, &w);
         }
     }
 }
 
-/// One Jacobi step of a 2D box stencil over rows `[y0, y1)` in DLT layout
-/// — pure aligned loads in steady state (DLT's best case).
-///
-/// # Safety
-/// Rows `y0-R..y1+R` addressable; `src != dst`.
-#[inline(always)]
-pub unsafe fn box2_dlt<V: Vector, S: Box2>(
-    src: *const V::Elem,
-    dst: *mut V::Elem,
-    rs: usize,
-    nx: usize,
-    y0: usize,
-    y1: usize,
-    s: &S,
-) {
-    let l = V::LANES;
-    let r = S::R;
-    let geo = DltGeo::new(nx, l);
-    let wv: [V; 25] = splat_w(s.w());
-    for y in y0..y1 {
-        let c = src.add(y * rs);
-        let d = dst.add(y * rs);
-        let scalar_cells = |lo: usize, hi: usize| {
-            let w = s.w();
-            let cv = <V::Elem as Elem>::from_f64;
-            let ri = r as isize;
-            for i in lo..hi {
-                let ii = i as isize;
-                let mut acc = <V::Elem as Elem>::ZERO;
-                let mut k = 0usize;
-                for dy in -ri..=ri {
-                    let row = c.offset(dy * rs as isize);
-                    for dx in -ri..=ri {
-                        let val = dlt_read(row, ii + dx, &geo);
-                        if k == 0 {
-                            acc = cv(w[0]) * val;
-                        } else {
-                            acc = val.mul_add(cv(w[k]), acc);
-                        }
-                        k += 1;
-                    }
-                }
-                *d.add(geo.map(i)) = acc;
-            }
-        };
-        if geo.cols <= 2 * r {
-            scalar_cells(0, nx);
-            continue;
-        }
-        for lane in 0..l {
-            let base = lane * geo.cols;
-            scalar_cells(base, base + r);
-            scalar_cells(base + geo.cols - r, base + geo.cols);
-        }
-        scalar_cells(geo.region, nx);
-        for j in r..geo.cols - r {
-            let base = j * l;
-            let mut acc = V::zero();
-            let mut k = 0usize;
-            for dy in -(r as isize)..=r as isize {
-                let row = c.offset(dy * rs as isize);
-                for dx in -(r as isize)..=r as isize {
-                    let v = V::load(row.offset(base as isize + dx * l as isize));
-                    if k == 0 {
-                        acc = v.mul(wv[0]);
-                    } else {
-                        acc = v.mul_add(wv[k], acc);
-                    }
-                    k += 1;
-                }
-            }
-            acc.store(d.add(base));
-        }
-    }
-}
-
-/// One Jacobi step of a 3D star stencil over planes `[z0, z1)` (full x/y)
-/// in DLT layout.
+/// One Jacobi step of a 3D stencil of family `K` over planes `[z0, z1)`
+/// (full x/y) in DLT layout.
 ///
 /// # Safety
 /// Planes/rows within radius addressable; `src != dst`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub unsafe fn star3_dlt<V: Vector, S: Star3>(
+pub unsafe fn grid3_dlt<V: Vector, K: Row3>(
     src: *const V::Elem,
     dst: *mut V::Elem,
     rs: usize,
@@ -270,152 +183,16 @@ pub unsafe fn star3_dlt<V: Vector, S: Star3>(
     ny: usize,
     z0: usize,
     z1: usize,
-    s: &S,
+    s: &K::S,
 ) {
-    let l = V::LANES;
-    let r = S::R;
-    let geo = DltGeo::new(nx, l);
-    let wxv: [V; 2 * MAX_R + 1] = splat_w(s.wx());
-    let wyv: [V; 2 * MAX_R + 1] = splat_w(s.wy());
-    let wzv: [V; 2 * MAX_R + 1] = splat_w(s.wz());
+    let geo = DltGeo::new(nx, V::LANES);
+    let w = K::splat::<V>(s);
     for z in z0..z1 {
         for y in 0..ny {
             let c = src.add(z * ps + y * rs);
             let d = dst.add(z * ps + y * rs);
-            let scalar_cells = |lo: usize, hi: usize| {
-                let (wx, wy, wz) = (s.wx(), s.wy(), s.wz());
-                let cv = <V::Elem as Elem>::from_f64;
-                let ri = r as isize;
-                for i in lo..hi {
-                    let ii = i as isize;
-                    let mut acc = cv(wx[0]) * dlt_read(c, ii - ri, &geo);
-                    for o in 1..=2 * r {
-                        acc = dlt_read(c, ii - ri + o as isize, &geo).mul_add(cv(wx[o]), acc);
-                    }
-                    for dd in 1..=r {
-                        acc = dlt_read(c.offset(-((dd * rs) as isize)), ii, &geo)
-                            .mul_add(cv(wy[r - dd]), acc);
-                        acc = dlt_read(c.add(dd * rs), ii, &geo).mul_add(cv(wy[r + dd]), acc);
-                    }
-                    for dd in 1..=r {
-                        acc = dlt_read(c.offset(-((dd * ps) as isize)), ii, &geo)
-                            .mul_add(cv(wz[r - dd]), acc);
-                        acc = dlt_read(c.add(dd * ps), ii, &geo).mul_add(cv(wz[r + dd]), acc);
-                    }
-                    *d.add(geo.map(i)) = acc;
-                }
-            };
-            if geo.cols <= 2 * r {
-                scalar_cells(0, nx);
-                continue;
-            }
-            for lane in 0..l {
-                let base = lane * geo.cols;
-                scalar_cells(base, base + r);
-                scalar_cells(base + geo.cols - r, base + geo.cols);
-            }
-            scalar_cells(geo.region, nx);
-            for j in r..geo.cols - r {
-                let base = j * l;
-                let mut acc = V::load(c.add(base - r * l)).mul(wxv[0]);
-                for o in 1..=2 * r {
-                    let off = base as isize + (o as isize - r as isize) * l as isize;
-                    acc = V::load(c.offset(off)).mul_add(wxv[o], acc);
-                }
-                for dd in 1..=r {
-                    acc = V::load(c.offset(base as isize - (dd * rs) as isize))
-                        .mul_add(wyv[r - dd], acc);
-                    acc = V::load(c.add(base + dd * rs)).mul_add(wyv[r + dd], acc);
-                    acc = V::load(c.offset(base as isize - (dd * ps) as isize))
-                        .mul_add(wzv[r - dd], acc);
-                    acc = V::load(c.add(base + dd * ps)).mul_add(wzv[r + dd], acc);
-                }
-                acc.store(d.add(base));
-            }
-        }
-    }
-}
-
-/// One Jacobi step of a 3D box stencil over planes `[z0, z1)` in DLT
-/// layout.
-///
-/// # Safety
-/// Planes/rows within radius addressable; `src != dst`.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn box3_dlt<V: Vector, S: Box3>(
-    src: *const V::Elem,
-    dst: *mut V::Elem,
-    rs: usize,
-    ps: usize,
-    nx: usize,
-    ny: usize,
-    z0: usize,
-    z1: usize,
-    s: &S,
-) {
-    let l = V::LANES;
-    let r = S::R;
-    let geo = DltGeo::new(nx, l);
-    let wv: [V; 27] = splat_w(s.w());
-    for z in z0..z1 {
-        for y in 0..ny {
-            let c = src.add(z * ps + y * rs);
-            let d = dst.add(z * ps + y * rs);
-            let scalar_cells = |lo: usize, hi: usize| {
-                let w = s.w();
-                let cv = <V::Elem as Elem>::from_f64;
-                let ri = r as isize;
-                for i in lo..hi {
-                    let ii = i as isize;
-                    let mut acc = <V::Elem as Elem>::ZERO;
-                    let mut k = 0usize;
-                    for dz in -ri..=ri {
-                        for dy in -ri..=ri {
-                            let row = c.offset(dz * ps as isize + dy * rs as isize);
-                            for dx in -ri..=ri {
-                                let val = dlt_read(row, ii + dx, &geo);
-                                if k == 0 {
-                                    acc = cv(w[0]) * val;
-                                } else {
-                                    acc = val.mul_add(cv(w[k]), acc);
-                                }
-                                k += 1;
-                            }
-                        }
-                    }
-                    *d.add(geo.map(i)) = acc;
-                }
-            };
-            if geo.cols <= 2 * r {
-                scalar_cells(0, nx);
-                continue;
-            }
-            for lane in 0..l {
-                let base = lane * geo.cols;
-                scalar_cells(base, base + r);
-                scalar_cells(base + geo.cols - r, base + geo.cols);
-            }
-            scalar_cells(geo.region, nx);
-            for j in r..geo.cols - r {
-                let base = j * l;
-                let mut acc = V::zero();
-                let mut k = 0usize;
-                for dz in -(r as isize)..=r as isize {
-                    for dy in -(r as isize)..=r as isize {
-                        let row = c.offset(dz * ps as isize + dy * rs as isize);
-                        for dx in -(r as isize)..=r as isize {
-                            let v = V::load(row.offset(base as isize + dx * l as isize));
-                            if k == 0 {
-                                acc = v.mul(wv[0]);
-                            } else {
-                                acc = v.mul_add(wv[k], acc);
-                            }
-                            k += 1;
-                        }
-                    }
-                }
-                acc.store(d.add(base));
+            if dlt_row_edges(d, nx, K::R, &geo, |i| K::dlt_cell(c, rs, ps, i, &geo, s)) {
+                K::dlt_cols::<V>(c, d, rs, ps, K::R, geo.cols - K::R, &w);
             }
         }
     }

@@ -8,19 +8,21 @@
 //! lowers to a libm call (a measured 39× slowdown; see DESIGN.md §5).
 //!
 //! `#[target_feature]` is legal on generic functions, so each big kernel
-//! gets an explicit per-ISA entry here, generic over the element type
-//! ([`Elem`]): the entry resolves `T`'s native vector for the register
-//! width (`T::V256` / `T::V512`). Portable ISAs call the kernel directly
-//! (no feature context needed).
+//! gets an explicit per-ISA entry here under the kernel's own name,
+//! generic over the element type ([`Elem`]) and the stencil (1D) or
+//! family strategy (2D/3D): the entry resolves `T`'s native vector for
+//! the register width (`T::V256` / `T::V512`). Portable ISAs call the
+//! kernel directly (no feature context needed).
 
 use stencil_simd::{Elem, Isa};
 
+use super::row::{Row2, Row3};
 use super::{tl, tl2};
 use crate::exec::halo::{Boundary, RowMap};
-use crate::stencil::{Box2, Box3, Star1, Star2, Star3};
+use crate::stencil::Star1;
 
 macro_rules! isa_entry {
-    ($(#[$doc:meta])* $name:ident, $bound:ident, $km:ident :: $kf:ident,
+    ($(#[$doc:meta])* $name:ident<$G:ident: $bound:ident>, $km:ident,
      fn($($arg:ident : $ty:ty),* $(,)?)) => {
         $(#[$doc])*
         ///
@@ -28,31 +30,31 @@ macro_rules! isa_entry {
         /// Same contract as the underlying kernel; `isa` must be
         /// available on this CPU (checked).
         #[allow(clippy::too_many_arguments)]
-        pub unsafe fn $name<T: Elem, S: $bound>(isa: Isa, $($arg: $ty),*) {
+        pub unsafe fn $name<T: Elem, $G: $bound>(isa: Isa, $($arg: $ty),*) {
             #[cfg(target_arch = "x86_64")]
             #[target_feature(enable = "avx2,fma")]
-            unsafe fn avx2<T: Elem, S: $bound>($($arg: $ty),*) {
-                $km::$kf::<<T as Elem>::V256, S>($($arg),*)
+            unsafe fn avx2<T: Elem, $G: $bound>($($arg: $ty),*) {
+                $km::$name::<<T as Elem>::V256, $G>($($arg),*)
             }
             #[cfg(target_arch = "x86_64")]
             #[target_feature(enable = "avx512f")]
-            unsafe fn avx512<T: Elem, S: $bound>($($arg: $ty),*) {
-                $km::$kf::<<T as Elem>::V512, S>($($arg),*)
+            unsafe fn avx512<T: Elem, $G: $bound>($($arg: $ty),*) {
+                $km::$name::<<T as Elem>::V512, $G>($($arg),*)
             }
             match isa {
                 #[cfg(target_arch = "x86_64")]
                 Isa::Avx2 => {
                     assert!(isa.is_available());
-                    avx2::<T, S>($($arg),*)
+                    avx2::<T, $G>($($arg),*)
                 }
                 #[cfg(target_arch = "x86_64")]
                 Isa::Avx512 => {
                     assert!(isa.is_available());
-                    avx512::<T, S>($($arg),*)
+                    avx512::<T, $G>($($arg),*)
                 }
                 _ => match isa.width_bytes() {
-                    32 => $km::$kf::<<T as Elem>::P256, S>($($arg),*),
-                    _ => $km::$kf::<<T as Elem>::P512, S>($($arg),*),
+                    32 => $km::$name::<<T as Elem>::P256, $G>($($arg),*),
+                    _ => $km::$name::<<T as Elem>::P512, $G>($($arg),*),
                 },
             }
         }
@@ -61,93 +63,58 @@ macro_rules! isa_entry {
 
 isa_entry!(
     /// [`tl::star1_tl`] behind a per-ISA feature entry.
-    star1_tl, Star1, tl::star1_tl,
+    star1_tl<S: Star1>, tl,
     fn(src: *const T, dst: *mut T, n: usize, x0: usize, x1: usize, s: &S)
 );
 isa_entry!(
-    /// [`tl::star2_tl`] behind a per-ISA feature entry.
-    star2_tl, Star2, tl::star2_tl,
+    /// [`tl::grid2_tl`] behind a per-ISA feature entry.
+    grid2_tl<K: Row2>, tl,
     fn(src: *const T, dst: *mut T, rs: usize, nx: usize,
-       y0: usize, y1: usize, x0: usize, x1: usize, s: &S)
+       y0: usize, y1: usize, x0: usize, x1: usize, s: &K::S)
 );
 isa_entry!(
-    /// [`tl::box2_tl`] behind a per-ISA feature entry.
-    box2_tl, Box2, tl::box2_tl,
-    fn(src: *const T, dst: *mut T, rs: usize, nx: usize,
-       y0: usize, y1: usize, x0: usize, x1: usize, s: &S)
-);
-isa_entry!(
-    /// [`tl::star3_tl`] behind a per-ISA feature entry.
-    star3_tl, Star3, tl::star3_tl,
+    /// [`tl::grid3_tl`] behind a per-ISA feature entry.
+    grid3_tl<K: Row3>, tl,
     fn(src: *const T, dst: *mut T, rs: usize, ps: usize, nx: usize,
-       z0: usize, z1: usize, y0: usize, y1: usize, x0: usize, x1: usize, s: &S)
-);
-isa_entry!(
-    /// [`tl::box3_tl`] behind a per-ISA feature entry.
-    box3_tl, Box3, tl::box3_tl,
-    fn(src: *const T, dst: *mut T, rs: usize, ps: usize, nx: usize,
-       z0: usize, z1: usize, y0: usize, y1: usize, x0: usize, x1: usize, s: &S)
+       z0: usize, z1: usize, y0: usize, y1: usize, x0: usize, x1: usize, s: &K::S)
 );
 isa_entry!(
     /// [`tl2::star1_tl2`] behind a per-ISA feature entry.
-    star1_tl2, Star1, tl2::star1_tl2,
+    star1_tl2<S: Star1>, tl2,
     fn(buf: *mut T, n: usize, s: &S)
 );
 isa_entry!(
     /// [`tl2::star1_tl2_range`] behind a per-ISA feature entry.
-    star1_tl2_range, Star1, tl2::star1_tl2_range,
+    star1_tl2_range<S: Star1>, tl2,
     fn(buf_a: *mut T, buf_b: *mut T, n: usize, sa: usize, sb: usize, s: &S)
 );
 isa_entry!(
-    /// [`tl2::star2_tl2`] behind a per-ISA feature entry.
-    star2_tl2, Star2, tl2::star2_tl2,
-    fn(buf: *mut T, rs: usize, nx: usize, ny: usize, ring: *mut T, s: &S)
+    /// [`tl2::grid2_tl2`] behind a per-ISA feature entry.
+    grid2_tl2<K: Row2>, tl2,
+    fn(buf: *mut T, rs: usize, nx: usize, ny: usize, ring: *mut T, s: &K::S)
 );
 isa_entry!(
-    /// [`tl2::box2_tl2`] behind a per-ISA feature entry.
-    box2_tl2, Box2, tl2::box2_tl2,
-    fn(buf: *mut T, rs: usize, nx: usize, ny: usize, ring: *mut T, s: &S)
-);
-isa_entry!(
-    /// [`tl2::star3_tl2`] behind a per-ISA feature entry.
-    star3_tl2, Star3, tl2::star3_tl2,
+    /// [`tl2::grid3_tl2`] behind a per-ISA feature entry.
+    grid3_tl2<K: Row3>, tl2,
     fn(buf: *mut T, rs: usize, ps: usize, nx: usize, ny: usize, nz: usize,
-       ring: *mut T, s: &S)
-);
-isa_entry!(
-    /// [`tl2::box3_tl2`] behind a per-ISA feature entry.
-    box3_tl2, Box3, tl2::box3_tl2,
-    fn(buf: *mut T, rs: usize, ps: usize, nx: usize, ny: usize, nz: usize,
-       ring: *mut T, s: &S)
+       ring: *mut T, s: &K::S)
 );
 isa_entry!(
     /// [`tl2::star1_tl2_wide`] behind a per-ISA feature entry.
-    star1_tl2_wide, Star1, tl2::star1_tl2_wide,
+    star1_tl2_wide<S: Star1>, tl2,
     fn(buf: *mut T, n: usize, b: Boundary, s: &S)
 );
 isa_entry!(
-    /// [`tl2::star2_tl2_wide`] behind a per-ISA feature entry.
-    star2_tl2_wide, Star2, tl2::star2_tl2_wide,
+    /// [`tl2::grid2_tl2_wide`] behind a per-ISA feature entry.
+    grid2_tl2_wide<K: Row2>, tl2,
     fn(buf: *mut T, rs: usize, nx: usize, ny: usize, ring: *mut T,
-       b: Boundary, map: &RowMap, s: &S)
+       b: Boundary, map: &RowMap, s: &K::S)
 );
 isa_entry!(
-    /// [`tl2::box2_tl2_wide`] behind a per-ISA feature entry.
-    box2_tl2_wide, Box2, tl2::box2_tl2_wide,
-    fn(buf: *mut T, rs: usize, nx: usize, ny: usize, ring: *mut T,
-       b: Boundary, map: &RowMap, s: &S)
-);
-isa_entry!(
-    /// [`tl2::star3_tl2_wide`] behind a per-ISA feature entry.
-    star3_tl2_wide, Star3, tl2::star3_tl2_wide,
+    /// [`tl2::grid3_tl2_wide`] behind a per-ISA feature entry.
+    grid3_tl2_wide<K: Row3>, tl2,
     fn(buf: *mut T, rs: usize, ps: usize, nx: usize, ny: usize, nz: usize,
-       ring: *mut T, b: Boundary, map: &RowMap, s: &S)
-);
-isa_entry!(
-    /// [`tl2::box3_tl2_wide`] behind a per-ISA feature entry.
-    box3_tl2_wide, Box3, tl2::box3_tl2_wide,
-    fn(buf: *mut T, rs: usize, ps: usize, nx: usize, ny: usize, nz: usize,
-       ring: *mut T, b: Boundary, map: &RowMap, s: &S)
+       ring: *mut T, b: Boundary, map: &RowMap, s: &K::S)
 );
 
 /// Sanity: the macro's portable fallback uses lane width to pick the

@@ -11,15 +11,18 @@
 //!   *output vector* (the transpose layout needs that many per *vector
 //!   set*, a `vl×` reduction).
 //!
-//! Both share one code path per stencil family; the `REORG` const folds at
-//! monomorphization. Edges of the requested range that do not fill a whole
+//! Both share one code path; the `REORG` const folds at monomorphization.
+//! The 2D/3D range loops are written once per dimension over the
+//! [`Row2`]/[`Row3`] family strategy, whose `orig_span` is the per-row
+//! vector body. Edges of the requested range that do not fill a whole
 //! vector fall back to the scalar reference, preserving bit-identical
 //! results.
 
 use stencil_simd::Vector;
 
+use super::row::{Row2, Row3};
 use super::scalar;
-use crate::stencil::{Box2, Box3, Star1, Star2, Star3, MAX_R};
+use crate::stencil::{Star1, MAX_R};
 
 /// Splat the first `w.len()` weights into vector registers.
 #[inline(always)]
@@ -37,7 +40,11 @@ pub(crate) unsafe fn splat_w<V: Vector, const N: usize>(w: &[f64]) -> [V; N] {
 /// Aligned loads at `i ± LANES` must be in bounds (grid halo pads
 /// guarantee this for `|d| ≤ R ≤ LANES`).
 #[inline(always)]
-unsafe fn xvec<V: Vector, const REORG: bool>(row: *const V::Elem, i: usize, d: isize) -> V {
+pub(crate) unsafe fn xvec<V: Vector, const REORG: bool>(
+    row: *const V::Elem,
+    i: usize,
+    d: isize,
+) -> V {
     if REORG {
         let l = V::LANES as isize;
         if d == 0 {
@@ -101,14 +108,16 @@ pub unsafe fn star1_orig<V: Vector, S: Star1, const REORG: bool>(
     scalar::star1_range(src, dst, vhi, hi, s);
 }
 
-/// One Jacobi step of a 2D star stencil over `[y0,y1) × [x0,x1)`, original
-/// layout.
+/// One Jacobi step of a 2D stencil of family `K` over
+/// `[y0,y1) × [x0,x1)`, original layout: per row, the vector-aligned
+/// span runs [`Row2::orig_span`] and the unaligned edges fall back to the
+/// scalar reference.
 ///
 /// # Safety
 /// Pointers valid over the range plus halo (rows `y ± R` addressable).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub unsafe fn star2_orig<V: Vector, S: Star2, const REORG: bool>(
+pub unsafe fn grid2_orig<V: Vector, K: Row2, const REORG: bool>(
     src: *const V::Elem,
     dst: *mut V::Elem,
     rs: usize,
@@ -116,100 +125,29 @@ pub unsafe fn star2_orig<V: Vector, S: Star2, const REORG: bool>(
     y1: usize,
     x0: usize,
     x1: usize,
-    s: &S,
+    s: &K::S,
 ) {
-    let l = V::LANES;
-    let r = S::R;
-    let (vlo, vhi) = vrange(x0, x1, l);
-    let wxv: [V; 2 * MAX_R + 1] = splat_w(s.wx());
-    let wyv: [V; 2 * MAX_R + 1] = splat_w(s.wy());
+    let (vlo, vhi) = vrange(x0, x1, V::LANES);
+    let w = K::splat::<V>(s);
     for y in y0..y1 {
-        let row = src.add(y * rs);
-        let drow = dst.add(y * rs);
-        scalar::star2_range(src, dst, rs, y, y + 1, x0, vlo.min(x1), s);
+        scalar::grid2_range::<_, K>(src, dst, rs, y, y + 1, x0, vlo.min(x1), s);
         if vlo < vhi {
-            let mut i = vlo;
-            while i < vhi {
-                let mut acc = xvec::<V, REORG>(row, i, -(r as isize)).mul(wxv[0]);
-                for o in 1..=2 * r {
-                    acc = xvec::<V, REORG>(row, i, o as isize - r as isize).mul_add(wxv[o], acc);
-                }
-                for d in 1..=r {
-                    let up = V::load(row.offset(i as isize - (d * rs) as isize));
-                    acc = up.mul_add(wyv[r - d], acc);
-                    let dn = V::load(row.add(i + d * rs));
-                    acc = dn.mul_add(wyv[r + d], acc);
-                }
-                acc.store(drow.add(i));
-                i += l;
-            }
-            scalar::star2_range(src, dst, rs, y, y + 1, vhi, x1, s);
+            K::orig_span::<V, REORG>(src.add(y * rs), dst.add(y * rs), rs, vlo, vhi, &w);
+            scalar::grid2_range::<_, K>(src, dst, rs, y, y + 1, vhi, x1, s);
         } else {
-            scalar::star2_range(src, dst, rs, y, y + 1, vlo.max(x0).min(x1), x1, s);
+            scalar::grid2_range::<_, K>(src, dst, rs, y, y + 1, vlo.max(x0).min(x1), x1, s);
         }
     }
 }
 
-/// One Jacobi step of a 2D box stencil over `[y0,y1) × [x0,x1)`, original
-/// layout.
+/// One Jacobi step of a 3D stencil of family `K` over a box of cells,
+/// original layout (see [`grid2_orig`]).
 ///
 /// # Safety
 /// Pointers valid over the range plus halo.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub unsafe fn box2_orig<V: Vector, S: Box2, const REORG: bool>(
-    src: *const V::Elem,
-    dst: *mut V::Elem,
-    rs: usize,
-    y0: usize,
-    y1: usize,
-    x0: usize,
-    x1: usize,
-    s: &S,
-) {
-    let l = V::LANES;
-    let r = S::R;
-    debug_assert!(r <= 2, "box kernels sized for R<=2");
-    let (vlo, vhi) = vrange(x0, x1, l);
-    let wv: [V; 25] = splat_w(s.w());
-    for y in y0..y1 {
-        let drow = dst.add(y * rs);
-        scalar::box2_range(src, dst, rs, y, y + 1, x0, vlo.min(x1), s);
-        if vlo < vhi {
-            let mut i = vlo;
-            while i < vhi {
-                let mut acc = V::zero();
-                let mut k = 0usize;
-                for dy in -(r as isize)..=r as isize {
-                    let row = src.offset((y as isize + dy) * rs as isize);
-                    for dx in -(r as isize)..=r as isize {
-                        let v = xvec::<V, REORG>(row, i, dx);
-                        if k == 0 {
-                            acc = v.mul(wv[0]);
-                        } else {
-                            acc = v.mul_add(wv[k], acc);
-                        }
-                        k += 1;
-                    }
-                }
-                acc.store(drow.add(i));
-                i += l;
-            }
-            scalar::box2_range(src, dst, rs, y, y + 1, vhi, x1, s);
-        } else {
-            scalar::box2_range(src, dst, rs, y, y + 1, vlo.max(x0).min(x1), x1, s);
-        }
-    }
-}
-
-/// One Jacobi step of a 3D star stencil over a box of cells, original
-/// layout.
-///
-/// # Safety
-/// Pointers valid over the range plus halo.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn star3_orig<V: Vector, S: Star3, const REORG: bool>(
+pub unsafe fn grid3_orig<V: Vector, K: Row3, const REORG: bool>(
     src: *const V::Elem,
     dst: *mut V::Elem,
     rs: usize,
@@ -220,128 +158,22 @@ pub unsafe fn star3_orig<V: Vector, S: Star3, const REORG: bool>(
     y1: usize,
     x0: usize,
     x1: usize,
-    s: &S,
+    s: &K::S,
 ) {
-    let l = V::LANES;
-    let r = S::R;
-    let (vlo, vhi) = vrange(x0, x1, l);
-    let wxv: [V; 2 * MAX_R + 1] = splat_w(s.wx());
-    let wyv: [V; 2 * MAX_R + 1] = splat_w(s.wy());
-    let wzv: [V; 2 * MAX_R + 1] = splat_w(s.wz());
+    let (vlo, vhi) = vrange(x0, x1, V::LANES);
+    let w = K::splat::<V>(s);
     for z in z0..z1 {
         for y in y0..y1 {
-            let row = src.add(z * ps + y * rs);
-            let drow = dst.add(z * ps + y * rs);
-            scalar::star3_range(src, dst, rs, ps, z, z + 1, y, y + 1, x0, vlo.min(x1), s);
+            let edge = |xa: usize, xb: usize| {
+                scalar::grid3_range::<_, K>(src, dst, rs, ps, z, z + 1, y, y + 1, xa, xb, s)
+            };
+            edge(x0, vlo.min(x1));
             if vlo < vhi {
-                let mut i = vlo;
-                while i < vhi {
-                    let mut acc = xvec::<V, REORG>(row, i, -(r as isize)).mul(wxv[0]);
-                    for o in 1..=2 * r {
-                        acc =
-                            xvec::<V, REORG>(row, i, o as isize - r as isize).mul_add(wxv[o], acc);
-                    }
-                    for d in 1..=r {
-                        acc = V::load(row.offset(i as isize - (d * rs) as isize))
-                            .mul_add(wyv[r - d], acc);
-                        acc = V::load(row.add(i + d * rs)).mul_add(wyv[r + d], acc);
-                    }
-                    for d in 1..=r {
-                        acc = V::load(row.offset(i as isize - (d * ps) as isize))
-                            .mul_add(wzv[r - d], acc);
-                        acc = V::load(row.add(i + d * ps)).mul_add(wzv[r + d], acc);
-                    }
-                    acc.store(drow.add(i));
-                    i += l;
-                }
-                scalar::star3_range(src, dst, rs, ps, z, z + 1, y, y + 1, vhi, x1, s);
+                let o = z * ps + y * rs;
+                K::orig_span::<V, REORG>(src.add(o), dst.add(o), rs, ps, vlo, vhi, &w);
+                edge(vhi, x1);
             } else {
-                scalar::star3_range(
-                    src,
-                    dst,
-                    rs,
-                    ps,
-                    z,
-                    z + 1,
-                    y,
-                    y + 1,
-                    vlo.max(x0).min(x1),
-                    x1,
-                    s,
-                );
-            }
-        }
-    }
-}
-
-/// One Jacobi step of a 3D box stencil over a box of cells, original
-/// layout.
-///
-/// # Safety
-/// Pointers valid over the range plus halo.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn box3_orig<V: Vector, S: Box3, const REORG: bool>(
-    src: *const V::Elem,
-    dst: *mut V::Elem,
-    rs: usize,
-    ps: usize,
-    z0: usize,
-    z1: usize,
-    y0: usize,
-    y1: usize,
-    x0: usize,
-    x1: usize,
-    s: &S,
-) {
-    let l = V::LANES;
-    let r = S::R;
-    debug_assert!(r <= 1, "box3 kernels sized for R<=1");
-    let (vlo, vhi) = vrange(x0, x1, l);
-    let wv: [V; 27] = splat_w(s.w());
-    for z in z0..z1 {
-        for y in y0..y1 {
-            let drow = dst.add(z * ps + y * rs);
-            scalar::box3_range(src, dst, rs, ps, z, z + 1, y, y + 1, x0, vlo.min(x1), s);
-            if vlo < vhi {
-                let mut i = vlo;
-                while i < vhi {
-                    let mut acc = V::zero();
-                    let mut k = 0usize;
-                    for dz in -(r as isize)..=r as isize {
-                        for dy in -(r as isize)..=r as isize {
-                            let row = src.offset(
-                                (z as isize + dz) * ps as isize + (y as isize + dy) * rs as isize,
-                            );
-                            for dx in -(r as isize)..=r as isize {
-                                let v = xvec::<V, REORG>(row, i, dx);
-                                if k == 0 {
-                                    acc = v.mul(wv[0]);
-                                } else {
-                                    acc = v.mul_add(wv[k], acc);
-                                }
-                                k += 1;
-                            }
-                        }
-                    }
-                    acc.store(drow.add(i));
-                    i += l;
-                }
-                scalar::box3_range(src, dst, rs, ps, z, z + 1, y, y + 1, vhi, x1, s);
-            } else {
-                scalar::box3_range(
-                    src,
-                    dst,
-                    rs,
-                    ps,
-                    z,
-                    z + 1,
-                    y,
-                    y + 1,
-                    vlo.max(x0).min(x1),
-                    x1,
-                    s,
-                );
+                edge(vlo.max(x0).min(x1), x1);
             }
         }
     }

@@ -12,12 +12,15 @@
 //! which is what keeps the f32 oracle and the f32 vector kernels
 //! bit-identical to each other.
 //!
-//! All kernels are range-based over raw pointers so the tiling substrate
-//! can reuse them on tile sub-ranges; safe full-grid wrappers live in
-//! [`crate::api`].
+//! The per-cell accumulators (`acc_*`) are the family-specific bodies;
+//! the 2D/3D range loops are written once per dimension over the
+//! [`Row2`]/[`Row3`] strategy that selects one. All kernels are
+//! range-based over raw pointers so the tiling substrate can reuse them
+//! on tile sub-ranges.
 
 use stencil_simd::Elem;
 
+use super::row::{Row2, Row3};
 use crate::stencil::{Box2, Box3, Star1, Star2, Star3};
 
 /// Canonical 1D star accumulation at cell `i`.
@@ -175,12 +178,13 @@ pub unsafe fn star1_range<T: Elem, S: Star1>(
     }
 }
 
-/// One Jacobi step of a 2D star stencil over `[y0, y1) × [x0, x1)`.
+/// One Jacobi step of a 2D stencil of family `K` over
+/// `[y0, y1) × [x0, x1)`.
 ///
 /// # Safety
 /// Pointers valid over the range plus halo; `src != dst`.
 #[allow(clippy::too_many_arguments)]
-pub unsafe fn star2_range<T: Elem, S: Star2>(
+pub unsafe fn grid2_range<T: Elem, K: Row2>(
     src: *const T,
     dst: *mut T,
     rs: usize,
@@ -188,43 +192,22 @@ pub unsafe fn star2_range<T: Elem, S: Star2>(
     y1: usize,
     x0: usize,
     x1: usize,
-    s: &S,
+    s: &K::S,
 ) {
     for y in y0..y1 {
         for x in x0..x1 {
-            *dst.add(y * rs + x) = acc_star2(src, rs, y as isize, x as isize, s);
+            *dst.add(y * rs + x) = K::acc(src, rs, y as isize, x as isize, s);
         }
     }
 }
 
-/// One Jacobi step of a 2D box stencil over `[y0, y1) × [x0, x1)`.
+/// One Jacobi step of a 3D stencil of family `K` over the given box of
+/// cells.
 ///
 /// # Safety
 /// Pointers valid over the range plus halo; `src != dst`.
 #[allow(clippy::too_many_arguments)]
-pub unsafe fn box2_range<T: Elem, S: Box2>(
-    src: *const T,
-    dst: *mut T,
-    rs: usize,
-    y0: usize,
-    y1: usize,
-    x0: usize,
-    x1: usize,
-    s: &S,
-) {
-    for y in y0..y1 {
-        for x in x0..x1 {
-            *dst.add(y * rs + x) = acc_box2(src, rs, y as isize, x as isize, s);
-        }
-    }
-}
-
-/// One Jacobi step of a 3D star stencil over the given box of cells.
-///
-/// # Safety
-/// Pointers valid over the range plus halo; `src != dst`.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn star3_range<T: Elem, S: Star3>(
+pub unsafe fn grid3_range<T: Elem, K: Row3>(
     src: *const T,
     dst: *mut T,
     rs: usize,
@@ -235,41 +218,13 @@ pub unsafe fn star3_range<T: Elem, S: Star3>(
     y1: usize,
     x0: usize,
     x1: usize,
-    s: &S,
+    s: &K::S,
 ) {
     for z in z0..z1 {
         for y in y0..y1 {
             for x in x0..x1 {
                 *dst.add(z * ps + y * rs + x) =
-                    acc_star3(src, rs, ps, z as isize, y as isize, x as isize, s);
-            }
-        }
-    }
-}
-
-/// One Jacobi step of a 3D box stencil over the given box of cells.
-///
-/// # Safety
-/// Pointers valid over the range plus halo; `src != dst`.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn box3_range<T: Elem, S: Box3>(
-    src: *const T,
-    dst: *mut T,
-    rs: usize,
-    ps: usize,
-    z0: usize,
-    z1: usize,
-    y0: usize,
-    y1: usize,
-    x0: usize,
-    x1: usize,
-    s: &S,
-) {
-    for z in z0..z1 {
-        for y in y0..y1 {
-            for x in x0..x1 {
-                *dst.add(z * ps + y * rs + x) =
-                    acc_box3(src, rs, ps, z as isize, y as isize, x as isize, s);
+                    K::acc(src, rs, ps, z as isize, y as isize, x as isize, s);
             }
         }
     }

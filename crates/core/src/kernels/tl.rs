@@ -32,6 +32,7 @@
 use stencil_simd::{Elem, Vector};
 
 use super::orig::splat_w;
+use super::row::{Row2, Row3, BOX2_ROWS, BOX2_TAPS, BOX3_ROWS, BOX3_TAPS};
 use crate::layout::{tl_read, tl_write, SetGeo};
 use crate::stencil::{Box2, Box3, Star1, Star2, Star3, MAX_R};
 
@@ -382,47 +383,6 @@ pub unsafe fn star2_row_tl<V: Vector, S: Star2>(
     }
 }
 
-/// One Jacobi step of a 2D star stencil over `[y0,y1) × [x0,x1)`,
-/// transpose layout.
-///
-/// # Safety
-/// As [`star2_row_tl`], with rows `y0-R .. y1+R` addressable in `src`.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn star2_tl<V: Vector, S: Star2>(
-    src: *const V::Elem,
-    dst: *mut V::Elem,
-    rs: usize,
-    nx: usize,
-    y0: usize,
-    y1: usize,
-    x0: usize,
-    x1: usize,
-    s: &S,
-) {
-    for y in y0..y1 {
-        let c = src.add(y * rs);
-        let (ym, yp) = row_nbrs::<_, MAX_R>(c, rs, S::R);
-        star2_row_tl::<V, S>(c, &ym, &yp, dst.add(y * rs), nx, x0, x1, s);
-    }
-}
-
-/// Neighbour-row pointer pairs `(y-d, y+d)` for `d = 1..=r`.
-#[inline(always)]
-pub(crate) unsafe fn row_nbrs<T, const N: usize>(
-    c: *const T,
-    stride: usize,
-    r: usize,
-) -> ([*const T; N], [*const T; N]) {
-    let mut ym = [c; N];
-    let mut yp = [c; N];
-    for d in 1..=r {
-        ym[d - 1] = c.offset(-((d * stride) as isize));
-        yp[d - 1] = c.add(d * stride);
-    }
-    (ym, yp)
-}
-
 // ---------------------------------------------------------------------------
 // 2D box — row helper
 // ---------------------------------------------------------------------------
@@ -435,7 +395,7 @@ pub(crate) unsafe fn row_nbrs<T, const N: usize>(
 /// All row pointers valid with halos; `dst` disjoint from sources.
 #[inline(always)]
 pub unsafe fn box2_row_tl<V: Vector, S: Box2>(
-    rows: &[*const V::Elem; 5],
+    rows: &[*const V::Elem; BOX2_ROWS],
     dst: *mut V::Elem,
     n: usize,
     x0: usize,
@@ -444,7 +404,6 @@ pub unsafe fn box2_row_tl<V: Vector, S: Box2>(
 ) {
     let l = V::LANES;
     let r = S::R;
-    debug_assert!(r <= 2);
     let geo = SetGeo::new(n, l);
     let nrows = 2 * r + 1;
 
@@ -477,7 +436,7 @@ pub unsafe fn box2_row_tl<V: Vector, S: Box2>(
     }
     scalar_part(ve, x1);
 
-    let wv: [V; 25] = splat_w(s.w());
+    let wv: [V; BOX2_TAPS] = splat_w(s.w());
     let mut saved = [std::mem::MaybeUninit::<V::Elem>::uninit(); MAX_BS];
     for set in sa..sb {
         let base = set * geo.bs;
@@ -488,8 +447,8 @@ pub unsafe fn box2_row_tl<V: Vector, S: Box2>(
         }
         // Per neighbour row: assembled overhangs (2r assembles per row per
         // set — still vl× cheaper than per-vector reorganization).
-        let mut left = [[V::zero(); MAX_R]; 5];
-        let mut right = [[V::zero(); MAX_R]; 5];
+        let mut left = [[V::zero(); MAX_R]; BOX2_ROWS];
+        let mut right = [[V::zero(); MAX_R]; BOX2_ROWS];
         for (k, row) in rows.iter().enumerate().take(nrows) {
             let pl = prev_last_of::<V>(*row, set, r);
             let nf = next_first_of::<V>(*row, set, geo.nsets, r);
@@ -525,34 +484,6 @@ pub unsafe fn box2_row_tl<V: Vector, S: Box2>(
         if partial {
             restore_outside(dst, &geo, base, lo, hi, &saved);
         }
-    }
-}
-
-/// One Jacobi step of a 2D box stencil over `[y0,y1) × [x0,x1)`, transpose
-/// layout.
-///
-/// # Safety
-/// As [`box2_row_tl`] with rows `y0-R..y1+R` addressable.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn box2_tl<V: Vector, S: Box2>(
-    src: *const V::Elem,
-    dst: *mut V::Elem,
-    rs: usize,
-    nx: usize,
-    y0: usize,
-    y1: usize,
-    x0: usize,
-    x1: usize,
-    s: &S,
-) {
-    let r = S::R;
-    for y in y0..y1 {
-        let mut rows = [src; 5];
-        for (k, row) in rows.iter_mut().enumerate().take(2 * r + 1) {
-            *row = src.offset((y as isize + k as isize - r as isize) * rs as isize);
-        }
-        box2_row_tl::<V, S>(&rows, dst.add(y * rs), nx, x0, x1, s);
     }
 }
 
@@ -650,53 +581,11 @@ pub unsafe fn star3_row_tl<V: Vector, S: Star3>(
     }
 }
 
-/// One Jacobi step of a 3D star stencil over a box of cells, transpose
-/// layout.
-///
-/// # Safety
-/// Rows/planes within radius addressable; `src != dst`.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn star3_tl<V: Vector, S: Star3>(
-    src: *const V::Elem,
-    dst: *mut V::Elem,
-    rs: usize,
-    ps: usize,
-    nx: usize,
-    z0: usize,
-    z1: usize,
-    y0: usize,
-    y1: usize,
-    x0: usize,
-    x1: usize,
-    s: &S,
-) {
-    for z in z0..z1 {
-        for y in y0..y1 {
-            let c = src.add(z * ps + y * rs);
-            let (ym, yp) = row_nbrs::<_, MAX_R>(c, rs, S::R);
-            let (zm, zp) = row_nbrs::<_, MAX_R>(c, ps, S::R);
-            star3_row_tl::<V, S>(
-                c,
-                &ym,
-                &yp,
-                &zm,
-                &zp,
-                dst.add(z * ps + y * rs),
-                nx,
-                x0,
-                x1,
-                s,
-            );
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // 3D box — row helper
 // ---------------------------------------------------------------------------
 
-/// One row of a 3D box stencil (R ≤ 1) in transpose layout. `rows[k]` for
+/// One row of a 3D box stencil in transpose layout. `rows[k]` for
 /// `k = (R+dz)·(2R+1) + (R+dy)` points at the interior origin of row
 /// `(z+dz, y+dy)`.
 ///
@@ -704,7 +593,7 @@ pub unsafe fn star3_tl<V: Vector, S: Star3>(
 /// All row pointers valid with halos; `dst` disjoint from sources.
 #[inline(always)]
 pub unsafe fn box3_row_tl<V: Vector, S: Box3>(
-    rows: &[*const V::Elem; 9],
+    rows: &[*const V::Elem; BOX3_ROWS],
     dst: *mut V::Elem,
     n: usize,
     x0: usize,
@@ -713,7 +602,6 @@ pub unsafe fn box3_row_tl<V: Vector, S: Box3>(
 ) {
     let l = V::LANES;
     let r = S::R;
-    debug_assert!(r <= 1, "box3 kernels sized for R<=1");
     let geo = SetGeo::new(n, l);
     let nrows = (2 * r + 1) * (2 * r + 1);
 
@@ -746,7 +634,7 @@ pub unsafe fn box3_row_tl<V: Vector, S: Box3>(
     }
     scalar_part(ve, x1);
 
-    let wv: [V; 27] = splat_w(s.w());
+    let wv: [V; BOX3_TAPS] = splat_w(s.w());
     let mut saved = [std::mem::MaybeUninit::<V::Elem>::uninit(); MAX_BS];
     for set in sa..sb {
         let base = set * geo.bs;
@@ -755,8 +643,8 @@ pub unsafe fn box3_row_tl<V: Vector, S: Box3>(
         if partial {
             save_outside(dst, &geo, base, lo, hi, &mut saved);
         }
-        let mut left = [[V::zero(); MAX_R]; 9];
-        let mut right = [[V::zero(); MAX_R]; 9];
+        let mut left = [[V::zero(); MAX_R]; BOX3_ROWS];
+        let mut right = [[V::zero(); MAX_R]; BOX3_ROWS];
         for (k, row) in rows.iter().enumerate().take(nrows) {
             let pl = prev_last_of::<V>(*row, set, r);
             let nf = next_first_of::<V>(*row, set, geo.nsets, r);
@@ -795,37 +683,44 @@ pub unsafe fn box3_row_tl<V: Vector, S: Box3>(
     }
 }
 
-/// Collect the 9 neighbour-row pointers of `(z, y)` for a 3D box stencil.
+// ---------------------------------------------------------------------------
+// 2D / 3D range loops, once per dimension over the family strategy
+// ---------------------------------------------------------------------------
+
+/// One Jacobi step of a 2D stencil of family `K` over
+/// `[y0,y1) × [x0,x1)`, transpose layout.
+///
+/// # Safety
+/// As the family's row helper ([`star2_row_tl`] / [`box2_row_tl`]), with
+/// rows `y0-R .. y1+R` addressable in `src`.
 #[inline(always)]
-pub(crate) unsafe fn box3_rows<T>(
-    src: *const T,
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn grid2_tl<V: Vector, K: Row2>(
+    src: *const V::Elem,
+    dst: *mut V::Elem,
     rs: usize,
-    ps: usize,
-    z: isize,
-    y: isize,
-    r: usize,
-) -> [*const T; 9] {
-    let mut rows = [src; 9];
-    let w = 2 * r + 1;
-    for dz in 0..w {
-        for dy in 0..w {
-            rows[dz * w + dy] = src.offset(
-                (z + dz as isize - r as isize) * ps as isize
-                    + (y + dy as isize - r as isize) * rs as isize,
-            );
-        }
+    nx: usize,
+    y0: usize,
+    y1: usize,
+    x0: usize,
+    x1: usize,
+    s: &K::S,
+) {
+    for y in y0..y1 {
+        let c = src.add(y * rs);
+        let at = |dy: isize| c.offset(dy * rs as isize);
+        K::row_tl::<V>(at, dst.add(y * rs), nx, x0, x1, s);
     }
-    rows
 }
 
-/// One Jacobi step of a 3D box stencil over a box of cells, transpose
-/// layout.
+/// One Jacobi step of a 3D stencil of family `K` over a box of cells,
+/// transpose layout.
 ///
 /// # Safety
 /// Rows/planes within radius addressable; `src != dst`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub unsafe fn box3_tl<V: Vector, S: Box3>(
+pub unsafe fn grid3_tl<V: Vector, K: Row3>(
     src: *const V::Elem,
     dst: *mut V::Elem,
     rs: usize,
@@ -837,12 +732,13 @@ pub unsafe fn box3_tl<V: Vector, S: Box3>(
     y1: usize,
     x0: usize,
     x1: usize,
-    s: &S,
+    s: &K::S,
 ) {
     for z in z0..z1 {
         for y in y0..y1 {
-            let rows = box3_rows(src, rs, ps, z as isize, y as isize, S::R);
-            box3_row_tl::<V, S>(&rows, dst.add(z * ps + y * rs), nx, x0, x1, s);
+            let c = src.add(z * ps + y * rs);
+            let at = |dz: isize, dy: isize| c.offset(dz * ps as isize + dy * rs as isize);
+            K::row_tl::<V>(at, dst.add(z * ps + y * rs), nx, x0, x1, s);
         }
     }
 }

@@ -23,12 +23,11 @@
 use stencil_simd::{Elem, Vector};
 
 use super::orig::splat_w;
-use super::tl::{
-    box2_row_tl, box3_row_tl, box3_rows, row_nbrs, star2_row_tl, star3_row_tl, xpart_set,
-};
+use super::row::{Row2, Row3};
+use super::tl::xpart_set;
 use crate::exec::halo::{fold_src, refresh2, refresh_row, Boundary, RowMap};
 use crate::layout::{tl_read, SetGeo};
-use crate::stencil::{Box2, Box3, Star1, Star2, Star3, MAX_R};
+use crate::stencil::{Star1, MAX_R};
 
 /// Scalar tail scratch, sized for the widest vector set: 16 f32 lanes give
 /// a `vl² = 256`-cell set block, plus an `R`-cell margin on both sides.
@@ -339,112 +338,78 @@ unsafe fn copy_pads<T: Elem>(src_row: *const T, dst_row: *mut T, nx: usize) {
     std::ptr::copy_nonoverlapping(src_row.add(nx), dst_row.add(nx), T::PAD);
 }
 
-/// Advance a 2D star stencil two steps in place via the row-ring pipeline.
+/// The `t+1` source of plane/row index `i` of an `n`-long axis for the
+/// second pipeline step: a ring slot when `i` is interior, else the halo
+/// slot `i` shifted outward by `shift` (0: the constant Dirichlet halo in
+/// place; `R`: the outer half of a wide halo, where the refreshed
+/// kernels stage the `t+1` halo level).
+#[inline(always)]
+unsafe fn t1_slot<T>(
+    buf: *mut T,
+    ring: *mut T,
+    stride: usize,
+    nr: usize,
+    n: usize,
+    i: isize,
+    shift: usize,
+) -> *const T {
+    if i < 0 {
+        buf.offset((i - shift as isize) * stride as isize)
+    } else if i >= n as isize {
+        buf.offset((i + shift as isize) * stride as isize)
+    } else {
+        ring.add((i as usize % nr) * stride)
+    }
+}
+
+/// Advance a 2D stencil of family `K` two steps in place via the row-ring
+/// pipeline.
 ///
 /// `ring` points at the interior origin of row 0 of a `(2R+1)`-row scratch
 /// buffer with the grid's row stride and pad structure.
 ///
 /// # Safety
 /// `buf` is a transposed 2D grid interior origin (halos addressable);
-/// `ring` valid for `2R+1` rows of `rs` doubles with pads.
+/// `ring` valid for `2R+1` rows of `rs` elements with pads.
 #[inline(always)]
-pub unsafe fn star2_tl2<V: Vector, S: Star2>(
+pub unsafe fn grid2_tl2<V: Vector, K: Row2>(
     buf: *mut V::Elem,
     rs: usize,
     nx: usize,
     ny: usize,
     ring: *mut V::Elem,
-    s: &S,
+    s: &K::S,
 ) {
-    let r = S::R;
+    let r = K::R;
     let nr = 2 * r + 1;
     for y in 0..ny + r {
         if y < ny {
             // ring[y] = row y @ t+1 from main rows y-R..y+R @ t
-            let c = buf.offset(y as isize * rs as isize).cast_const();
+            let c = buf.add(y * rs).cast_const();
             let dstrow = ring.add((y % nr) * rs);
             copy_pads(c, dstrow, nx);
-            let (ym, yp) = row_nbrs::<_, MAX_R>(c, rs, r);
-            star2_row_tl::<V, S>(c, &ym, &yp, dstrow, nx, 0, nx, s);
+            K::row_tl::<V>(|dy| c.offset(dy * rs as isize), dstrow, nx, 0, nx, s);
         }
         if y >= r {
             // main[ty] = row ty @ t+2 from t+1 rows (ring or constant halo)
             let ty = y - r;
-            let c = ring.add((ty % nr) * rs).cast_const();
-            let mut ym = [c; MAX_R];
-            let mut yp = [c; MAX_R];
-            for d in 1..=r {
-                let up = ty as isize - d as isize;
-                ym[d - 1] = if up < 0 {
-                    buf.offset(up * rs as isize).cast_const()
-                } else {
-                    ring.add((up as usize % nr) * rs).cast_const()
-                };
-                let dn = ty + d;
-                yp[d - 1] = if dn >= ny {
-                    buf.add(dn * rs).cast_const()
-                } else {
-                    ring.add((dn % nr) * rs).cast_const()
-                };
-            }
-            star2_row_tl::<V, S>(c, &ym, &yp, buf.add(ty * rs), nx, 0, nx, s);
+            let at = |dy: isize| t1_slot(buf, ring, rs, nr, ny, ty as isize + dy, 0);
+            K::row_tl::<V>(at, buf.add(ty * rs), nx, 0, nx, s);
         }
     }
 }
 
-/// Advance a 2D box stencil two steps in place via the row-ring pipeline.
-///
-/// # Safety
-/// As [`star2_tl2`].
-#[inline(always)]
-pub unsafe fn box2_tl2<V: Vector, S: Box2>(
-    buf: *mut V::Elem,
-    rs: usize,
-    nx: usize,
-    ny: usize,
-    ring: *mut V::Elem,
-    s: &S,
-) {
-    let r = S::R;
-    let nr = 2 * r + 1;
-    for y in 0..ny + r {
-        if y < ny {
-            let c = buf.offset(y as isize * rs as isize).cast_const();
-            let dstrow = ring.add((y % nr) * rs);
-            copy_pads(c, dstrow, nx);
-            let mut rows = [c; 5];
-            for (k, row) in rows.iter_mut().enumerate().take(nr) {
-                *row = buf.offset((y as isize + k as isize - r as isize) * rs as isize);
-            }
-            box2_row_tl::<V, S>(&rows, dstrow, nx, 0, nx, s);
-        }
-        if y >= r {
-            let ty = y - r;
-            let mut rows = [ring.cast_const(); 5];
-            for (k, row) in rows.iter_mut().enumerate().take(nr) {
-                let yy = ty as isize + k as isize - r as isize;
-                *row = if yy < 0 || yy >= ny as isize {
-                    buf.offset(yy * rs as isize).cast_const() // constant halo row
-                } else {
-                    ring.add((yy as usize % nr) * rs).cast_const()
-                };
-            }
-            box2_row_tl::<V, S>(&rows, buf.add(ty * rs), nx, 0, nx, s);
-        }
-    }
-}
-
-/// Advance a 3D star stencil two steps in place via the plane-ring
-/// pipeline. `ring` points at the `(y=0, x=0)` origin of plane 0 of a
-/// `(2R+1)`-plane scratch with the grid's plane layout (halo rows
+/// Advance a 3D stencil of family `K` two steps in place via the
+/// plane-ring pipeline. `ring` points at the `(y=0, x=0)` origin of plane
+/// 0 of a `(2R+1)`-plane scratch with the grid's plane layout (halo rows
 /// included).
 ///
 /// # Safety
 /// `buf` is a transposed 3D grid interior origin; `ring` valid for `2R+1`
-/// planes of `ps` doubles.
+/// planes of `ps` elements.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub unsafe fn star3_tl2<V: Vector, S: Star3>(
+pub unsafe fn grid3_tl2<V: Vector, K: Row3>(
     buf: *mut V::Elem,
     rs: usize,
     ps: usize,
@@ -452,14 +417,14 @@ pub unsafe fn star3_tl2<V: Vector, S: Star3>(
     ny: usize,
     nz: usize,
     ring: *mut V::Elem,
-    s: &S,
+    s: &K::S,
 ) {
-    let r = S::R;
+    let r = K::R;
     let nr = 2 * r + 1;
     for z in 0..nz + r {
         if z < nz {
             // ring[z] = plane z @ t+1
-            let cp = buf.offset(z as isize * ps as isize).cast_const();
+            let cp = buf.add(z * ps).cast_const();
             let rp = ring.add((z % nr) * ps);
             // constant halo rows of the plane (full stride rows)
             let pad = <V::Elem as Elem>::PAD as isize;
@@ -475,108 +440,19 @@ pub unsafe fn star3_tl2<V: Vector, S: Star3>(
             for y in 0..ny {
                 let c = cp.add(y * rs);
                 copy_pads(c, rp.add(y * rs), nx);
-                let (ym, yp) = row_nbrs::<_, MAX_R>(c, rs, r);
-                let (zm, zp) = row_nbrs::<_, MAX_R>(c, ps, r);
-                star3_row_tl::<V, S>(c, &ym, &yp, &zm, &zp, rp.add(y * rs), nx, 0, nx, s);
+                let at = |dz: isize, dy: isize| c.offset(dz * ps as isize + dy * rs as isize);
+                K::row_tl::<V>(at, rp.add(y * rs), nx, 0, nx, s);
             }
         }
         if z >= r {
-            let tz = z - r;
-            let cp = ring.add((tz % nr) * ps).cast_const();
-            for y in 0..ny {
-                let c = cp.add(y * rs);
-                let (ym, yp) = row_nbrs::<_, MAX_R>(c, rs, r);
-                let mut zm = [c; MAX_R];
-                let mut zp = [c; MAX_R];
-                for d in 1..=r {
-                    let up = tz as isize - d as isize;
-                    zm[d - 1] = if up < 0 {
-                        buf.offset(up * ps as isize).add(y * rs).cast_const()
-                    } else {
-                        ring.add((up as usize % nr) * ps + y * rs).cast_const()
-                    };
-                    let dn = tz + d;
-                    zp[d - 1] = if dn >= nz {
-                        buf.add(dn * ps + y * rs).cast_const()
-                    } else {
-                        ring.add((dn % nr) * ps + y * rs).cast_const()
-                    };
-                }
-                star3_row_tl::<V, S>(
-                    c,
-                    &ym,
-                    &yp,
-                    &zm,
-                    &zp,
-                    buf.add(tz * ps + y * rs),
-                    nx,
-                    0,
-                    nx,
-                    s,
-                );
-            }
-        }
-    }
-}
-
-/// Advance a 3D box stencil two steps in place via the plane-ring
-/// pipeline.
-///
-/// # Safety
-/// As [`star3_tl2`].
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn box3_tl2<V: Vector, S: Box3>(
-    buf: *mut V::Elem,
-    rs: usize,
-    ps: usize,
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    ring: *mut V::Elem,
-    s: &S,
-) {
-    let r = S::R;
-    let nr = 2 * r + 1;
-    for z in 0..nz + r {
-        if z < nz {
-            let cp = buf.offset(z as isize * ps as isize).cast_const();
-            let rp = ring.add((z % nr) * ps);
-            let pad = <V::Elem as Elem>::PAD as isize;
-            for d in 1..=r as isize {
-                std::ptr::copy_nonoverlapping(
-                    cp.offset(-d * rs as isize - pad),
-                    rp.offset(-d * rs as isize - pad),
-                    rs,
-                );
-                let dn = (ny as isize + d - 1) * rs as isize;
-                std::ptr::copy_nonoverlapping(cp.offset(dn - pad), rp.offset(dn - pad), rs);
-            }
-            for y in 0..ny {
-                let c = cp.add(y * rs);
-                copy_pads(c, rp.add(y * rs), nx);
-                let rows = box3_rows(buf, rs, ps, z as isize, y as isize, r);
-                box3_row_tl::<V, S>(&rows, rp.add(y * rs), nx, 0, nx, s);
-            }
-        }
-        if z >= r {
+            // main[tz] = plane tz @ t+2 from t+1 planes (ring or constant halo)
             let tz = z - r;
             for y in 0..ny {
-                let mut rows = [ring.cast_const(); 9];
-                let w = 2 * r + 1;
-                for dz in 0..w {
-                    let zz = tz as isize + dz as isize - r as isize;
-                    let plane = if zz < 0 || zz >= nz as isize {
-                        buf.offset(zz * ps as isize).cast_const() // constant halo plane
-                    } else {
-                        ring.add((zz as usize % nr) * ps).cast_const()
-                    };
-                    for dy in 0..w {
-                        let yy = y as isize + dy as isize - r as isize;
-                        rows[dz * w + dy] = plane.offset(yy * rs as isize);
-                    }
-                }
-                box3_row_tl::<V, S>(&rows, buf.add(tz * ps + y * rs), nx, 0, nx, s);
+                let at = |dz: isize, dy: isize| {
+                    t1_slot(buf, ring, ps, nr, nz, tz as isize + dz, 0)
+                        .offset((y as isize + dy) * rs as isize)
+                };
+                K::row_tl::<V>(at, buf.add(tz * ps + y * rs), nx, 0, nx, s);
             }
         }
     }
@@ -658,18 +534,40 @@ pub unsafe fn star1_tl2_wide<V: Vector, S: Star1>(buf: *mut V::Elem, n: usize, b
     star1_tl2_edges::<V, S>(buf, n, &lt1, &rt1, s)
 }
 
-/// [`star2_tl2`] under a refreshed boundary on a **wide-halo** grid
+/// Row `sy` of `buf` advanced to t+1 into `dst`, with the x halos of
+/// `dst` folded from its own just-computed interior (not copied from the
+/// t-level pads). An `#[inline(always)]` `fn`, not a closure: it has two
+/// call sites, and vector code must inline into the caller's ISA feature
+/// context.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn advance_row<V: Vector, K: Row2>(
+    buf: *mut V::Elem,
+    rs: usize,
+    nx: usize,
+    sy: isize,
+    dst: *mut V::Elem,
+    b: Boundary,
+    map: &RowMap,
+    s: &K::S,
+) {
+    let c = buf.offset(sy * rs as isize).cast_const();
+    K::row_tl::<V>(|dy| c.offset(dy * rs as isize), dst, nx, 0, nx, s);
+    refresh_row(dst, nx, K::R, b, map);
+}
+
+/// [`grid2_tl2`] under a refreshed boundary on a **wide-halo** grid
 /// (`ry ≥ 2R`): advance the fold-source rows to t+1 into the outer halo
 /// ring first, then run the usual row-ring pipeline with the second
 /// step's out-of-range row reads redirected to the staged rows.
 ///
 /// # Safety
-/// As [`star2_tl2`], plus: the grid has at least `2R` halo rows per side;
+/// As [`grid2_tl2`], plus: the grid has at least `2R` halo rows per side;
 /// the inner halo frame holds time-`t` values (caller ran `refresh2`);
 /// `b` is not Dirichlet; `map` matches the row layout.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub unsafe fn star2_tl2_wide<V: Vector, S: Star2>(
+pub unsafe fn grid2_tl2_wide<V: Vector, K: Row2>(
     buf: *mut V::Elem,
     rs: usize,
     nx: usize,
@@ -677,14 +575,14 @@ pub unsafe fn star2_tl2_wide<V: Vector, S: Star2>(
     ring: *mut V::Elem,
     b: Boundary,
     map: &RowMap,
-    s: &S,
+    s: &K::S,
 ) {
-    let r = S::R;
+    let r = K::R;
     let nr = 2 * r + 1;
     // Boot: halo row -k @ t+1 staged at raw row -(R+k), row ny-1+k @ t+1
-    // at raw row ny-1+R+k — the fold-source row advanced one step, then
-    // x-folded in place. The t-level pass below reads ghost distance ≤ R
-    // only, so the staging rows are invisible to it.
+    // at raw row ny-1+R+k — the fold-source row advanced one step. The
+    // t-level pass below reads ghost distance ≤ R only, so the staging
+    // rows are invisible to it.
     for k in 1..=r {
         for lo in [true, false] {
             let sy = fold_src(ny, k, lo, b) as isize;
@@ -693,124 +591,62 @@ pub unsafe fn star2_tl2_wide<V: Vector, S: Star2>(
             } else {
                 (ny - 1 + r + k) as isize
             };
-            let c = buf.offset(sy * rs as isize).cast_const();
-            let dst = buf.offset(dy * rs as isize);
-            let (ym, yp) = row_nbrs::<_, MAX_R>(c, rs, r);
-            star2_row_tl::<V, S>(c, &ym, &yp, dst, nx, 0, nx, s);
-            refresh_row(dst, nx, r, b, map);
+            advance_row::<V, K>(buf, rs, nx, sy, buf.offset(dy * rs as isize), b, map, s);
         }
     }
     for y in 0..ny + r {
         if y < ny {
-            // ring[y] = row y @ t+1; its x halos are folds of its own
-            // just-computed interior (not copies of the t-level pads).
-            let c = buf.offset(y as isize * rs as isize).cast_const();
-            let dstrow = ring.add((y % nr) * rs);
-            let (ym, yp) = row_nbrs::<_, MAX_R>(c, rs, r);
-            star2_row_tl::<V, S>(c, &ym, &yp, dstrow, nx, 0, nx, s);
-            refresh_row(dstrow, nx, r, b, map);
+            // ring[y] = row y @ t+1
+            advance_row::<V, K>(buf, rs, nx, y as isize, ring.add((y % nr) * rs), b, map, s);
         }
         if y >= r {
             // main[ty] = row ty @ t+2 from t+1 rows (ring or staged halo)
             let ty = y - r;
-            let c = ring.add((ty % nr) * rs).cast_const();
-            let mut ym = [c; MAX_R];
-            let mut yp = [c; MAX_R];
-            for d in 1..=r {
-                let up = ty as isize - d as isize;
-                ym[d - 1] = if up < 0 {
-                    buf.offset((up - r as isize) * rs as isize).cast_const()
-                } else {
-                    ring.add((up as usize % nr) * rs).cast_const()
-                };
-                let dn = ty + d;
-                yp[d - 1] = if dn >= ny {
-                    buf.add((dn + r) * rs).cast_const()
-                } else {
-                    ring.add((dn % nr) * rs).cast_const()
-                };
-            }
-            star2_row_tl::<V, S>(c, &ym, &yp, buf.add(ty * rs), nx, 0, nx, s);
+            let at = |dy: isize| t1_slot(buf, ring, rs, nr, ny, ty as isize + dy, r);
+            K::row_tl::<V>(at, buf.add(ty * rs), nx, 0, nx, s);
         }
     }
 }
 
-/// [`box2_tl2`] under a refreshed boundary on a wide-halo grid.
-///
-/// # Safety
-/// As [`star2_tl2_wide`].
+/// Plane `sz` of `buf` advanced to t+1 into the plane at `dp`, plus that
+/// plane's own 2D halo frame at t+1, folded from its just-computed
+/// interior (per-axis composition). See [`advance_row`] on why this is
+/// not a closure.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub unsafe fn box2_tl2_wide<V: Vector, S: Box2>(
+unsafe fn advance_plane<V: Vector, K: Row3>(
     buf: *mut V::Elem,
     rs: usize,
+    ps: usize,
     nx: usize,
     ny: usize,
-    ring: *mut V::Elem,
+    sz: isize,
+    dp: *mut V::Elem,
     b: Boundary,
     map: &RowMap,
-    s: &S,
+    s: &K::S,
 ) {
-    let r = S::R;
-    let nr = 2 * r + 1;
-    for k in 1..=r {
-        for lo in [true, false] {
-            let sy = fold_src(ny, k, lo, b) as isize;
-            let dy = if lo {
-                -((r + k) as isize)
-            } else {
-                (ny - 1 + r + k) as isize
-            };
-            let dst = buf.offset(dy * rs as isize);
-            let mut rows = [buf.cast_const(); 5];
-            for (j, row) in rows.iter_mut().enumerate().take(nr) {
-                *row = buf.offset((sy + j as isize - r as isize) * rs as isize);
-            }
-            box2_row_tl::<V, S>(&rows, dst, nx, 0, nx, s);
-            refresh_row(dst, nx, r, b, map);
-        }
+    let cp = buf.offset(sz * ps as isize).cast_const();
+    for y in 0..ny {
+        let c = cp.add(y * rs);
+        let at = |dz: isize, dy: isize| c.offset(dz * ps as isize + dy * rs as isize);
+        K::row_tl::<V>(at, dp.add(y * rs), nx, 0, nx, s);
     }
-    for y in 0..ny + r {
-        if y < ny {
-            let c = buf.offset(y as isize * rs as isize).cast_const();
-            let dstrow = ring.add((y % nr) * rs);
-            let mut rows = [c; 5];
-            for (j, row) in rows.iter_mut().enumerate().take(nr) {
-                *row = buf.offset((y as isize + j as isize - r as isize) * rs as isize);
-            }
-            box2_row_tl::<V, S>(&rows, dstrow, nx, 0, nx, s);
-            refresh_row(dstrow, nx, r, b, map);
-        }
-        if y >= r {
-            let ty = y - r;
-            let mut rows = [ring.cast_const(); 5];
-            for (j, row) in rows.iter_mut().enumerate().take(nr) {
-                let yy = ty as isize + j as isize - r as isize;
-                *row = if yy < 0 {
-                    buf.offset((yy - r as isize) * rs as isize).cast_const()
-                } else if yy >= ny as isize {
-                    buf.offset((yy + r as isize) * rs as isize).cast_const()
-                } else {
-                    ring.add((yy as usize % nr) * rs).cast_const()
-                };
-            }
-            box2_row_tl::<V, S>(&rows, buf.add(ty * rs), nx, 0, nx, s);
-        }
-    }
+    refresh2(dp, rs, nx, ny, K::R, b, map);
 }
 
-/// [`star3_tl2`] under a refreshed boundary on a wide-halo grid
+/// [`grid3_tl2`] under a refreshed boundary on a wide-halo grid
 /// (`r ≥ 2R` halo rows *and* planes): fold-source planes advance to t+1
 /// into the outer halo planes, each given its own 2D halo frame; the
 /// plane-ring pipeline then redirects out-of-range plane reads there.
 ///
 /// # Safety
-/// As [`star3_tl2`], plus: the grid has at least `2R` halo rows and
+/// As [`grid3_tl2`], plus: the grid has at least `2R` halo rows and
 /// planes per side; the inner halo shell holds time-`t` values (caller
 /// ran `refresh3`); `b` is not Dirichlet; `map` matches the row layout.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub unsafe fn star3_tl2_wide<V: Vector, S: Star3>(
+pub unsafe fn grid3_tl2_wide<V: Vector, K: Row3>(
     buf: *mut V::Elem,
     rs: usize,
     ps: usize,
@@ -820,103 +656,9 @@ pub unsafe fn star3_tl2_wide<V: Vector, S: Star3>(
     ring: *mut V::Elem,
     b: Boundary,
     map: &RowMap,
-    s: &S,
+    s: &K::S,
 ) {
-    let r = S::R;
-    let nr = 2 * r + 1;
-    for k in 1..=r {
-        for lo in [true, false] {
-            let sz = fold_src(nz, k, lo, b) as isize;
-            let dz = if lo {
-                -((r + k) as isize)
-            } else {
-                (nz - 1 + r + k) as isize
-            };
-            let cp = buf.offset(sz * ps as isize).cast_const();
-            let dp = buf.offset(dz * ps as isize);
-            for y in 0..ny {
-                let c = cp.add(y * rs);
-                let (ym, yp) = row_nbrs::<_, MAX_R>(c, rs, r);
-                let (zm, zp) = row_nbrs::<_, MAX_R>(c, ps, r);
-                star3_row_tl::<V, S>(c, &ym, &yp, &zm, &zp, dp.add(y * rs), nx, 0, nx, s);
-            }
-            // The staged plane's own 2D halo frame at t+1, folded from
-            // its just-computed interior (per-axis composition).
-            refresh2(dp, rs, nx, ny, r, b, map);
-        }
-    }
-    for z in 0..nz + r {
-        if z < nz {
-            let cp = buf.offset(z as isize * ps as isize).cast_const();
-            let rp = ring.add((z % nr) * ps);
-            for y in 0..ny {
-                let c = cp.add(y * rs);
-                let (ym, yp) = row_nbrs::<_, MAX_R>(c, rs, r);
-                let (zm, zp) = row_nbrs::<_, MAX_R>(c, ps, r);
-                star3_row_tl::<V, S>(c, &ym, &yp, &zm, &zp, rp.add(y * rs), nx, 0, nx, s);
-            }
-            refresh2(rp, rs, nx, ny, r, b, map);
-        }
-        if z >= r {
-            let tz = z - r;
-            let cp = ring.add((tz % nr) * ps).cast_const();
-            for y in 0..ny {
-                let c = cp.add(y * rs);
-                let (ym, yp) = row_nbrs::<_, MAX_R>(c, rs, r);
-                let mut zm = [c; MAX_R];
-                let mut zp = [c; MAX_R];
-                for d in 1..=r {
-                    let up = tz as isize - d as isize;
-                    zm[d - 1] = if up < 0 {
-                        buf.offset((up - r as isize) * ps as isize)
-                            .add(y * rs)
-                            .cast_const()
-                    } else {
-                        ring.add((up as usize % nr) * ps + y * rs).cast_const()
-                    };
-                    let dn = tz + d;
-                    zp[d - 1] = if dn >= nz {
-                        buf.add((dn + r) * ps + y * rs).cast_const()
-                    } else {
-                        ring.add((dn % nr) * ps + y * rs).cast_const()
-                    };
-                }
-                star3_row_tl::<V, S>(
-                    c,
-                    &ym,
-                    &yp,
-                    &zm,
-                    &zp,
-                    buf.add(tz * ps + y * rs),
-                    nx,
-                    0,
-                    nx,
-                    s,
-                );
-            }
-        }
-    }
-}
-
-/// [`box3_tl2`] under a refreshed boundary on a wide-halo grid.
-///
-/// # Safety
-/// As [`star3_tl2_wide`].
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn box3_tl2_wide<V: Vector, S: Box3>(
-    buf: *mut V::Elem,
-    rs: usize,
-    ps: usize,
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    ring: *mut V::Elem,
-    b: Boundary,
-    map: &RowMap,
-    s: &S,
-) {
-    let r = S::R;
+    let r = K::R;
     let nr = 2 * r + 1;
     for k in 1..=r {
         for lo in [true, false] {
@@ -927,42 +669,22 @@ pub unsafe fn box3_tl2_wide<V: Vector, S: Box3>(
                 (nz - 1 + r + k) as isize
             };
             let dp = buf.offset(dz * ps as isize);
-            for y in 0..ny {
-                let rows = box3_rows(buf, rs, ps, sz, y as isize, r);
-                box3_row_tl::<V, S>(&rows, dp.add(y * rs), nx, 0, nx, s);
-            }
-            refresh2(dp, rs, nx, ny, r, b, map);
+            advance_plane::<V, K>(buf, rs, ps, nx, ny, sz, dp, b, map, s);
         }
     }
     for z in 0..nz + r {
         if z < nz {
             let rp = ring.add((z % nr) * ps);
-            for y in 0..ny {
-                let rows = box3_rows(buf, rs, ps, z as isize, y as isize, r);
-                box3_row_tl::<V, S>(&rows, rp.add(y * rs), nx, 0, nx, s);
-            }
-            refresh2(rp, rs, nx, ny, r, b, map);
+            advance_plane::<V, K>(buf, rs, ps, nx, ny, z as isize, rp, b, map, s);
         }
         if z >= r {
             let tz = z - r;
-            let w = 2 * r + 1;
             for y in 0..ny {
-                let mut rows = [ring.cast_const(); 9];
-                for dz in 0..w {
-                    let zz = tz as isize + dz as isize - r as isize;
-                    let plane = if zz < 0 {
-                        buf.offset((zz - r as isize) * ps as isize).cast_const()
-                    } else if zz >= nz as isize {
-                        buf.offset((zz + r as isize) * ps as isize).cast_const()
-                    } else {
-                        ring.add((zz as usize % nr) * ps).cast_const()
-                    };
-                    for dy in 0..w {
-                        let yy = y as isize + dy as isize - r as isize;
-                        rows[dz * w + dy] = plane.offset(yy * rs as isize);
-                    }
-                }
-                box3_row_tl::<V, S>(&rows, buf.add(tz * ps + y * rs), nx, 0, nx, s);
+                let at = |dz: isize, dy: isize| {
+                    t1_slot(buf, ring, ps, nr, nz, tz as isize + dz, r)
+                        .offset((y as isize + dy) * rs as isize)
+                };
+                K::row_tl::<V>(at, buf.add(tz * ps + y * rs), nx, 0, nx, s);
             }
         }
     }

@@ -10,10 +10,13 @@
 //! ## Quick start
 //!
 //! Build a [`Plan`] once, run it many times — buffers and layout
-//! transforms are amortized across calls. Two equivalent surfaces
-//! exist:
+//! transforms are amortized across calls. The stencil can be named two
+//! ways, and both build the *same* plan object around the same boxed
+//! kernel:
 //!
-//! **Typed** — the stencil is a concrete type, zero dispatch anywhere:
+//! **Typed** — the stencil is a concrete type handed to a terminal
+//! (`star1` … `box3`); the result is a [`Plan1`](exec::Plan1) /
+//! [`Plan2`](exec::Plan2) / [`Plan3`](exec::Plan3) over typed grids:
 //!
 //! ```
 //! use stencil_core::exec::{Plan, Shape};
@@ -31,10 +34,9 @@
 //! assert!(grid.get(2048) > 0.0);
 //! ```
 //!
-//! **Erased** — the stencil is a runtime value ([`StencilSpec`]), the
-//! plan is a [`DynPlan`], and the results are
-//! bit-identical to the typed path (one virtual call per `run` is the
-//! entire overhead):
+//! **Runtime** — the stencil is a value ([`StencilSpec`]), the plan is a
+//! [`DynPlan`] (the same plan with dimension and element type folded
+//! into an enum), and the results are bit-identical:
 //!
 //! ```
 //! use stencil_core::exec::{Plan, Shape};
@@ -48,6 +50,13 @@
 //! plan.run(&mut grid, 100);
 //! assert!(grid.to_vec()[2048] > 0.0);
 //! ```
+//!
+//! Either way the stencil's family, radius, and weights end at the
+//! **kernel boundary** ([`kernels`]): a plan holds one boxed
+//! [`Kernel1`](kernels::Kernel1)/[`Kernel2`](kernels::Kernel2)/
+//! [`Kernel3`](kernels::Kernel3) object and calls it once per range
+//! sweep or tile step; everything under that call is monomorphized,
+//! everything above it is generic over the element type only.
 //!
 //! See [`exec`] for the plan engine (including layout-resident sessions
 //! and temporal tiling, which runs on all cores via a wavefront tile
@@ -80,5 +89,6 @@ pub use grid::{AnyGrid, Grid1, Grid2, Grid3, HALO_PAD};
 pub use layout::{DltGeo, SetGeo};
 pub use spec::{SpecError, StencilShape, StencilSpec};
 pub use stencil::{
-    Box2, Box3, S1d3p, S1d5p, S2d5p, S2d9p, S3d27p, S3d7p, Star1, Star2, Star3, MAX_R,
+    Box2, Box3, S1d3p, S1d5p, S2d5p, S2d9p, S3d27p, S3d7p, Star1, Star2, Star3, BOX2_MAX_R,
+    BOX3_MAX_R, MAX_R,
 };

@@ -7,13 +7,17 @@
 //! (a CLI flag, a config file, a service request) to write a match over
 //! concrete types. A `StencilSpec` is the same information as a plain
 //! value: dimensionality, [`Star`](StencilShape::Star) or
-//! [`Box`](StencilShape::Box) shape, radius (≤ [`MAX_R`]), and weights.
+//! [`Box`](StencilShape::Box) shape, radius (up to
+//! [`StencilShape::max_radius`] — the limits the kernels really have),
+//! and weights.
 //!
 //! Compile one against a shape with
-//! [`Plan::stencil`](crate::exec::Plan::stencil) to get a type-erased
-//! [`DynPlan`](crate::exec::DynPlan); internally the spec is re-attached
-//! to a const-radius carrier type, so the kernels that run are the same
-//! monomorphized kernels the typed path uses and the results are
+//! [`Plan::stencil`](crate::exec::Plan::stencil) to get a
+//! [`DynPlan`](crate::exec::DynPlan). The spec is re-attached to a
+//! const-radius carrier type and boxed as a kernel object (the match at
+//! the bottom of this file is the only place a family × radius pair
+//! picks an instantiation), so the kernels that run are the same
+//! monomorphized kernels a typed stencil gets and the results are
 //! bit-identical.
 //!
 //! ```
@@ -31,10 +35,12 @@
 //! assert_eq!(custom.to_string(), "1d5p");
 //! ```
 
-use stencil_simd::Dtype;
+use stencil_simd::{Dtype, Elem};
 
 use crate::exec::Boundary;
-use crate::stencil::{Box2, Box3, Star1, Star2, Star3, MAX_R};
+use crate::kernels::row::{BOX2_TAPS, BOX3_TAPS};
+use crate::kernels::{kernel1, kernel2, kernel3, BoxK, Kernel1, Kernel2, Kernel3, StarK};
+use crate::stencil::{Box2, Box3, Star1, Star2, Star3, BOX2_MAX_R, BOX3_MAX_R, MAX_R};
 
 /// Weight slots per axis in a packed spec carrier (`2·MAX_R + 1`).
 const WSLOTS: usize = 2 * MAX_R + 1;
@@ -59,16 +65,29 @@ impl StencilShape {
             StencilShape::Box => "box",
         }
     }
+
+    /// Largest radius the kernels of this family run in `ndim`
+    /// dimensions: [`MAX_R`] for stars; box row kernels hold one splatted
+    /// weight per tap, so they stop at [`BOX2_MAX_R`] / [`BOX3_MAX_R`].
+    pub fn max_radius(self, ndim: usize) -> usize {
+        match (self, ndim) {
+            (StencilShape::Box, 2) => BOX2_MAX_R,
+            (StencilShape::Box, 3) => BOX3_MAX_R,
+            _ => MAX_R,
+        }
+    }
 }
 
 /// Why a [`StencilSpec`] could not be built (or parsed).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SpecError {
-    /// The radius implied by the weights exceeds [`MAX_R`].
+    /// The radius implied by the weights exceeds what the kernels run:
+    /// [`MAX_R`] for any stencil, and the family's own
+    /// [`StencilShape::max_radius`] below that.
     RadiusTooLarge {
         /// Implied radius.
         r: usize,
-        /// The supported maximum ([`MAX_R`]).
+        /// The bound that was exceeded.
         max: usize,
     },
     /// A weight slice has a length no radius can explain.
@@ -192,44 +211,31 @@ fn star_radius(axis: &'static str, w: &[f64]) -> Result<usize, SpecError> {
     Ok(r)
 }
 
-/// Infer the radius from a box weight slice of length `(2r+1)^ndim`.
-fn box_radius(w: &[f64], ndim: u32) -> Result<usize, SpecError> {
-    let expected: &'static str = if ndim == 2 {
-        "(2r+1)² for some r ≥ 1"
-    } else {
-        "(2r+1)³ for some r ≥ 1"
-    };
-    for r in 1..=MAX_R {
-        let side = 2 * r + 1;
-        match side.pow(ndim).cmp(&w.len()) {
-            std::cmp::Ordering::Equal => return Ok(r),
-            std::cmp::Ordering::Greater => {
-                return Err(SpecError::WeightLen {
-                    axis: "box",
-                    got: w.len(),
-                    expected,
-                })
-            }
-            std::cmp::Ordering::Less => {}
+/// Infer the radius from a box weight slice of length `(2r+1)^ndim`:
+/// a length no radius explains is a [`SpecError::WeightLen`], a radius
+/// past [`MAX_R`] or past the box kernels' own limit a
+/// [`SpecError::RadiusTooLarge`] naming the bound it broke.
+fn box_radius(w: &[f64], ndim: usize) -> Result<usize, SpecError> {
+    let r = (1..)
+        .find(|r| (2 * r + 1usize).pow(ndim as u32) >= w.len())
+        .expect("unbounded search");
+    if (2 * r + 1).pow(ndim as u32) != w.len() {
+        return Err(SpecError::WeightLen {
+            axis: "box",
+            got: w.len(),
+            expected: if ndim == 2 {
+                "(2r+1)² for some r ≥ 1"
+            } else {
+                "(2r+1)³ for some r ≥ 1"
+            },
+        });
+    }
+    for max in [MAX_R, StencilShape::Box.max_radius(ndim)] {
+        if r > max {
+            return Err(SpecError::RadiusTooLarge { r, max });
         }
     }
-    // Longer than the largest supported neighbourhood: distinguish a
-    // plausible bigger radius from a length that fits no radius at all.
-    for r in MAX_R + 1.. {
-        let side = 2 * r + 1;
-        match side.pow(ndim).cmp(&w.len()) {
-            std::cmp::Ordering::Equal => return Err(SpecError::RadiusTooLarge { r, max: MAX_R }),
-            std::cmp::Ordering::Greater => {
-                return Err(SpecError::WeightLen {
-                    axis: "box",
-                    got: w.len(),
-                    expected,
-                })
-            }
-            std::cmp::Ordering::Less => {}
-        }
-    }
-    unreachable!("the loop above always returns")
+    Ok(r)
 }
 
 impl StencilSpec {
@@ -567,7 +573,7 @@ impl std::str::FromStr for StencilSpec {
 
 // ---------------------------------------------------------------------------
 // Const-radius carriers: a validated spec re-attached to the typed traits
-// so the erased path runs the exact same monomorphized kernels.
+// so it runs the exact same monomorphized kernels as a typed stencil.
 // ---------------------------------------------------------------------------
 
 /// Runtime star-1D weights behind a const radius.
@@ -663,14 +669,14 @@ impl<const R: usize> Star3 for DynStar3<R> {
 /// Runtime box-2D weights behind a const radius.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct DynBox2<const R: usize> {
-    w: [f64; WSLOTS * WSLOTS],
+    w: [f64; BOX2_TAPS],
 }
 
 impl<const R: usize> DynBox2<R> {
     pub(crate) fn new(spec: &StencilSpec) -> Self {
         debug_assert_eq!(spec.radius(), R);
         let src = spec.box_weights().expect("box spec");
-        let mut w = [0.0; WSLOTS * WSLOTS];
+        let mut w = [0.0; BOX2_TAPS];
         w[..src.len()].copy_from_slice(src);
         DynBox2 { w }
     }
@@ -688,14 +694,14 @@ impl<const R: usize> Box2 for DynBox2<R> {
 /// Runtime box-3D weights behind a const radius.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct DynBox3<const R: usize> {
-    w: [f64; WSLOTS * WSLOTS * WSLOTS],
+    w: [f64; BOX3_TAPS],
 }
 
 impl<const R: usize> DynBox3<R> {
     pub(crate) fn new(spec: &StencilSpec) -> Self {
         debug_assert_eq!(spec.radius(), R);
         let src = spec.box_weights().expect("box spec");
-        let mut w = [0.0; WSLOTS * WSLOTS * WSLOTS];
+        let mut w = [0.0; BOX3_TAPS];
         w[..src.len()].copy_from_slice(src);
         DynBox3 { w }
     }
@@ -707,6 +713,61 @@ impl<const R: usize> Box3 for DynBox3<R> {
     #[inline(always)]
     fn w(&self) -> &[f64] {
         &self.w[..(2 * R + 1) * (2 * R + 1) * (2 * R + 1)]
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Spec → kernel object: the one place a (family, radius) pair picks a
+// monomorphized row kernel. Everything above the returned object is
+// generic over the element type only.
+// ---------------------------------------------------------------------------
+
+impl StencilSpec {
+    /// The radius no arm below covers, as the typed error the
+    /// constructors would have raised.
+    fn unsupported(&self) -> SpecError {
+        SpecError::RadiusTooLarge {
+            r: self.r,
+            max: self.shape.max_radius(self.ndim),
+        }
+    }
+
+    /// Compile this (1D) spec's kernel object over element type `T`.
+    pub(crate) fn kernel1<T: Elem>(&self) -> Result<Box<dyn Kernel1<T>>, SpecError> {
+        match self.r {
+            1 => kernel1(DynStar1::<1>::new(self)),
+            2 => kernel1(DynStar1::<2>::new(self)),
+            3 => kernel1(DynStar1::<3>::new(self)),
+            4 => kernel1(DynStar1::<4>::new(self)),
+            _ => Err(self.unsupported()),
+        }
+    }
+
+    /// Compile this (2D) spec's kernel object over element type `T`.
+    pub(crate) fn kernel2<T: Elem>(&self) -> Result<Box<dyn Kernel2<T>>, SpecError> {
+        use StencilShape::{Box as BoxS, Star};
+        match (self.shape, self.r) {
+            (Star, 1) => kernel2::<T, StarK<_>>(DynStar2::<1>::new(self)),
+            (Star, 2) => kernel2::<T, StarK<_>>(DynStar2::<2>::new(self)),
+            (Star, 3) => kernel2::<T, StarK<_>>(DynStar2::<3>::new(self)),
+            (Star, 4) => kernel2::<T, StarK<_>>(DynStar2::<4>::new(self)),
+            (BoxS, 1) => kernel2::<T, BoxK<_>>(DynBox2::<1>::new(self)),
+            (BoxS, 2) => kernel2::<T, BoxK<_>>(DynBox2::<2>::new(self)),
+            _ => Err(self.unsupported()),
+        }
+    }
+
+    /// Compile this (3D) spec's kernel object over element type `T`.
+    pub(crate) fn kernel3<T: Elem>(&self) -> Result<Box<dyn Kernel3<T>>, SpecError> {
+        use StencilShape::{Box as BoxS, Star};
+        match (self.shape, self.r) {
+            (Star, 1) => kernel3::<T, StarK<_>>(DynStar3::<1>::new(self)),
+            (Star, 2) => kernel3::<T, StarK<_>>(DynStar3::<2>::new(self)),
+            (Star, 3) => kernel3::<T, StarK<_>>(DynStar3::<3>::new(self)),
+            (Star, 4) => kernel3::<T, StarK<_>>(DynStar3::<4>::new(self)),
+            (BoxS, 1) => kernel3::<T, BoxK<_>>(DynBox3::<1>::new(self)),
+            _ => Err(self.unsupported()),
+        }
     }
 }
 

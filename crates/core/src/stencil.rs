@@ -14,6 +14,15 @@
 /// assembled dependent vectors reach at most one neighbouring vector set).
 pub const MAX_R: usize = 4;
 
+/// Maximum radius of a 2D box stencil: the box row kernels keep one
+/// splatted weight per tap and one pointer per neighbour row in
+/// fixed-size arrays (`(2r+1)²` weights, `2r+1` rows), sized for this.
+pub const BOX2_MAX_R: usize = 2;
+
+/// Maximum radius of a 3D box stencil (`(2r+1)³` splatted weights and
+/// `(2r+1)²` neighbour-row pointers per set; see [`BOX2_MAX_R`]).
+pub const BOX3_MAX_R: usize = 1;
+
 /// 1D star stencil of radius `R`:
 /// `out[i] = Σ_{o=-R..=R} w[R+o] · in[i+o]`.
 ///

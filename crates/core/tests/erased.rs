@@ -233,6 +233,147 @@ fn custom_radii_agree_with_scalar_oracle() {
 }
 
 // ---------------------------------------------------------------------------
+// Acceptance is total: whatever the constructors accept, every method runs
+// ---------------------------------------------------------------------------
+
+/// Seeded weights for one (ndim, family, radius) cell of the acceptance
+/// matrix, through the public constructors.
+fn seeded_spec(
+    ndim: usize,
+    boxy: bool,
+    r: usize,
+    rng: &mut StdRng,
+) -> Result<StencilSpec, SpecError> {
+    let mut w = |len: usize| -> Vec<f64> {
+        (0..len)
+            .map(|_| rng.random_range(-0.5..1.0) / len as f64)
+            .collect()
+    };
+    let side = 2 * r + 1;
+    match (ndim, boxy) {
+        (1, _) => StencilSpec::star1(&w(side)),
+        (2, false) => StencilSpec::star2(&w(side), &w(side)),
+        (2, true) => StencilSpec::box2(&w(side * side)),
+        (_, false) => StencilSpec::star3(&w(side), &w(side), &w(side)),
+        (_, true) => StencilSpec::box3(&w(side * side * side)),
+    }
+}
+
+#[test]
+fn every_accepted_spec_runs_every_method_and_the_rest_are_typed_errors() {
+    use stencil_core::exec::{Boundary, Tiling};
+    use stencil_core::spec::StencilShape;
+    use stencil_simd::Dtype;
+
+    let isa = Isa::detect_best();
+    let mut rng = StdRng::seed_from_u64(0xACCE97);
+    let tess = Tiling::Tessellate {
+        w: [32, 16, 12],
+        h: 2,
+        threads: 2,
+    };
+    let split = Tiling::Split {
+        w: 16,
+        h: 2,
+        threads: 2,
+    };
+    for ndim in 1..=3usize {
+        let shape = match ndim {
+            1 => Shape::d1(700),
+            2 => Shape::d2(96, 40),
+            _ => Shape::d3(96, 20, 12),
+        };
+        for boxy in [false, true]
+            .into_iter()
+            .take(if ndim == 1 { 1 } else { 2 })
+        {
+            for r in 1..=MAX_R {
+                let family = if boxy {
+                    StencilShape::Box
+                } else {
+                    StencilShape::Star
+                };
+                let base = match seeded_spec(ndim, boxy, r, &mut rng) {
+                    Ok(spec) => spec,
+                    Err(e) => {
+                        // Rejected at spec build, with the family's real limit.
+                        let max = family.max_radius(ndim);
+                        assert!(r > max, "{ndim}d {family:?} r={r} rejected: {e}");
+                        assert_eq!(e, SpecError::RadiusTooLarge { r, max });
+                        continue;
+                    }
+                };
+                for dtype in [Dtype::F64, Dtype::F32] {
+                    for boundary in [Boundary::default(), Boundary::Periodic, Boundary::Reflect] {
+                        let spec = base.clone().with_dtype(dtype).with_boundary(boundary);
+                        let init = AnyGrid::from_fn_spec(shape, &spec, |z, y, x| {
+                            ((7 * x + 11 * y + 13 * z) % 17) as f64 * 0.0625 - 0.4
+                        })
+                        .unwrap();
+                        let run = |m: Method, tiling: Tiling| {
+                            // Untiled runs stay sequential so the fused
+                            // k = 2 passes are what gets compared; tiled
+                            // runs take the tiling's two workers.
+                            let par = if tiling == Tiling::None {
+                                Parallelism::Off
+                            } else {
+                                Parallelism::Auto
+                            };
+                            let mut g = init.clone();
+                            Plan::new(shape)
+                                .method(m)
+                                .isa(isa)
+                                .tiling(tiling)
+                                .parallelism(par)
+                                .stencil(&spec)
+                                .unwrap_or_else(|e| panic!("{spec}/{m}/{tiling:?}: {e}"))
+                                .run(&mut g, 3);
+                            g
+                        };
+                        let oracle = run(Method::Scalar, Tiling::None);
+                        for m in Method::ALL {
+                            let mut tilings = vec![Tiling::None];
+                            // Temporal tiling once per cell is enough: the
+                            // tiled drivers are boundary-covered elsewhere.
+                            if boundary.is_dirichlet() {
+                                tilings.push(if m == Method::Dlt { split } else { tess });
+                            }
+                            for tiling in tilings {
+                                let g = run(m, tiling);
+                                assert_eq!(
+                                    max_abs_diff_any(&g, &oracle),
+                                    0.0,
+                                    "{spec} r={r} {family:?}/{m}/{tiling:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    // The typed terminals enforce the same limits at plan build.
+    #[derive(Copy, Clone)]
+    struct WideBox2;
+    impl stencil_core::Box2 for WideBox2 {
+        const R: usize = stencil_core::BOX2_MAX_R + 1;
+        const NAME: &'static str = "widebox2";
+        fn w(&self) -> &[f64] {
+            &[0.02; 49]
+        }
+    }
+    let err = Plan::new(Shape::d2(96, 40)).box2(WideBox2).unwrap_err();
+    assert_eq!(
+        err,
+        PlanError::Spec(SpecError::RadiusTooLarge {
+            r: 3,
+            max: stencil_core::BOX2_MAX_R
+        })
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Sessions: reuse and layout residency through the erased surface
 // ---------------------------------------------------------------------------
 

@@ -2,8 +2,7 @@
 //! bit-identical to the untiled scalar reference — tiling reorders
 //! space-time traversal but never changes a cell's accumulation.
 //!
-//! The matrix drives [`Plan`] directly (the single entry point); a final
-//! section keeps the legacy wrapper functions green.
+//! The matrix drives [`Plan`] directly (the single entry point).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -11,7 +10,6 @@ use stencil_core::exec::{Plan, Shape, Tiling};
 use stencil_core::verify::{max_abs_diff1, max_abs_diff2, max_abs_diff3};
 use stencil_core::{Grid1, Grid2, Grid3, Method, S1d3p, S1d5p, S2d5p, S2d9p, S3d27p, S3d7p};
 use stencil_simd::Isa;
-use stencil_tiling::{split1_star1, split2_box, split3_box, tessellate1_star1};
 
 fn isas() -> Vec<Isa> {
     Isa::ALL.into_iter().filter(|i| i.is_available()).collect()
@@ -446,69 +444,4 @@ fn sessions_amortize_tiled_stepping_exactly() {
         .unwrap()
         .run(&mut once, 32);
     assert_eq!(max_abs_diff1(&g, &once), 0.0);
-}
-
-mod legacy_wrappers {
-    //! The 13 legacy free functions are thin wrappers over `Plan`; keep
-    //! them green and bit-identical to the plan path.
-
-    use super::*;
-
-    #[test]
-    fn legacy_tessellate_and_split_remain_green() {
-        let s = S1d3p {
-            w: [0.21, 0.55, 0.2],
-        };
-        let isa = Isa::detect_best();
-        let (n, t) = (700usize, 12usize);
-        let init = grid1(n, 19);
-        let reference = scalar1(&init, s, t, isa);
-
-        let mut g = init.clone();
-        tessellate1_star1(Method::TransLayout2, isa, &mut g, &s, t, 100, 10, 4);
-        assert_eq!(max_abs_diff1(&g, &reference), 0.0, "tessellate wrapper");
-
-        let mut g = init.clone();
-        split1_star1(isa, &mut g, &s, t, 24, 6, 4);
-        assert_eq!(max_abs_diff1(&g, &reference), 0.0, "split wrapper");
-    }
-
-    #[test]
-    fn legacy_box_wrappers_remain_green() {
-        let isa = Isa::detect_best();
-        let mut r = StdRng::seed_from_u64(40);
-        let mut w = [0.0f64; 9];
-        for x in w.iter_mut() {
-            *x = r.random_range(0.0..0.1);
-        }
-        let sb = S2d9p { w };
-        let init = grid2(96, 24, 23);
-        let mut reference = init.clone();
-        Plan::new(Shape::d2(96, 24))
-            .method(Method::Scalar)
-            .isa(isa)
-            .box2(sb)
-            .unwrap()
-            .run(&mut reference, 6);
-        let mut g = init.clone();
-        split2_box(isa, &mut g, &sb, 6, 8, 4, 4);
-        assert_eq!(max_abs_diff2(&g, &reference), 0.0, "split2_box wrapper");
-
-        let mut w3 = [0.0f64; 27];
-        for x in w3.iter_mut() {
-            *x = r.random_range(0.0..0.035);
-        }
-        let s3 = S3d27p { w: w3 };
-        let init = grid3(66, 12, 10, 29);
-        let mut reference = init.clone();
-        Plan::new(Shape::d3(66, 12, 10))
-            .method(Method::Scalar)
-            .isa(isa)
-            .box3(s3)
-            .unwrap()
-            .run(&mut reference, 4);
-        let mut g = init.clone();
-        split3_box(isa, &mut g, &s3, 4, 5, 2, 4);
-        assert_eq!(max_abs_diff3(&g, &reference), 0.0, "split3_box wrapper");
-    }
 }

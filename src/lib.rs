@@ -10,8 +10,6 @@
 //! * [`core`] — grids, stencils, the transpose-layout scheme, all
 //!   baseline vectorization methods, and the [`Plan`](core::exec::Plan)
 //!   execution engine (including both temporal-tiling frameworks);
-//! * [`tiling`] — legacy tessellate/split entry points (thin wrappers
-//!   over `Plan`);
 //! * [`server`] — the multi-tenant service layer: plan cache, fair
 //!   job queue, and structured run traces over the erased plan API.
 //!
@@ -30,7 +28,6 @@
 pub use stencil_core as core;
 pub use stencil_server as server;
 pub use stencil_simd as simd;
-pub use stencil_tiling as tiling;
 
 /// Everything a typical user needs in scope — both the typed plan API
 /// and the erased [`StencilSpec`](stencil_core::spec::StencilSpec) /
@@ -45,8 +42,4 @@ pub mod prelude {
         Star3, StencilShape, StencilSpec,
     };
     pub use stencil_simd::Isa;
-    pub use stencil_tiling::{
-        split1_star1, split2_star, split3_star, tessellate1_star1, tessellate2_box,
-        tessellate2_star, tessellate3_box, tessellate3_star,
-    };
 }

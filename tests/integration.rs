@@ -173,8 +173,9 @@ fn three_d_tiled_matches_untiled_through_prelude() {
 
 #[test]
 fn legacy_free_functions_still_agree_with_plan() {
-    // The 13 legacy entry points are thin wrappers over Plan; spot-check
-    // that the wrapper path stays bit-identical to driving Plan directly.
+    // The legacy `run*` entry points are thin wrappers over Plan;
+    // spot-check that the wrapper path stays bit-identical to driving
+    // Plan directly.
     let isa = Isa::detect_best();
     let n = 2048;
     let s = S1d3p::heat();
@@ -192,29 +193,6 @@ fn legacy_free_functions_still_agree_with_plan() {
     run1_star1(Method::TransLayout2, isa, &mut via_legacy, &s, 24).unwrap();
     assert_eq!(
         stencil_lab::core::verify::max_abs_diff1(&via_plan, &via_legacy),
-        0.0
-    );
-
-    let mut via_legacy_tess = init.clone();
-    tessellate1_star1(
-        Method::TransLayout2,
-        isa,
-        &mut via_legacy_tess,
-        &s,
-        24,
-        256,
-        16,
-        4,
-    );
-    assert_eq!(
-        stencil_lab::core::verify::max_abs_diff1(&via_plan, &via_legacy_tess),
-        0.0
-    );
-
-    let mut via_legacy_split = init.clone();
-    split1_star1(isa, &mut via_legacy_split, &s, 24, 32, 8, 4);
-    assert_eq!(
-        stencil_lab::core::verify::max_abs_diff1(&via_plan, &via_legacy_split),
         0.0
     );
 }
