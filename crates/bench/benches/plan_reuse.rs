@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use stencil_bench::grid1;
 use stencil_core::exec::{Parallelism, Plan, Shape};
-use stencil_core::{run1_star1, Method, S1d3p};
+use stencil_core::{run_spec, Method, S1d3p, StencilSpec};
 use stencil_simd::Isa;
 
 fn bench(c: &mut Criterion) {
@@ -20,7 +20,10 @@ fn bench(c: &mut Criterion) {
 
     group.bench_function("free_fn_per_call", |b| {
         let mut g = init.clone();
-        b.iter(|| run1_star1(Method::TransLayout2, isa, &mut g, &s, chunk))
+        b.iter(|| {
+            let spec = StencilSpec::heat_1d3p();
+            run_spec(Method::TransLayout2, isa, &mut g, &spec, chunk)
+        })
     });
 
     group.bench_function("plan_run_per_call", |b| {

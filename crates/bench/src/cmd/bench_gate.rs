@@ -3,8 +3,8 @@
 //! the threshold. See `stencil_bench::gate` for the matching rules.
 //!
 //! ```sh
-//! bench_gate [NAME...] [--baseline=DIR] [--current=DIR] \
-//!            [--threshold=PCT] [--rebaseline] [--strict]
+//! stencil-bench bench_gate [NAME...] [--baseline=DIR] [--current=DIR] \
+//!                          [--threshold=PCT] [--rebaseline] [--strict]
 //! ```
 //!
 //! Defaults: names `plan_reuse scaling`, baseline `<root>/BENCH_baseline`,
@@ -42,8 +42,7 @@ use stencil_bench::gate;
 use stencil_bench::save::workspace_root;
 use stencil_bench::Cli;
 
-fn main() {
-    let cli = Cli::parse();
+pub fn main(cli: &Cli) {
     let baseline: PathBuf = cli
         .value("--baseline")
         .map(Into::into)

@@ -6,10 +6,10 @@ use stencil_bench::fig7::{json_rows, sweep};
 use stencil_bench::Cli;
 use stencil_simd::Isa;
 
-fn main() {
+pub fn main(cli: &Cli) {
     stencil_bench::banner("Fig. 7: sequential block-free performance (1D3P, GFLOP/s)");
     let isa = Isa::detect_best();
-    let scale = Cli::parse().scale();
+    let scale = cli.scale();
     let panels: &[(&str, usize)] = if scale == stencil_bench::Scale::Smoke {
         &[("a", 40)]
     } else {

@@ -5,11 +5,11 @@ use stencil_bench::fig8::{json_rows, sweep, TILED_METHODS};
 use stencil_bench::Cli;
 use stencil_simd::Isa;
 
-fn main() {
+pub fn main(cli: &Cli) {
     stencil_bench::banner(
         "Fig. 8: multicore cache-blocking performance (1D3P, GFLOP/s, all cores)",
     );
-    let scale = Cli::parse().scale();
+    let scale = cli.scale();
     let isa = Isa::detect_best();
     let panels: &[(&str, usize)] = if scale == stencil_bench::Scale::Smoke {
         &[("a", 64)]

@@ -7,9 +7,8 @@
 use stencil_bench::fig9::{json_rows, sweep, thread_axis, METHODS};
 use stencil_bench::Cli;
 
-fn main() {
+pub fn main(cli: &Cli) {
     stencil_bench::banner("Fig. 9: scalability (GFLOP/s vs cores, AVX2 & AVX-512)");
-    let cli = Cli::parse();
     let stencils = cli.stencils();
     let rows = sweep(cli.scale(), &stencils);
     for spec in &stencils {

@@ -13,7 +13,7 @@
 //! bug, not a result (the process exits non-zero on any mismatch).
 //!
 //! ```sh
-//! cargo run --release --bin scaling [-- --smoke] [--threads=4] [--save-json] [--phases]
+//! cargo run --release --bin stencil-bench -- scaling [--smoke] [--threads=4] [--save-json] [--phases]
 //! ```
 //!
 //! `--threads=N` restricts the axis to `{1, N}`; the default axis is
@@ -115,12 +115,11 @@ fn report(cells: &[Cell], rows: &mut Vec<Row>) {
     }
 }
 
-fn main() {
+pub fn main(cli: &Cli) {
     stencil_bench::banner("scaling: untiled domain decomposition, Off vs Threads(k)");
-    let cli = Cli::parse();
     let isa = Isa::detect_best();
     let smoke = cli.scale() == Scale::Smoke;
-    let axis = thread_axis(&cli);
+    let axis = thread_axis(cli);
     let phases = cli.flag("--phases");
     let host = std::thread::available_parallelism()
         .map(|n| n.get())

@@ -2,7 +2,7 @@
 //! scaled configuration this harness runs (`STENCIL_BENCH_FULL=1` doubles
 //! the leading dimension).
 
-fn main() {
+pub fn main(_cli: &stencil_bench::Cli) {
     stencil_bench::banner("Table 1: parameter description for stencils used in experiments");
     println!(
         "{:<6} {:<4} {:<28} {:<20} {:<26} {:<18}",

@@ -6,11 +6,11 @@ use stencil_bench::fig7::{sweep, table2};
 use stencil_bench::Cli;
 use stencil_simd::Isa;
 
-fn main() {
+pub fn main(cli: &Cli) {
     stencil_bench::banner(
         "Table 2: speedup over MultiLoad per storage level (1D3P, single thread)",
     );
-    let scale = Cli::parse().scale();
+    let scale = cli.scale();
     let base = if scale == stencil_bench::Scale::Smoke {
         40
     } else {

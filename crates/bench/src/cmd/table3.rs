@@ -5,9 +5,9 @@ use stencil_bench::fig8::{sweep, table3};
 use stencil_bench::Cli;
 use stencil_simd::Isa;
 
-fn main() {
+pub fn main(cli: &Cli) {
     stencil_bench::banner("Table 3: speedup over SDSL, multicore cache-blocking (1D3P)");
-    let scale = Cli::parse().scale();
+    let scale = cli.scale();
     let base = if scale == stencil_bench::Scale::Smoke {
         64
     } else {

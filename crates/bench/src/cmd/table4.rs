@@ -8,9 +8,8 @@
 use stencil_bench::fig9::{sweep, table4};
 use stencil_bench::Cli;
 
-fn main() {
+pub fn main(cli: &Cli) {
     stencil_bench::banner("Table 4: average improvement and strong scaling (full cores)");
-    let cli = Cli::parse();
     let rows = sweep(cli.scale(), &cli.stencils());
     println!(
         "{:<16} {:<14} {:>14} {:>16}",

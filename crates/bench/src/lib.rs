@@ -34,11 +34,11 @@ pub enum Scale {
     Full,
 }
 
-/// The parsed command line every bench binary shares — one
+/// The parsed command line every bench command shares — one
 /// implementation of the `--flag` / `--key=value` / positional grammar
-/// instead of a hand-rolled `env::args()` loop per binary.
+/// instead of a hand-rolled `env::args()` loop per command.
 ///
-/// Flags every binary understands: `--smoke` (CI-sized runs),
+/// Flags every command understands: `--smoke` (CI-sized runs),
 /// `--threads=N` (worker override), `--save-json[=DIR]` (handled by
 /// [`save::maybe_save`]). Positional arguments name paper stencils where
 /// a binary sweeps them (see [`Cli::stencils`]); binary-specific flags
@@ -56,7 +56,8 @@ impl Cli {
         }
     }
 
-    /// A `Cli` over explicit arguments (tests).
+    /// A `Cli` over explicit arguments (the `stencil-bench` binary hands
+    /// each command what follows its name; tests).
     pub fn from_args<S: Into<String>>(args: impl IntoIterator<Item = S>) -> Cli {
         Cli {
             args: args.into_iter().map(Into::into).collect(),

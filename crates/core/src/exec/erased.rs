@@ -1,16 +1,15 @@
 //! The runtime-spec plan surface: [`DynPlan`] / [`DynSession`] over a
 //! [`StencilSpec`].
 //!
-//! The typed terminals ([`Plan::star1`] … [`Plan::box3`]) return
-//! [`Plan1`]/[`Plan2`]/[`Plan3`], generic over the element type and
-//! bound to typed grids — so a caller that learns the stencil at runtime
-//! would still have to match on dimension and dtype wherever a plan
-//! flows. [`Plan::stencil`] folds those two axes into an enum. That is
-//! all it erases: the stencil itself (family, radius, weights) is already
-//! gone from the plan types, compiled into the boxed kernel object every
-//! plan holds (see [`crate::kernels`]), and `Plan::stencil` builds that
-//! object from the spec and hands it to the very constructor the typed
-//! terminals use.
+//! The typed terminals ([`Plan::star1`] … [`Plan::box3`]) return a
+//! [`CompiledPlan`] bound to one typed grid container — so a caller that
+//! learns the stencil at runtime would still have to match on container
+//! rank and dtype wherever a plan flows. [`Plan::stencil`] folds that one
+//! type parameter into an enum. That is all it erases: the stencil itself
+//! (family, radius, weights, rank) is already gone from the plan type,
+//! compiled into the boxed kernel object every plan holds (see
+//! [`crate::kernels`]), and `Plan::stencil` builds that object from the
+//! spec and hands it to the very constructor the typed terminals use.
 //!
 //! Dispatch accounting: one enum match per `run`/`session` call here,
 //! then the plan's one indirect kernel call per range sweep or tile
@@ -42,7 +41,7 @@
 
 use stencil_simd::Dtype;
 
-use super::{Plan, Plan1, Plan2, Plan3, PlanCore, PlanError, Session1, Session2, Session3, Shape};
+use super::{CompiledPlan, Plan, PlanCore, PlanError, Session, Shape};
 use crate::grid::{AnyGrid, Grid1, Grid2, Grid3};
 use crate::spec::StencilSpec;
 
@@ -147,23 +146,23 @@ impl<'a> From<&'a mut AnyGrid> for AnyGridMut<'a> {
     }
 }
 
-/// The plan behind a [`DynPlan`]: one variant per dimension × element
-/// type — all that is left to erase once the stencil lives in the plan's
-/// boxed kernel.
+/// The plan behind a [`DynPlan`]: one variant per grid container — all
+/// that is left to erase once the stencil lives in the plan's boxed
+/// kernel.
 enum AnyPlan {
-    D1(Plan1<f64>),
-    D2(Plan2<f64>),
-    D3(Plan3<f64>),
-    D1F32(Plan1<f32>),
-    D2F32(Plan2<f32>),
-    D3F32(Plan3<f32>),
+    D1(CompiledPlan<Grid1>),
+    D2(CompiledPlan<Grid2>),
+    D3(CompiledPlan<Grid3>),
+    D1F32(CompiledPlan<Grid1<f32>>),
+    D2F32(CompiledPlan<Grid2<f32>>),
+    D3F32(CompiledPlan<Grid3<f32>>),
 }
 
 /// A compiled execution plan whose stencil was described at runtime by
 /// a [`StencilSpec`].
 ///
-/// Built by [`Plan::stencil`]. It *is* a [`Plan1`]/[`Plan2`]/[`Plan3`]
-/// — the very object the typed terminals build — with the dimension and
+/// Built by [`Plan::stencil`]. It *is* a [`CompiledPlan`] — the very
+/// object the typed terminals build — with the grid container's rank and
 /// element type folded into an enum, so buffers, pool, validation, and
 /// kernels are shared with the typed surface; the configuration
 /// accessors come from [`PlanCore`] by deref. See the
@@ -212,7 +211,7 @@ impl DynPlan {
     }
 
     /// Open a layout-resident stepping session on `g`; see
-    /// [`Plan1::session`]. Dropping the [`DynSession`] restores natural
+    /// [`CompiledPlan::session`]. Dropping the [`DynSession`] restores natural
     /// order.
     ///
     /// # Panics
@@ -250,12 +249,12 @@ impl DynPlan {
 
 /// The session behind a [`DynSession`] (see [`AnyPlan`]).
 enum AnySession<'p> {
-    D1(Session1<'p, f64>),
-    D2(Session2<'p, f64>),
-    D3(Session3<'p, f64>),
-    D1F32(Session1<'p, f32>),
-    D2F32(Session2<'p, f32>),
-    D3F32(Session3<'p, f32>),
+    D1(Session<'p, Grid1>),
+    D2(Session<'p, Grid2>),
+    D3(Session<'p, Grid3>),
+    D1F32(Session<'p, Grid1<f32>>),
+    D2F32(Session<'p, Grid2<f32>>),
+    D3F32(Session<'p, Grid3<f32>>),
 }
 
 /// Layout-resident stepping session opened by [`DynPlan::session`].
@@ -266,7 +265,7 @@ pub struct DynSession<'p> {
 
 impl DynSession<'_> {
     /// Advance the grid `t` Jacobi steps (no allocation, no layout
-    /// transform — see [`Session1::run`]).
+    /// transform — see [`Session::run`]).
     pub fn run(&mut self, t: usize) {
         match &mut self.inner {
             AnySession::D1(s) => s.run(t),
@@ -297,14 +296,15 @@ impl Plan {
             boundary: Some(self.boundary.unwrap_or_else(|| spec.boundary())),
             ..self
         };
-        // StencilSpec construction bounds ndim to 1–3.
+        // StencilSpec construction bounds ndim to 1–3; each arm differs
+        // only in the container type inferred from its variant.
         let inner = match (spec.ndim(), spec.dtype()) {
-            (1, Dtype::F64) => AnyPlan::D1(plan.plan1(spec.kernel1()?)?),
-            (2, Dtype::F64) => AnyPlan::D2(plan.plan2(spec.kernel2()?)?),
-            (_, Dtype::F64) => AnyPlan::D3(plan.plan3(spec.kernel3()?)?),
-            (1, Dtype::F32) => AnyPlan::D1F32(plan.plan1(spec.kernel1()?)?),
-            (2, Dtype::F32) => AnyPlan::D2F32(plan.plan2(spec.kernel2()?)?),
-            (_, Dtype::F32) => AnyPlan::D3F32(plan.plan3(spec.kernel3()?)?),
+            (1, Dtype::F64) => AnyPlan::D1(plan.compile(spec.kernel()?)?),
+            (2, Dtype::F64) => AnyPlan::D2(plan.compile(spec.kernel()?)?),
+            (_, Dtype::F64) => AnyPlan::D3(plan.compile(spec.kernel()?)?),
+            (1, Dtype::F32) => AnyPlan::D1F32(plan.compile(spec.kernel()?)?),
+            (2, Dtype::F32) => AnyPlan::D2F32(plan.compile(spec.kernel()?)?),
+            (_, Dtype::F32) => AnyPlan::D3F32(plan.compile(spec.kernel()?)?),
         };
         Ok(DynPlan {
             inner,

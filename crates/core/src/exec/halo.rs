@@ -36,14 +36,14 @@
 //! rewriting depends on the driver:
 //!
 //! * **Untiled sequential** plans refresh the whole surface between
-//!   steps (`refresh1`/`refresh2`/`refresh3`).
+//!   steps (`refresh`).
 //! * **Untiled parallel** plans fuse a band-granular refresh into the
-//!   sweep (`refresh1_band`/`refresh2_band`/`refresh3_band`):
-//!   each band refreshes exactly the halo rows/planes its own cells
-//!   read, while hot. Adjacent bands may both write a shared halo cell,
-//!   but always with **bit-identical values** folded from the immutable
-//!   source interior — the benign-race contract that makes the refresh
-//!   barrier-free (see `exec::par`).
+//!   sweep (`refresh_band`): each band of the outermost axis refreshes
+//!   exactly the halo cells/rows/planes its own cells read, while hot.
+//!   Adjacent bands may both write a shared halo cell, but always with
+//!   **bit-identical values** folded from the immutable source interior
+//!   — the benign-race contract that makes the refresh barrier-free
+//!   (see `exec::par`).
 //! * **Temporally tiled** plans (`Tiling::Tessellate` / `Split`)
 //!   advance different cells to different time levels inside one chunk,
 //!   so there is no global "the" source buffer to refresh. Instead the
@@ -66,10 +66,23 @@
 //! refreshes are raw row/plane copies in any layout. The only
 //! layout-dependent part is *reading* an interior cell by logical index,
 //! which [`RowMap`] centralizes. Kernels stay byte-for-byte untouched.
+//!
+//! # Rank
+//!
+//! Both refreshes are written once over a [`Geo`]: a halo shell is the x
+//! folds of every row, then — per further real axis, innermost first —
+//! the shell of every slab followed by whole-slab copies. An absent axis
+//! has nothing to fold, so the recursion simply starts lower. The
+//! [`PlanGrid`] trait at the bottom is where the three grid containers
+//! hand a plan that geometry.
 
 use stencil_simd::{Elem, Isa};
 
-use crate::layout::{DltGeo, SetGeo};
+use crate::grid::{Grid1, Grid2, Grid3};
+use crate::kernels::Geo;
+use crate::layout::{
+    dlt_grid1, dlt_grid2, dlt_grid3, tl_grid1, tl_grid2, tl_grid3, DltGeo, SetGeo,
+};
 use crate::spec::SpecError;
 
 use super::Method;
@@ -227,14 +240,42 @@ impl RowMap {
 // Refresh engine
 // ---------------------------------------------------------------------------
 
-/// Refresh the x halos (raw positions `-r..0` and `n..n+r` relative to
-/// the interior) of one row from its interior.
+/// Fold the left and/or right x halos (raw positions `-r..0` and
+/// `n..n+r` relative to the interior) of one row from its interior.
 ///
 /// # Safety
 /// `row` points at the row's interior origin; positions `[-r, n + r)`
 /// must be addressable (`r ≤ T::PAD`, guaranteed by `MAX_R`); the
 /// map's geometry must match `n`. Caller guarantees `n ≥ r` for the
 /// non-Dirichlet modes (validated at plan build).
+#[inline]
+unsafe fn fold_row<T: Elem>(
+    row: *mut T,
+    n: usize,
+    r: usize,
+    b: Boundary,
+    map: &RowMap,
+    (left, right): (bool, bool),
+) {
+    debug_assert!(r <= T::PAD);
+    if b.is_dirichlet() {
+        return;
+    }
+    for k in 1..=r {
+        if left {
+            *row.offset(-(k as isize)) = map.read(row, fold_src(n, k, true, b));
+        }
+        if right {
+            *row.add(n - 1 + k) = map.read(row, fold_src(n, k, false, b));
+        }
+    }
+}
+
+/// Refresh both x halos of one row from its interior (no-op under
+/// Dirichlet).
+///
+/// # Safety
+/// As [`fold_row`].
 pub(crate) unsafe fn refresh_row<T: Elem>(
     row: *mut T,
     n: usize,
@@ -242,22 +283,7 @@ pub(crate) unsafe fn refresh_row<T: Elem>(
     b: Boundary,
     map: &RowMap,
 ) {
-    debug_assert!(r <= T::PAD);
-    match b {
-        Boundary::Dirichlet(_) => {}
-        Boundary::Periodic => {
-            for k in 1..=r {
-                *row.offset(-(k as isize)) = map.read(row, n - k);
-                *row.add(n - 1 + k) = map.read(row, k - 1);
-            }
-        }
-        Boundary::Reflect => {
-            for k in 1..=r {
-                *row.offset(-(k as isize)) = map.read(row, k - 1);
-                *row.add(n - 1 + k) = map.read(row, n - k);
-            }
-        }
-    }
+    fold_row(row, n, r, b, map, (true, true));
 }
 
 /// The source row index (in `[0, n)`) that halo row/plane `-k` (for
@@ -274,100 +300,61 @@ pub(crate) fn fold_src(n: usize, k: usize, lo: bool, b: Boundary) -> usize {
     }
 }
 
-/// Copy one full raw row (`rs` elements starting `T::PAD` before the
-/// interior origin) from row index `src_y` to row index `dst_y`.
-///
-/// # Safety
-/// Both rows fully addressable; `src_y != dst_y`.
+/// The two halo slabs at distance `k` outside an axis of extent `n`:
+/// `(slab index, is the low side)`.
 #[inline]
-unsafe fn copy_raw_row<T: Elem>(base: *mut T, rs: usize, src_y: isize, dst_y: isize) {
-    let src = base.offset(src_y * rs as isize - T::PAD as isize);
-    let dst = base.offset(dst_y * rs as isize - T::PAD as isize);
-    std::ptr::copy_nonoverlapping(src, dst, rs);
+fn halo_slabs(n: usize, k: usize) -> [(isize, bool); 2] {
+    [(-(k as isize), true), ((n - 1 + k) as isize, false)]
 }
 
-/// Refresh the halos of a 1D buffer from its interior (no-op under
-/// Dirichlet).
+/// Refresh the halo shell of a buffer from its interior (no-op under
+/// Dirichlet): the x halos of every row, then per further real axis the
+/// `r` whole halo slabs on each side, copied raw from their fold-source
+/// slab — which carries the freshly folded lower-axis halos into the
+/// edges and corners, so corners compose per axis.
 ///
 /// # Safety
-/// Same contract as [`refresh_row`].
-pub(crate) unsafe fn refresh1<T: Elem>(ptr: *mut T, n: usize, r: usize, b: Boundary, map: &RowMap) {
-    refresh_row(ptr, n, r, b, map);
+/// `ptr` points at the interior origin of a buffer laid out as `geo`
+/// says, with at least `r` halo rows/planes per side on every real y/z
+/// axis and `T::PAD` row padding; the map's geometry must match
+/// `geo.n[0]`; every real extent is `≥ r` for non-Dirichlet modes.
+pub(crate) unsafe fn refresh<T: Elem>(ptr: *mut T, geo: &Geo, r: usize, b: Boundary, map: &RowMap) {
+    if !b.is_dirichlet() {
+        refresh_axes(ptr, geo, geo.ndim, r, b, map);
+    }
 }
 
-/// Refresh the halo frame of a 2D buffer from its interior: x halos of
-/// every interior row first, then `r` whole raw halo rows above and
-/// below (which carries the freshly folded x halos into the corners).
-/// No-op under Dirichlet.
-///
-/// # Safety
-/// `ptr` points at interior cell (0, 0) of a buffer with row stride `rs`,
-/// at least `r` halo rows on each side, and `T::PAD` row padding; the
-/// map's geometry must match `nx`; `nx, ny ≥ r` for non-Dirichlet modes.
-pub(crate) unsafe fn refresh2<T: Elem>(
+/// [`refresh`] restricted to the leading `axes` axes of the slab at `ptr`.
+unsafe fn refresh_axes<T: Elem>(
     ptr: *mut T,
-    rs: usize,
-    nx: usize,
-    ny: usize,
+    geo: &Geo,
+    axes: usize,
     r: usize,
     b: Boundary,
     map: &RowMap,
 ) {
-    if b.is_dirichlet() {
-        return;
+    if axes == 1 {
+        return refresh_row(ptr, geo.n[0], r, b, map);
     }
-    for y in 0..ny {
-        refresh_row(ptr.add(y * rs), nx, r, b, map);
+    let a = axes - 1;
+    let (n, stride) = (geo.n[a], geo.stride(a) as isize);
+    for i in 0..n {
+        refresh_axes(ptr.add(i * stride as usize), geo, a, r, b, map);
     }
+    // One contiguous raw copy per halo slab: a row from its leading pad,
+    // or a plane's rows `[-r, ny + r)`.
+    let (lead, len) = match a {
+        1 => (T::PAD, geo.rs),
+        _ => (r * geo.rs + T::PAD, (geo.n[1] + 2 * r) * geo.rs),
+    };
     for k in 1..=r {
-        copy_raw_row(ptr, rs, fold_src(ny, k, true, b) as isize, -(k as isize));
-        copy_raw_row(
-            ptr,
-            rs,
-            fold_src(ny, k, false, b) as isize,
-            (ny - 1 + k) as isize,
-        );
-    }
-}
-
-/// Refresh the halo shell of a 3D buffer from its interior: the 2D halo
-/// frame of every interior plane first, then `r` whole halo planes
-/// (rows `[-r, ny + r)` of the folded source plane) on each side, which
-/// carries the folded y/x halos into the edges and corners. No-op under
-/// Dirichlet.
-///
-/// # Safety
-/// `ptr` points at interior cell (0, 0, 0) of a buffer with row stride
-/// `rs`, plane stride `ps`, at least `r` halo rows/planes per side;
-/// map geometry must match `nx`; `nx, ny, nz ≥ r` for non-Dirichlet.
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn refresh3<T: Elem>(
-    ptr: *mut T,
-    rs: usize,
-    ps: usize,
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    r: usize,
-    b: Boundary,
-    map: &RowMap,
-) {
-    if b.is_dirichlet() {
-        return;
-    }
-    for z in 0..nz {
-        refresh2(ptr.add(z * ps), rs, nx, ny, r, b, map);
-    }
-    // Whole-plane copies: rows [-r, ny + r), each rs wide from -T::PAD,
-    // are contiguous — one copy per halo plane.
-    let row0 = -(r as isize) * rs as isize - T::PAD as isize;
-    let len = (ny + 2 * r) * rs;
-    for k in 1..=r {
-        for (dst_z, lo) in [(-(k as isize), true), ((nz - 1 + k) as isize, false)] {
-            let src_z = fold_src(nz, k, lo, b) as isize;
-            let src = ptr.offset(src_z * ps as isize + row0);
-            let dst = ptr.offset(dst_z * ps as isize + row0);
-            std::ptr::copy_nonoverlapping(src, dst, len);
+        for (dst, lo) in halo_slabs(n, k) {
+            let src = fold_src(n, k, lo, b) as isize;
+            std::ptr::copy_nonoverlapping(
+                ptr.offset(src * stride - lead as isize),
+                ptr.offset(dst * stride - lead as isize),
+                len,
+            );
         }
     }
 }
@@ -376,203 +363,184 @@ pub(crate) unsafe fn refresh3<T: Elem>(
 // Per-band refresh — the fused fast path for the parallel drivers
 // ---------------------------------------------------------------------------
 //
-// The whole-grid `refresh1/2/3` sweeps above are what a sequential plan
-// runs between steps. The parallel drivers (`exec::par`) instead fold the
-// refresh into each band's work item: a band refreshes exactly the halo
-// cells its own compute reads, immediately before computing, while those
-// cache lines are hot — no serial pre-pass and no extra barrier.
+// The whole-grid `refresh` above is what a sequential plan runs between
+// steps. The parallel drivers (`exec::par`, the hybrid split driver)
+// instead fold the refresh into each band's work item: a band refreshes
+// exactly the halo cells its own compute reads, immediately before
+// computing, while those cache lines are hot — no serial pre-pass and no
+// extra barrier.
 //
 // Bands overlap by the stencil radius, so adjacent bands may write the
 // same halo cell. Every such write computes the value from the *source*
 // buffer's interior, which is immutable for the whole step, so all
 // writers store bit-identical values; the overlap is a benign race on
-// identical values (aligned element-sized stores). Halo-row construction
-// copies the raw fold row first (whose x-halo pad may be mid-refresh by
-// its owning band) and then recomputes the copy's x halos locally from
-// the copied interior, so every cell a kernel can read is deterministic.
+// identical values (aligned element-sized stores). A halo slab is built
+// by copying the raw fold-source slab first (whose own lower-axis halos
+// may be mid-refresh by its owning band) and then recomputing the copy's
+// shell locally from the copied interior, so every cell a kernel can
+// read is deterministic.
 
-/// Per-band [`refresh1`]: fold only the halo cells a 1D band `[lo, hi)`
-/// reads (left halos when `lo < r`, right halos when `hi + r > n`).
+/// Per-band [`refresh`]: refresh only what the band `[lo, hi)` of the
+/// outermost real axis reads. In 1D that is the left x halo when
+/// `lo < r` and the right when `hi + r > n`; otherwise the shells of the
+/// slabs `[lo - r, hi + r) ∩ [0, n)` plus the whole halo slabs the band
+/// touches (below when `lo < r`, above when `hi + r > n`).
 ///
 /// # Safety
-/// Same contract as [`refresh_row`]; `lo ≤ hi ≤ n`.
-pub(crate) unsafe fn refresh1_band<T: Elem>(
+/// Same contract as [`refresh`]; `lo ≤ hi ≤ n`.
+pub(crate) unsafe fn refresh_band<T: Elem>(
     ptr: *mut T,
-    n: usize,
+    geo: &Geo,
     r: usize,
     b: Boundary,
     map: &RowMap,
-    lo: usize,
-    hi: usize,
+    (lo, hi): (usize, usize),
 ) {
-    match b {
-        Boundary::Dirichlet(_) => {}
-        Boundary::Periodic => {
-            for k in 1..=r {
-                if lo < r {
-                    *ptr.offset(-(k as isize)) = map.read(ptr, n - k);
-                }
-                if hi + r > n {
-                    *ptr.add(n - 1 + k) = map.read(ptr, k - 1);
-                }
-            }
-        }
-        Boundary::Reflect => {
-            for k in 1..=r {
-                if lo < r {
-                    *ptr.offset(-(k as isize)) = map.read(ptr, k - 1);
-                }
-                if hi + r > n {
-                    *ptr.add(n - 1 + k) = map.read(ptr, n - k);
-                }
-            }
-        }
+    if b.is_dirichlet() {
+        return;
     }
-}
-
-/// Construct halo row `dst_y` (a row index outside `[0, ny)`) from its
-/// fold source: copy the raw source row, then recompute the copy's x
-/// halos from its own (just copied) interior so the result does not
-/// depend on whether the source row's x halos were refreshed yet.
-///
-/// # Safety
-/// Same contract as [`refresh2`] for the rows involved.
-#[allow(clippy::too_many_arguments)]
-unsafe fn build_halo_row<T: Elem>(
-    ptr: *mut T,
-    rs: usize,
-    nx: usize,
-    ny: usize,
-    k: usize,
-    lo: bool,
-    r: usize,
-    b: Boundary,
-    map: &RowMap,
-) {
-    let dst_y = if lo {
-        -(k as isize)
-    } else {
-        (ny - 1 + k) as isize
+    let a = geo.ndim - 1;
+    let (n, stride) = (geo.n[a], geo.stride(a) as isize);
+    let touches = (lo < r, hi + r > n);
+    if a == 0 {
+        return fold_row(ptr, n, r, b, map, touches);
+    }
+    for i in lo.saturating_sub(r)..(hi + r).min(n) {
+        refresh_axes(ptr.add(i * stride as usize), geo, a, r, b, map);
+    }
+    // The fold source's interior from its leading pad: one raw row, or a
+    // plane's rows `[0, ny)`.
+    let len = match a {
+        1 => geo.rs,
+        _ => geo.n[1] * geo.rs + T::PAD,
     };
-    copy_raw_row(ptr, rs, fold_src(ny, k, lo, b) as isize, dst_y);
-    refresh_row(ptr.offset(dst_y * rs as isize), nx, r, b, map);
-}
-
-/// Per-band [`refresh2`]: refresh the x halos of the rows a 2D band
-/// `[y0, y1)` reads (`[y0 - r, y1 + r) ∩ [0, ny)`) and construct the
-/// whole halo rows it touches (below when `y0 < r`, above when
-/// `y1 + r > ny`).
-///
-/// # Safety
-/// Same contract as [`refresh2`]; `y0 ≤ y1 ≤ ny`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn refresh2_band<T: Elem>(
-    ptr: *mut T,
-    rs: usize,
-    nx: usize,
-    ny: usize,
-    r: usize,
-    b: Boundary,
-    map: &RowMap,
-    y0: usize,
-    y1: usize,
-) {
-    if b.is_dirichlet() {
-        return;
-    }
-    for y in y0.saturating_sub(r)..(y1 + r).min(ny) {
-        refresh_row(ptr.add(y * rs), nx, r, b, map);
-    }
     for k in 1..=r {
-        if y0 < r {
-            build_halo_row(ptr, rs, nx, ny, k, true, r, b, map);
-        }
-        if y1 + r > ny {
-            build_halo_row(ptr, rs, nx, ny, k, false, r, b, map);
-        }
-    }
-}
-
-/// Per-band [`refresh3`]: refresh the 2D halo frame of the planes a 3D
-/// band `[z0, z1)` reads (`[z0 - r, z1 + r) ∩ [0, nz)`) and construct
-/// the whole halo planes it touches. Halo planes are built as raw copies
-/// of their fold-source plane followed by a local 2D frame refresh of
-/// the copy, mirroring [`build_halo_row`].
-///
-/// # Safety
-/// Same contract as [`refresh3`]; `z0 ≤ z1 ≤ nz`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn refresh3_band<T: Elem>(
-    ptr: *mut T,
-    rs: usize,
-    ps: usize,
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    r: usize,
-    b: Boundary,
-    map: &RowMap,
-    z0: usize,
-    z1: usize,
-) {
-    if b.is_dirichlet() {
-        return;
-    }
-    for z in z0.saturating_sub(r)..(z1 + r).min(nz) {
-        refresh2(ptr.add(z * ps), rs, nx, ny, r, b, map);
-    }
-    let row0 = -(T::PAD as isize);
-    let len = ny * rs + T::PAD; // rows [0, ny) plus the leading pad
-    for k in 1..=r {
-        for (dst_z, lo) in [(-(k as isize), true), ((nz - 1 + k) as isize, false)] {
-            if (lo && z0 >= r) || (!lo && z1 + r <= nz) {
+        for (dst, low) in halo_slabs(n, k) {
+            if !(if low { touches.0 } else { touches.1 }) {
                 continue;
             }
-            let src_z = fold_src(nz, k, lo, b) as isize;
-            let src = ptr.offset(src_z * ps as isize + row0);
-            let dst = ptr.offset(dst_z * ps as isize + row0);
-            std::ptr::copy_nonoverlapping(src, dst, len);
-            // Rebuild the copied plane's own 2D halo frame locally from
-            // its interior so nothing depends on the source plane's
-            // refresh having happened.
-            refresh2(ptr.offset(dst_z * ps as isize), rs, nx, ny, r, b, map);
+            let src = fold_src(n, k, low, b) as isize;
+            std::ptr::copy_nonoverlapping(
+                ptr.offset(src * stride - T::PAD as isize),
+                ptr.offset(dst * stride - T::PAD as isize),
+                len,
+            );
+            refresh_axes(ptr.offset(dst * stride), geo, a, r, b, map);
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Buffer plumbing shared by the plan types
+// The grid side of a plan
 // ---------------------------------------------------------------------------
 
-/// Grid-like containers whose halo cells can be carried wholesale into a
-/// staging partner — the one audited home for the "copy everything so
-/// the halos come along" idiom.
-pub(crate) trait HaloCarrier: Clone {
-    /// Overwrite every cell of `self` (halos included) with `src`'s.
+/// A grid container a compiled plan can step: it says where its cells
+/// are ([`Geo`]), hands out its interior origin, and knows its own
+/// layout round-trips. This is the only place the executor meets a
+/// concrete container type; implemented by [`Grid1`], [`Grid2`] and
+/// [`Grid3`] over either element type.
+pub trait PlanGrid: Clone {
+    /// The element type the grid carries.
+    type Elem: Elem;
+
+    /// The grid's geometry (an absent axis is an axis of extent 1).
+    fn geo(&self) -> Geo;
+
+    /// Mutable pointer to interior cell (0, 0, 0).
+    fn origin(&mut self) -> *mut Self::Elem;
+
+    /// Overwrite every cell of `self` (halos included) with `src`'s —
+    /// the one audited home for the "copy everything so the halos come
+    /// along" idiom.
     fn carry_from(&mut self, src: &Self);
+
+    /// Toggle every row (halo rows/planes included) between natural and
+    /// local-transpose layout, in place.
+    fn toggle_tl(&mut self, isa: Isa);
+
+    /// DLT-transform (or, with `inverse`, restore) every row of `self`
+    /// into `dst`, which has the same geometry.
+    fn dlt_into(&self, dst: &mut Self, isa: Isa, inverse: bool);
 }
 
-impl<T: Elem> HaloCarrier for crate::grid::Grid1<T> {
+impl<T: Elem> PlanGrid for Grid1<T> {
+    type Elem = T;
+    fn geo(&self) -> Geo {
+        Geo {
+            ndim: 1,
+            n: [self.n(), 1, 1],
+            rs: 0,
+            ps: 0,
+            halo: 0,
+        }
+    }
+    fn origin(&mut self) -> *mut T {
+        self.ptr_mut()
+    }
     fn carry_from(&mut self, src: &Self) {
         self.copy_from(src);
     }
-}
-
-impl<T: Elem> HaloCarrier for crate::grid::Grid2<T> {
-    fn carry_from(&mut self, src: &Self) {
-        self.copy_from(src);
+    fn toggle_tl(&mut self, isa: Isa) {
+        tl_grid1(self, isa);
+    }
+    fn dlt_into(&self, dst: &mut Self, isa: Isa, inverse: bool) {
+        dlt_grid1(self, dst, isa, inverse);
     }
 }
 
-impl<T: Elem> HaloCarrier for crate::grid::Grid3<T> {
+impl<T: Elem> PlanGrid for Grid2<T> {
+    type Elem = T;
+    fn geo(&self) -> Geo {
+        Geo {
+            ndim: 2,
+            n: [self.nx(), self.ny(), 1],
+            rs: self.row_stride(),
+            ps: 0,
+            halo: self.ry(),
+        }
+    }
+    fn origin(&mut self) -> *mut T {
+        self.ptr_mut()
+    }
     fn carry_from(&mut self, src: &Self) {
         self.copy_from(src);
+    }
+    fn toggle_tl(&mut self, isa: Isa) {
+        tl_grid2(self, isa);
+    }
+    fn dlt_into(&self, dst: &mut Self, isa: Isa, inverse: bool) {
+        dlt_grid2(self, dst, isa, inverse);
+    }
+}
+
+impl<T: Elem> PlanGrid for Grid3<T> {
+    type Elem = T;
+    fn geo(&self) -> Geo {
+        Geo {
+            ndim: 3,
+            n: [self.nx(), self.ny(), self.nz()],
+            rs: self.row_stride(),
+            ps: self.plane_stride(),
+            halo: self.r(),
+        }
+    }
+    fn origin(&mut self) -> *mut T {
+        self.ptr_mut()
+    }
+    fn carry_from(&mut self, src: &Self) {
+        self.copy_from(src);
+    }
+    fn toggle_tl(&mut self, isa: Isa) {
+        tl_grid3(self, isa);
+    }
+    fn dlt_into(&self, dst: &mut Self, isa: Isa, inverse: bool) {
+        dlt_grid3(self, dst, isa, inverse);
     }
 }
 
 /// Fill the plan's ping-pong scratch slot from `g`, allocating on first
 /// use and refreshing every cell (halos included) after that.
-pub(crate) fn ensure_scratch<G: HaloCarrier>(slot: &mut Option<G>, g: &G) {
+pub(crate) fn ensure_scratch<G: PlanGrid>(slot: &mut Option<G>, g: &G) {
     match slot {
         Some(sc) => sc.carry_from(g),
         None => *slot = Some(g.clone()),
@@ -583,58 +551,32 @@ pub(crate) fn ensure_scratch<G: HaloCarrier>(slot: &mut Option<G>, g: &G) {
 /// first staging grid, apply the forward layout transform (which writes
 /// only the interior), and mirror the result into the second grid so
 /// both ping-pong partners start with identical halos.
-pub(crate) fn ensure_stage<G: HaloCarrier>(
-    slot: &mut Option<(G, G)>,
-    g: &G,
-    forward: impl FnOnce(&G, &mut G),
-) {
+pub(crate) fn ensure_stage<G: PlanGrid>(slot: &mut Option<(G, G)>, g: &G, isa: Isa) {
     if slot.is_none() {
         *slot = Some((g.clone(), g.clone()));
     }
     let (a, b) = slot.as_mut().expect("just ensured");
     a.carry_from(g); // halos ride along; the transform overwrites the interior
-    forward(g, a);
+    g.dlt_into(a, isa, false);
     b.carry_from(a);
 }
 
-/// Length in elements of the k = 2 ring buffer for 2D fused stepping
-/// (`2r + 1` rows plus the left halo pad).
+/// The k = 2 ring buffer of a 2D/3D fused pass over `geo`, as `(length,
+/// interior origin)` in elements: `2r + 1` rows behind one left halo
+/// pad, or `2r + 1` planes entered `r` halo rows plus the pad in.
 #[inline]
-pub(crate) fn ring2_len<T: Elem>(r: usize, rs: usize) -> usize {
-    T::PAD + (2 * r + 1) * rs
-}
-
-/// Interior origin of the 2D ring buffer (one `T::PAD` in).
-///
-/// # Safety
-/// `ring` must have at least [`ring2_len`] capacity.
-#[inline]
-pub(crate) unsafe fn ring2_origin<T: Elem>(ring: *mut T) -> *mut T {
-    ring.add(T::PAD)
-}
-
-/// Length in elements of the k = 2 ring buffer for 3D fused stepping
-/// (`2r + 1` planes; element-count, so no type parameter — unlike
-/// [`ring2_len`], no pad is element-width dependent here).
-#[inline]
-pub(crate) fn ring3_len(r: usize, ps: usize) -> usize {
-    (2 * r + 1) * ps
-}
-
-/// Interior origin of the 3D ring buffer (`r` halo rows plus the pad in).
-///
-/// # Safety
-/// `ring` must have at least [`ring3_len`] capacity.
-#[inline]
-pub(crate) unsafe fn ring3_origin<T: Elem>(ring: *mut T, r: usize, rs: usize) -> *mut T {
-    ring.add(r * rs + T::PAD)
+pub(crate) fn ring_layout<T: Elem>(geo: &Geo, r: usize) -> (usize, usize) {
+    match geo.ndim {
+        2 => (T::PAD + (2 * r + 1) * geo.rs, T::PAD),
+        _ => ((2 * r + 1) * geo.ps, r * geo.rs + T::PAD),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{Grid1, Grid2, Grid3, HALO_PAD};
-    use crate::layout::{dlt_grid1, tl_grid1, tl_read};
+    use crate::grid::HALO_PAD;
+    use crate::layout::tl_read;
 
     #[test]
     fn boundary_labels_round_trip() {
@@ -664,7 +606,15 @@ mod tests {
         let n = 11;
         let r = 3;
         let mut g = Grid1::from_fn(n, -9.0, |i| (i + 1) as f64);
-        unsafe { refresh1(g.ptr_mut(), n, r, Boundary::Periodic, &RowMap::Natural) };
+        unsafe {
+            refresh(
+                g.ptr_mut(),
+                &g.geo(),
+                r,
+                Boundary::Periodic,
+                &RowMap::Natural,
+            )
+        };
         for k in 1..=r as isize {
             assert_eq!(g.get(-k), g.get(n as isize - k), "periodic left k={k}");
             assert_eq!(
@@ -673,7 +623,15 @@ mod tests {
                 "periodic right k={k}"
             );
         }
-        unsafe { refresh1(g.ptr_mut(), n, r, Boundary::Reflect, &RowMap::Natural) };
+        unsafe {
+            refresh(
+                g.ptr_mut(),
+                &g.geo(),
+                r,
+                Boundary::Reflect,
+                &RowMap::Natural,
+            )
+        };
         for k in 1..=r as isize {
             assert_eq!(g.get(-k), g.get(k - 1), "reflect left k={k}");
             assert_eq!(
@@ -684,10 +642,11 @@ mod tests {
         }
         // Dirichlet never writes.
         let before = g.clone();
+        let geo = g.geo();
         unsafe {
-            refresh1(
+            refresh(
                 g.ptr_mut(),
-                n,
+                &geo,
                 r,
                 Boundary::Dirichlet(5.0),
                 &RowMap::Natural,
@@ -704,7 +663,7 @@ mod tests {
             let mut g = Grid1::from_fn(n, 0.0, |i| (10 + i) as f64);
             tl_grid1(&mut g, isa);
             let map = RowMap::for_method::<f64>(Method::TransLayout, isa, n);
-            unsafe { refresh1(g.ptr_mut(), n, 2, Boundary::Periodic, &map) };
+            unsafe { refresh(g.ptr_mut(), &g.geo(), 2, Boundary::Periodic, &map) };
             // Halo cells live at raw offsets and must hold the wrapped
             // *logical* interior values.
             assert_eq!(g.get(-1), (10 + n - 1) as f64, "{isa}");
@@ -724,7 +683,7 @@ mod tests {
             let mut d = src.clone();
             dlt_grid1(&src, &mut d, isa, false);
             let map = RowMap::for_method::<f64>(Method::Dlt, isa, n);
-            unsafe { refresh1(d.ptr_mut(), n, 1, Boundary::Reflect, &map) };
+            unsafe { refresh(d.ptr_mut(), &d.geo(), 1, Boundary::Reflect, &map) };
             assert_eq!(d.get(-1), 10.0, "{isa}");
             assert_eq!(d.get(n as isize), (10 + n - 1) as f64, "{isa}");
         }
@@ -735,11 +694,9 @@ mod tests {
         let (nx, ny, r) = (7, 5, 2);
         let mut g = Grid2::from_fn(nx, ny, r, 0.0, |y, x| (100 * y + x) as f64);
         unsafe {
-            refresh2(
+            refresh(
                 g.ptr_mut(),
-                g.row_stride(),
-                nx,
-                ny,
+                &g.geo(),
                 r,
                 Boundary::Periodic,
                 &RowMap::Natural,
@@ -755,11 +712,9 @@ mod tests {
 
         let mut g = Grid2::from_fn(nx, ny, r, 0.0, |y, x| (100 * y + x) as f64);
         unsafe {
-            refresh2(
+            refresh(
                 g.ptr_mut(),
-                g.row_stride(),
-                nx,
-                ny,
+                &g.geo(),
                 r,
                 Boundary::Reflect,
                 &RowMap::Natural,
@@ -779,13 +734,9 @@ mod tests {
         let val = |z: usize, y: usize, x: usize| (10_000 * z + 100 * y + x) as f64;
         let mut g = Grid3::from_fn(nx, ny, nz, r, -1.0, val);
         unsafe {
-            refresh3(
+            refresh(
                 g.ptr_mut(),
-                g.row_stride(),
-                g.plane_stride(),
-                nx,
-                ny,
-                nz,
+                &g.geo(),
                 r,
                 Boundary::Periodic,
                 &RowMap::Natural,
@@ -801,18 +752,23 @@ mod tests {
 
     #[test]
     fn ring_geometry_helpers() {
-        assert_eq!(ring2_len::<f64>(1, 40), HALO_PAD + 3 * 40);
-        assert_eq!(ring2_len::<f32>(1, 40), 16 + 3 * 40);
-        assert_eq!(ring3_len(2, 1000), 5 * 1000);
-        let mut buf = vec![0.0f64; ring3_len(1, 64)];
-        let p = buf.as_mut_ptr();
-        assert_eq!(
-            unsafe { ring3_origin(p, 1, 16) } as usize - p as usize,
-            (16 + HALO_PAD) * 8
-        );
-        assert_eq!(
-            unsafe { ring2_origin(p) } as usize - p as usize,
-            HALO_PAD * 8
-        );
+        let g2 = Geo {
+            ndim: 2,
+            n: [24, 3, 1],
+            rs: 40,
+            ps: 0,
+            halo: 1,
+        };
+        assert_eq!(ring_layout::<f64>(&g2, 1), (HALO_PAD + 3 * 40, HALO_PAD));
+        assert_eq!(ring_layout::<f32>(&g2, 1), (16 + 3 * 40, 16));
+        let g3 = Geo {
+            ndim: 3,
+            n: [8, 2, 2],
+            rs: 16,
+            ps: 1000,
+            halo: 2,
+        };
+        assert_eq!(ring_layout::<f64>(&g3, 2).0, 5 * 1000);
+        assert_eq!(ring_layout::<f64>(&g3, 1).1, 16 + HALO_PAD);
     }
 }

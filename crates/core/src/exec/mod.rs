@@ -1,45 +1,58 @@
 //! The execution-plan engine: validate once, allocate once, run many.
 //!
-//! The free functions in [`crate::api`] re-derive everything on every
-//! call: they clone the grid for the ping-pong partner, transform layouts
-//! in and out, and re-check the (dimension × stencil × method × tiling)
-//! combination each time. That is faithful to how the paper *accounts*
-//! for layout costs (Fig. 7 amortizes the transform over one time loop),
-//! but it is the wrong shape for a system that steps many scenarios
-//! repeatedly.
+//! A one-shot call would re-derive everything each time: clone the grid
+//! for the ping-pong partner, transform layouts in and out, re-check the
+//! (dimension × stencil × method × tiling) combination. That is faithful
+//! to how the paper *accounts* for layout costs (Fig. 7 amortizes the
+//! transform over one time loop — [`crate::api::run_spec`] keeps that
+//! accounting), but it is the wrong shape for a system that steps many
+//! scenarios repeatedly.
 //!
 //! A [`Plan`] factors the work:
 //!
 //! * **validate once** — the builder rejects invalid combinations (e.g.
 //!   DLT under tessellate tiling, split tiling without DLT, a chunk
-//!   height the tile width cannot support, a radius the kernels cannot
-//!   hold) with a [`PlanError`] instead of a mid-run panic;
+//!   height the tile width cannot support, a radius or weight table the
+//!   kernels cannot hold) with a [`PlanError`] instead of a mid-run
+//!   panic;
 //! * **allocate once** — the ping-pong scratch grid, the DLT staging
 //!   pair, the k = 2 ring buffer, and the **persistent worker pool** live
-//!   in the plan and are reused by every [`Plan1::run`] (no buffer
+//!   in the plan and are reused by every [`CompiledPlan::run`] (no buffer
 //!   allocation and no thread spawning in the steady state — pool
 //!   workers are spawned at plan compile time and a stage dispatch is a
 //!   condvar wake);
-//! * **stay resident** — a [`Session`](Session1) keeps the grid in the
-//!   method's layout between runs, so repeated stepping pays the
-//!   transpose/DLT round-trip once instead of per call;
+//! * **stay resident** — a [`Session`] keeps the grid in the method's
+//!   layout between runs, so repeated stepping pays the transpose/DLT
+//!   round-trip once instead of per call;
 //! * **scale out** — core-level parallelism is a validated knob
 //!   ([`Parallelism`]): untiled plans decompose into per-thread
 //!   subdomains with per-step halo synchronization on the pool's barrier
 //!   (see `exec::par`), tiled plans size the pool their stages run on,
 //!   and every parallel result is bit-identical to sequential.
 //!
-//! # Where the stencil ends
+//! # Where the stencil — and the rank — end
 //!
-//! Nothing in this module tree is generic over a stencil. A compiled
-//! plan ([`Plan1`]/[`Plan2`]/[`Plan3`], generic over the element type
-//! only) holds the stencil as one boxed kernel object
-//! ([`Kernel1`]/[`Kernel2`]/[`Kernel3`] — see [`crate::kernels`] for the
-//! boundary), and the sessions and the `tess`/`par`/`split` drivers call
-//! it once per range sweep or tile step. The typed terminals
-//! ([`Plan::star1`] … [`Plan::box3`]) and the runtime-spec terminal
-//! ([`Plan::stencil`]) differ only in how that object is made; both hand
-//! it to the same plan constructor, so they cannot drift apart.
+//! Nothing in this module tree is generic over a stencil, and nothing is
+//! written per rank. A [`CompiledPlan`] holds the stencil as one boxed
+//! [`Kernel`] object (see [`crate::kernels`] for the boundary) and meets
+//! the caller's grid container through [`PlanGrid`], which reduces it to
+//! a [`Geo`] — extents `[nx, ny, nz]` where **an absent axis is an axis
+//! of extent 1** — plus two raw pointers. From
+//! there one runner body picks one driver (`tess::drive`, `par::drive`,
+//! the `split` drivers, or the sequential loop), each generic over the
+//! element type only, and the kernel is called once per range sweep or
+//! tile step. The typed terminals ([`Plan::star1`] … [`Plan::box3`]) and
+//! the runtime-spec terminal ([`Plan::stencil`]) differ only in how the
+//! kernel object is made; both hand it to the same constructor, so they
+//! cannot drift apart. [`Plan1`]/[`Plan2`]/[`Plan3`] are aliases naming
+//! the container a plan steps, not separate types.
+//!
+//! Two paths stay 1D-specific, because they index something a plane or a
+//! volume does not have rather than "one axis fewer": the DLT
+//! *column-space* drivers (`par::drive_cols`, `split::drive_cols` — a
+//! row's DLT columns are `vl` distant segments, tiled and banded in that
+//! space) and the fused `TransLayout2` tile pair (`tess`'s `pair1`, a
+//! register pipeline over the vector sets of one row).
 //!
 //! ```
 //! use stencil_core::exec::{Plan, Shape, Tiling};
@@ -72,18 +85,16 @@ pub mod tile;
 pub(crate) mod wave;
 
 pub use erased::{AnyGridMut, DynPlan, DynSession};
-pub use halo::Boundary;
+pub use halo::{Boundary, PlanGrid};
 pub use stage::PhaseTotals;
 
 use stencil_simd::{AlignedBuf, Elem, Isa};
 
 use crate::grid::{Grid1, Grid2, Grid3};
-use crate::kernels::{kernel1, kernel2, kernel3, BoxK, Kernel1, Kernel2, Kernel3, StarK};
-use crate::layout::{
-    dlt_grid1, dlt_grid2, dlt_grid3, tl_grid1, tl_grid2, tl_grid3, DltGeo, SetGeo,
-};
+use crate::kernels::{self, Geo, Kernel};
+use crate::layout::{DltGeo, SetGeo};
 use crate::stencil::{Box2, Box3, Star1, Star2, Star3};
-use tess::SyncPtr;
+use tess::{Stepper, SyncPtr};
 use tile::DimTiling;
 
 /// A stencil execution scheme (paper §2–§3).
@@ -247,9 +258,13 @@ pub enum Parallelism {
     /// `1 ≤ n ≤ 4096`. Overrides a tiling's `threads` field.
     Threads(usize),
     /// Untiled plans use every available core; tiled plans defer to the
-    /// tiling's `threads` field (back-compat with pre-knob callers).
+    /// tiling's `threads` field (back-compat with pre-knob callers),
+    /// which is held to the same `≤ 4096` bound.
     Auto,
 }
+
+/// Largest worker count a plan accepts, from any knob.
+const MAX_THREADS: usize = 4096;
 
 /// Worker count `Parallelism::Auto` resolves to for untiled plans.
 fn auto_threads() -> usize {
@@ -312,8 +327,9 @@ pub enum BoundaryReason {
         /// The stencil radius.
         radius: usize,
     },
-    /// The legacy `run*` free functions pin the paper's constant-halo
-    /// Dirichlet semantics and never refresh.
+    /// The legacy one-shot surface ([`run_spec`](crate::api::run_spec))
+    /// pins the paper's constant-halo Dirichlet semantics and never
+    /// refreshes.
     LegacySurface,
 }
 
@@ -331,9 +347,9 @@ impl std::fmt::Display for BoundaryReason {
             ),
             BoundaryReason::LegacySurface => write!(
                 f,
-                "the legacy run* functions pin the paper's constant-halo Dirichlet \
-                 semantics; compile a Plan (Plan::stencil / Plan::boundary) to run \
-                 refreshed boundaries"
+                "the legacy run* surface (run_spec) pins the paper's constant-halo \
+                 Dirichlet semantics; compile a Plan (Plan::stencil / Plan::boundary) \
+                 to run refreshed boundaries"
             ),
         }
     }
@@ -521,23 +537,30 @@ impl Plan {
     }
 
     /// Resolve the parallelism knob to a concrete worker count (≥ 1).
+    /// One bound covers every source of the count — the knob itself, a
+    /// tiling's `threads` field under [`Parallelism::Auto`], the host —
+    /// because whichever it is, that many OS threads are spawned at build.
     fn resolve_threads(&self) -> Result<usize, PlanError> {
-        match self.par {
-            Parallelism::Off => Ok(1),
-            Parallelism::Threads(0) => Err(PlanError::BadParallelism(
-                "thread count must be ≥ 1 (use Parallelism::Off for sequential)".into(),
-            )),
-            Parallelism::Threads(n) if n > 4096 => Err(PlanError::BadParallelism(format!(
-                "thread count {n} exceeds the 4096 sanity cap"
-            ))),
-            Parallelism::Threads(n) => Ok(n),
-            Parallelism::Auto => Ok(match self.tiling {
-                Tiling::None => auto_threads(),
-                Tiling::Tessellate { threads, .. } | Tiling::Split { threads, .. } => {
-                    threads.max(1)
-                }
-            }),
+        let n = match (self.par, self.tiling) {
+            (Parallelism::Off, _) => 1,
+            (Parallelism::Threads(0), _) => {
+                return Err(PlanError::BadParallelism(
+                    "thread count must be ≥ 1 (use Parallelism::Off for sequential)".into(),
+                ))
+            }
+            (Parallelism::Threads(n), _) => n,
+            (Parallelism::Auto, Tiling::None) => auto_threads().min(MAX_THREADS),
+            (
+                Parallelism::Auto,
+                Tiling::Tessellate { threads, .. } | Tiling::Split { threads, .. },
+            ) => threads.max(1),
+        };
+        if n > MAX_THREADS {
+            return Err(PlanError::BadParallelism(format!(
+                "thread count {n} exceeds the {MAX_THREADS} sanity cap"
+            )));
         }
+        Ok(n)
     }
 
     /// Validate the boundary against the shape (see [`Plan::boundary`]):
@@ -581,8 +604,7 @@ impl Plan {
     ) -> Result<(usize, Option<rayon::ThreadPool>), PlanError> {
         self.expect_ndim(ndim)?;
         // The scalar oracle never executes ISA-specific code (no layout
-        // transform, no dispatch), so it stays valid with any Isa value —
-        // matching the legacy free functions, which never checked it.
+        // transform, no dispatch), so it stays valid with any Isa value.
         if self.method != Method::Scalar && !self.isa.is_available() {
             return Err(PlanError::IsaUnavailable(self.isa));
         }
@@ -732,7 +754,6 @@ impl Plan {
     /// configuration.
     fn tess_arena<T: Elem>(
         &self,
-        ndim: usize,
         r: usize,
         pool: Option<&rayon::ThreadPool>,
     ) -> Option<stage::TileArena<T>> {
@@ -742,29 +763,27 @@ impl Plan {
         if !matches!(self.method, Method::TransLayout | Method::TransLayout2) {
             return None;
         }
-        let dims: Vec<DimTiling> = (0..ndim)
-            .map(|a| {
-                let n = self.shape.dims[a];
-                DimTiling::new(n, w[a].min(n), r, true)
-            })
-            .collect();
+        let dims = tess_dims(&self.shape, w, r);
         let workers = pool.map(|p| p.current_num_threads()).unwrap_or(1);
-        Some(stage::TileArena::for_tess(&dims, h, r, workers))
+        let real = &dims[..self.shape.ndim];
+        Some(stage::TileArena::for_tess(real, h, r, workers))
     }
 
-    /// Validate the configuration against a kernel of `ndim` dimensions
-    /// and radius `r` over element type `T`, and allocate what every run
-    /// shares: the worker pool and (tessellate + transpose methods) the
-    /// per-worker staging arena.
-    fn compile<T: Elem>(
+    /// Compile the plan around a boxed kernel — the single body every
+    /// typed terminal and [`Plan::stencil`] end in. Validates the
+    /// configuration against the kernel's rank and radius over the grid's
+    /// element type, and allocates what every run shares: the worker pool
+    /// and (tessellate + transpose methods) the per-worker staging arena.
+    fn compile<G: PlanGrid>(
         mut self,
-        ndim: usize,
-        r: usize,
-    ) -> Result<(PlanCore, Option<stage::TileArena<T>>), PlanError> {
-        self.isa = self.narrowed_isa::<T>(r);
+        kernel: Box<dyn Kernel<G::Elem>>,
+    ) -> Result<CompiledPlan<G>, PlanError> {
+        let r = kernel.radius();
+        self.isa = self.narrowed_isa::<G::Elem>(r);
         let boundary = self.boundary.unwrap_or_default();
-        let (threads, pool) = self.validate(ndim, r, boundary, self.isa.lanes_for::<T>())?;
-        let arena = self.tess_arena::<T>(ndim, r, pool.as_ref());
+        let lanes = self.isa.lanes_for::<G::Elem>();
+        let (threads, pool) = self.validate(kernel.ndim(), r, boundary, lanes)?;
+        let arena = self.tess_arena(r, pool.as_ref());
         let cfg = Cfg {
             method: self.method,
             isa: self.isa,
@@ -779,39 +798,7 @@ impl Plan {
             phases: stage::PhaseCounters::new(),
             pool,
         };
-        Ok((core, arena))
-    }
-
-    /// Compile the plan around a boxed 1D kernel — the single body every
-    /// 1D terminal and [`Plan::stencil`] end in.
-    fn plan1<T: Elem>(self, kernel: Box<dyn Kernel1<T>>) -> Result<Plan1<T>, PlanError> {
-        let (core, arena) = self.compile(1, kernel.radius())?;
-        Ok(Plan1 {
-            core,
-            kernel,
-            scratch: None,
-            stage: None,
-            arena,
-        })
-    }
-
-    /// Compile the plan around a boxed 2D kernel (see [`Plan::plan1`]).
-    fn plan2<T: Elem>(self, kernel: Box<dyn Kernel2<T>>) -> Result<Plan2<T>, PlanError> {
-        let (core, arena) = self.compile(2, kernel.radius())?;
-        Ok(Plan2 {
-            core,
-            kernel,
-            scratch: None,
-            stage: None,
-            ring: None,
-            arena,
-        })
-    }
-
-    /// Compile the plan around a boxed 3D kernel (see [`Plan::plan1`]).
-    fn plan3<T: Elem>(self, kernel: Box<dyn Kernel3<T>>) -> Result<Plan3<T>, PlanError> {
-        let (core, arena) = self.compile(3, kernel.radius())?;
-        Ok(Plan3 {
+        Ok(CompiledPlan {
             core,
             kernel,
             scratch: None,
@@ -828,7 +815,7 @@ impl Plan {
 
     /// Compile the plan for a 1D star stencil over element type `T`.
     pub fn star1_elem<T: Elem, S: Star1>(self, stencil: S) -> Result<Plan1<T>, PlanError> {
-        self.plan1(kernel1(stencil)?)
+        self.compile(kernels::star1(stencil)?)
     }
 
     /// Compile the plan for a 2D star stencil (over `f64`).
@@ -838,7 +825,7 @@ impl Plan {
 
     /// Compile the plan for a 2D star stencil over element type `T`.
     pub fn star2_elem<T: Elem, S: Star2>(self, stencil: S) -> Result<Plan2<T>, PlanError> {
-        self.plan2(kernel2::<T, StarK<S>>(stencil)?)
+        self.compile(kernels::star2(stencil)?)
     }
 
     /// Compile the plan for a 2D box stencil (over `f64`).
@@ -848,7 +835,7 @@ impl Plan {
 
     /// Compile the plan for a 2D box stencil over element type `T`.
     pub fn box2_elem<T: Elem, S: Box2>(self, stencil: S) -> Result<Plan2<T>, PlanError> {
-        self.plan2(kernel2::<T, BoxK<S>>(stencil)?)
+        self.compile(kernels::box2(stencil)?)
     }
 
     /// Compile the plan for a 3D star stencil (over `f64`).
@@ -858,7 +845,7 @@ impl Plan {
 
     /// Compile the plan for a 3D star stencil over element type `T`.
     pub fn star3_elem<T: Elem, S: Star3>(self, stencil: S) -> Result<Plan3<T>, PlanError> {
-        self.plan3(kernel3::<T, StarK<S>>(stencil)?)
+        self.compile(kernels::star3(stencil)?)
     }
 
     /// Compile the plan for a 3D box stencil (over `f64`).
@@ -868,18 +855,34 @@ impl Plan {
 
     /// Compile the plan for a 3D box stencil over element type `T`.
     pub fn box3_elem<T: Elem, S: Box3>(self, stencil: S) -> Result<Plan3<T>, PlanError> {
-        self.plan3(kernel3::<T, BoxK<S>>(stencil)?)
+        self.compile(kernels::box3(stencil)?)
     }
+}
+
+/// The per-axis tessellate tilings of `shape` for triangle bases `w` and
+/// radius `r`. An absent axis gets the degenerate tiling — extent 1,
+/// radius 0: one triangle that never shrinks, no inverted tile, a reach
+/// of exactly `(0, 1)` — so it multiplies every tile product by one and
+/// never touches a halo.
+fn tess_dims(shape: &Shape, w: [usize; 3], r: usize) -> [DimTiling; 3] {
+    std::array::from_fn(|a| {
+        let n = shape.dims[a];
+        if a < shape.ndim {
+            DimTiling::new(n, w[a].min(n), r, true)
+        } else {
+            DimTiling::new(1, 1, 0, true)
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Compiled plans
 // ---------------------------------------------------------------------------
 
-/// What every compiled plan shares, whatever its dimension and element
-/// type: the validated configuration, the worker pool, and the phase
-/// counters. [`Plan1`], [`Plan2`], [`Plan3`] and [`DynPlan`] all deref to
-/// it, so these accessors are available on each of them.
+/// The part of a compiled plan that names neither a grid container nor
+/// an element type: the validated configuration, the worker pool, and
+/// the phase counters. [`CompiledPlan`] and [`DynPlan`] deref to it, so
+/// these accessors are available on both.
 pub struct PlanCore {
     cfg: Cfg,
     shape: Shape,
@@ -951,67 +954,48 @@ impl PlanCore {
     }
 }
 
-/// Sequential untiled stepping, shared by the three session types: with
-/// `fused`, `t / 2` in-place k = 2 passes on buffer 0, then the remaining
-/// steps one at a time, ping-ponging. `refresh(p)` brings buffer `p`'s
-/// halos to its interior's time level (a no-op under Dirichlet),
-/// `step(time)` advances buffer `time % 2` into the other. Returns the
-/// number of ping-pong steps taken (its parity says where the result is).
-fn step_sequential(
-    t: usize,
-    fused: bool,
-    refresh: impl Fn(usize),
-    pass2: impl Fn(),
-    step: impl Fn(usize),
-) -> usize {
-    let pairs = if fused { t / 2 } else { 0 };
-    for _ in 0..pairs {
-        refresh(0);
-        pass2();
-    }
-    let rest = t - 2 * pairs;
-    for time in 0..rest {
-        refresh(time % 2);
-        step(time);
-    }
-    rest
-}
-
-// ---------------------------------------------------------------------------
-// 1D
-// ---------------------------------------------------------------------------
-
-/// Compiled execution plan for a 1D stencil over element type `T`.
+/// Compiled execution plan over grids of type `G` (any rank, star or
+/// box — the boxed kernel knows which).
 ///
-/// Owns the boxed stencil kernel and every buffer the method needs
-/// (ping-pong scratch, DLT staging, staging arena, worker pool);
-/// [`Plan1::run`] and [`Plan1::session`] reuse them across calls.
-pub struct Plan1<T: Elem = f64> {
+/// Owns the kernel and every buffer the method needs (ping-pong scratch,
+/// DLT staging, k = 2 ring, staging arena, worker pool);
+/// [`CompiledPlan::run`] and [`CompiledPlan::session`] reuse them across
+/// calls.
+pub struct CompiledPlan<G: PlanGrid> {
     core: PlanCore,
-    kernel: Box<dyn Kernel1<T>>,
-    scratch: Option<Grid1<T>>,
-    stage: Option<(Grid1<T>, Grid1<T>)>,
-    arena: Option<stage::TileArena<T>>,
+    kernel: Box<dyn Kernel<G::Elem>>,
+    scratch: Option<G>,
+    stage: Option<(G, G)>,
+    ring: Option<AlignedBuf<G::Elem>>,
+    arena: Option<stage::TileArena<G::Elem>>,
 }
 
-impl<T: Elem> std::ops::Deref for Plan1<T> {
+/// A compiled plan over 1D grids.
+pub type Plan1<T = f64> = CompiledPlan<Grid1<T>>;
+/// A compiled plan over 2D grids.
+pub type Plan2<T = f64> = CompiledPlan<Grid2<T>>;
+/// A compiled plan over 3D grids.
+pub type Plan3<T = f64> = CompiledPlan<Grid3<T>>;
+
+impl<G: PlanGrid> std::ops::Deref for CompiledPlan<G> {
     type Target = PlanCore;
     fn deref(&self) -> &PlanCore {
         &self.core
     }
 }
 
-impl<T: Elem> std::fmt::Debug for Plan1<T> {
+impl<G: PlanGrid> std::fmt::Debug for CompiledPlan<G> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("Plan1").field(&self.core).finish()
+        f.debug_tuple("CompiledPlan").field(&self.core).finish()
     }
 }
 
-impl<T: Elem> Plan1<T> {
+impl<G: PlanGrid> CompiledPlan<G> {
     /// Run `t` Jacobi steps on `g` (natural layout in, natural layout
     /// out). Buffers are reused across calls; for repeated stepping
-    /// without the per-call layout round-trip, use [`Plan1::session`].
-    pub fn run(&mut self, g: &mut Grid1<T>, t: usize) {
+    /// without the per-call layout round-trip, use
+    /// [`CompiledPlan::session`].
+    pub fn run(&mut self, g: &mut G, t: usize) {
         if t == 0 {
             return;
         }
@@ -1019,38 +1003,47 @@ impl<T: Elem> Plan1<T> {
     }
 
     /// Open a layout-resident stepping session on `g`: the grid is
-    /// transformed into the method's layout once, every
-    /// [`Session1::run`] steps it in place, and dropping the session
-    /// restores natural order.
-    pub fn session<'p>(&'p mut self, g: &'p mut Grid1<T>) -> Session1<'p, T> {
+    /// transformed into the method's layout once, every [`Session::run`]
+    /// steps it in place, and dropping the session restores natural
+    /// order.
+    pub fn session<'p>(&'p mut self, g: &'p mut G) -> Session<'p, G> {
+        let geo = g.geo();
         assert_eq!(
-            Shape::d1(g.n()),
+            geo.shape(),
             self.core.shape,
             "grid does not match the plan's shape"
         );
-        let isa = self.core.cfg.isa;
-        match self.core.cfg.layout() {
+        let r = self.kernel.radius();
+        assert!(
+            geo.ndim == 1 || geo.halo >= r,
+            "grid halo narrower than stencil radius"
+        );
+        let cfg = &self.core.cfg;
+        match cfg.layout() {
             Layout::Natural => halo::ensure_scratch(&mut self.scratch, g),
             Layout::Transpose => {
-                tl_grid1(g, isa);
+                g.toggle_tl(cfg.isa);
                 halo::ensure_scratch(&mut self.scratch, g);
+                if geo.ndim > 1 && runs_fused::<G::Elem>(cfg, &geo, r) {
+                    let (len, _) = halo::ring_layout::<G::Elem>(&geo, r);
+                    if self.ring.as_ref().map(|ring| ring.len()) != Some(len) {
+                        self.ring = Some(AlignedBuf::zeroed(len));
+                    }
+                }
             }
-            Layout::Dlt => {
-                halo::ensure_stage(&mut self.stage, g, |g, a| dlt_grid1(g, a, isa, false))
-            }
+            Layout::Dlt => halo::ensure_stage(&mut self.stage, g, cfg.isa),
         }
-        Session1 { plan: self, g }
+        Session { plan: self, g }
     }
 }
 
-/// Layout-resident stepping session over a 1D grid (see
-/// [`Plan1::session`]).
-pub struct Session1<'p, T: Elem = f64> {
-    plan: &'p mut Plan1<T>,
-    g: &'p mut Grid1<T>,
+/// Layout-resident stepping session (see [`CompiledPlan::session`]).
+pub struct Session<'p, G: PlanGrid> {
+    plan: &'p mut CompiledPlan<G>,
+    g: &'p mut G,
 }
 
-impl<T: Elem> Session1<'_, T> {
+impl<G: PlanGrid> Session<'_, G> {
     /// Advance the grid `t` Jacobi steps. No buffer allocation and no
     /// layout transform happen here — only kernel stepping (tiled runs
     /// copy small precomputed tile lists per chunk), plus the O(surface)
@@ -1060,506 +1053,148 @@ impl<T: Elem> Session1<'_, T> {
             return;
         }
         let plan = &mut *self.plan;
-        let Cfg {
-            method,
-            isa,
-            tiling,
-            threads,
-            boundary,
-            ..
-        } = plan.core.cfg;
-        let k = &*plan.kernel;
-        let (r, n) = (k.radius(), self.g.n());
+        let geo = self.g.geo();
         // The ping-pong pair the method steps: the DLT staging grids, or
         // the caller's grid and the plan's scratch.
         let (a, b) = match plan.stage.as_mut() {
             Some((a, b)) => (a, b),
             None => (&mut *self.g, plan.scratch.as_mut().expect("scratch")),
         };
-        let bufs = [SyncPtr(a.ptr_mut()), SyncPtr(b.ptr_mut())];
-        let core = &plan.core;
-        let geo = DltGeo::new(n, isa.lanes_for::<T>());
-        // A DLT column space too narrow to band or tile steps
-        // sequentially — the only sensible schedule at that width.
-        let narrow_dlt = method == Method::Dlt && geo.cols <= 4 * r;
-        let pingpongs = match tiling {
-            Tiling::Tessellate { w, h, .. } => {
-                let d = DimTiling::new(n, w[0].min(n), r, true);
-                let arena = plan.arena.as_ref();
-                tess::drive1(
-                    k,
-                    method,
-                    isa,
-                    bufs,
-                    n,
-                    &d,
-                    t,
-                    h,
-                    core.pool(),
-                    boundary,
-                    arena,
-                    &core.phases,
-                );
-                t
-            }
-            Tiling::Split { w, h, .. } if !narrow_dlt => {
-                let d = DimTiling::new(geo.cols, w.min(geo.cols), r, false);
-                split::drive1(k, isa, bufs, &geo, n, &d, t, h, core.pool(), boundary);
-                t
-            }
-            Tiling::None if threads > 1 && method != Method::Dlt => {
-                par::drive1(k, method, isa, bufs, n, t, core.pool(), threads, boundary);
-                t
-            }
-            Tiling::None if threads > 1 && !narrow_dlt => {
-                par::drive1_dlt(k, isa, bufs, &geo, t, core.pool(), threads, boundary);
-                t
-            }
-            _ => {
-                // Derived once: at L1 sizes a fused pair is a few µs, so
-                // the per-pair constant work has to stay tiny.
-                let map = halo::RowMap::for_method::<T>(method, isa, n);
-                // TL2 keeps its fused k = 2 pass under every boundary:
-                // the t+1 halo values the second step needs are folds of
-                // edge cells the kernel computes itself (see
-                // `kernels::tl2::star1_tl2_wide`).
-                let fused = method == Method::TransLayout2
-                    && SetGeo::new(n, isa.lanes_for::<T>()).nsets >= 2;
-                let wide = (!boundary.is_dirichlet()).then_some(boundary);
-                // SAFETY: both buffers span the interior plus HALO_PAD on
-                // both sides, and n ≥ r was validated at plan build.
-                step_sequential(
-                    t,
-                    fused,
-                    |p| unsafe { halo::refresh1(bufs[p].0, n, r, boundary, &map) },
-                    || unsafe { k.pass2(isa, bufs[0].0, n, wide) },
-                    |time| unsafe {
-                        let (src, dst) = (bufs[time % 2].0, bufs[(time + 1) % 2].0);
-                        k.step(method, isa, src, dst, n, 0, n)
-                    },
-                )
-            }
-        };
+        let bufs = [SyncPtr(a.origin()), SyncPtr(b.origin())];
+        let ring = plan.ring.as_mut().map(|ring| ring.as_mut_ptr());
+        let arena = plan.arena.as_ref();
+        let pingpongs = run_steps(&plan.core, &*plan.kernel, &geo, bufs, ring, arena, t);
         if pingpongs % 2 == 1 {
             std::mem::swap(a, b);
         }
     }
 }
 
-impl<T: Elem> Drop for Session1<'_, T> {
+impl<G: PlanGrid> Drop for Session<'_, G> {
     fn drop(&mut self) {
         let isa = self.plan.core.cfg.isa;
         match self.plan.core.cfg.layout() {
             Layout::Natural => {}
-            Layout::Transpose => tl_grid1(self.g, isa),
+            Layout::Transpose => self.g.toggle_tl(isa),
             Layout::Dlt => {
                 let (a, _) = self.plan.stage.as_ref().expect("stage");
-                dlt_grid1(a, self.g, isa, true);
+                a.dlt_into(self.g, isa, true);
             }
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// 2D
-// ---------------------------------------------------------------------------
-
-/// Compiled execution plan for a 2D stencil (star or box — the boxed
-/// kernel knows which) over element type `T`.
-///
-/// Owns the kernel and every buffer the method needs (ping-pong scratch,
-/// DLT staging, k = 2 ring, staging arena, worker pool); `run` and
-/// `session` reuse them across calls.
-pub struct Plan2<T: Elem = f64> {
-    core: PlanCore,
-    kernel: Box<dyn Kernel2<T>>,
-    scratch: Option<Grid2<T>>,
-    stage: Option<(Grid2<T>, Grid2<T>)>,
-    ring: Option<AlignedBuf<T>>,
-    arena: Option<stage::TileArena<T>>,
-}
-
-impl<T: Elem> std::ops::Deref for Plan2<T> {
-    type Target = PlanCore;
-    fn deref(&self) -> &PlanCore {
-        &self.core
-    }
-}
-
-impl<T: Elem> std::fmt::Debug for Plan2<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("Plan2").field(&self.core).finish()
-    }
-}
-
-/// Whether a session runs the sequential fused k = 2 pass, which needs
-/// the ring buffer: untiled single-threaded `TransLayout2` (parallel
-/// untiled stepping ping-pongs), under Dirichlet or on a grid whose halo
-/// (`halo` cells per side) is wide enough to stage the t+1 halo level
-/// (see `kernels::tl2`'s wide section) — narrower halos step k = 1 with
-/// a refresh in between.
-fn runs_fused(cfg: &Cfg, halo: usize, r: usize) -> bool {
+/// Whether a session runs the sequential fused k = 2 pass: untiled
+/// single-threaded `TransLayout2` (parallel untiled stepping ping-pongs)
+/// on a buffer the pass can hold its t+1 level in. A row needs two full
+/// vector sets for the register pipeline (its t+1 halo folds are computed
+/// in registers under any boundary); a plane or volume pipelines through
+/// the ring buffer and, under a refreshed boundary, needs a grid halo
+/// wide enough (`≥ 2r`) to stage the t+1 halo level (see `kernels::tl2`'s
+/// wide section) — narrower halos step k = 1 with a refresh in between.
+fn runs_fused<T: Elem>(cfg: &Cfg, geo: &Geo, r: usize) -> bool {
     cfg.method == Method::TransLayout2
         && cfg.tiling == Tiling::None
         && cfg.threads == 1
-        && (cfg.boundary.is_dirichlet() || halo >= 2 * r)
-}
-
-/// (Re)size the k = 2 ring buffer to `len` elements.
-fn ensure_ring<T: Elem>(ring: &mut Option<AlignedBuf<T>>, len: usize) {
-    if ring.as_ref().map(|r| r.len()) != Some(len) {
-        *ring = Some(AlignedBuf::zeroed(len));
-    }
-}
-
-impl<T: Elem> Plan2<T> {
-    /// Run `t` Jacobi steps on `g` (natural layout in, natural layout
-    /// out). Buffers are reused across calls; for repeated stepping
-    /// without the per-call layout round-trip, use `session`.
-    pub fn run(&mut self, g: &mut Grid2<T>, t: usize) {
-        if t == 0 {
-            return;
+        && match geo.ndim {
+            1 => SetGeo::new(geo.n[0], cfg.isa.lanes_for::<T>()).nsets >= 2,
+            _ => cfg.boundary.is_dirichlet() || geo.halo >= 2 * r,
         }
-        self.session(g).run(t);
-    }
+}
 
-    /// Open a layout-resident stepping session on `g` (see
-    /// [`Plan1::session`]).
-    pub fn session<'p>(&'p mut self, g: &'p mut Grid2<T>) -> Session2<'p, T> {
-        assert_eq!(
-            Shape::d2(g.nx(), g.ny()),
-            self.core.shape,
-            "grid does not match the plan's shape"
-        );
-        let r = self.kernel.radius();
-        assert!(g.ry() >= r, "grid halo narrower than stencil radius");
-        let cfg = &self.core.cfg;
-        match cfg.layout() {
-            Layout::Natural => halo::ensure_scratch(&mut self.scratch, g),
-            Layout::Transpose => {
-                tl_grid2(g, cfg.isa);
-                halo::ensure_scratch(&mut self.scratch, g);
-                if runs_fused(cfg, g.ry(), r) {
-                    ensure_ring(&mut self.ring, halo::ring2_len::<T>(r, g.row_stride()));
+/// The one runner body: step the ping-pong pair `bufs` (laid out as
+/// `geo`, already in the method's layout) `t` levels with the executor
+/// the plan's configuration selects. Returns the number of ping-pong
+/// steps taken — its parity says which buffer holds the result.
+fn run_steps<T: Elem>(
+    core: &PlanCore,
+    k: &dyn Kernel<T>,
+    geo: &Geo,
+    bufs: [SyncPtr<T>; 2],
+    ring: Option<*mut T>,
+    arena: Option<&stage::TileArena<T>>,
+    t: usize,
+) -> usize {
+    let Cfg {
+        method,
+        isa,
+        tiling,
+        threads,
+        boundary,
+        ..
+    } = core.cfg;
+    let r = k.radius();
+    let st = Stepper {
+        k,
+        method,
+        isa,
+        bufs,
+        geo,
+    };
+    // A 1D DLT row is tiled and banded in its column space; one too
+    // narrow for that steps sequentially — the only sensible schedule at
+    // that width.
+    let cols = DltGeo::new(geo.n[0], isa.lanes_for::<T>());
+    let in_cols = geo.ndim == 1 && method == Method::Dlt;
+    let narrow = in_cols && cols.cols <= 4 * r;
+    match tiling {
+        Tiling::Tessellate { w, h, .. } => {
+            let dims = tess_dims(&core.shape, w, r);
+            tess::drive(&st, &dims, t, h, core.pool(), boundary, arena, &core.phases);
+            t
+        }
+        Tiling::Split { w, h, .. } if in_cols && !narrow => {
+            let d = DimTiling::new(cols.cols, w.min(cols.cols), r, false);
+            split::drive_cols(&st, &cols, &d, t, h, core.pool(), boundary);
+            t
+        }
+        Tiling::Split { w, h, .. } if !in_cols => {
+            let n = geo.n[geo.ndim - 1];
+            let d = DimTiling::new(n, w.min(n), r, true);
+            split::drive_outer(&st, &d, t, h, core.pool(), boundary);
+            t
+        }
+        Tiling::None if threads > 1 && !in_cols => {
+            par::drive(&st, t, core.pool(), threads, boundary);
+            t
+        }
+        Tiling::None if threads > 1 && !narrow => {
+            par::drive_cols(&st, &cols, t, core.pool(), threads, boundary);
+            t
+        }
+        _ => {
+            // Derived once: at L1 sizes a fused pair is a few µs, so the
+            // per-pair constant work has to stay tiny.
+            let map = halo::RowMap::for_method::<T>(method, isa, geo.n[0]);
+            let fused = runs_fused::<T>(&core.cfg, geo, r);
+            let ring = match ring {
+                // SAFETY: the ring was sized by `ring_layout` at session
+                // open.
+                Some(ring) if fused => unsafe { ring.add(halo::ring_layout::<T>(geo, r).1) },
+                _ => std::ptr::null_mut(),
+            };
+            let wide = (!boundary.is_dirichlet()).then_some((boundary, &map));
+            // With `fused`, `t / 2` in-place k = 2 passes on buffer 0, then
+            // the remaining steps one at a time, ping-ponging; each is
+            // preceded by bringing its source's halos to the interior's
+            // time level (a no-op under Dirichlet).
+            //
+            // SAFETY: both buffers carry ≥ r halo rows/planes (asserted at
+            // session open) and the row pad; extents ≥ r were validated at
+            // plan build; the fused pass runs only with its ring allocated.
+            let pairs = if fused { t / 2 } else { 0 };
+            for _ in 0..pairs {
+                unsafe {
+                    halo::refresh(bufs[0].0, geo, r, boundary, &map);
+                    k.pass2(isa, bufs[0].0, geo, ring, wide);
                 }
             }
-            Layout::Dlt => {
-                halo::ensure_stage(&mut self.stage, g, |g, a| dlt_grid2(g, a, cfg.isa, false))
+            let rest = t - 2 * pairs;
+            for time in 0..rest {
+                unsafe { halo::refresh(bufs[time % 2].0, geo, r, boundary, &map) };
+                st.step(geo.interior(), time);
             }
-        }
-        Session2 { plan: self, g }
-    }
-}
-
-/// Layout-resident stepping session over a 2D grid (see
-/// [`Plan1::session`]).
-pub struct Session2<'p, T: Elem = f64> {
-    plan: &'p mut Plan2<T>,
-    g: &'p mut Grid2<T>,
-}
-
-impl<T: Elem> Session2<'_, T> {
-    /// Advance the grid `t` Jacobi steps; see [`Session1::run`].
-    pub fn run(&mut self, t: usize) {
-        if t == 0 {
-            return;
-        }
-        let plan = &mut *self.plan;
-        let cfg = plan.core.cfg;
-        let Cfg {
-            method,
-            isa,
-            boundary,
-            ..
-        } = cfg;
-        let k = &*plan.kernel;
-        let r = k.radius();
-        let (nx, ny, rs, ry) = (self.g.nx(), self.g.ny(), self.g.row_stride(), self.g.ry());
-        let (a, b) = match plan.stage.as_mut() {
-            Some((a, b)) => (a, b),
-            None => (&mut *self.g, plan.scratch.as_mut().expect("scratch")),
-        };
-        let bufs = [SyncPtr(a.ptr_mut()), SyncPtr(b.ptr_mut())];
-        let core = &plan.core;
-        let pingpongs = match cfg.tiling {
-            Tiling::Tessellate { w, h, .. } => {
-                let dx = DimTiling::new(nx, w[0].min(nx), r, true);
-                let dy = DimTiling::new(ny, w[1].min(ny), r, true);
-                let arena = plan.arena.as_ref();
-                tess::drive2(
-                    k,
-                    method,
-                    isa,
-                    bufs,
-                    rs,
-                    nx,
-                    &dx,
-                    &dy,
-                    t,
-                    h,
-                    core.pool(),
-                    boundary,
-                    arena,
-                    &core.phases,
-                );
-                t
-            }
-            Tiling::Split { w, h, .. } => {
-                let d = DimTiling::new(ny, w.min(ny), r, true);
-                split::drive2(k, isa, bufs, rs, nx, &d, t, h, core.pool(), boundary);
-                t
-            }
-            Tiling::None if cfg.threads > 1 => {
-                let pool = core.pool();
-                par::drive2(
-                    k,
-                    method,
-                    isa,
-                    bufs,
-                    rs,
-                    nx,
-                    ny,
-                    t,
-                    pool,
-                    cfg.threads,
-                    boundary,
-                );
-                t
-            }
-            Tiling::None => {
-                let map = halo::RowMap::for_method::<T>(method, isa, nx);
-                let fused = runs_fused(&cfg, ry, r);
-                let ring = match plan.ring.as_mut() {
-                    // SAFETY: the ring was sized by `ring2_len` at session open.
-                    Some(ring) if fused => unsafe { halo::ring2_origin(ring.as_mut_ptr()) },
-                    _ => std::ptr::null_mut(),
-                };
-                let wide = (!boundary.is_dirichlet()).then_some((boundary, &map));
-                // SAFETY: both buffers carry ≥ r halo rows (asserted at
-                // session open) and HALO_PAD row padding; extents ≥ r
-                // were validated at plan build; the fused pass runs only
-                // with its ring allocated.
-                step_sequential(
-                    t,
-                    fused,
-                    |p| unsafe { halo::refresh2(bufs[p].0, rs, nx, ny, r, boundary, &map) },
-                    || unsafe { k.pass2(isa, bufs[0].0, rs, nx, ny, ring, wide) },
-                    |time| unsafe {
-                        let (src, dst) = (bufs[time % 2].0, bufs[(time + 1) % 2].0);
-                        k.step(method, isa, src, dst, rs, nx, (0, ny), (0, nx))
-                    },
-                )
-            }
-        };
-        if pingpongs % 2 == 1 {
-            std::mem::swap(a, b);
-        }
-    }
-}
-
-impl<T: Elem> Drop for Session2<'_, T> {
-    fn drop(&mut self) {
-        let isa = self.plan.core.cfg.isa;
-        match self.plan.core.cfg.layout() {
-            Layout::Natural => {}
-            Layout::Transpose => tl_grid2(self.g, isa),
-            Layout::Dlt => {
-                let (a, _) = self.plan.stage.as_ref().expect("stage");
-                dlt_grid2(a, self.g, isa, true);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// 3D
-// ---------------------------------------------------------------------------
-
-/// Compiled execution plan for a 3D stencil (star or box) over element
-/// type `T`; see [`Plan2`].
-pub struct Plan3<T: Elem = f64> {
-    core: PlanCore,
-    kernel: Box<dyn Kernel3<T>>,
-    scratch: Option<Grid3<T>>,
-    stage: Option<(Grid3<T>, Grid3<T>)>,
-    ring: Option<AlignedBuf<T>>,
-    arena: Option<stage::TileArena<T>>,
-}
-
-impl<T: Elem> std::ops::Deref for Plan3<T> {
-    type Target = PlanCore;
-    fn deref(&self) -> &PlanCore {
-        &self.core
-    }
-}
-
-impl<T: Elem> std::fmt::Debug for Plan3<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("Plan3").field(&self.core).finish()
-    }
-}
-
-impl<T: Elem> Plan3<T> {
-    /// Run `t` Jacobi steps on `g` (natural layout in, natural layout
-    /// out). Buffers are reused across calls; for repeated stepping
-    /// without the per-call layout round-trip, use `session`.
-    pub fn run(&mut self, g: &mut Grid3<T>, t: usize) {
-        if t == 0 {
-            return;
-        }
-        self.session(g).run(t);
-    }
-
-    /// Open a layout-resident stepping session on `g` (see
-    /// [`Plan1::session`]).
-    pub fn session<'p>(&'p mut self, g: &'p mut Grid3<T>) -> Session3<'p, T> {
-        assert_eq!(
-            Shape::d3(g.nx(), g.ny(), g.nz()),
-            self.core.shape,
-            "grid does not match the plan's shape"
-        );
-        let r = self.kernel.radius();
-        assert!(g.r() >= r, "grid halo narrower than stencil radius");
-        let cfg = &self.core.cfg;
-        match cfg.layout() {
-            Layout::Natural => halo::ensure_scratch(&mut self.scratch, g),
-            Layout::Transpose => {
-                tl_grid3(g, cfg.isa);
-                halo::ensure_scratch(&mut self.scratch, g);
-                if runs_fused(cfg, g.r(), r) {
-                    ensure_ring(&mut self.ring, halo::ring3_len(r, g.plane_stride()));
-                }
-            }
-            Layout::Dlt => {
-                halo::ensure_stage(&mut self.stage, g, |g, a| dlt_grid3(g, a, cfg.isa, false))
-            }
-        }
-        Session3 { plan: self, g }
-    }
-}
-
-/// Layout-resident stepping session over a 3D grid (see
-/// [`Plan1::session`]).
-pub struct Session3<'p, T: Elem = f64> {
-    plan: &'p mut Plan3<T>,
-    g: &'p mut Grid3<T>,
-}
-
-impl<T: Elem> Session3<'_, T> {
-    /// Advance the grid `t` Jacobi steps; see [`Session1::run`].
-    pub fn run(&mut self, t: usize) {
-        if t == 0 {
-            return;
-        }
-        let plan = &mut *self.plan;
-        let cfg = plan.core.cfg;
-        let Cfg {
-            method,
-            isa,
-            boundary,
-            ..
-        } = cfg;
-        let k = &*plan.kernel;
-        let r = k.radius();
-        let (nx, ny, nz) = (self.g.nx(), self.g.ny(), self.g.nz());
-        let (rs, ps, halo) = (self.g.row_stride(), self.g.plane_stride(), self.g.r());
-        let (a, b) = match plan.stage.as_mut() {
-            Some((a, b)) => (a, b),
-            None => (&mut *self.g, plan.scratch.as_mut().expect("scratch")),
-        };
-        let bufs = [SyncPtr(a.ptr_mut()), SyncPtr(b.ptr_mut())];
-        let core = &plan.core;
-        let pingpongs = match cfg.tiling {
-            Tiling::Tessellate { w, h, .. } => {
-                let dx = DimTiling::new(nx, w[0].min(nx), r, true);
-                let dy = DimTiling::new(ny, w[1].min(ny), r, true);
-                let dz = DimTiling::new(nz, w[2].min(nz), r, true);
-                let arena = plan.arena.as_ref();
-                tess::drive3(
-                    k,
-                    method,
-                    isa,
-                    bufs,
-                    rs,
-                    ps,
-                    nx,
-                    &dx,
-                    &dy,
-                    &dz,
-                    t,
-                    h,
-                    core.pool(),
-                    boundary,
-                    arena,
-                    &core.phases,
-                );
-                t
-            }
-            Tiling::Split { w, h, .. } => {
-                let d = DimTiling::new(nz, w.min(nz), r, true);
-                let pool = core.pool();
-                split::drive3(k, isa, bufs, rs, ps, nx, ny, &d, t, h, pool, boundary);
-                t
-            }
-            Tiling::None if cfg.threads > 1 => {
-                par::drive3(
-                    k,
-                    method,
-                    isa,
-                    bufs,
-                    rs,
-                    ps,
-                    nx,
-                    ny,
-                    nz,
-                    t,
-                    core.pool(),
-                    cfg.threads,
-                    boundary,
-                );
-                t
-            }
-            Tiling::None => {
-                let map = halo::RowMap::for_method::<T>(method, isa, nx);
-                let fused = runs_fused(&cfg, halo, r);
-                let ring = match plan.ring.as_mut() {
-                    // SAFETY: the ring was sized by `ring3_len` at session open.
-                    Some(ring) if fused => unsafe { halo::ring3_origin(ring.as_mut_ptr(), r, rs) },
-                    _ => std::ptr::null_mut(),
-                };
-                let wide = (!boundary.is_dirichlet()).then_some((boundary, &map));
-                // SAFETY: both buffers carry ≥ r halo rows/planes
-                // (asserted at session open) and HALO_PAD row padding;
-                // extents ≥ r were validated at plan build; the fused
-                // pass runs only with its ring allocated.
-                step_sequential(
-                    t,
-                    fused,
-                    |p| unsafe { halo::refresh3(bufs[p].0, rs, ps, nx, ny, nz, r, boundary, &map) },
-                    || unsafe { k.pass2(isa, bufs[0].0, rs, ps, nx, ny, nz, ring, wide) },
-                    |time| unsafe {
-                        let (src, dst) = (bufs[time % 2].0, bufs[(time + 1) % 2].0);
-                        k.step(method, isa, src, dst, rs, ps, nx, (0, nz), (0, ny), (0, nx))
-                    },
-                )
-            }
-        };
-        if pingpongs % 2 == 1 {
-            std::mem::swap(a, b);
-        }
-    }
-}
-
-impl<T: Elem> Drop for Session3<'_, T> {
-    fn drop(&mut self) {
-        let isa = self.plan.core.cfg.isa;
-        match self.plan.core.cfg.layout() {
-            Layout::Natural => {}
-            Layout::Transpose => tl_grid3(self.g, isa),
-            Layout::Dlt => {
-                let (a, _) = self.plan.stage.as_ref().expect("stage");
-                dlt_grid3(a, self.g, isa, true);
-            }
+            rest
         }
     }
 }

@@ -2,6 +2,11 @@
 //! (Henretty et al., ICS'13): DLT vectorization plus split (triangle /
 //! inverted trapezoid) temporal tiling.
 //!
+//! There are two drivers because there are two index spaces, not because
+//! there are three ranks. [`drive_cols`] tiles a 1D row's DLT *column
+//! space*; [`drive_outer`] tiles the outermost real axis of a 2D/3D grid
+//! in ordinary cell coordinates and is written once over the [`Geo`].
+//!
 //! 1D: tiling runs in DLT *column space* (`j ∈ [0, cols)`). A column tile
 //! is `vl` distant original-space segments — which is precisely the
 //! locality loss the paper attributes to DLT under blocking (§2.2/§3.1):
@@ -35,14 +40,14 @@
 //! whole halo-row builds read each other's rows under periodic folds —
 //! need fusing into an edge group.
 
-use stencil_simd::{Elem, Isa};
+use stencil_simd::Elem;
 
 use super::halo::{self, Boundary, RowMap};
-use super::tess::{reach1, step2, step3, Shape, SyncPtr};
+use super::tess::{reach1, Shape, Stepper};
 use super::tile::DimTiling;
 use super::wave::{box1, FootBox, Wave};
 use super::Method;
-use crate::kernels::{Kernel1, Kernel2, Kernel3};
+use crate::kernels::Kernel;
 use crate::layout::DltGeo;
 
 /// Scalar update of DLT columns `[j0, j1)` across all lanes (mapped).
@@ -50,7 +55,7 @@ use crate::layout::DltGeo;
 /// # Safety
 /// Standard row contracts; used for seam-adjacent column fragments.
 pub(crate) unsafe fn dlt_cols_scalar<T: Elem>(
-    k: &dyn Kernel1<T>,
+    k: &dyn Kernel<T>,
     src: *const T,
     dst: *mut T,
     geo: &DltGeo,
@@ -66,19 +71,11 @@ pub(crate) unsafe fn dlt_cols_scalar<T: Elem>(
 /// One step of a 1D column tile `[j_lo, j_hi)` at absolute `time`:
 /// vector core over seam-free columns, scalar mapped access at the seam
 /// fringes.
-#[allow(clippy::too_many_arguments)]
-fn col_step1<T: Elem>(
-    k: &dyn Kernel1<T>,
-    isa: Isa,
-    bufs: [SyncPtr<T>; 2],
-    geo: &DltGeo,
-    j_lo: usize,
-    j_hi: usize,
-    time: usize,
-) {
+fn col_step<T: Elem>(st: &Stepper<'_, T>, geo: &DltGeo, j_lo: usize, j_hi: usize, time: usize) {
     if j_lo >= j_hi {
         return;
     }
+    let Stepper { k, isa, bufs, .. } = *st;
     let src = bufs[time % 2].0.cast_const();
     let dst = bufs[(time + 1) % 2].0;
     let r = k.radius();
@@ -98,17 +95,9 @@ fn col_step1<T: Elem>(
 /// One step of the seam tile at lane boundary `lam` (original cells around
 /// `lam·cols`, scalar via the index map); the rightmost seam also owns the
 /// natural tail strip, which advances every step.
-#[allow(clippy::too_many_arguments)]
-fn seam_step1<T: Elem>(
-    k: &dyn Kernel1<T>,
-    bufs: [SyncPtr<T>; 2],
-    geo: &DltGeo,
-    n: usize,
-    lam: usize,
-    ss: usize,
-    time: usize,
-) {
-    let r = k.radius();
+fn seam_step<T: Elem>(st: &Stepper<'_, T>, geo: &DltGeo, lam: usize, ss: usize, time: usize) {
+    let Stepper { k, bufs, .. } = *st;
+    let (r, n) = (k.radius(), geo.n);
     let c = lam * geo.cols;
     let reach = r * ss;
     let lo = c.saturating_sub(reach);
@@ -126,7 +115,7 @@ fn seam_step1<T: Elem>(
 
 /// One member / interior tile of the 1D split wavefront.
 #[derive(Copy, Clone)]
-enum Piece1 {
+enum Piece {
     /// Column triangle `k` (stage 0).
     Tri(usize),
     /// Interior inverted column tile at boundary `c = bnd·w` (stage 1).
@@ -136,48 +125,45 @@ enum Piece1 {
     Seam(usize),
 }
 
-impl Piece1 {
+impl Piece {
     /// Run chunk step `ss` of this piece (absolute time `tau + ss`).
-    #[allow(clippy::too_many_arguments)]
     fn step<T: Elem>(
         self,
-        k: &dyn Kernel1<T>,
-        isa: Isa,
-        bufs: [SyncPtr<T>; 2],
+        st: &Stepper<'_, T>,
         geo: &DltGeo,
-        n: usize,
         d: &DimTiling,
         ss: usize,
         tau: usize,
     ) {
         match self {
-            Piece1::Tri(tri) => {
+            Piece::Tri(tri) => {
                 let (lo, hi) = d.tri(tri, ss);
-                col_step1(k, isa, bufs, geo, lo, hi, tau + ss);
+                col_step(st, geo, lo, hi, tau + ss);
             }
-            Piece1::Inv(bnd) => {
-                let lo = (bnd * d.w).saturating_sub(k.radius() * ss);
-                let hi = (bnd * d.w + k.radius() * ss).min(geo.cols);
-                col_step1(k, isa, bufs, geo, lo, hi, tau + ss);
+            Piece::Inv(bnd) => {
+                let reach = st.k.radius() * ss;
+                let lo = (bnd * d.w).saturating_sub(reach);
+                let hi = (bnd * d.w + reach).min(geo.cols);
+                col_step(st, geo, lo, hi, tau + ss);
             }
-            Piece1::Seam(lam) => seam_step1(k, bufs, geo, n, lam, ss, tau + ss),
+            Piece::Seam(lam) => seam_step(st, geo, lam, ss, tau + ss),
         }
     }
 }
 
 /// One wavefront node of the 1D split driver.
-enum SNode1 {
+enum ColNode {
     Tile {
-        piece: Piece1,
+        piece: Piece,
         tau: usize,
         hh: usize,
     },
     /// A whole chunk under a refreshed boundary: every piece in stage
     /// order, stepped in lockstep behind a per-step whole-buffer halo
     /// refresh (a per-level sweep, structurally identical to untiled
-    /// stepping — see the placement comment in [`drive1`]).
+    /// stepping — see the placement comment in [`drive_cols`]).
     Edge {
-        members: Vec<Piece1>,
+        members: Vec<Piece>,
         tau: usize,
         hh: usize,
     },
@@ -200,28 +186,24 @@ fn lane_boxes(geo: &DltGeo, jlo: usize, jhi: usize, r: usize) -> Vec<FootBox> {
 /// buffers under split tiling (column triangles of base `w = d.w`, chunk
 /// height `h`), wavefront-scheduled on `pool`. The step-`t` result lands
 /// in `bufs[t % 2]`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive1<T: Elem>(
-    k: &dyn Kernel1<T>,
-    isa: Isa,
-    bufs: [SyncPtr<T>; 2],
+pub(crate) fn drive_cols<T: Elem>(
+    st: &Stepper<'_, T>,
     geo: &DltGeo,
-    n: usize,
     d: &DimTiling,
     t: usize,
     h: usize,
     pool: &rayon::ThreadPool,
     b: Boundary,
 ) {
-    let r = k.radius();
+    let (bufs, n, r) = (st.bufs, geo.n, st.k.radius());
     let map = RowMap::Dlt(*geo);
     let mut wave = Wave::new();
     let (mut tau, mut chunk) = (0usize, 0usize);
     while tau < t {
         let hh = h.min(t - tau);
-        let mut members: Vec<Piece1> = Vec::new();
+        let mut members: Vec<Piece> = Vec::new();
         let mut group_boxes: Vec<FootBox> = Vec::new();
-        let mut interior: Vec<(u8, Piece1, Vec<FootBox>)> = Vec::new();
+        let mut interior: Vec<(u8, Piece, Vec<FootBox>)> = Vec::new();
         // Under a refreshed boundary the whole chunk runs as one lockstep
         // group. Column pieces are `vl` distant original-space segments,
         // so the halo fold sources and the edge seams' intermediate-level
@@ -232,7 +214,7 @@ pub(crate) fn drive1<T: Elem>(
         // structurally identical to untiled stepping, and the column
         // space is only `n/vl` wide — intra-chunk parallelism here is
         // marginal (tessellation is the parallel temporal path in 1D).
-        let mut place = |stage: u8, piece: Piece1, boxes: Vec<FootBox>| {
+        let mut place = |stage: u8, piece: Piece, boxes: Vec<FootBox>| {
             if !b.is_dirichlet() {
                 members.push(piece);
                 group_boxes.extend(boxes);
@@ -251,14 +233,14 @@ pub(crate) fn drive1<T: Elem>(
                     jhi = jhi.max(c);
                 }
             }
-            place(0, Piece1::Tri(tri), lane_boxes(geo, jlo, jhi, r));
+            place(0, Piece::Tri(tri), lane_boxes(geo, jlo, jhi, r));
         }
         // Stage 1: interior inverted column tiles + per-lane seam tiles
         // (+ tail strip on the rightmost seam).
         for bnd in 1..d.ntri() {
             let jlo = (bnd * d.w).saturating_sub(r * (hh - 1));
             let jhi = (bnd * d.w + r * (hh - 1)).min(geo.cols).max(jlo);
-            place(1, Piece1::Inv(bnd), lane_boxes(geo, jlo, jhi, r));
+            place(1, Piece::Inv(bnd), lane_boxes(geo, jlo, jhi, r));
         }
         for lam in 0..=geo.vl {
             let c = (lam * geo.cols) as i64;
@@ -268,41 +250,41 @@ pub(crate) fn drive1<T: Elem>(
             } else {
                 (c + reach).min(n as i64)
             };
-            place(1, Piece1::Seam(lam), vec![box1(c - reach, hi)]);
+            place(1, Piece::Seam(lam), vec![box1(c - reach, hi)]);
         }
         if !members.is_empty() {
-            wave.push(chunk, 0, group_boxes, SNode1::Edge { members, tau, hh });
+            wave.push(chunk, 0, group_boxes, ColNode::Edge { members, tau, hh });
         }
         interior.sort_by_key(|&(stage, ..)| stage);
         for (stage, piece, boxes) in interior {
-            wave.push(chunk, stage, boxes, SNode1::Tile { piece, tau, hh });
+            wave.push(chunk, stage, boxes, ColNode::Tile { piece, tau, hh });
         }
         tau += hh;
         chunk += 1;
     }
     wave.run(pool, pool.current_num_threads(), |_w, node| match node {
-        SNode1::Tile { piece, tau, hh } => {
+        ColNode::Tile { piece, tau, hh } => {
             for ss in 0..*hh {
-                piece.step(k, isa, bufs, geo, n, d, ss, *tau);
+                piece.step(st, geo, d, ss, *tau);
             }
         }
-        SNode1::Edge { members, tau, hh } => {
+        ColNode::Edge { members, tau, hh } => {
             for ss in 0..*hh {
                 // Fold sources at level `tau + ss` are the outermost
                 // original-space cells — owned by this group's own
                 // members, which step in lockstep.
-                unsafe { halo::refresh1(bufs[(tau + ss) % 2].0, n, r, b, &map) };
+                unsafe { halo::refresh_row(bufs[(tau + ss) % 2].0, n, r, b, &map) };
                 for &piece in members {
-                    piece.step(k, isa, bufs, geo, n, d, ss, *tau);
+                    piece.step(st, geo, d, ss, *tau);
                 }
             }
         }
     });
 }
 
-/// One wavefront node of the hybrid 2D/3D split drivers: an outer-dim
-/// tile, or the fused pair of domain-edge triangles (whose halo-row
-/// builds read each other's rows under periodic folds).
+/// One wavefront node of the hybrid driver: an outer-axis tile, or the
+/// fused pair of domain-edge triangles (whose halo-slab builds read each
+/// other's slabs under periodic folds).
 enum HNode {
     Tile {
         shape: Shape,
@@ -316,10 +298,27 @@ enum HNode {
     },
 }
 
-/// Build the wavefront for one hybrid driver run: outer-dim tiles with
-/// radius-extended reach boxes, domain-edge tiles fused per chunk when
-/// the boundary needs refreshing.
-fn hybrid_wave(d: &DimTiling, t: usize, h: usize, r: usize, b: Boundary) -> Wave<HNode> {
+/// Step `t` levels of a 2D/3D stencil over pre-transformed DLT staging
+/// buffers under SDSL-style hybrid tiling: split tiling (triangle base
+/// `d.w`, chunk height `h`) over the outermost real axis of `st.geo`,
+/// full DLT rows inside, wavefront-scheduled. Outer-axis tiles carry
+/// radius-extended reach boxes; the domain-edge tiles fuse into one group
+/// per chunk when the boundary needs refreshing. Every tile owns whole
+/// slabs, so it refreshes the halos of exactly the slabs it reads (its
+/// own previous-step output) before each step — the per-band
+/// benign-race contract of [`super::par`]. The step-`t` result lands in
+/// `bufs[t % 2]`.
+pub(crate) fn drive_outer<T: Elem>(
+    st: &Stepper<'_, T>,
+    d: &DimTiling,
+    t: usize,
+    h: usize,
+    pool: &rayon::ThreadPool,
+    b: Boundary,
+) {
+    let (geo, r) = (st.geo, st.k.radius());
+    let axis = geo.ndim - 1;
+    let map = RowMap::for_method::<T>(Method::Dlt, st.isa, geo.n[0]);
     let mut wave = Wave::new();
     let (mut tau, mut chunk) = (0usize, 0usize);
     while tau < t {
@@ -347,16 +346,18 @@ fn hybrid_wave(d: &DimTiling, t: usize, h: usize, r: usize, b: Boundary) -> Wave
         tau += hh;
         chunk += 1;
     }
-    wave
-}
-
-/// Run every node of a hybrid wavefront: interior tiles step their own
-/// chunk, the edge group steps its members in lockstep.
-fn run_hybrid(
-    wave: Wave<HNode>,
-    pool: &rayon::ThreadPool,
-    run_piece: impl Fn(&Shape, usize, usize) + Sync,
-) {
+    let run_piece = |shape: &Shape, tau: usize, ss: usize| {
+        let band = shape.range(d, ss);
+        if band.0 < band.1 {
+            let src = st.bufs[(tau + ss) % 2].0;
+            unsafe { halo::refresh_band(src, geo, r, b, &map, band) };
+            let mut bx = geo.interior();
+            bx[axis] = band;
+            st.step(bx, tau + ss);
+        }
+    };
+    // Interior tiles step their own chunk; the edge group steps its
+    // members in lockstep.
     wave.run(pool, pool.current_num_threads(), |_w, node| match node {
         HNode::Tile { shape, tau, hh } => {
             for ss in 0..*hh {
@@ -369,81 +370,6 @@ fn run_hybrid(
                     run_piece(shape, *tau, ss);
                 }
             }
-        }
-    });
-}
-
-/// Step `t` levels of a 2D stencil over pre-transformed DLT staging
-/// buffers under SDSL-style hybrid tiling: split tiling over `y`
-/// (triangle base `d.w`, chunk height `h`), DLT rows along `x`,
-/// wavefront-scheduled. Every tile owns full rows, so it refreshes the x
-/// halos of exactly the rows it reads (its own previous-step output)
-/// before each step — the per-band benign-race contract of
-/// [`super::par`]. The step-`t` result lands in `bufs[t % 2]`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive2<T: Elem>(
-    k: &dyn Kernel2<T>,
-    isa: Isa,
-    bufs: [SyncPtr<T>; 2],
-    rs: usize,
-    nx: usize,
-    d: &DimTiling,
-    t: usize,
-    h: usize,
-    pool: &rayon::ThreadPool,
-    b: Boundary,
-) {
-    let (r, ny) = (k.radius(), d.n);
-    let map = RowMap::for_method::<T>(Method::Dlt, isa, nx);
-    run_hybrid(hybrid_wave(d, t, h, r, b), pool, |shape, tau, ss| {
-        let (y0, y1) = shape.range(d, ss);
-        if y0 < y1 {
-            let src = bufs[(tau + ss) % 2].0;
-            unsafe { halo::refresh2_band(src, rs, nx, ny, r, b, &map, y0, y1) };
-            step2(
-                k,
-                Method::Dlt,
-                isa,
-                bufs,
-                rs,
-                nx,
-                (y0, y1),
-                (0, nx),
-                tau + ss,
-            );
-        }
-    });
-}
-
-/// Step `t` levels of a 3D stencil over pre-transformed DLT staging
-/// buffers under SDSL-style hybrid tiling: split tiling over `z`, DLT
-/// rows along `x`, wavefront-scheduled with the per-band halo refresh
-/// fused into every tile (see [`drive2`]). The step-`t` result lands in
-/// `bufs[t % 2]`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive3<T: Elem>(
-    k: &dyn Kernel3<T>,
-    isa: Isa,
-    bufs: [SyncPtr<T>; 2],
-    rs: usize,
-    ps: usize,
-    nx: usize,
-    ny: usize,
-    d: &DimTiling,
-    t: usize,
-    h: usize,
-    pool: &rayon::ThreadPool,
-    b: Boundary,
-) {
-    let (r, nz) = (k.radius(), d.n);
-    let map = RowMap::for_method::<T>(Method::Dlt, isa, nx);
-    run_hybrid(hybrid_wave(d, t, h, r, b), pool, |shape, tau, ss| {
-        let (z0, z1) = shape.range(d, ss);
-        if z0 < z1 {
-            let src = bufs[(tau + ss) % 2].0;
-            unsafe { halo::refresh3_band(src, rs, ps, nx, ny, nz, r, b, &map, z0, z1) };
-            let (zr, yr, xr) = ((z0, z1), (0, ny), (0, nx));
-            step3(k, Method::Dlt, isa, bufs, rs, ps, nx, zr, yr, xr, tau + ss);
         }
     });
 }

@@ -83,18 +83,6 @@ pub(crate) fn box1(lo: i64, hi: i64) -> FootBox {
     [(lo, hi), (0, 1), (0, 1)]
 }
 
-/// Footprint box for a 2D `(y, x)` range (dim 2 always overlaps).
-#[inline]
-pub(crate) fn box2(y: (i64, i64), x: (i64, i64)) -> FootBox {
-    [y, x, (0, 1)]
-}
-
-/// Footprint box for a 3D `(z, y, x)` range.
-#[inline]
-pub(crate) fn box3(z: (i64, i64), y: (i64, i64), x: (i64, i64)) -> FootBox {
-    [z, y, x]
-}
-
 struct Node<P> {
     chunk: u32,
     stage: u8,

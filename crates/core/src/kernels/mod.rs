@@ -19,13 +19,24 @@
 //!    `#[inline(always)]`, generic over the vector type and the strategy,
 //!    range-based so the tiling substrate can drive them on tile
 //!    fragments; [`isa_entry`] wraps the largest in explicit
-//!    `#[target_feature]` entries. Written once per dimension.
-//! 3. **Kernel objects** (this module) — [`Kernel1`]/[`Kernel2`]/
-//!    [`Kernel3`], object-safe over the element type only. A compiled
-//!    plan holds one boxed object and knows nothing else about the
-//!    stencil: family, radius, and weights are erased here, so the whole
-//!    executor stack (`exec::{tess, par, split}`, plans, sessions)
-//!    compiles once per dimension × element type.
+//!    `#[target_feature]` entries. Written once per rank, because the
+//!    number of neighbour-row loops is what a rank *is* down here.
+//! 3. **The kernel object** (this module) — [`Kernel`], object-safe over
+//!    the element type only. A compiled plan holds one boxed object and
+//!    knows nothing else about the stencil: family, radius, weights *and
+//!    rank* are erased here, so the whole executor stack
+//!    (`exec::{tess, par, split}`, plans, sessions) is written once and
+//!    compiles once per element type.
+//!
+//! # One geometry for every rank
+//!
+//! The paper's scheme only ever acts along x; every other axis is an
+//! outer loop over rows. So above this boundary the number of spatial
+//! dimensions is data, not structure: a [`Geo`] carries extents
+//! `[nx, ny, nz]` in which **an absent axis is an axis of extent 1**
+//! (with stride 0 and no halo), and an update region is an [`NdBox`] —
+//! `[(lo, hi); 3]`, `(0, 1)` along absent axes. A 1D row is a `n × 1 × 1`
+//! volume; the drivers never ask which rank they run.
 //!
 //! The one indirect call sits between layers 3 and 2: a driver calls
 //! `kernel.step(..)` / `kernel.pass2(..)` once per **range sweep or tile
@@ -48,161 +59,138 @@ use stencil_simd::{dispatch_elem, Elem, Isa};
 pub use row::{BoxK, Row2, Row3, StarK};
 
 use crate::exec::halo::{Boundary, RowMap};
-use crate::exec::Method;
+use crate::exec::{Method, Shape};
 use crate::layout::DltGeo;
 use crate::spec::SpecError;
-use crate::stencil::{Star1, MAX_R};
+use crate::stencil::{Box2, Box3, Star1, Star2, Star3, MAX_R};
 
-/// A compiled 1D stencil kernel: every scheme of one stencil, behind one
-/// object. All methods inherit the pointer contracts of the range
-/// kernels they dispatch to (rows valid with halo pads, `src != dst`).
-pub trait Kernel1<T: Elem>: Send + Sync {
+/// Where a buffer's cells are: the rank-free geometry shared by the
+/// kernel object, the drivers, the halo refresh and the plans. Plain
+/// data; axes are `[x, y, z]` throughout.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Geo {
+    /// Real axes (1–3). Axes at or past `ndim` are *absent*: extent 1,
+    /// stride 0, never tiled, banded, or refreshed.
+    pub ndim: usize,
+    /// Interior extents `[nx, ny, nz]`; 1 along absent axes.
+    pub n: [usize; 3],
+    /// Row stride in elements (0 when `ndim == 1`).
+    pub rs: usize,
+    /// Plane stride in elements (0 when `ndim < 3`).
+    pub ps: usize,
+    /// Halo rows/planes per side around the interior along the real y/z
+    /// axes (0 when `ndim == 1`; the x halo is always the row pad).
+    pub halo: usize,
+}
+
+/// A closed-open update region `[(lo, hi); 3]` in a [`Geo`]'s
+/// coordinates, `[x, y, z]`; `(0, 1)` along absent axes.
+pub type NdBox = [(usize, usize); 3];
+
+impl Geo {
+    /// The whole interior as a box.
+    pub fn interior(&self) -> NdBox {
+        self.n.map(|n| (0, n))
+    }
+
+    /// The [`Shape`] a plan for this geometry is built with.
+    pub fn shape(&self) -> Shape {
+        let [nx, ny, nz] = self.n;
+        match self.ndim {
+            1 => Shape::d1(nx),
+            2 => Shape::d2(nx, ny),
+            _ => Shape::d3(nx, ny, nz),
+        }
+    }
+
+    /// Element stride between neighbours along `axis`.
+    pub(crate) fn stride(&self, axis: usize) -> usize {
+        [1, self.rs, self.ps][axis]
+    }
+}
+
+/// A compiled stencil kernel of any rank: every scheme of one stencil
+/// behind one object. All methods inherit the pointer contracts of the
+/// range kernels they dispatch to (rows valid with halo pads,
+/// `src != dst`).
+///
+/// Three entries index spaces only a 1D row has — vector *sets* of a
+/// double-buffered tile ([`Kernel::pass2_range`]) and DLT *columns*
+/// ([`Kernel::dlt_cols`], [`Kernel::dlt_scalar`]). They are not lower-rank
+/// versions of [`Kernel::step`], so a 2D/3D kernel does not implement
+/// them: calling one there panics.
+pub trait Kernel<T: Elem>: Send + Sync {
+    /// Number of real axes the stencil reaches along (1–3).
+    fn ndim(&self) -> usize;
+
     /// Stencil radius.
     fn radius(&self) -> usize;
 
-    /// One k = 1 step over cells `[lo, hi)` of an `n`-cell row in
-    /// `method`'s layout. Under [`Method::Dlt`] the range must be the
-    /// whole row.
+    /// One k = 1 step over the cells of `bx` in `method`'s layout. Under
+    /// [`Method::Dlt`] the box must span whole rows (and, in 3D, whole
+    /// planes' worth of rows).
     ///
     /// # Safety
-    /// See the trait docs; `isa` must be available.
-    #[allow(clippy::too_many_arguments)]
+    /// See the trait docs; `isa` must be available; `geo.ndim` must be
+    /// [`Kernel::ndim`] and `bx` inside `geo`'s interior.
     unsafe fn step(
         &self,
         method: Method,
         isa: Isa,
         src: *const T,
         dst: *mut T,
-        n: usize,
-        lo: usize,
-        hi: usize,
+        geo: &Geo,
+        bx: NdBox,
     );
 
-    /// The fused k = 2 pass over a whole transposed row, in place
-    /// ([`tl2::star1_tl2`]); `wide` names the refreshed boundary whose
-    /// t+1 halo folds the pass must compute itself.
+    /// The fused k = 2 pass over the whole transposed buffer, in place
+    /// ([`tl2::star1_tl2`], or through the row/plane `ring` for
+    /// [`tl2::grid2_tl2`] / [`tl2::grid3_tl2`]; 1D ignores `ring`).
+    /// `wide` names the refreshed boundary whose t+1 halo level the pass
+    /// must produce itself (the `*_wide` variants).
     ///
     /// # Safety
-    /// As [`tl2::star1_tl2`] / [`tl2::star1_tl2_wide`].
-    unsafe fn pass2(&self, isa: Isa, buf: *mut T, n: usize, wide: Option<Boundary>);
+    /// As the kernel selected.
+    unsafe fn pass2(
+        &self,
+        isa: Isa,
+        buf: *mut T,
+        geo: &Geo,
+        ring: *mut T,
+        wide: Option<(Boundary, &RowMap)>,
+    );
 
-    /// The fused k = 2 pipeline over the set range `[sa, sb)` of a
-    /// double-buffered tile ([`tl2::star1_tl2_range`]).
+    /// 1D only: the fused k = 2 pipeline over the set range `[sa, sb)` of
+    /// a double-buffered tile ([`tl2::star1_tl2_range`]).
     ///
     /// # Safety
     /// As [`tl2::star1_tl2_range`].
-    unsafe fn pass2_range(
-        &self,
-        isa: Isa,
-        buf_a: *mut T,
-        buf_b: *mut T,
-        n: usize,
-        sa: usize,
-        sb: usize,
-    );
+    unsafe fn pass2_range(&self, _: Isa, _: *mut T, _: *mut T, _n: usize, _sa: usize, _sb: usize) {
+        not_1d(self.ndim(), "pass2_range")
+    }
 
-    /// DLT vector core over seam-free columns `[j0, j1)`.
+    /// 1D only: DLT vector core over seam-free columns `[j0, j1)`.
     ///
     /// # Safety
     /// As [`dlt::star1_dlt_cols`].
-    unsafe fn dlt_cols(&self, isa: Isa, src: *const T, dst: *mut T, j0: usize, j1: usize);
+    unsafe fn dlt_cols(&self, _: Isa, _src: *const T, _dst: *mut T, _j0: usize, _j1: usize) {
+        not_1d(self.ndim(), "dlt_cols")
+    }
 
-    /// DLT scalar update of logical cells `[lo, hi)` through the index
-    /// map.
+    /// 1D only: DLT scalar update of logical cells `[lo, hi)` through the
+    /// index map.
     ///
     /// # Safety
     /// As [`dlt::star1_dlt_scalar`].
-    unsafe fn dlt_scalar(&self, src: *const T, dst: *mut T, lo: usize, hi: usize, geo: &DltGeo);
+    unsafe fn dlt_scalar(&self, _src: *const T, _dst: *mut T, _lo: usize, _hi: usize, _: &DltGeo) {
+        not_1d(self.ndim(), "dlt_scalar")
+    }
 }
 
-/// A compiled 2D stencil kernel; see [`Kernel1`].
-pub trait Kernel2<T: Elem>: Send + Sync {
-    /// Stencil radius.
-    fn radius(&self) -> usize;
-
-    /// One k = 1 step over the box `yr × xr` of a grid with `nx`-cell
-    /// rows `rs` apart, in `method`'s layout. Under [`Method::Dlt`] the
-    /// x-range must be the whole row.
-    ///
-    /// # Safety
-    /// See the [`Kernel1`] trait docs; `isa` must be available.
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn step(
-        &self,
-        method: Method,
-        isa: Isa,
-        src: *const T,
-        dst: *mut T,
-        rs: usize,
-        nx: usize,
-        yr: (usize, usize),
-        xr: (usize, usize),
-    );
-
-    /// The fused k = 2 pass over the whole transposed grid, in place,
-    /// through the row ring ([`tl2::grid2_tl2`]); `wide` selects the
-    /// refreshed-boundary variant on a wide-halo grid
-    /// ([`tl2::grid2_tl2_wide`]).
-    ///
-    /// # Safety
-    /// As the kernel selected.
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn pass2(
-        &self,
-        isa: Isa,
-        buf: *mut T,
-        rs: usize,
-        nx: usize,
-        ny: usize,
-        ring: *mut T,
-        wide: Option<(Boundary, &RowMap)>,
-    );
-}
-
-/// A compiled 3D stencil kernel; see [`Kernel1`].
-pub trait Kernel3<T: Elem>: Send + Sync {
-    /// Stencil radius.
-    fn radius(&self) -> usize;
-
-    /// One k = 1 step over the box `zr × yr × xr` (rows `rs` apart,
-    /// planes `ps`), in `method`'s layout. Under [`Method::Dlt`] the
-    /// x-range must be the whole row and the y-range `[0, ny)`.
-    ///
-    /// # Safety
-    /// See the [`Kernel1`] trait docs; `isa` must be available.
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn step(
-        &self,
-        method: Method,
-        isa: Isa,
-        src: *const T,
-        dst: *mut T,
-        rs: usize,
-        ps: usize,
-        nx: usize,
-        zr: (usize, usize),
-        yr: (usize, usize),
-        xr: (usize, usize),
-    );
-
-    /// The fused k = 2 pass through the plane ring ([`tl2::grid3_tl2`] /
-    /// [`tl2::grid3_tl2_wide`]).
-    ///
-    /// # Safety
-    /// As the kernel selected.
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn pass2(
-        &self,
-        isa: Isa,
-        buf: *mut T,
-        rs: usize,
-        ps: usize,
-        nx: usize,
-        ny: usize,
-        nz: usize,
-        ring: *mut T,
-        wide: Option<(Boundary, &RowMap)>,
-    );
+/// A set- or column-space entry reached on a kernel that has no such
+/// index space: a driver bug, reported loudly rather than skipped.
+fn not_1d(ndim: usize, entry: &str) -> ! {
+    panic!("Kernel::{entry} indexes 1D set/column space; this kernel is {ndim}D")
 }
 
 /// The kernels' real limits, enforced where a kernel object is made: a
@@ -215,29 +203,68 @@ fn check_radius(r: usize, max: usize) -> Result<(), SpecError> {
     Ok(())
 }
 
+/// The row bodies index a weight slice by the stencil's declared radius;
+/// a slice of any other length (zero-padded storage, a truncated table)
+/// would be read at the wrong taps or past its end, so it is rejected
+/// with the radius.
+fn check_len(axis: &'static str, w: &[f64], r: usize, ndim: u32) -> Result<(), SpecError> {
+    if w.len() != (2 * r + 1).pow(ndim) {
+        return Err(SpecError::WeightLen {
+            axis,
+            got: w.len(),
+            expected: "the length implied by the stencil's declared radius",
+        });
+    }
+    Ok(())
+}
+
 struct Kern1<S>(S);
 struct Kern2<K: Row2>(K::S);
 struct Kern3<K: Row3>(K::S);
 
-/// Box the 1D kernel of stencil `s`.
-pub(crate) fn kernel1<T: Elem, S: Star1>(s: S) -> Result<Box<dyn Kernel1<T>>, SpecError> {
+/// Box the kernel of 1D star stencil `s`.
+pub(crate) fn star1<T: Elem, S: Star1>(s: S) -> Result<Box<dyn Kernel<T>>, SpecError> {
     check_radius(S::R, MAX_R)?;
+    check_len("x", s.w(), S::R, 1)?;
     Ok(Box::new(Kern1(s)))
 }
 
-/// Box the 2D kernel of family `K` over stencil `s`.
-pub(crate) fn kernel2<T: Elem, K: Row2>(s: K::S) -> Result<Box<dyn Kernel2<T>>, SpecError> {
-    check_radius(K::R, K::MAX_R)?;
-    Ok(Box::new(Kern2::<K>(s)))
+/// Box the kernel of 2D star stencil `s`.
+pub(crate) fn star2<T: Elem, S: Star2>(s: S) -> Result<Box<dyn Kernel<T>>, SpecError> {
+    check_radius(S::R, <StarK<S> as Row2>::MAX_R)?;
+    check_len("x", s.wx(), S::R, 1)?;
+    check_len("y", s.wy(), S::R, 1)?;
+    Ok(Box::new(Kern2::<StarK<S>>(s)))
 }
 
-/// Box the 3D kernel of family `K` over stencil `s`.
-pub(crate) fn kernel3<T: Elem, K: Row3>(s: K::S) -> Result<Box<dyn Kernel3<T>>, SpecError> {
-    check_radius(K::R, K::MAX_R)?;
-    Ok(Box::new(Kern3::<K>(s)))
+/// Box the kernel of 2D box stencil `s`.
+pub(crate) fn box2<T: Elem, S: Box2>(s: S) -> Result<Box<dyn Kernel<T>>, SpecError> {
+    check_radius(S::R, <BoxK<S> as Row2>::MAX_R)?;
+    check_len("box", s.w(), S::R, 2)?;
+    Ok(Box::new(Kern2::<BoxK<S>>(s)))
 }
 
-impl<T: Elem, S: Star1> Kernel1<T> for Kern1<S> {
+/// Box the kernel of 3D star stencil `s`.
+pub(crate) fn star3<T: Elem, S: Star3>(s: S) -> Result<Box<dyn Kernel<T>>, SpecError> {
+    check_radius(S::R, <StarK<S> as Row3>::MAX_R)?;
+    check_len("x", s.wx(), S::R, 1)?;
+    check_len("y", s.wy(), S::R, 1)?;
+    check_len("z", s.wz(), S::R, 1)?;
+    Ok(Box::new(Kern3::<StarK<S>>(s)))
+}
+
+/// Box the kernel of 3D box stencil `s`.
+pub(crate) fn box3<T: Elem, S: Box3>(s: S) -> Result<Box<dyn Kernel<T>>, SpecError> {
+    check_radius(S::R, <BoxK<S> as Row3>::MAX_R)?;
+    check_len("box", s.w(), S::R, 3)?;
+    Ok(Box::new(Kern3::<BoxK<S>>(s)))
+}
+
+impl<T: Elem, S: Star1> Kernel<T> for Kern1<S> {
+    fn ndim(&self) -> usize {
+        1
+    }
+
     fn radius(&self) -> usize {
         S::R
     }
@@ -248,11 +275,10 @@ impl<T: Elem, S: Star1> Kernel1<T> for Kern1<S> {
         isa: Isa,
         src: *const T,
         dst: *mut T,
-        n: usize,
-        lo: usize,
-        hi: usize,
+        geo: &Geo,
+        [(lo, hi), ..]: NdBox,
     ) {
-        let s = &self.0;
+        let (s, n) = (&self.0, geo.n[0]);
         match method {
             Method::Scalar => scalar::star1_range(src, dst, lo, hi, s),
             Method::MultiLoad => {
@@ -271,10 +297,17 @@ impl<T: Elem, S: Star1> Kernel1<T> for Kern1<S> {
         }
     }
 
-    unsafe fn pass2(&self, isa: Isa, buf: *mut T, n: usize, wide: Option<Boundary>) {
+    unsafe fn pass2(
+        &self,
+        isa: Isa,
+        buf: *mut T,
+        geo: &Geo,
+        _ring: *mut T,
+        wide: Option<(Boundary, &RowMap)>,
+    ) {
         match wide {
-            None => isa_entry::star1_tl2(isa, buf, n, &self.0),
-            Some(b) => isa_entry::star1_tl2_wide(isa, buf, n, b, &self.0),
+            None => isa_entry::star1_tl2(isa, buf, geo.n[0], &self.0),
+            Some((b, _)) => isa_entry::star1_tl2_wide(isa, buf, geo.n[0], b, &self.0),
         }
     }
 
@@ -300,7 +333,11 @@ impl<T: Elem, S: Star1> Kernel1<T> for Kern1<S> {
     }
 }
 
-impl<T: Elem, K: Row2> Kernel2<T> for Kern2<K> {
+impl<T: Elem, K: Row2> Kernel<T> for Kern2<K> {
+    fn ndim(&self) -> usize {
+        2
+    }
+
     fn radius(&self) -> usize {
         K::R
     }
@@ -311,12 +348,10 @@ impl<T: Elem, K: Row2> Kernel2<T> for Kern2<K> {
         isa: Isa,
         src: *const T,
         dst: *mut T,
-        rs: usize,
-        nx: usize,
-        (y0, y1): (usize, usize),
-        (x0, x1): (usize, usize),
+        geo: &Geo,
+        [(x0, x1), (y0, y1), _]: NdBox,
     ) {
-        let s = &self.0;
+        let (s, rs, nx) = (&self.0, geo.rs, geo.n[0]);
         match method {
             Method::Scalar => scalar::grid2_range::<T, K>(src, dst, rs, y0, y1, x0, x1, s),
             Method::MultiLoad => dispatch_elem!(
@@ -343,13 +378,11 @@ impl<T: Elem, K: Row2> Kernel2<T> for Kern2<K> {
         &self,
         isa: Isa,
         buf: *mut T,
-        rs: usize,
-        nx: usize,
-        ny: usize,
+        geo: &Geo,
         ring: *mut T,
         wide: Option<(Boundary, &RowMap)>,
     ) {
-        let s = &self.0;
+        let (s, rs, [nx, ny, _]) = (&self.0, geo.rs, geo.n);
         match wide {
             None => isa_entry::grid2_tl2::<T, K>(isa, buf, rs, nx, ny, ring, s),
             Some((b, map)) => {
@@ -359,7 +392,11 @@ impl<T: Elem, K: Row2> Kernel2<T> for Kern2<K> {
     }
 }
 
-impl<T: Elem, K: Row3> Kernel3<T> for Kern3<K> {
+impl<T: Elem, K: Row3> Kernel<T> for Kern3<K> {
+    fn ndim(&self) -> usize {
+        3
+    }
+
     fn radius(&self) -> usize {
         K::R
     }
@@ -370,14 +407,10 @@ impl<T: Elem, K: Row3> Kernel3<T> for Kern3<K> {
         isa: Isa,
         src: *const T,
         dst: *mut T,
-        rs: usize,
-        ps: usize,
-        nx: usize,
-        (z0, z1): (usize, usize),
-        (y0, y1): (usize, usize),
-        (x0, x1): (usize, usize),
+        geo: &Geo,
+        [(x0, x1), (y0, y1), (z0, z1)]: NdBox,
     ) {
-        let s = &self.0;
+        let (s, rs, ps, nx) = (&self.0, geo.rs, geo.ps, geo.n[0]);
         match method {
             Method::Scalar => {
                 scalar::grid3_range::<T, K>(src, dst, rs, ps, z0, z1, y0, y1, x0, x1, s)
@@ -410,15 +443,11 @@ impl<T: Elem, K: Row3> Kernel3<T> for Kern3<K> {
         &self,
         isa: Isa,
         buf: *mut T,
-        rs: usize,
-        ps: usize,
-        nx: usize,
-        ny: usize,
-        nz: usize,
+        geo: &Geo,
         ring: *mut T,
         wide: Option<(Boundary, &RowMap)>,
     ) {
-        let s = &self.0;
+        let (s, rs, ps, [nx, ny, nz]) = (&self.0, geo.rs, geo.ps, geo.n);
         match wide {
             None => isa_entry::grid3_tl2::<T, K>(isa, buf, rs, ps, nx, ny, nz, ring, s),
             Some((b, map)) => {

@@ -25,7 +25,7 @@ use stencil_simd::{Elem, Vector};
 use super::orig::splat_w;
 use super::row::{Row2, Row3};
 use super::tl::xpart_set;
-use crate::exec::halo::{fold_src, refresh2, refresh_row, Boundary, RowMap};
+use crate::exec::halo::{fold_src, refresh, refresh_row, Boundary, RowMap};
 use crate::layout::{tl_read, SetGeo};
 use crate::stencil::{Star1, MAX_R};
 
@@ -563,7 +563,7 @@ unsafe fn advance_row<V: Vector, K: Row2>(
 ///
 /// # Safety
 /// As [`grid2_tl2`], plus: the grid has at least `2R` halo rows per side;
-/// the inner halo frame holds time-`t` values (caller ran `refresh2`);
+/// the inner halo frame holds time-`t` values (caller ran `halo::refresh`);
 /// `b` is not Dirichlet; `map` matches the row layout.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
@@ -632,7 +632,14 @@ unsafe fn advance_plane<V: Vector, K: Row3>(
         let at = |dz: isize, dy: isize| c.offset(dz * ps as isize + dy * rs as isize);
         K::row_tl::<V>(at, dp.add(y * rs), nx, 0, nx, s);
     }
-    refresh2(dp, rs, nx, ny, K::R, b, map);
+    let plane = super::Geo {
+        ndim: 2,
+        n: [nx, ny, 1],
+        rs,
+        ps: 0,
+        halo: K::R,
+    };
+    refresh(dp, &plane, K::R, b, map);
 }
 
 /// [`grid3_tl2`] under a refreshed boundary on a wide-halo grid
@@ -643,7 +650,7 @@ unsafe fn advance_plane<V: Vector, K: Row3>(
 /// # Safety
 /// As [`grid3_tl2`], plus: the grid has at least `2R` halo rows and
 /// planes per side; the inner halo shell holds time-`t` values (caller
-/// ran `refresh3`); `b` is not Dirichlet; `map` matches the row layout.
+/// ran `halo::refresh`); `b` is not Dirichlet; `map` matches the row layout.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub unsafe fn grid3_tl2_wide<V: Vector, K: Row3>(

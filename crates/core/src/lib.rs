@@ -15,8 +15,9 @@
 //! kernel:
 //!
 //! **Typed** — the stencil is a concrete type handed to a terminal
-//! (`star1` … `box3`); the result is a [`Plan1`](exec::Plan1) /
-//! [`Plan2`](exec::Plan2) / [`Plan3`](exec::Plan3) over typed grids:
+//! (`star1` … `box3`); the result is a
+//! [`CompiledPlan`](exec::CompiledPlan) over the matching typed grid
+//! container ([`Plan1`](exec::Plan1) … are aliases):
 //!
 //! ```
 //! use stencil_core::exec::{Plan, Shape};
@@ -35,8 +36,8 @@
 //! ```
 //!
 //! **Runtime** — the stencil is a value ([`StencilSpec`]), the plan is a
-//! [`DynPlan`] (the same plan with dimension and element type folded
-//! into an enum), and the results are bit-identical:
+//! [`DynPlan`] (the same plan with the grid container folded into an
+//! enum), and the results are bit-identical:
 //!
 //! ```
 //! use stencil_core::exec::{Plan, Shape};
@@ -51,18 +52,19 @@
 //! assert!(grid.to_vec()[2048] > 0.0);
 //! ```
 //!
-//! Either way the stencil's family, radius, and weights end at the
+//! Either way the stencil's family, radius, weights and rank end at the
 //! **kernel boundary** ([`kernels`]): a plan holds one boxed
-//! [`Kernel1`](kernels::Kernel1)/[`Kernel2`](kernels::Kernel2)/
-//! [`Kernel3`](kernels::Kernel3) object and calls it once per range
-//! sweep or tile step; everything under that call is monomorphized,
-//! everything above it is generic over the element type only.
+//! [`Kernel`](kernels::Kernel) object and calls it once per range sweep
+//! or tile step; everything under that call is monomorphized, everything
+//! above it is generic over the element type only and describes the grid
+//! by one [`Geo`](kernels::Geo) in which a missing axis is an axis of
+//! extent 1.
 //!
 //! See [`exec`] for the plan engine (including layout-resident sessions
 //! and temporal tiling, which runs on all cores via a wavefront tile
 //! scheduler under any boundary), [`spec`] for runtime stencil
 //! descriptions,
-//! [`api`] for the legacy per-call entry points, [`layout`] for the
+//! [`api`] for the one-shot per-call entry point, [`layout`] for the
 //! data layouts, and [`kernels`] for the per-scheme implementations.
 
 #![warn(missing_docs)]
@@ -80,7 +82,7 @@ pub mod spec;
 pub mod stencil;
 pub mod verify;
 
-pub use api::{run1_star1, run2_box, run2_star, run3_box, run3_star, run_spec, Method};
+pub use api::{run_spec, Method};
 pub use exec::{
     AnyGridMut, Boundary, BoundaryReason, DynPlan, DynSession, Parallelism, Plan, PlanError, Shape,
     Tiling,

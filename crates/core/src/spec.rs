@@ -39,7 +39,7 @@ use stencil_simd::{Dtype, Elem};
 
 use crate::exec::Boundary;
 use crate::kernels::row::{BOX2_TAPS, BOX3_TAPS};
-use crate::kernels::{kernel1, kernel2, kernel3, BoxK, Kernel1, Kernel2, Kernel3, StarK};
+use crate::kernels::{self, Kernel};
 use crate::stencil::{Box2, Box3, Star1, Star2, Star3, BOX2_MAX_R, BOX3_MAX_R, MAX_R};
 
 /// Weight slots per axis in a packed spec carrier (`2·MAX_R + 1`).
@@ -732,40 +732,25 @@ impl StencilSpec {
         }
     }
 
-    /// Compile this (1D) spec's kernel object over element type `T`.
-    pub(crate) fn kernel1<T: Elem>(&self) -> Result<Box<dyn Kernel1<T>>, SpecError> {
-        match self.r {
-            1 => kernel1(DynStar1::<1>::new(self)),
-            2 => kernel1(DynStar1::<2>::new(self)),
-            3 => kernel1(DynStar1::<3>::new(self)),
-            4 => kernel1(DynStar1::<4>::new(self)),
-            _ => Err(self.unsupported()),
-        }
-    }
-
-    /// Compile this (2D) spec's kernel object over element type `T`.
-    pub(crate) fn kernel2<T: Elem>(&self) -> Result<Box<dyn Kernel2<T>>, SpecError> {
+    /// Compile this spec's kernel object over element type `T`.
+    pub(crate) fn kernel<T: Elem>(&self) -> Result<Box<dyn Kernel<T>>, SpecError> {
         use StencilShape::{Box as BoxS, Star};
-        match (self.shape, self.r) {
-            (Star, 1) => kernel2::<T, StarK<_>>(DynStar2::<1>::new(self)),
-            (Star, 2) => kernel2::<T, StarK<_>>(DynStar2::<2>::new(self)),
-            (Star, 3) => kernel2::<T, StarK<_>>(DynStar2::<3>::new(self)),
-            (Star, 4) => kernel2::<T, StarK<_>>(DynStar2::<4>::new(self)),
-            (BoxS, 1) => kernel2::<T, BoxK<_>>(DynBox2::<1>::new(self)),
-            (BoxS, 2) => kernel2::<T, BoxK<_>>(DynBox2::<2>::new(self)),
-            _ => Err(self.unsupported()),
-        }
-    }
-
-    /// Compile this (3D) spec's kernel object over element type `T`.
-    pub(crate) fn kernel3<T: Elem>(&self) -> Result<Box<dyn Kernel3<T>>, SpecError> {
-        use StencilShape::{Box as BoxS, Star};
-        match (self.shape, self.r) {
-            (Star, 1) => kernel3::<T, StarK<_>>(DynStar3::<1>::new(self)),
-            (Star, 2) => kernel3::<T, StarK<_>>(DynStar3::<2>::new(self)),
-            (Star, 3) => kernel3::<T, StarK<_>>(DynStar3::<3>::new(self)),
-            (Star, 4) => kernel3::<T, StarK<_>>(DynStar3::<4>::new(self)),
-            (BoxS, 1) => kernel3::<T, BoxK<_>>(DynBox3::<1>::new(self)),
+        match (self.ndim, self.shape, self.r) {
+            (1, _, 1) => kernels::star1(DynStar1::<1>::new(self)),
+            (1, _, 2) => kernels::star1(DynStar1::<2>::new(self)),
+            (1, _, 3) => kernels::star1(DynStar1::<3>::new(self)),
+            (1, _, 4) => kernels::star1(DynStar1::<4>::new(self)),
+            (2, Star, 1) => kernels::star2(DynStar2::<1>::new(self)),
+            (2, Star, 2) => kernels::star2(DynStar2::<2>::new(self)),
+            (2, Star, 3) => kernels::star2(DynStar2::<3>::new(self)),
+            (2, Star, 4) => kernels::star2(DynStar2::<4>::new(self)),
+            (2, BoxS, 1) => kernels::box2(DynBox2::<1>::new(self)),
+            (2, BoxS, 2) => kernels::box2(DynBox2::<2>::new(self)),
+            (3, Star, 1) => kernels::star3(DynStar3::<1>::new(self)),
+            (3, Star, 2) => kernels::star3(DynStar3::<2>::new(self)),
+            (3, Star, 3) => kernels::star3(DynStar3::<3>::new(self)),
+            (3, Star, 4) => kernels::star3(DynStar3::<4>::new(self)),
+            (3, BoxS, 1) => kernels::box3(DynBox3::<1>::new(self)),
             _ => Err(self.unsupported()),
         }
     }

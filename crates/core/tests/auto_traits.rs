@@ -7,8 +7,8 @@
 //! handle into any of them, this file stops compiling in CI instead of
 //! breaking a downstream user at link- or run-time.
 
-use stencil_core::exec::{DynPlan, DynSession, Plan, Plan1, Plan2, Plan3, Session1, Shape};
-use stencil_core::kernels::{Kernel1, Kernel2, Kernel3};
+use stencil_core::exec::{CompiledPlan, DynPlan, DynSession, Plan, Session, Shape};
+use stencil_core::kernels::Kernel;
 use stencil_core::{AnyGrid, Grid1, Grid2, Grid3, StencilSpec};
 
 fn assert_send<T: Send>() {}
@@ -18,21 +18,19 @@ fn assert_sync<T: Sync>() {}
 fn engine_types_are_send() {
     // The plan builder, the compiled plans, and the runtime-spec plan.
     assert_send::<Plan>();
-    assert_send::<Plan1>();
-    assert_send::<Plan2<f32>>();
-    assert_send::<Plan3>();
+    assert_send::<CompiledPlan<Grid1>>();
+    assert_send::<CompiledPlan<Grid2<f32>>>();
+    assert_send::<CompiledPlan<Grid3>>();
     assert_send::<DynPlan>();
     // The boxed kernel object every plan holds: pool workers call it
     // concurrently through a shared reference, so it is Sync as well.
-    assert_send::<Box<dyn Kernel1<f64>>>();
-    assert_sync::<Box<dyn Kernel1<f64>>>();
-    assert_send::<Box<dyn Kernel2<f32>>>();
-    assert_sync::<Box<dyn Kernel2<f32>>>();
-    assert_send::<Box<dyn Kernel3<f64>>>();
-    assert_sync::<Box<dyn Kernel3<f64>>>();
+    assert_send::<Box<dyn Kernel<f64>>>();
+    assert_sync::<Box<dyn Kernel<f64>>>();
+    assert_send::<Box<dyn Kernel<f32>>>();
+    assert_sync::<Box<dyn Kernel<f32>>>();
     // Sessions borrow the plan and the grid mutably; they are Send iff
     // both are, which is exactly what a dispatcher thread needs.
-    assert_send::<Session1<'static>>();
+    assert_send::<Session<'static, Grid1>>();
     assert_send::<DynSession<'static>>();
     // Grids (the job payload the service layer ships between threads).
     assert_send::<Grid1>();

@@ -18,7 +18,7 @@ use stencil_core::exec::{Boundary, BoundaryReason, Parallelism, Plan, PlanError,
 use stencil_core::grid::AnyGrid;
 use stencil_core::spec::{StencilShape, StencilSpec};
 use stencil_core::verify::max_abs_diff_ref;
-use stencil_core::{run1_star1, run_spec, Grid1, Method, S1d3p};
+use stencil_core::{run_spec, Grid1, Method, S1d3p};
 use stencil_simd::Isa;
 
 // ---------------------------------------------------------------------------
@@ -526,6 +526,17 @@ fn session_reuse_is_consistent_under_periodic() {
     }
 }
 
+/// One sequential throwaway plan through the typed 1D terminal.
+fn run_typed_1d3p(method: Method, isa: Isa, g: &mut Grid1, t: usize) {
+    Plan::new(Shape::d1(g.n()))
+        .method(method)
+        .isa(isa)
+        .parallelism(Parallelism::Off)
+        .star1(S1d3p::heat())
+        .unwrap()
+        .run(g, t);
+}
+
 #[test]
 fn legacy_run_surface_pins_dirichlet() {
     let isa = Isa::detect_best();
@@ -550,11 +561,11 @@ fn legacy_run_surface_pins_dirichlet() {
     // ...the grid is untouched by the failed call...
     assert_eq!(g.get(5), 5.0);
 
-    // ...and the Dirichlet path is bit-identical to the typed wrapper.
+    // ...and the Dirichlet path is bit-identical to the typed terminal.
     let dirichlet: StencilSpec = "1d3p".parse().unwrap();
     run_spec(Method::MultiLoad, isa, &mut g, &dirichlet, 4).unwrap();
     let mut h = Grid1::from_fn(n, 0.0, |i| (i % 17) as f64);
-    run1_star1(Method::MultiLoad, isa, &mut h, &S1d3p::heat(), 4).unwrap();
+    run_typed_1d3p(Method::MultiLoad, isa, &mut h, 4);
     assert_eq!(stencil_core::verify::max_abs_diff1(&g, &h), 0.0);
 }
 

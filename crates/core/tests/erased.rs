@@ -373,6 +373,107 @@ fn every_accepted_spec_runs_every_method_and_the_rest_are_typed_errors() {
     );
 }
 
+/// An extent-1 axis is the neighbour of the engine's "absent axis is an
+/// axis of extent 1" encoding: a `300×1` plane must behave like the plane
+/// it is (halo rows above and below, folds along y), not like a row. Every
+/// executor × boundary × dtype over thin, single-row, single-plane and
+/// single-cell shapes is 0 ULP against the scalar oracle or a typed build
+/// error.
+#[test]
+fn degenerate_extents_run_every_executor_or_are_typed_errors() {
+    use stencil_core::exec::{Boundary, Tiling};
+    use stencil_simd::Dtype;
+
+    let isa = Isa::detect_best();
+    let shapes = [
+        Shape::d2(300, 1),
+        Shape::d2(300, 2),
+        Shape::d3(300, 1, 1),
+        Shape::d3(300, 5, 1),
+        Shape::d3(300, 1, 3),
+        Shape::d2(1, 1),
+        Shape::d3(1, 1, 1),
+        Shape::d1(1),
+    ];
+    let tess = Tiling::Tessellate {
+        w: [64, 2, 2],
+        h: 2,
+        threads: 2,
+    };
+    let split = Tiling::Split {
+        w: 2,
+        h: 2,
+        threads: 2,
+    };
+    let mut ran = 0usize;
+    for shape in shapes {
+        let names = StencilSpec::NAMES
+            .iter()
+            .filter(|n| n.starts_with(&format!("{}d", shape.ndim())));
+        for name in names {
+            for dtype in [Dtype::F64, Dtype::F32] {
+                for boundary in [Boundary::default(), Boundary::Periodic, Boundary::Reflect] {
+                    let spec = name
+                        .parse::<StencilSpec>()
+                        .unwrap()
+                        .with_dtype(dtype)
+                        .with_boundary(boundary);
+                    let Ok(init) = AnyGrid::from_fn_spec(shape, &spec, |z, y, x| {
+                        ((5 * x + 3 * y + 7 * z) % 13) as f64 * 0.125 - 0.6
+                    }) else {
+                        // A fold cannot reach past the far wall: the grid
+                        // constructor and the plan builder both say so.
+                        let err = Plan::new(shape).stencil(&spec).unwrap_err();
+                        assert!(matches!(err, PlanError::Boundary { .. }), "{spec}: {err}");
+                        continue;
+                    };
+                    let run = |m: Method, tiling: Tiling, par: Parallelism| {
+                        let mut g = init.clone();
+                        Plan::new(shape)
+                            .method(m)
+                            .isa(isa)
+                            .tiling(tiling)
+                            .parallelism(par)
+                            .stencil(&spec)
+                            .map(|mut plan| {
+                                plan.run(&mut g, 3);
+                                g
+                            })
+                    };
+                    let oracle = run(Method::Scalar, Tiling::None, Parallelism::Off).unwrap();
+                    for m in Method::ALL {
+                        let tiled = if m == Method::Dlt { split } else { tess };
+                        for (tiling, par) in [
+                            (Tiling::None, Parallelism::Off),
+                            (Tiling::None, Parallelism::Threads(2)),
+                            (Tiling::None, Parallelism::Threads(7)),
+                            (tiled, Parallelism::Auto),
+                        ] {
+                            match run(m, tiling, par) {
+                                Ok(g) => {
+                                    assert_eq!(
+                                        max_abs_diff_any(&g, &oracle),
+                                        0.0,
+                                        "{spec} {shape:?} {m}/{tiling:?}/{par:?}"
+                                    );
+                                    ran += 1;
+                                }
+                                // A chunk taller than an extent-1 axis can
+                                // carry is the one legitimate refusal.
+                                Err(e) => assert!(
+                                    matches!(e, PlanError::BadTiling(_)),
+                                    "{spec} {shape:?} {m}/{tiling:?}/{par:?}: {e}"
+                                ),
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(ran > 1500, "only {ran} configurations ran");
+}
+
 // ---------------------------------------------------------------------------
 // Sessions: reuse and layout residency through the erased surface
 // ---------------------------------------------------------------------------
@@ -476,9 +577,9 @@ fn plan_rejects_spec_shape_mismatch() {
 
 #[test]
 fn legacy_free_fns_report_spec_errors() {
-    // A stencil type whose weights imply a radius past MAX_R: the
-    // Result-returning free functions surface it as PlanError::Spec
-    // instead of panicking mid-run.
+    // A stencil type whose weights imply a radius past MAX_R: the typed
+    // terminal surfaces it as PlanError::Spec at build instead of
+    // panicking mid-run.
     #[derive(Copy, Clone)]
     struct TooWide;
     impl Star1 for TooWide {
@@ -488,9 +589,9 @@ fn legacy_free_fns_report_spec_errors() {
             &[0.1; 2 * (MAX_R + 1) + 1]
         }
     }
+    let scalar = || Plan::new(Shape::d1(64)).method(Method::Scalar);
     let mut g = Grid1::filled(64, 0.0);
-    let err = stencil_core::run1_star1(Method::Scalar, Isa::detect_best(), &mut g, &TooWide, 2)
-        .unwrap_err();
+    let err = scalar().star1(TooWide).unwrap_err();
     assert!(matches!(
         err,
         PlanError::Spec(SpecError::RadiusTooLarge { .. })
@@ -509,27 +610,12 @@ fn legacy_free_fns_report_spec_errors() {
             &[0.0, 0.3, 0.4, 0.3, 0.0] // length says r = 2, R says 1
         }
     }
-    let err = stencil_core::run1_star1(Method::Scalar, Isa::detect_best(), &mut g, &PaddedR1, 2)
-        .unwrap_err();
+    let err = scalar().star1(PaddedR1).unwrap_err();
     assert!(matches!(err, PlanError::Spec(SpecError::WeightLen { .. })));
 
     // And a valid call still succeeds (t = 0 early-out included).
-    stencil_core::run1_star1(
-        Method::Scalar,
-        Isa::detect_best(),
-        &mut g,
-        &S1d3p::heat(),
-        0,
-    )
-    .unwrap();
-    stencil_core::run1_star1(
-        Method::Scalar,
-        Isa::detect_best(),
-        &mut g,
-        &S1d3p::heat(),
-        2,
-    )
-    .unwrap();
+    scalar().star1(S1d3p::heat()).unwrap().run(&mut g, 0);
+    scalar().star1(S1d3p::heat()).unwrap().run(&mut g, 2);
 }
 
 #[test]

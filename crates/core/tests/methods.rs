@@ -1,12 +1,13 @@
-//! Cross-method equivalence through the **legacy wrapper surface**: every
+//! Cross-method equivalence through the **one-shot surface**: every
 //! vectorized scheme must reproduce the scalar oracle for every stencil
 //! family, ISA, grid size (full sets, tails, tiny grids), and step count
 //! (even/odd, so the k=2 pipeline's trailing k=1 step is exercised).
 //!
-//! This suite deliberately drives the `run*` free functions — they are
-//! thin wrappers over [`stencil_core::exec::Plan`] since the plan
-//! refactor, and this coverage keeps them green. The same matrix driven
-//! through `Plan` directly lives in `tests/exec_plan.rs`.
+//! This suite deliberately drives [`stencil_core::run_spec`] — a throwaway
+//! sequential plan per call, the stencil's weights lifted into a
+//! [`StencilSpec`] — and this coverage keeps that path green. The same
+//! matrix driven through typed `Plan` terminals lives in
+//! `tests/exec_plan.rs`.
 //!
 //! Because every kernel follows the canonical accumulation order with
 //! fused multiply-adds, agreement is expected to be *bit-exact*; we assert
@@ -15,14 +16,17 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use stencil_core::exec::AnyGridMut;
 use stencil_core::verify::{assert_close1, assert_close2, assert_close3, max_abs_diff1};
-use stencil_core::{
-    run1_star1, run2_box, run2_star, run3_box, run3_star, Grid1, Grid2, Grid3, Method, S1d3p,
-    S1d5p, S2d5p, S2d9p, S3d27p, S3d7p,
-};
+use stencil_core::{run_spec, Grid1, Grid2, Grid3, Method, StencilSpec};
 use stencil_simd::Isa;
 
 const TOL: f64 = 1e-13;
+
+/// `t` sequential steps of `s` on `g` with a throwaway plan.
+fn run<'a>(m: Method, isa: Isa, g: impl Into<AnyGridMut<'a>>, s: &StencilSpec, t: usize) {
+    run_spec(m, isa, g, s, t).unwrap()
+}
 
 fn isas() -> Vec<Isa> {
     Isa::ALL.into_iter().filter(|i| i.is_available()).collect()
@@ -50,18 +54,16 @@ fn grid1(n: usize, seed: u64) -> Grid1 {
 
 #[test]
 fn star1_1d3p_matches_scalar() {
-    let s = S1d3p {
-        w: [0.31, 0.52, 0.17],
-    };
+    let s = StencilSpec::star1(&[0.31, 0.52, 0.17]).unwrap();
     for isa in isas() {
         for n in [5usize, 16, 63, 64, 65, 129, 200, 513] {
             for t in [1usize, 2, 3, 4, 7] {
                 let init = grid1(n, 42 + n as u64);
                 let mut reference = init.clone();
-                run1_star1(Method::Scalar, isa, &mut reference, &s, t).unwrap();
+                run(Method::Scalar, isa, &mut reference, &s, t);
                 for m in vec_methods() {
                     let mut g = init.clone();
-                    run1_star1(m, isa, &mut g, &s, t).unwrap();
+                    run(m, isa, &mut g, &s, t);
                     assert_close1(&g, &reference, TOL, &format!("{m}/{isa}/n={n}/t={t}"));
                 }
             }
@@ -71,18 +73,16 @@ fn star1_1d3p_matches_scalar() {
 
 #[test]
 fn star1_1d5p_matches_scalar() {
-    let s = S1d5p {
-        w: [-0.05, 0.25, 0.55, 0.28, -0.03],
-    };
+    let s = StencilSpec::star1(&[-0.05, 0.25, 0.55, 0.28, -0.03]).unwrap();
     for isa in isas() {
         for n in [7usize, 64, 130, 257] {
             for t in [1usize, 2, 5] {
                 let init = grid1(n, 7 + n as u64);
                 let mut reference = init.clone();
-                run1_star1(Method::Scalar, isa, &mut reference, &s, t).unwrap();
+                run(Method::Scalar, isa, &mut reference, &s, t);
                 for m in vec_methods() {
                     let mut g = init.clone();
-                    run1_star1(m, isa, &mut g, &s, t).unwrap();
+                    run(m, isa, &mut g, &s, t);
                     assert_close1(&g, &reference, TOL, &format!("{m}/{isa}/n={n}/t={t}"));
                 }
             }
@@ -93,14 +93,14 @@ fn star1_1d5p_matches_scalar() {
 #[test]
 fn star1_methods_are_bitwise_equal_to_scalar() {
     // Same canonical fma order everywhere ⇒ exactly zero difference.
-    let s = S1d3p::heat();
+    let s = StencilSpec::heat_1d3p();
     for isa in isas() {
         let init = grid1(257, 99);
         let mut reference = init.clone();
-        run1_star1(Method::Scalar, isa, &mut reference, &s, 6).unwrap();
+        run(Method::Scalar, isa, &mut reference, &s, 6);
         for m in vec_methods() {
             let mut g = init.clone();
-            run1_star1(m, isa, &mut g, &s, 6).unwrap();
+            run(m, isa, &mut g, &s, 6);
             assert_eq!(
                 max_abs_diff1(&g, &reference),
                 0.0,
@@ -118,19 +118,16 @@ fn grid2(nx: usize, ny: usize, ry: usize, seed: u64) -> Grid2 {
 
 #[test]
 fn star2_2d5p_matches_scalar() {
-    let s = S2d5p {
-        wx: [0.22, 0.3, 0.18],
-        wy: [0.12, 0.0, 0.15],
-    };
+    let s = StencilSpec::star2(&[0.22, 0.3, 0.18], &[0.12, 0.0, 0.15]).unwrap();
     for isa in isas() {
         for (nx, ny) in [(9usize, 3usize), (64, 1), (70, 5), (150, 8)] {
             for t in [1usize, 2, 3, 4] {
                 let init = grid2(nx, ny, 1, 5 + nx as u64);
                 let mut reference = init.clone();
-                run2_star(Method::Scalar, isa, &mut reference, &s, t).unwrap();
+                run(Method::Scalar, isa, &mut reference, &s, t);
                 for m in vec_methods() {
                     let mut g = init.clone();
-                    run2_star(m, isa, &mut g, &s, t).unwrap();
+                    run(m, isa, &mut g, &s, t);
                     assert_close2(
                         &g,
                         &reference,
@@ -150,16 +147,16 @@ fn box2_2d9p_matches_scalar() {
     for x in w.iter_mut() {
         *x = r.random_range(0.0..0.12);
     }
-    let s = S2d9p { w };
+    let s = StencilSpec::box2(&w).unwrap();
     for isa in isas() {
         for (nx, ny) in [(10usize, 2usize), (66, 4), (140, 6)] {
             for t in [1usize, 2, 3] {
                 let init = grid2(nx, ny, 1, 77 + nx as u64);
                 let mut reference = init.clone();
-                run2_box(Method::Scalar, isa, &mut reference, &s, t).unwrap();
+                run(Method::Scalar, isa, &mut reference, &s, t);
                 for m in vec_methods() {
                     let mut g = init.clone();
-                    run2_box(m, isa, &mut g, &s, t).unwrap();
+                    run(m, isa, &mut g, &s, t);
                     assert_close2(
                         &g,
                         &reference,
@@ -180,20 +177,16 @@ fn grid3(nx: usize, ny: usize, nz: usize, seed: u64) -> Grid3 {
 
 #[test]
 fn star3_3d7p_matches_scalar() {
-    let s = S3d7p {
-        wx: [0.11, 0.3, 0.13],
-        wy: [0.1, 0.0, 0.12],
-        wz: [0.09, 0.0, 0.08],
-    };
+    let s = StencilSpec::star3(&[0.11, 0.3, 0.13], &[0.1, 0.0, 0.12], &[0.09, 0.0, 0.08]).unwrap();
     for isa in isas() {
         for (nx, ny, nz) in [(9usize, 2usize, 2usize), (70, 4, 3), (130, 3, 4)] {
             for t in [1usize, 2, 3] {
                 let init = grid3(nx, ny, nz, 3 + nx as u64);
                 let mut reference = init.clone();
-                run3_star(Method::Scalar, isa, &mut reference, &s, t).unwrap();
+                run(Method::Scalar, isa, &mut reference, &s, t);
                 for m in vec_methods() {
                     let mut g = init.clone();
-                    run3_star(m, isa, &mut g, &s, t).unwrap();
+                    run(m, isa, &mut g, &s, t);
                     assert_close3(
                         &g,
                         &reference,
@@ -213,16 +206,16 @@ fn box3_3d27p_matches_scalar() {
     for x in w.iter_mut() {
         *x = r.random_range(0.0..0.04);
     }
-    let s = S3d27p { w };
+    let s = StencilSpec::box3(&w).unwrap();
     for isa in isas() {
         for (nx, ny, nz) in [(9usize, 2usize, 2usize), (66, 3, 3), (129, 4, 2)] {
             for t in [1usize, 2, 3] {
                 let init = grid3(nx, ny, nz, 17 + nx as u64);
                 let mut reference = init.clone();
-                run3_box(Method::Scalar, isa, &mut reference, &s, t).unwrap();
+                run(Method::Scalar, isa, &mut reference, &s, t);
                 for m in vec_methods() {
                     let mut g = init.clone();
-                    run3_box(m, isa, &mut g, &s, t).unwrap();
+                    run(m, isa, &mut g, &s, t);
                     assert_close3(
                         &g,
                         &reference,
@@ -239,14 +232,14 @@ fn box3_3d27p_matches_scalar() {
 fn k2_equals_two_k1_steps_exactly() {
     // §3.3: the pipelined double step must equal two single steps — same
     // summation order by construction, hence bitwise.
-    let s = S1d3p { w: [0.2, 0.6, 0.2] };
+    let s = StencilSpec::star1(&[0.2, 0.6, 0.2]).unwrap();
     for isa in isas() {
         for n in [64usize, 200, 513] {
             let init = grid1(n, 1000 + n as u64);
             let mut a = init.clone();
-            run1_star1(Method::TransLayout, isa, &mut a, &s, 2).unwrap();
+            run(Method::TransLayout, isa, &mut a, &s, 2);
             let mut b = init.clone();
-            run1_star1(Method::TransLayout2, isa, &mut b, &s, 2).unwrap();
+            run(Method::TransLayout2, isa, &mut b, &s, 2);
             assert_eq!(max_abs_diff1(&a, &b), 0.0, "{isa}/n={n}");
         }
     }
@@ -254,22 +247,22 @@ fn k2_equals_two_k1_steps_exactly() {
 
 #[test]
 fn zero_steps_is_identity() {
-    let s = S1d3p::heat();
+    let s = StencilSpec::heat_1d3p();
     let init = grid1(100, 5);
     for m in Method::ALL {
         let mut g = init.clone();
-        run1_star1(m, Isa::detect_best(), &mut g, &s, 0).unwrap();
+        run(m, Isa::detect_best(), &mut g, &s, 0);
         assert_eq!(max_abs_diff1(&g, &init), 0.0, "{m}");
     }
 }
 
 #[test]
 fn halo_cells_never_updated() {
-    let s = S1d3p::heat();
+    let s = StencilSpec::heat_1d3p();
     for isa in isas() {
         for m in Method::ALL {
             let mut g = Grid1::from_fn(130, 7.25, |i| i as f64 * 0.01);
-            run1_star1(m, isa, &mut g, &s, 5).unwrap();
+            run(m, isa, &mut g, &s, 5);
             assert_eq!(g.get(-1), 7.25, "{m}/{isa} left halo");
             assert_eq!(g.get(130), 7.25, "{m}/{isa} right halo");
         }
@@ -290,19 +283,18 @@ mod randomized {
             let n = 3 + (r.next_u64() % 297) as usize;
             let t = 1 + (r.next_u64() % 5) as usize;
             let seed = r.next_u64() % 1000;
-            let s = S1d3p {
-                w: [
-                    r.random_range(-0.4..0.4),
-                    r.random_range(-0.4..0.4),
-                    r.random_range(-0.4..0.4),
-                ],
-            };
+            let s = StencilSpec::star1(&[
+                r.random_range(-0.4..0.4),
+                r.random_range(-0.4..0.4),
+                r.random_range(-0.4..0.4),
+            ])
+            .unwrap();
             let init = grid1(n, seed);
             let mut reference = init.clone();
-            run1_star1(Method::Scalar, isa, &mut reference, &s, t).unwrap();
+            run(Method::Scalar, isa, &mut reference, &s, t);
             for m in vec_methods() {
                 let mut g = init.clone();
-                run1_star1(m, isa, &mut g, &s, t).unwrap();
+                run(m, isa, &mut g, &s, t);
                 let d = max_abs_diff1(&g, &reference);
                 assert!(
                     d == 0.0,

@@ -473,6 +473,26 @@ fn builder_rejects_absurd_thread_counts() {
         .star1(S1d3p::heat())
         .unwrap_err();
     assert!(matches!(err, PlanError::BadParallelism(_)), "{err}");
+    // The bound holds whichever knob the count came from: under
+    // `Parallelism::Auto` a tiling's `threads` field sizes the pool.
+    let tess = Tiling::Tessellate {
+        w: [256, 0, 0],
+        h: 4,
+        threads: 5000,
+    };
+    let split = Tiling::Split {
+        w: 64,
+        h: 4,
+        threads: 5000,
+    };
+    for (method, tiling) in [(Method::MultiLoad, tess), (Method::Dlt, split)] {
+        let err = Plan::new(Shape::d1(4096))
+            .method(method)
+            .tiling(tiling)
+            .star1(S1d3p::heat())
+            .unwrap_err();
+        assert!(matches!(err, PlanError::BadParallelism(_)), "{err}");
+    }
 }
 
 #[test]

@@ -4,13 +4,28 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use stencil_core::exec::{CompiledPlan, Parallelism, Plan, PlanError, PlanGrid};
 use stencil_core::kernels::{scalar, tl, tl2};
 use stencil_core::layout::{tl_grid1, SetGeo};
 use stencil_core::verify::max_abs_diff1;
-use stencil_core::{
-    run1_star1, run2_box, run3_star, Grid1, Grid2, Grid3, Method, S1d3p, S1d5p, S2d9p, S3d7p,
-};
+use stencil_core::{Grid1, Grid2, Grid3, Method, S1d3p, S1d5p, S2d9p, S3d7p};
 use stencil_simd::{dispatch, Isa};
+
+/// `t` steps on `g` through a throwaway sequential plan built by the
+/// typed terminal `compile` names.
+fn run<G: PlanGrid>(
+    method: Method,
+    isa: Isa,
+    g: &mut G,
+    compile: impl FnOnce(Plan) -> Result<CompiledPlan<G>, PlanError>,
+    t: usize,
+) {
+    let plan = Plan::new(g.geo().shape())
+        .method(method)
+        .isa(isa)
+        .parallelism(Parallelism::Off);
+    compile(plan).unwrap().run(g, t);
+}
 
 fn isas() -> Vec<Isa> {
     Isa::ALL.into_iter().filter(|i| i.is_available()).collect()
@@ -34,18 +49,18 @@ fn pipeline_minimum_geometries() {
             };
             let init = grid1(n, n as u64);
             let mut a = init.clone();
-            run1_star1(Method::Scalar, isa, &mut a, &s1, 2).unwrap();
+            run(Method::Scalar, isa, &mut a, |p| p.star1(s1), 2);
             let mut b = init.clone();
-            run1_star1(Method::TransLayout2, isa, &mut b, &s1, 2).unwrap();
+            run(Method::TransLayout2, isa, &mut b, |p| p.star1(s1), 2);
             assert_eq!(max_abs_diff1(&a, &b), 0.0, "{isa}/n={n}/r1");
 
             let s2 = S1d5p {
                 w: [0.05, 0.2, 0.45, 0.22, 0.06],
             };
             let mut a = init.clone();
-            run1_star1(Method::Scalar, isa, &mut a, &s2, 2).unwrap();
+            run(Method::Scalar, isa, &mut a, |p| p.star1(s2), 2);
             let mut b = init.clone();
-            run1_star1(Method::TransLayout2, isa, &mut b, &s2, 2).unwrap();
+            run(Method::TransLayout2, isa, &mut b, |p| p.star1(s2), 2);
             assert_eq!(max_abs_diff1(&a, &b), 0.0, "{isa}/n={n}/r2");
         }
     }
@@ -60,9 +75,9 @@ fn pipeline_fallback_below_two_sets() {
             let s = S1d3p::heat();
             let init = grid1(n, 5);
             let mut a = init.clone();
-            run1_star1(Method::Scalar, isa, &mut a, &s, 4).unwrap();
+            run(Method::Scalar, isa, &mut a, |p| p.star1(s), 4);
             let mut b = init.clone();
-            run1_star1(Method::TransLayout2, isa, &mut b, &s, 4).unwrap();
+            run(Method::TransLayout2, isa, &mut b, |p| p.star1(s), 4);
             assert_eq!(max_abs_diff1(&a, &b), 0.0, "{isa}/n={n}");
         }
     }
@@ -129,9 +144,9 @@ fn ring_pipelines_thin_grids() {
         let mut r = StdRng::seed_from_u64(ny as u64);
         let init = Grid2::from_fn(70, ny, 1, 0.3, |_, _| r.random_range(-1.0..1.0));
         let mut a = init.clone();
-        run2_box(Method::Scalar, isa, &mut a, &s, 4).unwrap();
+        run(Method::Scalar, isa, &mut a, |p| p.box2(s), 4);
         let mut b = init.clone();
-        run2_box(Method::TransLayout2, isa, &mut b, &s, 4).unwrap();
+        run(Method::TransLayout2, isa, &mut b, |p| p.box2(s), 4);
         assert_eq!(stencil_core::verify::max_abs_diff2(&a, &b), 0.0, "ny={ny}");
     }
     let s3 = S3d7p::heat();
@@ -139,9 +154,9 @@ fn ring_pipelines_thin_grids() {
         let mut r = StdRng::seed_from_u64(40 + nz as u64);
         let init = Grid3::from_fn(66, 2, nz, 1, -0.2, |_, _, _| r.random_range(-1.0..1.0));
         let mut a = init.clone();
-        run3_star(Method::Scalar, isa, &mut a, &s3, 4).unwrap();
+        run(Method::Scalar, isa, &mut a, |p| p.star3(s3), 4);
         let mut b = init.clone();
-        run3_star(Method::TransLayout2, isa, &mut b, &s3, 4).unwrap();
+        run(Method::TransLayout2, isa, &mut b, |p| p.star3(s3), 4);
         assert_eq!(stencil_core::verify::max_abs_diff3(&a, &b), 0.0, "nz={nz}");
     }
 }
@@ -154,9 +169,9 @@ fn odd_step_counts_long_run() {
         let init = grid1(777, 1);
         for t in [1usize, 3, 9, 25] {
             let mut a = init.clone();
-            run1_star1(Method::Scalar, isa, &mut a, &s, t).unwrap();
+            run(Method::Scalar, isa, &mut a, |p| p.star1(s), t);
             let mut b = init.clone();
-            run1_star1(Method::TransLayout2, isa, &mut b, &s, t).unwrap();
+            run(Method::TransLayout2, isa, &mut b, |p| p.star1(s), t);
             assert_eq!(max_abs_diff1(&a, &b), 0.0, "{isa}/t={t}");
         }
     }
@@ -179,9 +194,9 @@ fn pipeline_weight_stress() {
             let s = S1d3p { w };
             let init = grid1(300, 7 + i as u64);
             let mut a = init.clone();
-            run1_star1(Method::Scalar, isa, &mut a, &s, 2).unwrap();
+            run(Method::Scalar, isa, &mut a, |p| p.star1(s), 2);
             let mut b = init.clone();
-            run1_star1(Method::TransLayout2, isa, &mut b, &s, 2).unwrap();
+            run(Method::TransLayout2, isa, &mut b, |p| p.star1(s), 2);
             assert_eq!(max_abs_diff1(&a, &b), 0.0, "{isa}/w={w:?}");
         }
     }

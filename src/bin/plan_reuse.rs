@@ -27,7 +27,7 @@ use std::time::Instant;
 use stencil_bench::save::{Row, Value};
 use stencil_bench::{gflops, grid1, storage_level, Cli, Scale};
 use stencil_core::exec::{Boundary, Parallelism, Plan, Shape};
-use stencil_core::{run1_star1, AnyGrid, Method, S1d3p, StencilSpec};
+use stencil_core::{run_spec, AnyGrid, Grid1, Method, S1d3p, Star1, StencilSpec};
 use stencil_server::{JobSpec, Server, ServerConfig};
 use stencil_simd::Isa;
 
@@ -70,6 +70,13 @@ fn time_calls_interleaved(calls: usize, reps: usize, fs: &mut [&mut dyn FnMut()]
         }
     }
     best
+}
+
+/// The per-call path every row is measured against: lift the weights
+/// into a spec, build a throwaway sequential plan, run it once.
+fn free_fn(method: Method, isa: Isa, g: &mut Grid1, s: &S1d3p, t: usize) {
+    let spec = StencilSpec::star1(s.w()).expect("valid weights");
+    run_spec(method, isa, g, &spec, t).expect("valid run");
 }
 
 fn main() {
@@ -130,11 +137,11 @@ fn main() {
         let init = grid1(n, 21);
         let method = Method::TransLayout2;
 
-        // (a) legacy free function: clone + transform round-trip per call
-        // (now itself routed through the erased path internally).
+        // (a) per-call free function: clone + transform round-trip per
+        // call, through the erased path.
         let mut g = init.clone();
         let free_s = time_calls(calls, || {
-            run1_star1(method, isa, &mut g, &s, chunk).expect("valid run");
+            free_fn(method, isa, &mut g, &s, chunk);
         });
 
         // (b) reused typed plan: scratch held across calls, transforms

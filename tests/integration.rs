@@ -171,9 +171,14 @@ fn three_d_tiled_matches_untiled_through_prelude() {
     assert_eq!(stencil_lab::core::verify::max_abs_diff3(&a, &c), 0.0);
 }
 
+/// `t` steps of the 1D star with weights `w` through the per-call surface.
+fn one_shot(method: Method, isa: Isa, g: &mut Grid1, w: &[f64], t: usize) {
+    run_spec(method, isa, g, &StencilSpec::star1(w).unwrap(), t).unwrap();
+}
+
 #[test]
 fn legacy_free_functions_still_agree_with_plan() {
-    // The legacy `run*` entry points are thin wrappers over Plan;
+    // The one-shot `run_spec` entry point is a thin wrapper over Plan;
     // spot-check that the wrapper path stays bit-identical to driving
     // Plan directly.
     let isa = Isa::detect_best();
@@ -190,7 +195,7 @@ fn legacy_free_functions_still_agree_with_plan() {
         .run(&mut via_plan, 24);
 
     let mut via_legacy = init.clone();
-    run1_star1(Method::TransLayout2, isa, &mut via_legacy, &s, 24).unwrap();
+    one_shot(Method::TransLayout2, isa, &mut via_legacy, s.w(), 24);
     assert_eq!(
         stencil_lab::core::verify::max_abs_diff1(&via_plan, &via_legacy),
         0.0
