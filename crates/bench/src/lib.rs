@@ -12,13 +12,12 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stencil_core::exec::Shape;
-use stencil_core::{AnyGrid, Grid1, Grid2, Grid3, Method, S1d3p, StencilSpec};
+use stencil_core::{AnyGrid, Grid1, Method, StencilSpec};
 use stencil_simd::Isa;
 
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod gate;
 pub mod save;
 
 /// Workload scale the sweep drivers size themselves for.
@@ -114,17 +113,6 @@ impl Cli {
         })
     }
 
-    /// The first `--flag` whose name (the part before any `=`) is not
-    /// in `known` — for binaries that want to reject typos instead of
-    /// ignoring them.
-    pub fn unknown_flags(&self, known: &[&str]) -> Option<&str> {
-        self.args
-            .iter()
-            .filter(|a| a.starts_with("--"))
-            .map(|a| a.split_once('=').map(|(k, _)| k).unwrap_or(a.as_str()))
-            .find(|k| !known.contains(k))
-    }
-
     /// The stencils selected by the positional arguments, parsed
     /// through [`StencilSpec`]'s `FromStr` (so `fig9 2d5p 3d27p`
     /// restricts a sweep); all six paper stencils when none are named.
@@ -157,8 +145,8 @@ impl Cli {
                 eprintln!(
                     "stencil '{s}' requests a non-default boundary; the figure/table \
                      drivers reproduce the paper's constant-halo setting — drop the \
-                     '@{}' suffix (boundaries run through Plan::stencil, and the \
-                     scaling bench's boundary workloads)",
+                     '@{}' suffix (the repo benchmark measures boundary cost: \
+                     benchmark/README.md, exec.halo.periodic_vs_dirichlet)",
                     s.boundary()
                 );
                 std::process::exit(2);
@@ -195,13 +183,16 @@ pub fn threads_arg() -> Option<usize> {
 }
 
 /// Number of worker threads to use for multicore experiments
-/// (`--threads=N` override, else every available core).
+/// (`--threads=N` override, else [`host_threads`]).
 pub fn max_threads() -> usize {
-    threads_arg().unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
+    threads_arg().unwrap_or_else(host_threads)
+}
+
+/// The host's available parallelism, whatever the command line says.
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Wall-time the closure, best of `reps` runs.
@@ -240,51 +231,11 @@ pub fn grid1(n: usize, seed: u64) -> Grid1 {
     Grid1::from_fn(n, 0.0, |_| r.random_range(0.0..1.0))
 }
 
-/// Deterministic random 2D grid (halo width 1).
-pub fn grid2(nx: usize, ny: usize, seed: u64) -> Grid2 {
-    let mut r = StdRng::seed_from_u64(seed);
-    Grid2::from_fn(nx, ny, 1, 0.0, |_, _| r.random_range(0.0..1.0))
-}
-
-/// Deterministic random 3D grid (halo width 1).
-pub fn grid3(nx: usize, ny: usize, nz: usize, seed: u64) -> Grid3 {
-    let mut r = StdRng::seed_from_u64(seed);
-    Grid3::from_fn(nx, ny, nz, 1, 0.0, |_, _, _| r.random_range(0.0..1.0))
-}
-
 /// Deterministic random grid of any shape (erased API). `halo_r` is the
-/// 2D/3D halo width — pass the stencil radius. Fill order matches the
-/// typed helpers above, so for the same shape/seed the grids are
-/// identical cell-for-cell.
+/// 2D/3D halo width — pass the stencil radius.
 pub fn any_grid(shape: Shape, halo_r: usize, seed: u64) -> AnyGrid {
     let mut r = StdRng::seed_from_u64(seed);
     AnyGrid::from_fn(shape, halo_r, 0.0, |_, _, _| r.random_range(0.0..1.0))
-}
-
-/// Dtype-aware twin of [`any_grid`]: the same draw sequence, rounded to
-/// the element type the spec asks for — an `@f32` workload gets a native
-/// f32 grid whose cells are the f32 roundings of its f64 sibling's.
-pub fn any_grid_dtype(
-    shape: Shape,
-    halo_r: usize,
-    seed: u64,
-    dtype: stencil_simd::Dtype,
-) -> AnyGrid {
-    let mut r = StdRng::seed_from_u64(seed);
-    match dtype {
-        stencil_simd::Dtype::F64 => {
-            AnyGrid::from_fn(shape, halo_r, 0.0, |_, _, _| r.random_range(0.0..1.0))
-        }
-        stencil_simd::Dtype::F32 => AnyGrid::from_fn_f32(shape, halo_r, 0.0, |_, _, _| {
-            r.random_range(0.0..1.0) as f32
-        }),
-    }
-}
-
-/// Deterministic random 1D f32 grid (the f32 sibling of [`grid1`]).
-pub fn grid1_f32(n: usize, seed: u64) -> Grid1<f32> {
-    let mut r = StdRng::seed_from_u64(seed);
-    Grid1::from_fn(n, 0.0, |_| r.random_range(0.0..1.0) as f32)
 }
 
 /// The paper's method labels for the sequential experiments (Fig. 7 /
@@ -296,11 +247,6 @@ pub const SEQ_METHODS: [(Method, &str); 5] = [
     (Method::TransLayout, "Our"),
     (Method::TransLayout2, "Our2"),
 ];
-
-/// Default stencil for the 1D experiments (the paper's 1D-Heat / 1D3P).
-pub fn heat1d() -> S1d3p {
-    S1d3p::heat()
-}
 
 /// Print the host/ISA banner every binary emits first.
 pub fn banner(what: &str) {

@@ -1,12 +1,10 @@
-//! `stencil-bench <command> [flags]`: the paper's figure/table drivers,
-//! the `scaling` microbenchmark and the `bench_gate` perf gate behind one
-//! binary, so the kernel matrix in `stencil-core` is optimized and linked
-//! once instead of once per driver.
+//! `stencil-bench <command> [flags]`: the paper's figure/table drivers
+//! behind one binary, so the kernel matrix in `stencil-core` is optimized
+//! and linked once instead of once per driver.
 //!
 //! ```sh
 //! cargo run --release --bin stencil-bench -- fig7 --smoke --save-json
 //! cargo run --release --bin stencil-bench -- fig9 1d3p 2d5p
-//! cargo run --release --bin stencil-bench -- scaling --threads=4 --phases
 //! ```
 //!
 //! Every command takes the shared [`Cli`] grammar (`--smoke`,
@@ -16,11 +14,9 @@
 use stencil_bench::Cli;
 
 mod cmd {
-    pub mod bench_gate;
     pub mod fig7;
     pub mod fig8;
     pub mod fig9;
-    pub mod scaling;
     pub mod table1;
     pub mod table2;
     pub mod table3;
@@ -37,13 +33,8 @@ fn main() {
         Some("table2") => cmd::table2::main,
         Some("table3") => cmd::table3::main,
         Some("table4") => cmd::table4::main,
-        Some("scaling") => cmd::scaling::main,
-        Some("bench_gate") => cmd::bench_gate::main,
         _ => {
-            eprintln!(
-                "usage: stencil-bench \
-                 <fig7|fig8|fig9|table1|table2|table3|table4|scaling|bench_gate> [flags]"
-            );
+            eprintln!("usage: stencil-bench <fig7|fig8|fig9|table1|table2|table3|table4> [flags]");
             std::process::exit(2);
         }
     };

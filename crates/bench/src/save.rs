@@ -1,14 +1,14 @@
 //! Benchmark-result persistence: `--save-json` support for the figure and
 //! table binaries.
 //!
-//! Every bin accepts `--save-json` (optionally `--save-json=DIR`); when
-//! present, the measured rows are written as `BENCH_<name>.json` so the
-//! performance trajectory can be tracked across commits without parsing
-//! stdout. Bare `--save-json` writes into the **workspace root** (resolved
-//! from this crate's manifest at compile time), not the process CWD — CI
-//! globs `BENCH_*.json` at the root, and a bin launched from a different
-//! working directory used to drop its snapshot where the glob never
-//! looked. The format is deliberately tiny and dependency-free:
+//! Every driver accepts `--save-json` (optionally `--save-json=DIR`); when
+//! present, the measured rows are written as `BENCH_<name>.json` so a
+//! run can be compared without parsing stdout. Bare `--save-json` (and
+//! an empty `--save-json=`) writes into the **workspace root** (resolved
+//! from this crate's manifest at compile time), not the process CWD, so
+//! a driver launched from any directory leaves its snapshot in one place.
+//! `stencil-server`'s trace dumps use the same format, which is
+//! deliberately tiny and dependency-free:
 //!
 //! ```json
 //! {
@@ -30,8 +30,6 @@ pub enum Value {
     Num(f64),
     /// An integer.
     Int(i64),
-    /// A boolean.
-    Bool(bool),
     /// A string (escaped per the JSON grammar on output).
     Str(String),
 }
@@ -54,19 +52,12 @@ impl From<&str> for Value {
     }
 }
 
-impl From<bool> for Value {
-    fn from(v: bool) -> Value {
-        Value::Bool(v)
-    }
-}
-
 impl Value {
     fn render(&self) -> String {
         match self {
             Value::Num(v) if v.is_finite() => format!("{v}"),
             Value::Num(_) => "null".to_string(),
             Value::Int(v) => v.to_string(),
-            Value::Bool(v) => v.to_string(),
             Value::Str(s) => json_string(s),
         }
     }
@@ -106,26 +97,27 @@ pub fn workspace_root() -> PathBuf {
 }
 
 /// Directory requested via `--save-json[=DIR]` on the command line, if
-/// any. Bare `--save-json` resolves to [`workspace_root`].
+/// any. Bare `--save-json` (or an empty `--save-json=`) resolves to
+/// [`workspace_root`].
 pub fn requested_dir() -> Option<PathBuf> {
-    for arg in std::env::args().skip(1) {
-        if arg == "--save-json" {
-            return Some(workspace_root());
-        }
-        if let Some(dir) = arg.strip_prefix("--save-json=") {
-            return Some(PathBuf::from(dir));
-        }
-    }
-    None
+    std::env::args()
+        .skip(1)
+        .find_map(|arg| match arg.strip_prefix("--save-json")? {
+            "" | "=" => Some(workspace_root()),
+            dir => dir.strip_prefix('=').map(PathBuf::from),
+        })
 }
 
 /// Write `BENCH_<name>.json` into `dir`. Returns the path written.
+/// `host_threads` is the machine's available parallelism and never comes
+/// from argv: library code (`stencil-server`'s trace dumps) calls this
+/// from inside processes whose command line is not ours.
 pub fn write_json(dir: &std::path::Path, name: &str, rows: &[Row]) -> std::io::Result<PathBuf> {
     let path = dir.join(format!("BENCH_{name}.json"));
     let mut out = Vec::new();
     writeln!(out, "{{")?;
     writeln!(out, "  \"name\": {},", json_string(name))?;
-    writeln!(out, "  \"host_threads\": {},", crate::max_threads())?;
+    writeln!(out, "  \"host_threads\": {},", crate::host_threads())?;
     writeln!(
         out,
         "  \"best_isa\": \"{}\",",

@@ -15,8 +15,8 @@
 //! then the plan's one indirect kernel call per range sweep or tile
 //! step — the same call a typed plan makes. Every loop beneath it is the
 //! monomorphized kernel, so results are bit-identical to the typed
-//! terminals and the steady-state cost is unmeasurable (see the
-//! `plan_reuse` bench's `dyn_session` row).
+//! terminals and the steady-state cost is unmeasurable (the repo
+//! benchmark's `exec.erased.self_s` watches it).
 //!
 //! ```
 //! use stencil_core::exec::{Plan, Shape};

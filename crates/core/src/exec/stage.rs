@@ -43,8 +43,8 @@ use crate::layout::tl_transform_row;
 
 /// Wall-time totals (nanoseconds) accumulated by the tiled staged
 /// drivers, split by phase — see `PhaseCounters`. Retrieved via the
-/// plans' `phase_totals()` accessors and the `scaling` bin's
-/// `--phases` flag.
+/// plans' `phase_totals()` accessors (the repo benchmark reports them
+/// as `exec.stage.*_share`).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTotals {
     /// Natural → tile-local transposed layout (chunk entry).

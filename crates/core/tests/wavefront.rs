@@ -153,6 +153,89 @@ fn wavefront_3d_paper_stencils() {
     check("3d27p");
 }
 
+/// The parallel smoke table at production tile widths: untiled
+/// TransLayout rows plus tessellated / split rows whose 2D tiles are
+/// 128–256 wide, so staged TL2 runs interior sets at the host's widest
+/// ISA in f64 and f32 (the matrix above uses 24–48-wide tiles, which
+/// ISA narrowing steps down). Every row, at `Off` and `Threads(2|7)`,
+/// is 0 ULP against `Method::Scalar` — the oracle is the scalar kernel,
+/// not the row's own method, hence a table beside `check` rather than
+/// rows in it.
+fn check_smoke_table(ndim: usize) {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let isa = Isa::detect_best();
+    let tess = |w, h| Some(Tiling::Tessellate { w, h, threads: 1 });
+    let split = |w, h| Some(Tiling::Split { w, h, threads: 1 });
+    let (ml, tl, tl2) = (Method::MultiLoad, Method::TransLayout, Method::TransLayout2);
+    let rows = [
+        ("1d3p", 41, tl, None),
+        ("2d5p", 42, tl, None),
+        ("3d7p", 43, tl, None),
+        ("2d5p@periodic", 44, tl, None),
+        ("3d7p@reflect", 45, tl, None),
+        ("1d3p@f32", 41, tl, None),
+        ("2d5p@f32", 42, tl, None),
+        ("3d7p@f32", 43, tl, None),
+        ("2d5p", 46, ml, tess([256, 64, 0], 10)),
+        ("2d5p@periodic", 47, ml, tess([128, 64, 0], 10)),
+        ("2d9p@reflect", 48, Method::Dlt, split(64, 10)),
+        ("2d5p", 46, tl2, tess([256, 64, 0], 10)),
+        ("2d5p@f32", 46, tl2, tess([256, 64, 0], 10)),
+        ("3d7p", 49, ml, tess([32, 16, 16], 4)),
+        ("3d7p", 49, tl2, tess([32, 16, 16], 4)),
+    ];
+    let (shape, t) = match ndim {
+        1 => (Shape::d1(500_000), 12),
+        2 => (Shape::d2(512, 256), 10),
+        _ => (Shape::d3(64, 64, 64), 6),
+    };
+    for (name, seed, method, tiling) in rows {
+        let spec: StencilSpec = name.parse().unwrap();
+        if spec.ndim() != ndim {
+            continue;
+        }
+        let mut r = StdRng::seed_from_u64(seed);
+        let init = AnyGrid::from_fn_spec(shape, &spec, |_, _, _| r.random_range(0.0..1.0)).unwrap();
+        let run = |method: Method, tiling: Option<Tiling>, par: Parallelism| {
+            let mut plan = Plan::new(shape).method(method).isa(isa).parallelism(par);
+            if let Some(tl) = tiling {
+                plan = plan.tiling(tl);
+            }
+            let mut g = init.clone();
+            plan.stencil(&spec).unwrap().run(&mut g, t);
+            g.to_vec()
+        };
+        let oracle = run(Method::Scalar, None, Parallelism::Off);
+        for par in [
+            Parallelism::Off,
+            Parallelism::Threads(2),
+            Parallelism::Threads(7),
+        ] {
+            let got = run(method, tiling, par);
+            assert!(
+                got == oracle,
+                "{spec} {method} {tiling:?} {par:?} vs scalar"
+            );
+        }
+    }
+}
+
+#[test]
+fn smoke_table_1d() {
+    check_smoke_table(1);
+}
+
+#[test]
+fn smoke_table_2d() {
+    check_smoke_table(2);
+}
+
+#[test]
+fn smoke_table_3d() {
+    check_smoke_table(3);
+}
+
 #[test]
 fn tess_narrowing_keys_off_tile_extent() {
     // Under tessellation the transpose methods stage tile footprints,
