@@ -72,17 +72,15 @@
 //! Both refreshes are written once over a [`Geo`]: a halo shell is the x
 //! folds of every row, then — per further real axis, innermost first —
 //! the shell of every slab followed by whole-slab copies. An absent axis
-//! has nothing to fold, so the recursion simply starts lower. The
-//! [`PlanGrid`] trait at the bottom is where the three grid containers
-//! hand a plan that geometry.
+//! has nothing to fold, so the recursion simply starts lower. A plan's
+//! own buffers (ping-pong scratch, DLT staging) are plain buffers laid
+//! out as the caller's grid's `Geo`, filled at session open by the
+//! helpers at the bottom.
 
-use stencil_simd::{Elem, Isa};
+use stencil_simd::{AlignedBuf, Elem, Isa};
 
-use crate::grid::{Grid1, Grid2, Grid3};
 use crate::kernels::Geo;
-use crate::layout::{
-    dlt_grid1, dlt_grid2, dlt_grid3, tl_grid1, tl_grid2, tl_grid3, DltGeo, SetGeo,
-};
+use crate::layout::{dlt_buf, DltGeo, SetGeo};
 use crate::spec::SpecError;
 
 use super::Method;
@@ -431,134 +429,37 @@ pub(crate) unsafe fn refresh_band<T: Elem>(
 }
 
 // ---------------------------------------------------------------------------
-// The grid side of a plan
+// A plan's own buffers
 // ---------------------------------------------------------------------------
 
-/// A grid container a compiled plan can step: it says where its cells
-/// are ([`Geo`]), hands out its interior origin, and knows its own
-/// layout round-trips. This is the only place the executor meets a
-/// concrete container type; implemented by [`Grid1`], [`Grid2`] and
-/// [`Grid3`] over either element type.
-pub trait PlanGrid: Clone {
-    /// The element type the grid carries.
-    type Elem: Elem;
-
-    /// The grid's geometry (an absent axis is an axis of extent 1).
-    fn geo(&self) -> Geo;
-
-    /// Mutable pointer to interior cell (0, 0, 0).
-    fn origin(&mut self) -> *mut Self::Elem;
-
-    /// Overwrite every cell of `self` (halos included) with `src`'s —
-    /// the one audited home for the "copy everything so the halos come
-    /// along" idiom.
-    fn carry_from(&mut self, src: &Self);
-
-    /// Toggle every row (halo rows/planes included) between natural and
-    /// local-transpose layout, in place.
-    fn toggle_tl(&mut self, isa: Isa);
-
-    /// DLT-transform (or, with `inverse`, restore) every row of `self`
-    /// into `dst`, which has the same geometry.
-    fn dlt_into(&self, dst: &mut Self, isa: Isa, inverse: bool);
-}
-
-impl<T: Elem> PlanGrid for Grid1<T> {
-    type Elem = T;
-    fn geo(&self) -> Geo {
-        Geo {
-            ndim: 1,
-            n: [self.n(), 1, 1],
-            rs: 0,
-            ps: 0,
-            halo: 0,
-        }
-    }
-    fn origin(&mut self) -> *mut T {
-        self.ptr_mut()
-    }
-    fn carry_from(&mut self, src: &Self) {
-        self.copy_from(src);
-    }
-    fn toggle_tl(&mut self, isa: Isa) {
-        tl_grid1(self, isa);
-    }
-    fn dlt_into(&self, dst: &mut Self, isa: Isa, inverse: bool) {
-        dlt_grid1(self, dst, isa, inverse);
-    }
-}
-
-impl<T: Elem> PlanGrid for Grid2<T> {
-    type Elem = T;
-    fn geo(&self) -> Geo {
-        Geo {
-            ndim: 2,
-            n: [self.nx(), self.ny(), 1],
-            rs: self.row_stride(),
-            ps: 0,
-            halo: self.ry(),
-        }
-    }
-    fn origin(&mut self) -> *mut T {
-        self.ptr_mut()
-    }
-    fn carry_from(&mut self, src: &Self) {
-        self.copy_from(src);
-    }
-    fn toggle_tl(&mut self, isa: Isa) {
-        tl_grid2(self, isa);
-    }
-    fn dlt_into(&self, dst: &mut Self, isa: Isa, inverse: bool) {
-        dlt_grid2(self, dst, isa, inverse);
-    }
-}
-
-impl<T: Elem> PlanGrid for Grid3<T> {
-    type Elem = T;
-    fn geo(&self) -> Geo {
-        Geo {
-            ndim: 3,
-            n: [self.nx(), self.ny(), self.nz()],
-            rs: self.row_stride(),
-            ps: self.plane_stride(),
-            halo: self.r(),
-        }
-    }
-    fn origin(&mut self) -> *mut T {
-        self.ptr_mut()
-    }
-    fn carry_from(&mut self, src: &Self) {
-        self.copy_from(src);
-    }
-    fn toggle_tl(&mut self, isa: Isa) {
-        tl_grid3(self, isa);
-    }
-    fn dlt_into(&self, dst: &mut Self, isa: Isa, inverse: bool) {
-        dlt_grid3(self, dst, isa, inverse);
-    }
-}
-
 /// Fill the plan's ping-pong scratch slot from `g`, allocating on first
-/// use and refreshing every cell (halos included) after that.
-pub(crate) fn ensure_scratch<G: PlanGrid>(slot: &mut Option<G>, g: &G) {
+/// use (or when `g` is laid out differently) and refreshing every cell
+/// (halos included) after that.
+pub(crate) fn ensure_scratch<T: Elem>(slot: &mut Option<AlignedBuf<T>>, g: &AlignedBuf<T>) {
     match slot {
-        Some(sc) => sc.carry_from(g),
-        None => *slot = Some(g.clone()),
+        Some(sc) if sc.len() == g.len() => sc.copy_from(g),
+        _ => *slot = Some(g.clone()),
     }
 }
 
-/// Fill the plan's DLT staging pair from `g`: carry `g`'s halos into the
-/// first staging grid, apply the forward layout transform (which writes
-/// only the interior), and mirror the result into the second grid so
-/// both ping-pong partners start with identical halos.
-pub(crate) fn ensure_stage<G: PlanGrid>(slot: &mut Option<(G, G)>, g: &G, isa: Isa) {
-    if slot.is_none() {
+/// Fill the plan's DLT staging pair from `g` (laid out as `geo`): carry
+/// `g`'s halos into the first staging buffer, apply the forward layout
+/// transform (which writes only the interior), and mirror the result
+/// into the second buffer so both ping-pong partners start with
+/// identical halos.
+pub(crate) fn ensure_stage<T: Elem>(
+    slot: &mut Option<(AlignedBuf<T>, AlignedBuf<T>)>,
+    g: &AlignedBuf<T>,
+    geo: &Geo,
+    isa: Isa,
+) {
+    if slot.as_ref().is_none_or(|(a, _)| a.len() != g.len()) {
         *slot = Some((g.clone(), g.clone()));
     }
     let (a, b) = slot.as_mut().expect("just ensured");
-    a.carry_from(g); // halos ride along; the transform overwrites the interior
-    g.dlt_into(a, isa, false);
-    b.carry_from(a);
+    a.copy_from(g); // halos ride along; the transform overwrites the interior
+    dlt_buf(g, a, geo, isa, false);
+    b.copy_from(a);
 }
 
 /// The k = 2 ring buffer of a 2D/3D fused pass over `geo`, as `(length,
@@ -575,8 +476,8 @@ pub(crate) fn ring_layout<T: Elem>(geo: &Geo, r: usize) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::HALO_PAD;
-    use crate::layout::tl_read;
+    use crate::grid::{Grid1, Grid2, Grid3, HALO_PAD};
+    use crate::layout::{dlt_grid, tl_grid, tl_read};
 
     #[test]
     fn boundary_labels_round_trip() {
@@ -661,7 +562,7 @@ mod tests {
             let l = isa.lanes();
             let n = 2 * l * l + 5; // two full sets + tail
             let mut g = Grid1::from_fn(n, 0.0, |i| (10 + i) as f64);
-            tl_grid1(&mut g, isa);
+            tl_grid(&mut g, isa);
             let map = RowMap::for_method::<f64>(Method::TransLayout, isa, n);
             unsafe { refresh(g.ptr_mut(), &g.geo(), 2, Boundary::Periodic, &map) };
             // Halo cells live at raw offsets and must hold the wrapped
@@ -681,7 +582,7 @@ mod tests {
 
             let src = Grid1::from_fn(n, 0.0, |i| (10 + i) as f64);
             let mut d = src.clone();
-            dlt_grid1(&src, &mut d, isa, false);
+            dlt_grid(&src, &mut d, isa, false);
             let map = RowMap::for_method::<f64>(Method::Dlt, isa, n);
             unsafe { refresh(d.ptr_mut(), &d.geo(), 1, Boundary::Reflect, &map) };
             assert_eq!(d.get(-1), 10.0, "{isa}");

@@ -33,19 +33,21 @@
 //! # Where the stencil — and the rank — end
 //!
 //! Nothing in this module tree is generic over a stencil, and nothing is
-//! written per rank. A [`CompiledPlan`] holds the stencil as one boxed
-//! [`Kernel`] object (see [`crate::kernels`] for the boundary) and meets
-//! the caller's grid container through [`PlanGrid`], which reduces it to
-//! a [`Geo`] — extents `[nx, ny, nz]` where **an absent axis is an axis
-//! of extent 1** — plus two raw pointers. From
-//! there one runner body picks one driver (`tess::drive`, `par::drive`,
-//! the `split` drivers, or the sequential loop), each generic over the
-//! element type only, and the kernel is called once per range sweep or
-//! tile step. The typed terminals ([`Plan::star1`] … [`Plan::box3`]) and
-//! the runtime-spec terminal ([`Plan::stencil`]) differ only in how the
-//! kernel object is made; both hand it to the same constructor, so they
-//! cannot drift apart. [`Plan1`]/[`Plan2`]/[`Plan3`] are aliases naming
-//! the container a plan steps, not separate types.
+//! written per rank. A [`CompiledPlan<T>`] is generic over the element
+//! type only: it holds the stencil as one boxed [`Kernel`] object (see
+//! [`crate::kernels`] for the boundary) and meets the caller's grid as a
+//! [`GridMut`] — the grid's buffer plus its [`Geo`], extents
+//! `[nx, ny, nz]` where **an absent axis is an axis of extent 1**. Its
+//! scratch and staging buffers are plain buffers laid out the same way.
+//! From there one runner body picks one driver (`tess::drive`,
+//! `par::drive`, the `split` drivers, or the sequential loop), each
+//! generic over the element type only, and the kernel is called once per
+//! range sweep or tile step. The typed terminals ([`Plan::star1`] …
+//! [`Plan::box3`]) and the runtime-spec terminal ([`Plan::stencil`])
+//! differ only in how the kernel object is made; both hand it to the
+//! same constructor, so they cannot drift apart. A plan of one rank
+//! stepping a grid of another is caught by the shape check at session
+//! open.
 //!
 //! Two paths stay 1D-specific, because they index something a plane or a
 //! volume does not have rather than "one axis fewer": the DLT
@@ -85,14 +87,14 @@ pub mod tile;
 pub(crate) mod wave;
 
 pub use erased::{AnyGridMut, DynPlan, DynSession};
-pub use halo::{Boundary, PlanGrid};
+pub use halo::Boundary;
 pub use stage::PhaseTotals;
 
 use stencil_simd::{AlignedBuf, Elem, Isa};
 
-use crate::grid::{Grid1, Grid2, Grid3};
+use crate::grid::GridMut;
 use crate::kernels::{self, Geo, Kernel};
-use crate::layout::{DltGeo, SetGeo};
+use crate::layout::{self, DltGeo, SetGeo};
 use crate::stencil::{Box2, Box3, Star1, Star2, Star3};
 use tess::{Stepper, SyncPtr};
 use tile::DimTiling;
@@ -771,17 +773,17 @@ impl Plan {
 
     /// Compile the plan around a boxed kernel — the single body every
     /// typed terminal and [`Plan::stencil`] end in. Validates the
-    /// configuration against the kernel's rank and radius over the grid's
+    /// configuration against the kernel's rank and radius over the
     /// element type, and allocates what every run shares: the worker pool
     /// and (tessellate + transpose methods) the per-worker staging arena.
-    fn compile<G: PlanGrid>(
+    fn compile<T: Elem>(
         mut self,
-        kernel: Box<dyn Kernel<G::Elem>>,
-    ) -> Result<CompiledPlan<G>, PlanError> {
+        kernel: Box<dyn Kernel<T>>,
+    ) -> Result<CompiledPlan<T>, PlanError> {
         let r = kernel.radius();
-        self.isa = self.narrowed_isa::<G::Elem>(r);
+        self.isa = self.narrowed_isa::<T>(r);
         let boundary = self.boundary.unwrap_or_default();
-        let lanes = self.isa.lanes_for::<G::Elem>();
+        let lanes = self.isa.lanes_for::<T>();
         let (threads, pool) = self.validate(kernel.ndim(), r, boundary, lanes)?;
         let arena = self.tess_arena(r, pool.as_ref());
         let cfg = Cfg {
@@ -809,52 +811,52 @@ impl Plan {
     }
 
     /// Compile the plan for a 1D star stencil (over `f64`).
-    pub fn star1<S: Star1>(self, stencil: S) -> Result<Plan1, PlanError> {
+    pub fn star1<S: Star1>(self, stencil: S) -> Result<CompiledPlan, PlanError> {
         self.star1_elem(stencil)
     }
 
     /// Compile the plan for a 1D star stencil over element type `T`.
-    pub fn star1_elem<T: Elem, S: Star1>(self, stencil: S) -> Result<Plan1<T>, PlanError> {
+    pub fn star1_elem<T: Elem, S: Star1>(self, stencil: S) -> Result<CompiledPlan<T>, PlanError> {
         self.compile(kernels::star1(stencil)?)
     }
 
     /// Compile the plan for a 2D star stencil (over `f64`).
-    pub fn star2<S: Star2>(self, stencil: S) -> Result<Plan2, PlanError> {
+    pub fn star2<S: Star2>(self, stencil: S) -> Result<CompiledPlan, PlanError> {
         self.star2_elem(stencil)
     }
 
     /// Compile the plan for a 2D star stencil over element type `T`.
-    pub fn star2_elem<T: Elem, S: Star2>(self, stencil: S) -> Result<Plan2<T>, PlanError> {
+    pub fn star2_elem<T: Elem, S: Star2>(self, stencil: S) -> Result<CompiledPlan<T>, PlanError> {
         self.compile(kernels::star2(stencil)?)
     }
 
     /// Compile the plan for a 2D box stencil (over `f64`).
-    pub fn box2<S: Box2>(self, stencil: S) -> Result<Plan2, PlanError> {
+    pub fn box2<S: Box2>(self, stencil: S) -> Result<CompiledPlan, PlanError> {
         self.box2_elem(stencil)
     }
 
     /// Compile the plan for a 2D box stencil over element type `T`.
-    pub fn box2_elem<T: Elem, S: Box2>(self, stencil: S) -> Result<Plan2<T>, PlanError> {
+    pub fn box2_elem<T: Elem, S: Box2>(self, stencil: S) -> Result<CompiledPlan<T>, PlanError> {
         self.compile(kernels::box2(stencil)?)
     }
 
     /// Compile the plan for a 3D star stencil (over `f64`).
-    pub fn star3<S: Star3>(self, stencil: S) -> Result<Plan3, PlanError> {
+    pub fn star3<S: Star3>(self, stencil: S) -> Result<CompiledPlan, PlanError> {
         self.star3_elem(stencil)
     }
 
     /// Compile the plan for a 3D star stencil over element type `T`.
-    pub fn star3_elem<T: Elem, S: Star3>(self, stencil: S) -> Result<Plan3<T>, PlanError> {
+    pub fn star3_elem<T: Elem, S: Star3>(self, stencil: S) -> Result<CompiledPlan<T>, PlanError> {
         self.compile(kernels::star3(stencil)?)
     }
 
     /// Compile the plan for a 3D box stencil (over `f64`).
-    pub fn box3<S: Box3>(self, stencil: S) -> Result<Plan3, PlanError> {
+    pub fn box3<S: Box3>(self, stencil: S) -> Result<CompiledPlan, PlanError> {
         self.box3_elem(stencil)
     }
 
     /// Compile the plan for a 3D box stencil over element type `T`.
-    pub fn box3_elem<T: Elem, S: Box3>(self, stencil: S) -> Result<Plan3<T>, PlanError> {
+    pub fn box3_elem<T: Elem, S: Box3>(self, stencil: S) -> Result<CompiledPlan<T>, PlanError> {
         self.compile(kernels::box3(stencil)?)
     }
 }
@@ -879,8 +881,8 @@ fn tess_dims(shape: &Shape, w: [usize; 3], r: usize) -> [DimTiling; 3] {
 // Compiled plans
 // ---------------------------------------------------------------------------
 
-/// The part of a compiled plan that names neither a grid container nor
-/// an element type: the validated configuration, the worker pool, and
+/// The part of a compiled plan that does not name its element type:
+/// the validated configuration, the worker pool, and
 /// the phase counters. [`CompiledPlan`] and [`DynPlan`] deref to it, so
 /// these accessors are available on both.
 pub struct PlanCore {
@@ -954,60 +956,61 @@ impl PlanCore {
     }
 }
 
-/// Compiled execution plan over grids of type `G` (any rank, star or
+/// Compiled execution plan over grids of element `T` (any rank, star or
 /// box — the boxed kernel knows which).
 ///
 /// Owns the kernel and every buffer the method needs (ping-pong scratch,
 /// DLT staging, k = 2 ring, staging arena, worker pool);
 /// [`CompiledPlan::run`] and [`CompiledPlan::session`] reuse them across
 /// calls.
-pub struct CompiledPlan<G: PlanGrid> {
+pub struct CompiledPlan<T: Elem = f64> {
     core: PlanCore,
-    kernel: Box<dyn Kernel<G::Elem>>,
-    scratch: Option<G>,
-    stage: Option<(G, G)>,
-    ring: Option<AlignedBuf<G::Elem>>,
-    arena: Option<stage::TileArena<G::Elem>>,
+    kernel: Box<dyn Kernel<T>>,
+    scratch: Option<AlignedBuf<T>>,
+    stage: Option<(AlignedBuf<T>, AlignedBuf<T>)>,
+    ring: Option<AlignedBuf<T>>,
+    arena: Option<stage::TileArena<T>>,
 }
 
-/// A compiled plan over 1D grids.
-pub type Plan1<T = f64> = CompiledPlan<Grid1<T>>;
-/// A compiled plan over 2D grids.
-pub type Plan2<T = f64> = CompiledPlan<Grid2<T>>;
-/// A compiled plan over 3D grids.
-pub type Plan3<T = f64> = CompiledPlan<Grid3<T>>;
-
-impl<G: PlanGrid> std::ops::Deref for CompiledPlan<G> {
+impl<T: Elem> std::ops::Deref for CompiledPlan<T> {
     type Target = PlanCore;
     fn deref(&self) -> &PlanCore {
         &self.core
     }
 }
 
-impl<G: PlanGrid> std::fmt::Debug for CompiledPlan<G> {
+impl<T: Elem> std::fmt::Debug for CompiledPlan<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_tuple("CompiledPlan").field(&self.core).finish()
     }
 }
 
-impl<G: PlanGrid> CompiledPlan<G> {
+impl<T: Elem> CompiledPlan<T> {
     /// Run `t` Jacobi steps on `g` (natural layout in, natural layout
     /// out). Buffers are reused across calls; for repeated stepping
     /// without the per-call layout round-trip, use
     /// [`CompiledPlan::session`].
-    pub fn run(&mut self, g: &mut G, t: usize) {
+    ///
+    /// # Panics
+    /// As [`CompiledPlan::session`].
+    pub fn run<'g>(&mut self, g: impl Into<GridMut<'g, T>>, t: usize) {
         if t == 0 {
             return;
         }
-        self.session(g).run(t);
+        self.session(g.into()).run(t);
     }
 
-    /// Open a layout-resident stepping session on `g`: the grid is
-    /// transformed into the method's layout once, every [`Session::run`]
-    /// steps it in place, and dropping the session restores natural
-    /// order.
-    pub fn session<'p>(&'p mut self, g: &'p mut G) -> Session<'p, G> {
-        let geo = g.geo();
+    /// Open a layout-resident stepping session on `g` (a `&mut Grid1`,
+    /// `Grid2` or `Grid3`): the grid is transformed into the method's
+    /// layout once, every [`Session::run`] steps it in place, and
+    /// dropping the session restores natural order.
+    ///
+    /// # Panics
+    /// If the grid's rank or extents differ from the plan's shape, or its
+    /// halo is narrower than the stencil radius
+    /// ([`Geo::holds_radius`]).
+    pub fn session<'p>(&'p mut self, g: impl Into<GridMut<'p, T>>) -> Session<'p, T> {
+        let (buf, geo) = g.into().into_parts();
         assert_eq!(
             geo.shape(),
             self.core.shape,
@@ -1015,35 +1018,41 @@ impl<G: PlanGrid> CompiledPlan<G> {
         );
         let r = self.kernel.radius();
         assert!(
-            geo.ndim == 1 || geo.halo >= r,
+            geo.holds_radius(r),
             "grid halo narrower than stencil radius"
         );
         let cfg = &self.core.cfg;
         match cfg.layout() {
-            Layout::Natural => halo::ensure_scratch(&mut self.scratch, g),
+            Layout::Natural => halo::ensure_scratch(&mut self.scratch, buf),
             Layout::Transpose => {
-                g.toggle_tl(cfg.isa);
-                halo::ensure_scratch(&mut self.scratch, g);
-                if geo.ndim > 1 && runs_fused::<G::Elem>(cfg, &geo, r) {
-                    let (len, _) = halo::ring_layout::<G::Elem>(&geo, r);
+                layout::tl_buf(buf, &geo, cfg.isa);
+                halo::ensure_scratch(&mut self.scratch, buf);
+                if geo.ndim > 1 && runs_fused::<T>(cfg, &geo, r) {
+                    let (len, _) = halo::ring_layout::<T>(&geo, r);
                     if self.ring.as_ref().map(|ring| ring.len()) != Some(len) {
                         self.ring = Some(AlignedBuf::zeroed(len));
                     }
                 }
             }
-            Layout::Dlt => halo::ensure_stage(&mut self.stage, g, cfg.isa),
+            Layout::Dlt => halo::ensure_stage(&mut self.stage, buf, &geo, cfg.isa),
         }
-        Session { plan: self, g }
+        Session {
+            plan: self,
+            buf,
+            geo,
+        }
     }
 }
 
 /// Layout-resident stepping session (see [`CompiledPlan::session`]).
-pub struct Session<'p, G: PlanGrid> {
-    plan: &'p mut CompiledPlan<G>,
-    g: &'p mut G,
+pub struct Session<'p, T: Elem = f64> {
+    plan: &'p mut CompiledPlan<T>,
+    /// The caller's grid buffer, laid out as `geo`.
+    buf: &'p mut AlignedBuf<T>,
+    geo: Geo,
 }
 
-impl<G: PlanGrid> Session<'_, G> {
+impl<T: Elem> Session<'_, T> {
     /// Advance the grid `t` Jacobi steps. No buffer allocation and no
     /// layout transform happen here — only kernel stepping (tiled runs
     /// copy small precomputed tile lists per chunk), plus the O(surface)
@@ -1053,14 +1062,18 @@ impl<G: PlanGrid> Session<'_, G> {
             return;
         }
         let plan = &mut *self.plan;
-        let geo = self.g.geo();
-        // The ping-pong pair the method steps: the DLT staging grids, or
-        // the caller's grid and the plan's scratch.
+        let geo = self.geo;
+        // The ping-pong pair the method steps: the DLT staging buffers,
+        // or the caller's grid and the plan's scratch — all `geo.len()`
+        // long, so the interior origin lies inside each.
         let (a, b) = match plan.stage.as_mut() {
             Some((a, b)) => (a, b),
-            None => (&mut *self.g, plan.scratch.as_mut().expect("scratch")),
+            None => (&mut *self.buf, plan.scratch.as_mut().expect("scratch")),
         };
-        let bufs = [SyncPtr(a.origin()), SyncPtr(b.origin())];
+        let o = geo.origin::<T>();
+        // SAFETY: see above.
+        let (pa, pb) = unsafe { (a.as_mut_ptr().add(o), b.as_mut_ptr().add(o)) };
+        let bufs = [SyncPtr(pa), SyncPtr(pb)];
         let ring = plan.ring.as_mut().map(|ring| ring.as_mut_ptr());
         let arena = plan.arena.as_ref();
         let pingpongs = run_steps(&plan.core, &*plan.kernel, &geo, bufs, ring, arena, t);
@@ -1070,15 +1083,15 @@ impl<G: PlanGrid> Session<'_, G> {
     }
 }
 
-impl<G: PlanGrid> Drop for Session<'_, G> {
+impl<T: Elem> Drop for Session<'_, T> {
     fn drop(&mut self) {
         let isa = self.plan.core.cfg.isa;
         match self.plan.core.cfg.layout() {
             Layout::Natural => {}
-            Layout::Transpose => self.g.toggle_tl(isa),
+            Layout::Transpose => layout::tl_buf(self.buf, &self.geo, isa),
             Layout::Dlt => {
                 let (a, _) = self.plan.stage.as_ref().expect("stage");
-                a.dlt_into(self.g, isa, true);
+                layout::dlt_buf(a, self.buf, &self.geo, isa, true);
             }
         }
     }

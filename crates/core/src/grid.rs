@@ -14,14 +14,26 @@
 //! * kernels receive raw pointers to the interior origin and may index
 //!   negatively into the halo.
 //!
+//! # One grid type
+//!
+//! There is one container, [`Grid<T, D>`]: an aligned buffer plus the
+//! [`Geo`] it implies — extents `[nx, ny, nz]` in which **an absent axis
+//! is an axis of extent 1**, row/plane strides, and the halo width. All
+//! that does not depend on the rank (extents, strides, halo, pointers,
+//! copies, interior rows, `to_vec`) is written once over that `Geo`; the
+//! const parameter `D` only picks the constructor argument lists and the
+//! arity of `get`/`set`. [`Grid1`], [`Grid2`] and [`Grid3`] name the
+//! three ranks. A plan never sees the rank: it steps a [`GridMut`] — the
+//! buffer and its `Geo` — which every `&mut Grid<T, D>` converts into.
+//!
 //! The containers are generic over the element ([`Elem`]) with `f64` as
-//! the default parameter, so all pre-existing f64 call sites compile
-//! unchanged; `Grid2<f32>` etc. carry single precision at twice the
-//! SIMD lane width.
+//! the default parameter of the rank aliases; `Grid2<f32>` etc. carry
+//! single precision at twice the SIMD lane width.
 
 use stencil_simd::{AlignedBuf, Dtype, Elem};
 
 use crate::exec::{Boundary, Shape};
+use crate::kernels::Geo;
 use crate::spec::StencilSpec;
 
 /// Doubles of padding on each side of a row interior **in the f64
@@ -30,130 +42,222 @@ use crate::spec::StencilSpec;
 /// — always one full 64-byte line, and ≥ [`crate::stencil::MAX_R`]).
 pub const HALO_PAD: usize = 8;
 
-/// Round `x` up to a whole number of pads (= 64-byte lines) of `T`.
-#[inline]
-fn round_up_pad<T: Elem>(x: usize) -> usize {
-    x.div_ceil(T::PAD) * T::PAD
+/// A grid of rank `D` (1–3): an interior of `nz × ny × nx` cells,
+/// row-major with x fastest, inside constant halos. Its buffer is
+/// exactly as long as its [`Geo`] implies.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Grid<T: Elem, const D: usize> {
+    buf: AlignedBuf<T>,
+    geo: Geo,
 }
 
 /// 1D grid: `n` interior points plus constant halos.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Grid1<T: Elem = f64> {
-    buf: AlignedBuf<T>,
-    n: usize,
-}
+pub type Grid1<T = f64> = Grid<T, 1>;
+/// 2D grid: `ny × nx` interior, row-major, with halo rows and columns.
+pub type Grid2<T = f64> = Grid<T, 2>;
+/// 3D grid: `nz × ny × nx` interior with halo planes/rows/columns.
+pub type Grid3<T = f64> = Grid<T, 3>;
 
-impl<T: Elem> Grid1<T> {
-    /// Create a grid with every cell (halo included) set to `fill`.
-    pub fn filled(n: usize, fill: T) -> Self {
-        assert!(n > 0, "empty interior");
-        let mut buf = AlignedBuf::zeroed(T::PAD + round_up_pad::<T>(n + T::PAD));
+impl<T: Elem, const D: usize> Grid<T, D> {
+    /// A grid of interior extents `n` (1 past rank `D`) with `r` halo
+    /// rows/planes per side on its real y/z axes — the x halo is always
+    /// the row pad — and every cell set to `fill`.
+    fn shaped(n: [usize; 3], r: usize, fill: T) -> Self {
+        assert!(!n.contains(&0), "empty interior");
+        let mut geo = Geo {
+            ndim: D,
+            n,
+            rs: 0,
+            ps: 0,
+            halo: if D > 1 { r } else { 0 },
+        };
+        if D > 1 {
+            geo.rs = geo.row_len::<T>();
+        }
+        if D > 2 {
+            geo.ps = geo.rs * (n[1] + 2 * r);
+        }
+        let mut buf = AlignedBuf::zeroed(geo.len::<T>());
         buf.fill(fill);
-        Grid1 { buf, n }
+        Grid { buf, geo }
     }
 
-    /// Create a grid whose interior is `f(i)` and whose halo is `halo`.
-    pub fn from_fn(n: usize, halo: T, mut f: impl FnMut(usize) -> T) -> Self {
-        let mut g = Self::filled(n, halo);
-        for i in 0..n {
-            g.buf[T::PAD + i] = f(i);
+    /// [`Grid::shaped`] with halo value `halo` and interior cell
+    /// `(z, y, x)` set to `f(z, y, x)`, visited in row-major order.
+    fn from_cells(
+        n: [usize; 3],
+        r: usize,
+        halo: T,
+        mut f: impl FnMut(usize, usize, usize) -> T,
+    ) -> Self {
+        let mut g = Self::shaped(n, r, halo);
+        let (geo, o) = (g.geo, g.geo.origin::<T>() as isize);
+        for (i, off) in geo.rows(false).enumerate() {
+            let (z, y) = (i / n[1], i % n[1]);
+            let row = &mut g.buf[(o + off) as usize..][..n[0]];
+            for (x, c) in row.iter_mut().enumerate() {
+                *c = f(z, y, x);
+            }
         }
         g
     }
 
-    /// Interior length.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
+    /// The grid's geometry: extents, strides and halo width.
+    pub fn geo(&self) -> Geo {
+        self.geo
     }
 
-    /// Pointer to interior cell 0; halo readable at negative offsets down
-    /// to `-T::PAD`.
+    /// Interior width.
+    pub fn nx(&self) -> usize {
+        self.geo.n[0]
+    }
+
+    /// Interior height (1 in 1D).
+    pub fn ny(&self) -> usize {
+        self.geo.n[1]
+    }
+
+    /// Interior depth (1 below 3D).
+    pub fn nz(&self) -> usize {
+        self.geo.n[2]
+    }
+
+    /// Row stride in elements (a multiple of `T::PAD`; 0 in 1D, which
+    /// has a single row).
+    pub fn row_stride(&self) -> usize {
+        self.geo.rs
+    }
+
+    /// Plane stride in elements (0 below 3D).
+    pub fn plane_stride(&self) -> usize {
+        self.geo.ps
+    }
+
+    /// Halo rows/planes per side along y and z (0 in 1D, whose only halo
+    /// is the row pad).
+    pub fn halo(&self) -> usize {
+        self.geo.halo
+    }
+
+    /// Pointer to the interior origin (cell 0 along every axis); the row
+    /// halo is readable at negative offsets down to `-T::PAD`.
     #[inline]
     pub fn ptr(&self) -> *const T {
-        // SAFETY: T::PAD < buf.len() by construction.
-        unsafe { self.buf.as_ptr().add(T::PAD) }
+        // SAFETY: the origin lies inside a buffer of `geo.len()` cells.
+        unsafe { self.buf.as_ptr().add(self.geo.origin::<T>()) }
     }
 
-    /// Mutable pointer to interior cell 0.
+    /// Mutable pointer to the interior origin.
     #[inline]
     pub fn ptr_mut(&mut self) -> *mut T {
-        unsafe { self.buf.as_mut_ptr().add(T::PAD) }
+        // SAFETY: as `ptr`.
+        unsafe { self.buf.as_mut_ptr().add(self.geo.origin::<T>()) }
+    }
+
+    /// Overwrite every cell (halos included) with `src`'s, without
+    /// reallocating. Panics if the geometries differ.
+    pub fn copy_from(&mut self, src: &Self) {
+        assert_eq!(self.geo, src.geo, "Grid::copy_from geometry mismatch");
+        self.buf.copy_from(&src.buf);
+    }
+
+    /// The whole buffer, halos included, laid out as [`Grid::geo`] says.
+    pub(crate) fn buf(&self) -> &AlignedBuf<T> {
+        &self.buf
+    }
+
+    /// The interior rows, z-major then y: one slice of `nx` cells each.
+    pub fn rows(&self) -> impl Iterator<Item = &[T]> + '_ {
+        let (o, nx) = (self.geo.origin::<T>() as isize, self.nx());
+        self.geo
+            .rows(false)
+            .map(move |off| &self.buf[(o + off) as usize..][..nx])
+    }
+
+    /// The interior in row-major order (x fastest).
+    pub fn to_vec(&self) -> Vec<T> {
+        self.rows().flatten().copied().collect()
+    }
+
+    /// Buffer index of cell `[x, y, z]` (halo included; 0 along absent
+    /// axes), bounds-checked per axis.
+    fn idx(&self, at: [isize; 3]) -> usize {
+        let g = &self.geo;
+        let lead = [T::PAD, g.halo_on(1), g.halo_on(2)];
+        let span = [g.row_len::<T>(), g.n[1] + 2 * lead[1], g.n[2] + 2 * lead[2]];
+        // A coordinate below the halo wraps to a huge index and fails too.
+        let c: [usize; 3] = std::array::from_fn(|a| (at[a] + lead[a] as isize) as usize);
+        assert!((0..3).all(|a| c[a] < span[a]), "cell {at:?} out of range");
+        c[0] + c[1] * g.rs + c[2] * g.ps
+    }
+
+    /// The same grid under the rank type `E` its geometry has.
+    fn rank<const E: usize>(self) -> Grid<T, E> {
+        debug_assert_eq!(self.geo.ndim, E);
+        Grid {
+            buf: self.buf,
+            geo: self.geo,
+        }
+    }
+}
+
+impl<T: Elem> Grid<T, 1> {
+    /// Create a grid with every cell (halo included) set to `fill`.
+    ///
+    /// # Panics
+    /// If `n` is 0.
+    pub fn filled(n: usize, fill: T) -> Self {
+        Self::shaped([n, 1, 1], 0, fill)
+    }
+
+    /// Create a grid whose interior is `f(i)` and whose halo is `halo`.
+    ///
+    /// # Panics
+    /// If `n` is 0.
+    pub fn from_fn(n: usize, halo: T, mut f: impl FnMut(usize) -> T) -> Self {
+        Self::from_cells([n, 1, 1], 0, halo, |_, _, x| f(x))
+    }
+
+    /// Interior length.
+    pub fn n(&self) -> usize {
+        self.nx()
     }
 
     /// Read cell `i`; `i` may range over `[-T::PAD, n + T::PAD)`.
     #[inline]
     pub fn get(&self, i: isize) -> T {
-        let idx = T::PAD as isize + i;
-        assert!(
-            idx >= 0 && (idx as usize) < self.buf.len(),
-            "index {i} out of range"
-        );
-        self.buf[idx as usize]
+        self.buf[self.idx([i, 0, 0])]
     }
 
-    /// Write cell `i` (same range as [`Grid1::get`]).
+    /// Write cell `i` (same range as `get`).
     #[inline]
     pub fn set(&mut self, i: isize, v: T) {
-        let idx = T::PAD as isize + i;
-        assert!(
-            idx >= 0 && (idx as usize) < self.buf.len(),
-            "index {i} out of range"
-        );
-        self.buf[idx as usize] = v;
+        let k = self.idx([i, 0, 0]);
+        self.buf[k] = v;
     }
 
     /// Interior as a slice.
     #[inline]
     pub fn interior(&self) -> &[T] {
-        &self.buf[T::PAD..T::PAD + self.n]
-    }
-
-    /// Interior as a mutable slice.
-    #[inline]
-    pub fn interior_mut(&mut self) -> &mut [T] {
-        &mut self.buf[T::PAD..T::PAD + self.n]
-    }
-
-    /// Overwrite every cell (halos included) with `src`'s, without
-    /// reallocating. Panics if the geometries differ.
-    pub fn copy_from(&mut self, src: &Grid1<T>) {
-        assert_eq!(self.n, src.n, "Grid1::copy_from geometry mismatch");
-        self.buf.copy_from(&src.buf);
+        let o = self.geo.origin::<T>();
+        &self.buf[o..o + self.n()]
     }
 }
 
-/// 2D grid: `ny × nx` interior, row-major, with halo rows and columns.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Grid2<T: Elem = f64> {
-    buf: AlignedBuf<T>,
-    nx: usize,
-    ny: usize,
-    /// Halo row count above/below the interior (= max radius supported).
-    ry: usize,
-    /// Row stride in elements (multiple of `T::PAD`).
-    rs: usize,
-}
-
-impl<T: Elem> Grid2<T> {
+impl<T: Elem> Grid<T, 2> {
     /// Create with all cells (halos included) set to `fill`. `ry` is the
     /// number of halo rows kept above and below (pass the stencil radius).
+    ///
+    /// # Panics
+    /// If an extent is 0.
     pub fn filled(nx: usize, ny: usize, ry: usize, fill: T) -> Self {
-        assert!(nx > 0 && ny > 0, "empty interior");
-        let rs = T::PAD + round_up_pad::<T>(nx + T::PAD);
-        let rows = ny + 2 * ry;
-        let mut buf = AlignedBuf::zeroed(rs * rows);
-        buf.fill(fill);
-        Grid2 {
-            buf,
-            nx,
-            ny,
-            ry,
-            rs,
-        }
+        Self::shaped([nx, ny, 1], ry, fill)
     }
 
     /// Create with interior `f(y, x)` and halo value `halo`.
+    ///
+    /// # Panics
+    /// If an extent is 0.
     pub fn from_fn(
         nx: usize,
         ny: usize,
@@ -161,246 +265,98 @@ impl<T: Elem> Grid2<T> {
         halo: T,
         mut f: impl FnMut(usize, usize) -> T,
     ) -> Self {
-        let mut g = Self::filled(nx, ny, ry, halo);
-        for y in 0..ny {
-            for x in 0..nx {
-                let idx = (g.ry + y) * g.rs + T::PAD + x;
-                g.buf[idx] = f(y, x);
-            }
-        }
-        g
-    }
-
-    /// Interior width.
-    #[inline]
-    pub fn nx(&self) -> usize {
-        self.nx
-    }
-
-    /// Interior height.
-    #[inline]
-    pub fn ny(&self) -> usize {
-        self.ny
-    }
-
-    /// Row stride in elements.
-    #[inline]
-    pub fn row_stride(&self) -> usize {
-        self.rs
-    }
-
-    /// Halo row count.
-    #[inline]
-    pub fn ry(&self) -> usize {
-        self.ry
-    }
-
-    /// Pointer to interior cell (0, 0).
-    #[inline]
-    pub fn ptr(&self) -> *const T {
-        unsafe { self.buf.as_ptr().add(self.ry * self.rs + T::PAD) }
-    }
-
-    /// Mutable pointer to interior cell (0, 0).
-    #[inline]
-    pub fn ptr_mut(&mut self) -> *mut T {
-        unsafe { self.buf.as_mut_ptr().add(self.ry * self.rs + T::PAD) }
-    }
-
-    #[inline]
-    fn idx(&self, y: isize, x: isize) -> usize {
-        let iy = self.ry as isize + y;
-        let ix = T::PAD as isize + x;
-        assert!(
-            iy >= 0 && (iy as usize) < self.ny + 2 * self.ry,
-            "y={y} out of range"
-        );
-        assert!(ix >= 0 && (ix as usize) < self.rs, "x={x} out of range");
-        iy as usize * self.rs + ix as usize
+        Self::from_cells([nx, ny, 1], ry, halo, |_, y, x| f(y, x))
     }
 
     /// Read cell `(y, x)`; halo addressable with negative / overshooting
     /// indices.
     #[inline]
     pub fn get(&self, y: isize, x: isize) -> T {
-        self.buf[self.idx(y, x)]
+        self.buf[self.idx([x, y, 0])]
     }
 
     /// Write cell `(y, x)`.
     #[inline]
     pub fn set(&mut self, y: isize, x: isize, v: T) {
-        let i = self.idx(y, x);
-        self.buf[i] = v;
+        let k = self.idx([x, y, 0]);
+        self.buf[k] = v;
     }
 
     /// Interior row `y` as a slice.
     #[inline]
     pub fn row(&self, y: usize) -> &[T] {
-        let start = (self.ry + y) * self.rs + T::PAD;
-        &self.buf[start..start + self.nx]
-    }
-
-    /// Overwrite every cell (halos included) with `src`'s, without
-    /// reallocating. Panics if the geometries differ.
-    pub fn copy_from(&mut self, src: &Grid2<T>) {
-        assert_eq!(
-            (self.nx, self.ny, self.ry),
-            (src.nx, src.ny, src.ry),
-            "Grid2::copy_from geometry mismatch"
-        );
-        self.buf.copy_from(&src.buf);
+        let start = self.idx([0, y as isize, 0]);
+        &self.buf[start..start + self.nx()]
     }
 }
 
-/// 3D grid: `nz × ny × nx` interior with halo planes/rows/columns.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Grid3<T: Elem = f64> {
-    buf: AlignedBuf<T>,
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    /// Halo row/plane count (= max radius supported in y and z).
-    r: usize,
-    rs: usize,
-    /// Plane stride in elements.
-    ps: usize,
-}
-
-impl<T: Elem> Grid3<T> {
-    /// Create with all cells (halos included) set to `fill`.
+impl<T: Elem> Grid<T, 3> {
+    /// Create with all cells (halos included) set to `fill`; `r` halo
+    /// rows and planes per side.
+    ///
+    /// # Panics
+    /// If an extent is 0.
     pub fn filled(nx: usize, ny: usize, nz: usize, r: usize, fill: T) -> Self {
-        assert!(nx > 0 && ny > 0 && nz > 0, "empty interior");
-        let rs = T::PAD + round_up_pad::<T>(nx + T::PAD);
-        let ps = rs * (ny + 2 * r);
-        let mut buf = AlignedBuf::zeroed(ps * (nz + 2 * r));
-        buf.fill(fill);
-        Grid3 {
-            buf,
-            nx,
-            ny,
-            nz,
-            r,
-            rs,
-            ps,
-        }
+        Self::shaped([nx, ny, nz], r, fill)
     }
 
     /// Create with interior `f(z, y, x)` and halo value `halo`.
+    ///
+    /// # Panics
+    /// If an extent is 0.
     pub fn from_fn(
         nx: usize,
         ny: usize,
         nz: usize,
         r: usize,
         halo: T,
-        mut f: impl FnMut(usize, usize, usize) -> T,
+        f: impl FnMut(usize, usize, usize) -> T,
     ) -> Self {
-        let mut g = Self::filled(nx, ny, nz, r, halo);
-        for z in 0..nz {
-            for y in 0..ny {
-                for x in 0..nx {
-                    let idx = (g.r + z) * g.ps + (g.r + y) * g.rs + T::PAD + x;
-                    g.buf[idx] = f(z, y, x);
-                }
-            }
-        }
-        g
-    }
-
-    /// Interior width.
-    #[inline]
-    pub fn nx(&self) -> usize {
-        self.nx
-    }
-
-    /// Interior height.
-    #[inline]
-    pub fn ny(&self) -> usize {
-        self.ny
-    }
-
-    /// Interior depth.
-    #[inline]
-    pub fn nz(&self) -> usize {
-        self.nz
-    }
-
-    /// Row stride in elements.
-    #[inline]
-    pub fn row_stride(&self) -> usize {
-        self.rs
-    }
-
-    /// Plane stride in elements.
-    #[inline]
-    pub fn plane_stride(&self) -> usize {
-        self.ps
-    }
-
-    /// Halo width in rows/planes.
-    #[inline]
-    pub fn r(&self) -> usize {
-        self.r
-    }
-
-    /// Pointer to interior cell (0, 0, 0).
-    #[inline]
-    pub fn ptr(&self) -> *const T {
-        unsafe {
-            self.buf
-                .as_ptr()
-                .add(self.r * self.ps + self.r * self.rs + T::PAD)
-        }
-    }
-
-    /// Mutable pointer to interior cell (0, 0, 0).
-    #[inline]
-    pub fn ptr_mut(&mut self) -> *mut T {
-        unsafe {
-            self.buf
-                .as_mut_ptr()
-                .add(self.r * self.ps + self.r * self.rs + T::PAD)
-        }
-    }
-
-    #[inline]
-    fn idx(&self, z: isize, y: isize, x: isize) -> usize {
-        let iz = self.r as isize + z;
-        let iy = self.r as isize + y;
-        let ix = T::PAD as isize + x;
-        assert!(
-            iz >= 0 && (iz as usize) < self.nz + 2 * self.r,
-            "z={z} out of range"
-        );
-        assert!(
-            iy >= 0 && (iy as usize) < self.ny + 2 * self.r,
-            "y={y} out of range"
-        );
-        assert!(ix >= 0 && (ix as usize) < self.rs, "x={x} out of range");
-        iz as usize * self.ps + iy as usize * self.rs + ix as usize
+        Self::from_cells([nx, ny, nz], r, halo, f)
     }
 
     /// Read cell `(z, y, x)`; halo addressable.
     #[inline]
     pub fn get(&self, z: isize, y: isize, x: isize) -> T {
-        self.buf[self.idx(z, y, x)]
+        self.buf[self.idx([x, y, z])]
     }
 
     /// Write cell `(z, y, x)`.
     #[inline]
     pub fn set(&mut self, z: isize, y: isize, x: isize, v: T) {
-        let i = self.idx(z, y, x);
-        self.buf[i] = v;
+        let k = self.idx([x, y, z]);
+        self.buf[k] = v;
+    }
+}
+
+/// A mutable borrow of a grid of any rank: its cells and the [`Geo`]
+/// that says where they are. This is all a compiled plan sees of a grid;
+/// every `&mut Grid<T, D>` converts into one.
+#[derive(Debug)]
+pub struct GridMut<'a, T: Elem> {
+    buf: &'a mut AlignedBuf<T>,
+    geo: Geo,
+}
+
+impl<'a, T: Elem> GridMut<'a, T> {
+    /// The borrowed grid's geometry.
+    pub fn geo(&self) -> Geo {
+        self.geo
     }
 
-    /// Overwrite every cell (halos included) with `src`'s, without
-    /// reallocating. Panics if the geometries differ.
-    pub fn copy_from(&mut self, src: &Grid3<T>) {
-        assert_eq!(
-            (self.nx, self.ny, self.nz, self.r),
-            (src.nx, src.ny, src.nz, src.r),
-            "Grid3::copy_from geometry mismatch"
-        );
-        self.buf.copy_from(&src.buf);
+    /// The buffer and its geometry; the buffer is exactly `geo.len()`
+    /// cells long.
+    pub(crate) fn into_parts(self) -> (&'a mut AlignedBuf<T>, Geo) {
+        (self.buf, self.geo)
+    }
+}
+
+impl<'a, T: Elem, const D: usize> From<&'a mut Grid<T, D>> for GridMut<'a, T> {
+    fn from(g: &'a mut Grid<T, D>) -> Self {
+        GridMut {
+            buf: &mut g.buf,
+            geo: g.geo,
+        }
     }
 }
 
@@ -419,6 +375,8 @@ pub enum GridDataError {
         /// Elements the vector actually carried.
         got: usize,
     },
+    /// A shape extent is zero: there is no interior to hold.
+    EmptyShape,
     /// The shape's dimensionality does not match the spec handed to
     /// [`AnyGrid::from_fn_spec`] / [`AnyGrid::from_vec_spec`].
     Ndim {
@@ -458,6 +416,7 @@ impl std::fmt::Display for GridDataError {
                 f,
                 "grid data length {got} does not match the shape's {expected} interior cells"
             ),
+            GridDataError::EmptyShape => write!(f, "shape has an empty dimension"),
             GridDataError::Ndim { shape, spec } => {
                 write!(f, "shape is {shape}D but the stencil spec is {spec}D")
             }
@@ -531,78 +490,102 @@ impl AnyGrid {
     /// set to `fill`. `halo_r` is the halo width in rows/planes kept for
     /// 2D/3D grids (pass the stencil radius; ignored for 1D, whose halo
     /// is always [`Elem::PAD`] wide).
+    ///
+    /// # Panics
+    /// If an extent of `shape` is 0.
     pub fn filled(shape: Shape, halo_r: usize, fill: f64) -> AnyGrid {
-        let [nx, ny, nz] = shape.dims();
-        match shape.ndim() {
-            1 => AnyGrid::D1(Grid1::filled(nx, fill)),
-            2 => AnyGrid::D2(Grid2::filled(nx, ny, halo_r, fill)),
-            _ => AnyGrid::D3(Grid3::filled(nx, ny, nz, halo_r, fill)),
-        }
+        Self::from_fn(shape, halo_r, fill, |_, _, _| fill)
     }
 
     /// Create a grid with interior `f(z, y, x)` (unused coordinates are
     /// passed as 0) and halo value `halo`. See [`AnyGrid::filled`] for
     /// `halo_r`.
+    ///
+    /// # Panics
+    /// If an extent of `shape` is 0.
     pub fn from_fn(
         shape: Shape,
         halo_r: usize,
         halo: f64,
-        mut f: impl FnMut(usize, usize, usize) -> f64,
+        f: impl FnMut(usize, usize, usize) -> f64,
     ) -> AnyGrid {
-        let [nx, ny, nz] = shape.dims();
-        match shape.ndim() {
-            1 => AnyGrid::D1(Grid1::from_fn(nx, halo, |x| f(0, 0, x))),
-            2 => AnyGrid::D2(Grid2::from_fn(nx, ny, halo_r, halo, |y, x| f(0, y, x))),
-            _ => AnyGrid::D3(Grid3::from_fn(nx, ny, nz, halo_r, halo, f)),
-        }
+        Self::build(shape, halo_r, halo, f).expect("AnyGrid::from_fn needs a non-empty shape")
     }
 
     /// f32 twin of [`AnyGrid::from_fn`]: same geometry rules, `*F32`
     /// variants out.
+    ///
+    /// # Panics
+    /// If an extent of `shape` is 0.
     pub fn from_fn_f32(
         shape: Shape,
         halo_r: usize,
         halo: f32,
-        mut f: impl FnMut(usize, usize, usize) -> f32,
+        f: impl FnMut(usize, usize, usize) -> f32,
     ) -> AnyGrid {
-        let [nx, ny, nz] = shape.dims();
-        match shape.ndim() {
-            1 => AnyGrid::D1F32(Grid1::from_fn(nx, halo, |x| f(0, 0, x))),
-            2 => AnyGrid::D2F32(Grid2::from_fn(nx, ny, halo_r, halo, |y, x| f(0, y, x))),
-            _ => AnyGrid::D3F32(Grid3::from_fn(nx, ny, nz, halo_r, halo, f)),
-        }
+        Self::build(shape, halo_r, halo, f).expect("AnyGrid::from_fn_f32 needs a non-empty shape")
     }
 
-    /// Interior cell count of `shape`.
-    fn interior_len(shape: Shape) -> usize {
-        let [nx, ny, nz] = shape.dims();
-        match shape.ndim() {
-            1 => nx,
-            2 => nx * ny,
-            _ => nx * ny * nz,
-        }
-    }
-
-    /// Create a grid whose interior is `data` in row-major order (x
-    /// fastest), rejecting data that does not cover the interior
-    /// exactly. See [`AnyGrid::filled`] for `halo_r`.
-    pub fn from_vec(
+    /// The one constructor path: a grid of `shape` with halo value `halo`
+    /// and interior `f(z, y, x)`, or [`GridDataError::EmptyShape`] when
+    /// an extent is 0.
+    fn build<T: Elem>(
         shape: Shape,
         halo_r: usize,
-        halo: f64,
-        data: Vec<f64>,
-    ) -> Result<AnyGrid, GridDataError> {
-        let expected = Self::interior_len(shape);
+        halo: T,
+        f: impl FnMut(usize, usize, usize) -> T,
+    ) -> Result<AnyGrid, GridDataError>
+    where
+        AnyGrid: From<Grid1<T>> + From<Grid2<T>> + From<Grid3<T>>,
+    {
+        let mut n = shape.dims();
+        if n[..shape.ndim()].contains(&0) {
+            return Err(GridDataError::EmptyShape);
+        }
+        n[shape.ndim()..].fill(1);
+        Ok(match shape.ndim() {
+            1 => Grid1::from_cells(n, halo_r, halo, f).into(),
+            2 => Grid2::from_cells(n, halo_r, halo, f).into(),
+            _ => Grid3::from_cells(n, halo_r, halo, f).into(),
+        })
+    }
+
+    /// [`AnyGrid::build`] with the interior taken from `data` in
+    /// row-major order, which must cover it exactly.
+    fn from_data<T: Elem>(
+        shape: Shape,
+        halo_r: usize,
+        halo: T,
+        data: Vec<T>,
+    ) -> Result<AnyGrid, GridDataError>
+    where
+        AnyGrid: From<Grid1<T>> + From<Grid2<T>> + From<Grid3<T>>,
+    {
+        let expected = shape.dims()[..shape.ndim()].iter().product();
         if data.len() != expected {
             return Err(GridDataError::Len {
                 expected,
                 got: data.len(),
             });
         }
-        let [nx, ny, _] = shape.dims();
-        Ok(Self::from_fn(shape, halo_r, halo, |z, y, x| {
-            data[(z * ny + y) * nx + x]
-        }))
+        // `build` visits the interior in row-major order.
+        let mut cells = data.into_iter();
+        Self::build(shape, halo_r, halo, |_, _, _| {
+            cells.next().expect("length checked above")
+        })
+    }
+
+    /// Create a grid whose interior is `data` in row-major order (x
+    /// fastest), rejecting data that does not cover the interior
+    /// exactly and shapes with a zero extent. See [`AnyGrid::filled`]
+    /// for `halo_r`.
+    pub fn from_vec(
+        shape: Shape,
+        halo_r: usize,
+        halo: f64,
+        data: Vec<f64>,
+    ) -> Result<AnyGrid, GridDataError> {
+        Self::from_data(shape, halo_r, halo, data)
     }
 
     /// f32 twin of [`AnyGrid::from_vec`].
@@ -612,17 +595,7 @@ impl AnyGrid {
         halo: f32,
         data: Vec<f32>,
     ) -> Result<AnyGrid, GridDataError> {
-        let expected = Self::interior_len(shape);
-        if data.len() != expected {
-            return Err(GridDataError::Len {
-                expected,
-                got: data.len(),
-            });
-        }
-        let [nx, ny, _] = shape.dims();
-        Ok(Self::from_fn_f32(shape, halo_r, halo, |z, y, x| {
-            data[(z * ny + y) * nx + x]
-        }))
+        Self::from_data(shape, halo_r, halo, data)
     }
 
     /// Check that `shape` can host `spec`: matching dimensionality, and
@@ -680,9 +653,10 @@ impl AnyGrid {
     /// under Dirichlet (twice that for the refreshed boundary modes,
     /// whose fused fast path stages the next time level there), filled
     /// with the boundary's constant ([`Boundary::halo_fill`]), and the
-    /// shape is checked against the spec (dimensionality, and extents ≥
-    /// radius for the folded boundary modes). For an `@f32` spec, `f`'s
-    /// values are rounded to `f32` once, on the way in.
+    /// shape is checked against the spec (dimensionality, non-zero
+    /// extents, and extents ≥ radius for the folded boundary modes). For
+    /// an `@f32` spec, `f`'s values are rounded to `f32` once, on the way
+    /// in.
     ///
     /// ```
     /// use stencil_core::exec::{Boundary, Shape};
@@ -707,14 +681,11 @@ impl AnyGrid {
         mut f: impl FnMut(usize, usize, usize) -> f64,
     ) -> Result<AnyGrid, GridDataError> {
         Self::check_spec(shape, spec)?;
-        let halo_r = Self::spec_halo_r(spec);
-        let fill = spec.boundary().halo_fill();
-        Ok(match spec.dtype() {
-            Dtype::F64 => Self::from_fn(shape, halo_r, fill, f),
-            Dtype::F32 => {
-                Self::from_fn_f32(shape, halo_r, fill as f32, |z, y, x| f(z, y, x) as f32)
-            }
-        })
+        let (halo_r, fill) = (Self::spec_halo_r(spec), spec.boundary().halo_fill());
+        match spec.dtype() {
+            Dtype::F64 => Self::build(shape, halo_r, fill, f),
+            Dtype::F32 => Self::build(shape, halo_r, fill as f32, |z, y, x| f(z, y, x) as f32),
+        }
     }
 
     /// Halo-aware [`AnyGrid::from_vec`] (see [`AnyGrid::from_fn_spec`]):
@@ -757,13 +728,21 @@ impl AnyGrid {
         )
     }
 
+    /// The grid's geometry (see [`Grid::geo`]).
+    pub fn geo(&self) -> Geo {
+        match self {
+            AnyGrid::D1(g) => g.geo(),
+            AnyGrid::D2(g) => g.geo(),
+            AnyGrid::D3(g) => g.geo(),
+            AnyGrid::D1F32(g) => g.geo(),
+            AnyGrid::D2F32(g) => g.geo(),
+            AnyGrid::D3F32(g) => g.geo(),
+        }
+    }
+
     /// Number of spatial dimensions (1–3).
     pub fn ndim(&self) -> usize {
-        match self {
-            AnyGrid::D1(_) | AnyGrid::D1F32(_) => 1,
-            AnyGrid::D2(_) | AnyGrid::D2F32(_) => 2,
-            AnyGrid::D3(_) | AnyGrid::D3F32(_) => 3,
-        }
+        self.geo().ndim
     }
 
     /// The element type the grid carries.
@@ -776,36 +755,7 @@ impl AnyGrid {
 
     /// The interior extents as a [`Shape`].
     pub fn shape(&self) -> Shape {
-        match self {
-            AnyGrid::D1(g) => Shape::d1(g.n()),
-            AnyGrid::D1F32(g) => Shape::d1(g.n()),
-            AnyGrid::D2(g) => Shape::d2(g.nx(), g.ny()),
-            AnyGrid::D2F32(g) => Shape::d2(g.nx(), g.ny()),
-            AnyGrid::D3(g) => Shape::d3(g.nx(), g.ny(), g.nz()),
-            AnyGrid::D3F32(g) => Shape::d3(g.nx(), g.ny(), g.nz()),
-        }
-    }
-
-    /// Interior of a 2D grid in row-major order, via a per-element map.
-    fn collect2<T: Elem, U>(g: &Grid2<T>, mut m: impl FnMut(T) -> U) -> Vec<U> {
-        let mut v = Vec::with_capacity(g.nx() * g.ny());
-        for y in 0..g.ny() {
-            v.extend(g.row(y).iter().map(|&x| m(x)));
-        }
-        v
-    }
-
-    /// Interior of a 3D grid in row-major order, via a per-element map.
-    fn collect3<T: Elem, U>(g: &Grid3<T>, mut m: impl FnMut(T) -> U) -> Vec<U> {
-        let mut v = Vec::with_capacity(g.nx() * g.ny() * g.nz());
-        for z in 0..g.nz() {
-            for y in 0..g.ny() {
-                for x in 0..g.nx() {
-                    v.push(m(g.get(z as isize, y as isize, x as isize)));
-                }
-            }
-        }
-        v
+        self.geo().shape()
     }
 
     /// The interior in row-major order (x fastest) — the inverse of
@@ -813,12 +763,15 @@ impl AnyGrid {
     /// use [`AnyGrid::to_vec_f32`] for the native data.
     pub fn to_vec(&self) -> Vec<f64> {
         match self {
-            AnyGrid::D1(g) => g.interior().to_vec(),
-            AnyGrid::D1F32(g) => g.interior().iter().map(|&x| x as f64).collect(),
-            AnyGrid::D2(g) => Self::collect2(g, |x| x),
-            AnyGrid::D2F32(g) => Self::collect2(g, |x| x as f64),
-            AnyGrid::D3(g) => Self::collect3(g, |x| x),
-            AnyGrid::D3F32(g) => Self::collect3(g, |x| x as f64),
+            AnyGrid::D1(g) => g.to_vec(),
+            AnyGrid::D2(g) => g.to_vec(),
+            AnyGrid::D3(g) => g.to_vec(),
+            _ => {
+                let narrow = self
+                    .to_vec_f32()
+                    .expect("the f64 variants are matched above");
+                narrow.into_iter().map(f64::from).collect()
+            }
         }
     }
 
@@ -827,9 +780,9 @@ impl AnyGrid {
     /// [`AnyGrid::to_vec`] instead).
     pub fn to_vec_f32(&self) -> Option<Vec<f32>> {
         match self {
-            AnyGrid::D1F32(g) => Some(g.interior().to_vec()),
-            AnyGrid::D2F32(g) => Some(Self::collect2(g, |x| x)),
-            AnyGrid::D3F32(g) => Some(Self::collect3(g, |x| x)),
+            AnyGrid::D1F32(g) => Some(g.to_vec()),
+            AnyGrid::D2F32(g) => Some(g.to_vec()),
+            AnyGrid::D3F32(g) => Some(g.to_vec()),
             _ => None,
         }
     }
@@ -883,39 +836,23 @@ impl AnyGrid {
     }
 }
 
-impl From<Grid1> for AnyGrid {
-    fn from(g: Grid1) -> AnyGrid {
-        AnyGrid::D1(g)
+impl<const D: usize> From<Grid<f64, D>> for AnyGrid {
+    fn from(g: Grid<f64, D>) -> AnyGrid {
+        match D {
+            1 => AnyGrid::D1(g.rank()),
+            2 => AnyGrid::D2(g.rank()),
+            _ => AnyGrid::D3(g.rank()),
+        }
     }
 }
 
-impl From<Grid2> for AnyGrid {
-    fn from(g: Grid2) -> AnyGrid {
-        AnyGrid::D2(g)
-    }
-}
-
-impl From<Grid3> for AnyGrid {
-    fn from(g: Grid3) -> AnyGrid {
-        AnyGrid::D3(g)
-    }
-}
-
-impl From<Grid1<f32>> for AnyGrid {
-    fn from(g: Grid1<f32>) -> AnyGrid {
-        AnyGrid::D1F32(g)
-    }
-}
-
-impl From<Grid2<f32>> for AnyGrid {
-    fn from(g: Grid2<f32>) -> AnyGrid {
-        AnyGrid::D2F32(g)
-    }
-}
-
-impl From<Grid3<f32>> for AnyGrid {
-    fn from(g: Grid3<f32>) -> AnyGrid {
-        AnyGrid::D3F32(g)
+impl<const D: usize> From<Grid<f32, D>> for AnyGrid {
+    fn from(g: Grid<f32, D>) -> AnyGrid {
+        match D {
+            1 => AnyGrid::D1F32(g.rank()),
+            2 => AnyGrid::D2F32(g.rank()),
+            _ => AnyGrid::D3F32(g.rank()),
+        }
     }
 }
 
@@ -1002,6 +939,13 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("12"));
+
+        // A zero extent is an error, not a panic, for either dtype.
+        let err = AnyGrid::from_vec(Shape::d2(0, 5), 1, 0.0, vec![]).unwrap_err();
+        assert_eq!(err, GridDataError::EmptyShape);
+        assert!(err.to_string().contains("empty"), "{err}");
+        let err = AnyGrid::from_vec_f32(Shape::d3(2, 2, 0), 1, 0.0, vec![]).unwrap_err();
+        assert_eq!(err, GridDataError::EmptyShape);
     }
 
     #[test]
@@ -1044,13 +988,13 @@ mod tests {
         let g =
             AnyGrid::from_fn_spec(Shape::d2(12, 7), &spec, |_, y, x| (y * 100 + x) as f64).unwrap();
         let g2 = g.as_grid2().unwrap();
-        assert_eq!(g2.ry(), 2 * spec.radius());
+        assert_eq!(g2.halo(), 2 * spec.radius());
         assert_eq!(g2.get(-1, 0), 0.0, "halo filled with the boundary constant");
 
         // Dirichlet keeps the tight radius-wide halo.
         let tight: StencilSpec = "2d5p".parse().unwrap();
         let g = AnyGrid::from_fn_spec(Shape::d2(12, 7), &tight, |_, _, _| 0.0).unwrap();
-        assert_eq!(g.as_grid2().unwrap().ry(), tight.radius());
+        assert_eq!(g.as_grid2().unwrap().halo(), tight.radius());
 
         // Dirichlet fill value flows from the spec's boundary.
         let d: StencilSpec = "2d5p@dirichlet(2.5)".parse().unwrap();
@@ -1090,6 +1034,16 @@ mod tests {
                 got: 3
             })
         ));
+
+        // A zero extent is an error through every spec-aware constructor.
+        let tight32: StencilSpec = "2d5p@f32".parse().unwrap();
+        for made in [
+            AnyGrid::from_vec_spec(Shape::d2(4, 0), &tight, vec![]),
+            AnyGrid::from_fn_spec(Shape::d2(0, 3), &tight, |_, _, _| 0.0),
+            AnyGrid::from_vec_spec_f32(Shape::d2(4, 0), &tight32, vec![]),
+        ] {
+            assert_eq!(made, Err(GridDataError::EmptyShape));
+        }
     }
 
     #[test]

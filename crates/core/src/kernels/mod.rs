@@ -107,6 +107,53 @@ impl Geo {
     pub(crate) fn stride(&self, axis: usize) -> usize {
         [1, self.rs, self.ps][axis]
     }
+
+    /// Halo rows/planes per side along `axis`: [`Geo::halo`] on a real
+    /// y/z axis, 0 along x (whose halo is the row pad) and absent axes.
+    pub(crate) fn halo_on(&self, axis: usize) -> usize {
+        if axis > 0 && axis < self.ndim {
+            self.halo
+        } else {
+            0
+        }
+    }
+
+    /// Elements in one buffer row of `T`: the interior between two pads,
+    /// rounded up to whole pads (64-byte lines).
+    pub(crate) fn row_len<T: Elem>(&self) -> usize {
+        T::PAD + (self.n[0] + T::PAD).div_ceil(T::PAD) * T::PAD
+    }
+
+    /// Length in elements of a buffer of `T` laid out as `self`, halos
+    /// included.
+    pub(crate) fn len<T: Elem>(&self) -> usize {
+        let slabs = |a: usize| self.n[a] + 2 * self.halo_on(a);
+        self.row_len::<T>() * slabs(1) * slabs(2)
+    }
+
+    /// Offset of the interior origin from the start of such a buffer.
+    pub(crate) fn origin<T: Elem>(&self) -> usize {
+        self.halo * (self.rs + self.ps) + T::PAD
+    }
+
+    /// Offsets from the interior origin of the buffer's rows, z-major
+    /// then y: the interior rows, plus the halo rows and planes with
+    /// `halo`.
+    pub(crate) fn rows(self, halo: bool) -> impl Iterator<Item = isize> {
+        let span = move |a: usize| {
+            let h = if halo { self.halo_on(a) as isize } else { 0 };
+            -h..self.n[a] as isize + h
+        };
+        let (rs, ps) = (self.rs as isize, self.ps as isize);
+        span(2).flat_map(move |z| span(1).map(move |y| z * ps + y * rs))
+    }
+
+    /// Whether a buffer laid out as `self` carries every halo cell a
+    /// stencil of radius `r` reads. A row's x halo is its pad (≥
+    /// [`MAX_R`]), so only the y/z halo rows/planes can fall short.
+    pub fn holds_radius(&self, r: usize) -> bool {
+        self.ndim == 1 || self.halo >= r
+    }
 }
 
 /// A compiled stencil kernel of any rank: every scheme of one stencil

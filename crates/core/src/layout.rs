@@ -18,11 +18,15 @@
 //!   tiling locality, which is exactly the contrast the paper draws.
 //!
 //! Both transforms come with index maps used by the scalar boundary/tail
-//! paths and by tests.
+//! paths and by tests. Each is applied to a whole grid by one body over
+//! the grid's [`Geo`] ([`tl_grid`], [`dlt_grid`]), whatever its rank:
+//! every row is transformed, halo rows and planes included, so vertical
+//! neighbour loads see the same layout as the row itself.
 
-use stencil_simd::{dispatch_elem, Elem, Isa, Vector};
+use stencil_simd::{dispatch_elem, AlignedBuf, Elem, Isa, Vector};
 
-use crate::grid::{Grid1, Grid2, Grid3};
+use crate::grid::{Grid, GridMut};
+use crate::kernels::Geo;
 
 /// Vector-set geometry of a row of `n` interior cells for vector length `vl`.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -281,174 +285,98 @@ pub unsafe fn dlt_inverse_row<V: Vector>(src: *const V::Elem, dst: *mut V::Elem,
 }
 
 // ---------------------------------------------------------------------------
-// Safe, ISA-dispatched grid-level wrappers.
+// Grid-level transforms: one body each over a `Geo`.
 //
 // `dispatch_elem!` is call-shaped (a single generic call per ISA arm), so
-// the multi-row loops live in named generic helpers rather than in the
-// macro bodies.
+// the row loops live in named generic helpers rather than in the macro
+// bodies.
 // ---------------------------------------------------------------------------
 
-/// [`tl_transform_row`] over rows `[-ry, ny + ry)` of a 2D interior.
+/// [`tl_transform_row`] over every row of the buffer laid out as `geo`
+/// around the interior origin `p`.
 ///
 /// # Safety
-/// Same contract as [`tl_transform_row`] for every row in the range.
-unsafe fn tl_rows2<V: Vector>(p: *mut V::Elem, nx: usize, ny: usize, ry: usize, rs: usize) {
-    for y in -(ry as isize)..(ny + ry) as isize {
-        tl_transform_row::<V>(p.offset(y * rs as isize), nx);
+/// Same contract as [`tl_transform_row`] for every row of `geo`.
+unsafe fn tl_rows<V: Vector>(p: *mut V::Elem, geo: &Geo) {
+    for off in geo.rows(true) {
+        tl_transform_row::<V>(p.offset(off), geo.n[0]);
     }
 }
 
-/// [`tl_transform_row`] over every row (halos included) of a 3D interior.
+/// DLT transform (or, with `inverse`, its inverse) of every row of the
+/// buffer laid out as `geo` around the interior origin `sp` into the
+/// matching row around `dp`.
 ///
 /// # Safety
-/// Same contract as [`tl_transform_row`] for every row in the range.
-#[allow(clippy::too_many_arguments)]
-unsafe fn tl_rows3<V: Vector>(
-    p: *mut V::Elem,
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    r: usize,
-    rs: usize,
-    ps: usize,
-) {
-    for z in -(r as isize)..(nz + r) as isize {
-        for y in -(r as isize)..(ny + r) as isize {
-            tl_transform_row::<V>(p.offset(z * ps as isize + y * rs as isize), nx);
+/// Same contract as [`dlt_transform_row`] for every row of `geo`.
+unsafe fn dlt_rows<V: Vector>(sp: *const V::Elem, dp: *mut V::Elem, geo: &Geo, inverse: bool) {
+    for off in geo.rows(true) {
+        let (s, d) = (sp.offset(off), dp.offset(off));
+        if inverse {
+            dlt_inverse_row::<V>(s, d, geo.n[0])
+        } else {
+            dlt_transform_row::<V>(s, d, geo.n[0])
         }
     }
 }
 
-/// One row of DLT (or inverse) transform, selected at runtime.
-///
-/// # Safety
-/// Same contract as [`dlt_transform_row`].
-unsafe fn dlt_row<V: Vector>(sp: *const V::Elem, dp: *mut V::Elem, n: usize, inverse: bool) {
-    if inverse {
-        dlt_inverse_row::<V>(sp, dp, n)
-    } else {
-        dlt_transform_row::<V>(sp, dp, n)
-    }
+/// Toggle every row of a buffer laid out as `geo` between natural and
+/// local-transpose layout, in place.
+pub(crate) fn tl_buf<T: Elem>(buf: &mut AlignedBuf<T>, geo: &Geo, isa: Isa) {
+    assert_eq!(buf.len(), geo.len::<T>());
+    // SAFETY: the buffer holds every row of `geo`, and row interiors
+    // start on 64-byte boundaries.
+    let p = unsafe { buf.as_mut_ptr().add(geo.origin::<T>()) };
+    dispatch_elem!(isa, T, tl_rows::<V>(p, geo));
 }
 
-/// [`dlt_row`] over rows `[-ry, ny + ry)` of a 2D interior.
-///
-/// # Safety
-/// Same contract as [`dlt_transform_row`] for every row in the range.
-#[allow(clippy::too_many_arguments)]
-unsafe fn dlt_rows2<V: Vector>(
-    sp: *const V::Elem,
-    dp: *mut V::Elem,
-    nx: usize,
-    ny: usize,
-    ry: usize,
-    rs: usize,
+/// DLT-transform (or, with `inverse`, restore) every row of `src` into
+/// `dst`, both laid out as `geo`.
+pub(crate) fn dlt_buf<T: Elem>(
+    src: &AlignedBuf<T>,
+    dst: &mut AlignedBuf<T>,
+    geo: &Geo,
+    isa: Isa,
     inverse: bool,
 ) {
-    for y in -(ry as isize)..(ny + ry) as isize {
-        let off = y * rs as isize;
-        dlt_row::<V>(sp.offset(off), dp.offset(off), nx, inverse);
-    }
+    assert_eq!((src.len(), dst.len()), (geo.len::<T>(), geo.len::<T>()));
+    let o = geo.origin::<T>();
+    // SAFETY: both buffers hold every row of `geo` and are distinct
+    // allocations (`dst` is borrowed mutably).
+    let (sp, dp) = unsafe { (src.as_ptr().add(o), dst.as_mut_ptr().add(o)) };
+    dispatch_elem!(isa, T, dlt_rows::<V>(sp, dp, geo, inverse));
 }
 
-/// [`dlt_row`] over every row (halos included) of a 3D interior.
-///
-/// # Safety
-/// Same contract as [`dlt_transform_row`] for every row in the range.
-#[allow(clippy::too_many_arguments)]
-unsafe fn dlt_rows3<V: Vector>(
-    sp: *const V::Elem,
-    dp: *mut V::Elem,
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    r: usize,
-    rs: usize,
-    ps: usize,
+/// Toggle every row of a grid (halo rows/planes included) between
+/// natural and local-transpose layout, in place.
+pub fn tl_grid<T: Elem, const D: usize>(g: &mut Grid<T, D>, isa: Isa) {
+    let (buf, geo) = GridMut::from(g).into_parts();
+    tl_buf(buf, &geo, isa);
+}
+
+/// DLT-transform (or invert) every row of a grid (halos included) out
+/// of place. `dst` must have the same geometry as `src` (clone it first
+/// so halos carry over).
+pub fn dlt_grid<T: Elem, const D: usize>(
+    src: &Grid<T, D>,
+    dst: &mut Grid<T, D>,
+    isa: Isa,
     inverse: bool,
 ) {
-    for z in -(r as isize)..(nz + r) as isize {
-        for y in -(r as isize)..(ny + r) as isize {
-            let off = z * ps as isize + y * rs as isize;
-            dlt_row::<V>(sp.offset(off), dp.offset(off), nx, inverse);
-        }
-    }
+    let (buf, geo) = GridMut::from(dst).into_parts();
+    assert_eq!(src.geo(), geo);
+    dlt_buf(src.buf(), buf, &geo, isa, inverse);
 }
 
-/// Toggle a 1D grid between natural and local-transpose layout, in place.
-pub fn tl_grid1<T: Elem>(g: &mut Grid1<T>, isa: Isa) {
-    let n = g.n();
-    let p = g.ptr_mut();
-    dispatch_elem!(isa, T, tl_transform_row::<V>(p, n));
-}
-
-/// Toggle every row (halo rows included, so vertical neighbour loads see
-/// the same layout) of a 2D grid between natural and transpose layout.
-pub fn tl_grid2<T: Elem>(g: &mut Grid2<T>, isa: Isa) {
-    let (nx, ny, ry, rs) = (g.nx(), g.ny(), g.ry(), g.row_stride());
-    let p = g.ptr_mut();
-    dispatch_elem!(isa, T, tl_rows2::<V>(p, nx, ny, ry, rs));
-}
-
-/// Toggle every row of a 3D grid (halo rows/planes included).
-pub fn tl_grid3<T: Elem>(g: &mut Grid3<T>, isa: Isa) {
-    let (nx, ny, nz, r, rs, ps) = (
-        g.nx(),
-        g.ny(),
-        g.nz(),
-        g.r(),
-        g.row_stride(),
-        g.plane_stride(),
-    );
-    let p = g.ptr_mut();
-    dispatch_elem!(isa, T, tl_rows3::<V>(p, nx, ny, nz, r, rs, ps));
-}
-
-/// DLT-transform (or invert) a 1D grid out of place. `dst` must have the
-/// same geometry as `src` (clone it first so halos carry over).
-pub fn dlt_grid1<T: Elem>(src: &Grid1<T>, dst: &mut Grid1<T>, isa: Isa, inverse: bool) {
-    assert_eq!(src.n(), dst.n());
-    let n = src.n();
-    let (sp, dp) = (src.ptr(), dst.ptr_mut());
-    dispatch_elem!(isa, T, dlt_row::<V>(sp, dp, n, inverse));
-}
-
-/// DLT-transform (or invert) every row of a 2D grid, halo rows included.
-pub fn dlt_grid2<T: Elem>(src: &Grid2<T>, dst: &mut Grid2<T>, isa: Isa, inverse: bool) {
-    assert_eq!(
-        (src.nx(), src.ny(), src.ry()),
-        (dst.nx(), dst.ny(), dst.ry())
-    );
-    let (nx, ny, ry, rs) = (src.nx(), src.ny(), src.ry(), src.row_stride());
-    let (sp, dp) = (src.ptr(), dst.ptr_mut());
-    dispatch_elem!(isa, T, dlt_rows2::<V>(sp, dp, nx, ny, ry, rs, inverse));
-}
-
-/// DLT-transform (or invert) every row of a 3D grid, halos included.
-pub fn dlt_grid3<T: Elem>(src: &Grid3<T>, dst: &mut Grid3<T>, isa: Isa, inverse: bool) {
-    assert_eq!(
-        (src.nx(), src.ny(), src.nz(), src.r()),
-        (dst.nx(), dst.ny(), dst.nz(), dst.r())
-    );
-    let (nx, ny, nz, r, rs, ps) = (
-        src.nx(),
-        src.ny(),
-        src.nz(),
-        src.r(),
-        src.row_stride(),
-        src.plane_stride(),
-    );
-    let (sp, dp) = (src.ptr(), dst.ptr_mut());
-    dispatch_elem!(
-        isa,
-        T,
-        dlt_rows3::<V>(sp, dp, nx, ny, nz, r, rs, ps, inverse)
-    );
-}
+// The rank-named spellings of the two transforms that callers use.
+pub use dlt_grid as dlt_grid2;
+pub use tl_grid as tl_grid1;
+pub use tl_grid as tl_grid2;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::{Grid1, Grid2};
 
     #[test]
     fn setgeo_map_is_involution() {
@@ -494,7 +422,7 @@ mod tests {
         for isa in Isa::ALL.into_iter().filter(|i| i.is_available()) {
             let n = 3 * isa.lanes() * isa.lanes() + 7; // three sets + tail
             let mut g = Grid1::from_fn(n, -1.0, |i| i as f64);
-            tl_grid1(&mut g, isa);
+            tl_grid(&mut g, isa);
             let geo = SetGeo::new(n, isa.lanes());
             for i in 0..n {
                 assert_eq!(
@@ -504,7 +432,7 @@ mod tests {
                 );
             }
             // involution: transform back restores natural order
-            tl_grid1(&mut g, isa);
+            tl_grid(&mut g, isa);
             for i in 0..n {
                 assert_eq!(g.get(i as isize), i as f64, "isa={isa} i={i}");
             }
@@ -520,7 +448,7 @@ mod tests {
             let n = 10 * isa.lanes() + 3;
             let src = Grid1::from_fn(n, -2.0, |i| (i * i) as f64);
             let mut dst = src.clone();
-            dlt_grid1(&src, &mut dst, isa, false);
+            dlt_grid(&src, &mut dst, isa, false);
             let geo = DltGeo::new(n, isa.lanes());
             for i in 0..n {
                 assert_eq!(
@@ -530,7 +458,7 @@ mod tests {
                 );
             }
             let mut back = src.clone();
-            dlt_grid1(&dst, &mut back, isa, true);
+            dlt_grid(&dst, &mut back, isa, true);
             assert_eq!(back.interior(), src.interior(), "isa={isa}");
         }
     }
@@ -544,11 +472,11 @@ mod tests {
         for x in 0..nx {
             g.set(-1, x as isize, 5000.0 + x as f64);
         }
-        tl_grid2(&mut g, isa);
+        tl_grid(&mut g, isa);
         let geo = SetGeo::new(nx, 4);
         // halo row must be transposed with the same map
         assert_eq!(g.get(-1, geo.map(1) as isize), 5001.0);
-        tl_grid2(&mut g, isa);
+        tl_grid(&mut g, isa);
         assert_eq!(g.get(-1, 1), 5001.0);
         assert_eq!(g.get(2, 7), 2007.0);
     }

@@ -16,8 +16,8 @@
 //!
 //! **Typed** — the stencil is a concrete type handed to a terminal
 //! (`star1` … `box3`); the result is a
-//! [`CompiledPlan`](exec::CompiledPlan) over the matching typed grid
-//! container ([`Plan1`](exec::Plan1) … are aliases):
+//! [`CompiledPlan`](exec::CompiledPlan) over the element type, which
+//! steps any [`Grid`] of that element and the stencil's rank:
 //!
 //! ```
 //! use stencil_core::exec::{Plan, Shape};
@@ -36,7 +36,7 @@
 //! ```
 //!
 //! **Runtime** — the stencil is a value ([`StencilSpec`]), the plan is a
-//! [`DynPlan`] (the same plan with the grid container folded into an
+//! [`DynPlan`] (the same plan with the element type folded into an
 //! enum), and the results are bit-identical:
 //!
 //! ```
@@ -58,7 +58,7 @@
 //! or tile step; everything under that call is monomorphized, everything
 //! above it is generic over the element type only and describes the grid
 //! by one [`Geo`](kernels::Geo) in which a missing axis is an axis of
-//! extent 1.
+//! extent 1 — the geometry every [`Grid`] carries with its buffer.
 //!
 //! See [`exec`] for the plan engine (including layout-resident sessions
 //! and temporal tiling, which runs on all cores via a wavefront tile
@@ -87,7 +87,7 @@ pub use exec::{
     AnyGridMut, Boundary, BoundaryReason, DynPlan, DynSession, Parallelism, Plan, PlanError, Shape,
     Tiling,
 };
-pub use grid::{AnyGrid, Grid1, Grid2, Grid3, HALO_PAD};
+pub use grid::{AnyGrid, Grid, Grid1, Grid2, Grid3, GridMut, HALO_PAD};
 pub use layout::{DltGeo, SetGeo};
 pub use spec::{SpecError, StencilShape, StencilSpec};
 pub use stencil::{

@@ -3,64 +3,28 @@
 
 use stencil_simd::Elem;
 
-use crate::grid::{AnyGrid, Grid1, Grid2, Grid3};
+use crate::grid::{AnyGrid, Grid};
 
-/// Maximum absolute difference over the interiors of two 1D grids
-/// (any element type; differences are accumulated in `f64`).
-pub fn max_abs_diff1<T: Elem>(a: &Grid1<T>, b: &Grid1<T>) -> f64 {
-    assert_eq!(a.n(), b.n());
-    a.interior()
-        .iter()
-        .zip(b.interior())
+/// Maximum absolute difference over the interiors of two grids of the
+/// same extents (any rank and element type; differences are accumulated
+/// in `f64`).
+pub fn max_abs_diff<T: Elem, const D: usize>(a: &Grid<T, D>, b: &Grid<T, D>) -> f64 {
+    assert_eq!(a.geo().n, b.geo().n, "grids differ in extents");
+    a.rows()
+        .flatten()
+        .zip(b.rows().flatten())
         .map(|(x, y)| (x.to_f64() - y.to_f64()).abs())
         .fold(0.0, f64::max)
 }
 
-/// Maximum absolute difference over the interiors of two 2D grids.
-pub fn max_abs_diff2<T: Elem>(a: &Grid2<T>, b: &Grid2<T>) -> f64 {
-    assert_eq!((a.nx(), a.ny()), (b.nx(), b.ny()));
-    let mut m = 0.0f64;
-    for y in 0..a.ny() {
-        for (x, y2) in a.row(y).iter().zip(b.row(y)) {
-            m = m.max((x.to_f64() - y2.to_f64()).abs());
-        }
-    }
-    m
-}
-
-/// Maximum absolute difference over the interiors of two 3D grids.
-pub fn max_abs_diff3<T: Elem>(a: &Grid3<T>, b: &Grid3<T>) -> f64 {
-    assert_eq!((a.nx(), a.ny(), a.nz()), (b.nx(), b.ny(), b.nz()));
-    let mut m = 0.0f64;
-    for z in 0..a.nz() {
-        for y in 0..a.ny() {
-            for x in 0..a.nx() {
-                let (zi, yi, xi) = (z as isize, y as isize, x as isize);
-                m = m.max((a.get(zi, yi, xi).to_f64() - b.get(zi, yi, xi).to_f64()).abs());
-            }
-        }
-    }
-    m
-}
-
 /// Maximum absolute difference over the interiors of two [`AnyGrid`]s
-/// (erased API). Panics if the dimensionalities or element types differ.
+/// (erased API). Panics if the dimensionalities, element types or
+/// extents differ.
 pub fn max_abs_diff_any(a: &AnyGrid, b: &AnyGrid) -> f64 {
-    match (a, b) {
-        (AnyGrid::D1(a), AnyGrid::D1(b)) => max_abs_diff1(a, b),
-        (AnyGrid::D2(a), AnyGrid::D2(b)) => max_abs_diff2(a, b),
-        (AnyGrid::D3(a), AnyGrid::D3(b)) => max_abs_diff3(a, b),
-        (AnyGrid::D1F32(a), AnyGrid::D1F32(b)) => max_abs_diff1(a, b),
-        (AnyGrid::D2F32(a), AnyGrid::D2F32(b)) => max_abs_diff2(a, b),
-        (AnyGrid::D3F32(a), AnyGrid::D3F32(b)) => max_abs_diff3(a, b),
-        _ => panic!(
-            "cannot compare a {}D {} grid with a {}D {} grid",
-            a.ndim(),
-            a.dtype(),
-            b.ndim(),
-            b.dtype()
-        ),
-    }
+    let (ka, kb) = ((a.shape(), a.dtype()), (b.shape(), b.dtype()));
+    assert_eq!(ka, kb, "grids differ in shape or element type");
+    // f32 interiors widen to f64 exactly, so this is the typed difference.
+    max_abs_diff_ref(a, &b.to_vec())
 }
 
 /// Maximum absolute difference between an [`AnyGrid`]'s interior and a
@@ -80,52 +44,42 @@ pub fn max_abs_diff_ref(a: &AnyGrid, reference: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Largest interior magnitude of a 1D grid (scale for relative tolerances).
-pub fn max_abs1<T: Elem>(a: &Grid1<T>) -> f64 {
-    a.interior()
-        .iter()
-        .fold(0.0f64, |m, x| m.max(x.to_f64().abs()))
-}
-
-/// Panic with a helpful message unless two 1D grids agree within
-/// `tol` (absolute, relative to the larger grid's scale).
-pub fn assert_close1<T: Elem>(a: &Grid1<T>, b: &Grid1<T>, tol: f64, ctx: &str) {
-    let scale = max_abs1(a).max(max_abs1(b)).max(1.0);
-    let d = max_abs_diff1(a, b);
+/// Panic with a helpful message unless two grids agree within `tol`
+/// (absolute, relative to the scale of the larger of the two grids, so
+/// the verdict does not depend on argument order).
+pub fn assert_close<T: Elem, const D: usize>(a: &Grid<T, D>, b: &Grid<T, D>, tol: f64, ctx: &str) {
+    let max_abs = |g: &Grid<T, D>| {
+        g.rows()
+            .flatten()
+            .fold(0.0f64, |m, x| m.max(x.to_f64().abs()))
+    };
+    let scale = max_abs(a).max(max_abs(b)).max(1.0);
+    let d = max_abs_diff(a, b);
     assert!(
         d <= tol * scale,
         "{ctx}: grids differ by {d:.3e} (scale {scale:.3e}, tol {tol:.1e})"
     );
 }
 
-/// Panic unless two 2D grids agree within `tol` (scaled).
-pub fn assert_close2<T: Elem>(a: &Grid2<T>, b: &Grid2<T>, tol: f64, ctx: &str) {
-    let mut scale = 1.0f64;
-    for y in 0..a.ny() {
-        for x in a.row(y) {
-            scale = scale.max(x.to_f64().abs());
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::grid::Grid2;
+
+    #[test]
+    fn assert_close_is_symmetric() {
+        // |a| tops out at 10 and |b| at 11; they differ by 1. Scaled by
+        // `a` alone the tolerance would be 0.95 and the pair would fail
+        // in one order only; scaled by the larger grid it is 1.045 both
+        // ways.
+        let a = Grid2::from_fn(5, 3, 1, 0.0, |_, _| 10.0);
+        let b = Grid2::from_fn(5, 3, 1, 0.0, |_, _| 11.0);
+        assert_close(&a, &b, 0.095, "a, b");
+        assert_close(&b, &a, 0.095, "b, a");
+        // A tolerance below 1/11 fails in both orders.
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            let r = std::panic::catch_unwind(|| assert_close(x, y, 0.09, "tight"));
+            assert!(r.is_err());
         }
     }
-    let d = max_abs_diff2(a, b);
-    assert!(
-        d <= tol * scale,
-        "{ctx}: grids differ by {d:.3e} (scale {scale:.3e}, tol {tol:.1e})"
-    );
-}
-
-/// Panic unless two 3D grids agree within `tol` (scaled).
-pub fn assert_close3<T: Elem>(a: &Grid3<T>, b: &Grid3<T>, tol: f64, ctx: &str) {
-    let d = max_abs_diff3(a, b);
-    let mut scale = 1.0f64;
-    for z in 0..a.nz() {
-        for y in 0..a.ny() {
-            for x in 0..a.nx() {
-                scale = scale.max(a.get(z as isize, y as isize, x as isize).to_f64().abs());
-            }
-        }
-    }
-    assert!(
-        d <= tol * scale,
-        "{ctx}: grids differ by {d:.3e} (scale {scale:.3e}, tol {tol:.1e})"
-    );
 }

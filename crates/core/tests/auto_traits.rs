@@ -18,9 +18,8 @@ fn assert_sync<T: Sync>() {}
 fn engine_types_are_send() {
     // The plan builder, the compiled plans, and the runtime-spec plan.
     assert_send::<Plan>();
-    assert_send::<CompiledPlan<Grid1>>();
-    assert_send::<CompiledPlan<Grid2<f32>>>();
-    assert_send::<CompiledPlan<Grid3>>();
+    assert_send::<CompiledPlan<f64>>();
+    assert_send::<CompiledPlan<f32>>();
     assert_send::<DynPlan>();
     // The boxed kernel object every plan holds: pool workers call it
     // concurrently through a shared reference, so it is Sync as well.
@@ -30,7 +29,7 @@ fn engine_types_are_send() {
     assert_sync::<Box<dyn Kernel<f32>>>();
     // Sessions borrow the plan and the grid mutably; they are Send iff
     // both are, which is exactly what a dispatcher thread needs.
-    assert_send::<Session<'static, Grid1>>();
+    assert_send::<Session<'static, f64>>();
     assert_send::<DynSession<'static>>();
     // Grids (the job payload the service layer ships between threads).
     assert_send::<Grid1>();

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stencil_core::exec::{Parallelism, Plan, Shape};
 use stencil_core::spec::{SpecError, StencilSpec};
-use stencil_core::verify::{max_abs_diff1, max_abs_diff2, max_abs_diff3, max_abs_diff_any};
+use stencil_core::verify::{max_abs_diff, max_abs_diff_any};
 use stencil_core::{
     AnyGrid, Grid1, Grid2, Grid3, Method, PlanError, S1d3p, S1d5p, S2d5p, S2d9p, S3d27p, S3d7p,
     Star1, MAX_R,
@@ -83,7 +83,7 @@ fn erased_matches_typed_1d() {
                             m,
                             k,
                             t,
-                            max_abs_diff1
+                            max_abs_diff
                         )
                     } else {
                         typed_vs_erased!(
@@ -95,7 +95,7 @@ fn erased_matches_typed_1d() {
                             m,
                             k,
                             t,
-                            max_abs_diff1
+                            max_abs_diff
                         )
                     };
                     assert_eq!(d, 0.0, "{name}/{m}/threads={k}/t={t}");
@@ -119,7 +119,7 @@ fn erased_matches_typed_2d() {
                     m,
                     k,
                     t,
-                    max_abs_diff2
+                    max_abs_diff
                 );
                 assert_eq!(d, 0.0, "2d5p/{m}/threads={k}/t={t}");
                 let d = typed_vs_erased!(
@@ -131,7 +131,7 @@ fn erased_matches_typed_2d() {
                     m,
                     k,
                     t,
-                    max_abs_diff2
+                    max_abs_diff
                 );
                 assert_eq!(d, 0.0, "2d9p/{m}/threads={k}/t={t}");
             }
@@ -153,7 +153,7 @@ fn erased_matches_typed_3d() {
                     m,
                     k,
                     t,
-                    max_abs_diff3
+                    max_abs_diff
                 );
                 assert_eq!(d, 0.0, "3d7p/{m}/threads={k}/t={t}");
                 let d = typed_vs_erased!(
@@ -165,7 +165,7 @@ fn erased_matches_typed_3d() {
                     m,
                     k,
                     t,
-                    max_abs_diff3
+                    max_abs_diff
                 );
                 assert_eq!(d, 0.0, "3d27p/{m}/threads={k}/t={t}");
             }
@@ -205,7 +205,7 @@ fn custom_radii_agree_with_scalar_oracle() {
                 .stencil(&spec)
                 .unwrap()
                 .run(&mut g, 3);
-            assert_eq!(max_abs_diff1(&g, &oracle), 0.0, "star1 r={r}/{m}");
+            assert_eq!(max_abs_diff(&g, &oracle), 0.0, "star1 r={r}/{m}");
         }
     }
 
@@ -228,7 +228,7 @@ fn custom_radii_agree_with_scalar_oracle() {
             .stencil(&spec)
             .unwrap()
             .run(&mut g, 2);
-        assert_eq!(max_abs_diff2(&g, &oracle), 0.0, "star2 r=2/{m}");
+        assert_eq!(max_abs_diff(&g, &oracle), 0.0, "star2 r=2/{m}");
     }
 }
 
@@ -654,7 +654,7 @@ fn any_grid_from_vec_runs_like_typed() {
         .unwrap()
         .run(&mut any, 4);
 
-    assert_eq!(max_abs_diff2(any.as_grid2().unwrap(), &typed), 0.0);
+    assert_eq!(max_abs_diff(any.as_grid2().unwrap(), &typed), 0.0);
     // And the row-major export matches the typed interior.
     let exported = any.to_vec();
     for y in 0..ny {

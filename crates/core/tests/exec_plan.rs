@@ -6,7 +6,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stencil_core::exec::{Plan, Shape, Tiling};
-use stencil_core::verify::{max_abs_diff1, max_abs_diff2, max_abs_diff3};
+use stencil_core::verify::max_abs_diff;
 use stencil_core::{Grid1, Grid2, Grid3, Method, S1d3p, S1d5p, S2d5p, S2d9p, S3d27p, S3d7p};
 use stencil_simd::Isa;
 
@@ -62,11 +62,7 @@ fn plan_star1_every_method_matches_scalar_oracle() {
                         .star1(s)
                         .unwrap()
                         .run(&mut g, t);
-                    assert_eq!(
-                        max_abs_diff1(&g, &oracle),
-                        0.0,
-                        "1d3p/{m}/{isa}/n={n}/t={t}"
-                    );
+                    assert_eq!(max_abs_diff(&g, &oracle), 0.0, "1d3p/{m}/{isa}/n={n}/t={t}");
                 }
 
                 // 1d5p
@@ -88,11 +84,7 @@ fn plan_star1_every_method_matches_scalar_oracle() {
                         .star1(s)
                         .unwrap()
                         .run(&mut g, t);
-                    assert_eq!(
-                        max_abs_diff1(&g, &oracle),
-                        0.0,
-                        "1d5p/{m}/{isa}/n={n}/t={t}"
-                    );
+                    assert_eq!(max_abs_diff(&g, &oracle), 0.0, "1d5p/{m}/{isa}/n={n}/t={t}");
                 }
             }
         }
@@ -125,7 +117,7 @@ fn plan_2d_every_method_matches_scalar_oracle() {
                 .star2(s)
                 .unwrap()
                 .run(&mut g, t);
-            assert_eq!(max_abs_diff2(&g, &oracle), 0.0, "2d5p/{m}/t={t}");
+            assert_eq!(max_abs_diff(&g, &oracle), 0.0, "2d5p/{m}/t={t}");
         }
 
         let s = S2d9p {
@@ -146,7 +138,7 @@ fn plan_2d_every_method_matches_scalar_oracle() {
                 .box2(s)
                 .unwrap()
                 .run(&mut g, t);
-            assert_eq!(max_abs_diff2(&g, &oracle), 0.0, "2d9p/{m}/t={t}");
+            assert_eq!(max_abs_diff(&g, &oracle), 0.0, "2d9p/{m}/t={t}");
         }
     }
 }
@@ -178,7 +170,7 @@ fn plan_3d_every_method_matches_scalar_oracle() {
                 .star3(s)
                 .unwrap()
                 .run(&mut g, t);
-            assert_eq!(max_abs_diff3(&g, &oracle), 0.0, "3d7p/{m}/t={t}");
+            assert_eq!(max_abs_diff(&g, &oracle), 0.0, "3d7p/{m}/t={t}");
         }
 
         let mut w = [0.0f64; 27];
@@ -202,7 +194,7 @@ fn plan_3d_every_method_matches_scalar_oracle() {
                 .box3(s)
                 .unwrap()
                 .run(&mut g, t);
-            assert_eq!(max_abs_diff3(&g, &oracle), 0.0, "3d27p/{m}/t={t}");
+            assert_eq!(max_abs_diff(&g, &oracle), 0.0, "3d27p/{m}/t={t}");
         }
     }
 }
@@ -235,7 +227,7 @@ fn two_consecutive_runs_equal_one_double_run_every_method() {
                     .run(&mut once, 2 * t);
 
                 assert_eq!(
-                    max_abs_diff1(&twice, &once),
+                    max_abs_diff(&twice, &once),
                     0.0,
                     "{m}/{isa}/n={n}/t={t}: scratch reuse changed the result"
                 );
@@ -269,7 +261,7 @@ fn two_consecutive_runs_equal_one_double_run_2d_3d() {
             .star2(s)
             .unwrap()
             .run(&mut once, 2 * t);
-        assert_eq!(max_abs_diff2(&twice, &once), 0.0, "2d/{m}");
+        assert_eq!(max_abs_diff(&twice, &once), 0.0, "2d/{m}");
 
         let (nx, ny, nz) = (66usize, 4usize, 3usize);
         let init = grid3(nx, ny, nz, 8);
@@ -293,7 +285,7 @@ fn two_consecutive_runs_equal_one_double_run_2d_3d() {
             .star3(s)
             .unwrap()
             .run(&mut once, 2 * t);
-        assert_eq!(max_abs_diff3(&twice, &once), 0.0, "3d/{m}");
+        assert_eq!(max_abs_diff(&twice, &once), 0.0, "3d/{m}");
     }
 }
 
@@ -327,7 +319,7 @@ fn session_runs_compose_exactly() {
                 .run(&mut once, 2 * t);
 
             assert_eq!(
-                max_abs_diff1(&resident, &once),
+                max_abs_diff(&resident, &once),
                 0.0,
                 "{m}/{isa}: session composition changed the result"
             );
@@ -349,7 +341,7 @@ fn empty_session_restores_natural_layout() {
         let mut g = init.clone();
         drop(plan.session(&mut g)); // enter + exit, no stepping
         assert_eq!(
-            max_abs_diff1(&g, &init),
+            max_abs_diff(&g, &init),
             0.0,
             "{m}: empty session not identity"
         );
@@ -377,7 +369,7 @@ fn plan_is_reusable_across_grids_of_the_same_shape() {
             .star1(s)
             .unwrap()
             .run(&mut fresh, 5);
-        assert_eq!(max_abs_diff1(&via_plan, &fresh), 0.0, "seed={seed}");
+        assert_eq!(max_abs_diff(&via_plan, &fresh), 0.0, "seed={seed}");
     }
 }
 
@@ -420,7 +412,7 @@ fn tiled_plans_match_scalar_oracle() {
             .unwrap();
         let mut g = init.clone();
         plan.run(&mut g, t);
-        assert_eq!(max_abs_diff1(&g, &oracle), 0.0, "tessellate/{m}");
+        assert_eq!(max_abs_diff(&g, &oracle), 0.0, "tessellate/{m}");
     }
 
     let mut plan = Plan::new(Shape::d1(n))
@@ -435,7 +427,7 @@ fn tiled_plans_match_scalar_oracle() {
         .unwrap();
     let mut g = init.clone();
     plan.run(&mut g, t);
-    assert_eq!(max_abs_diff1(&g, &oracle), 0.0, "split/dlt");
+    assert_eq!(max_abs_diff(&g, &oracle), 0.0, "split/dlt");
 }
 
 #[test]
@@ -473,7 +465,7 @@ fn tiled_plan_reuse_matches_fresh_plans() {
         .unwrap()
         .run(&mut once, 2 * t);
 
-    assert_eq!(max_abs_diff1(&twice, &once), 0.0);
+    assert_eq!(max_abs_diff(&twice, &once), 0.0);
 }
 
 #[test]
@@ -505,7 +497,7 @@ fn tiled_2d_3d_plans_match_scalar_oracle() {
         .unwrap();
     let mut g = init.clone();
     plan.run(&mut g, t);
-    assert_eq!(max_abs_diff2(&g, &oracle), 0.0, "tessellate2");
+    assert_eq!(max_abs_diff(&g, &oracle), 0.0, "tessellate2");
     let mut plan = Plan::new(Shape::d2(nx, ny))
         .method(Method::Dlt)
         .isa(isa)
@@ -518,7 +510,7 @@ fn tiled_2d_3d_plans_match_scalar_oracle() {
         .unwrap();
     let mut g = init.clone();
     plan.run(&mut g, t);
-    assert_eq!(max_abs_diff2(&g, &oracle), 0.0, "split2");
+    assert_eq!(max_abs_diff(&g, &oracle), 0.0, "split2");
 
     let (nx, ny, nz, t) = (80usize, 20usize, 16usize, 7usize);
     let s = S3d7p {
@@ -546,7 +538,7 @@ fn tiled_2d_3d_plans_match_scalar_oracle() {
         .unwrap();
     let mut g = init.clone();
     plan.run(&mut g, t);
-    assert_eq!(max_abs_diff3(&g, &oracle), 0.0, "tessellate3");
+    assert_eq!(max_abs_diff(&g, &oracle), 0.0, "tessellate3");
     let mut plan = Plan::new(Shape::d3(nx, ny, nz))
         .method(Method::Dlt)
         .isa(isa)
@@ -559,7 +551,7 @@ fn tiled_2d_3d_plans_match_scalar_oracle() {
         .unwrap();
     let mut g = init.clone();
     plan.run(&mut g, t);
-    assert_eq!(max_abs_diff3(&g, &oracle), 0.0, "split3");
+    assert_eq!(max_abs_diff(&g, &oracle), 0.0, "split3");
 }
 
 #[test]
@@ -574,7 +566,7 @@ fn zero_steps_is_identity_through_plan() {
             .unwrap();
         let mut g = init.clone();
         plan.run(&mut g, 0);
-        assert_eq!(max_abs_diff1(&g, &init), 0.0, "{m}");
+        assert_eq!(max_abs_diff(&g, &init), 0.0, "{m}");
     }
 }
 

@@ -17,7 +17,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stencil_core::exec::AnyGridMut;
-use stencil_core::verify::{assert_close1, assert_close2, assert_close3, max_abs_diff1};
+use stencil_core::verify::{assert_close, max_abs_diff};
 use stencil_core::{run_spec, Grid1, Grid2, Grid3, Method, StencilSpec};
 use stencil_simd::Isa;
 
@@ -64,7 +64,7 @@ fn star1_1d3p_matches_scalar() {
                 for m in vec_methods() {
                     let mut g = init.clone();
                     run(m, isa, &mut g, &s, t);
-                    assert_close1(&g, &reference, TOL, &format!("{m}/{isa}/n={n}/t={t}"));
+                    assert_close(&g, &reference, TOL, &format!("{m}/{isa}/n={n}/t={t}"));
                 }
             }
         }
@@ -83,7 +83,7 @@ fn star1_1d5p_matches_scalar() {
                 for m in vec_methods() {
                     let mut g = init.clone();
                     run(m, isa, &mut g, &s, t);
-                    assert_close1(&g, &reference, TOL, &format!("{m}/{isa}/n={n}/t={t}"));
+                    assert_close(&g, &reference, TOL, &format!("{m}/{isa}/n={n}/t={t}"));
                 }
             }
         }
@@ -102,7 +102,7 @@ fn star1_methods_are_bitwise_equal_to_scalar() {
             let mut g = init.clone();
             run(m, isa, &mut g, &s, 6);
             assert_eq!(
-                max_abs_diff1(&g, &reference),
+                max_abs_diff(&g, &reference),
                 0.0,
                 "{m}/{isa} not bitwise-identical"
             );
@@ -128,7 +128,7 @@ fn star2_2d5p_matches_scalar() {
                 for m in vec_methods() {
                     let mut g = init.clone();
                     run(m, isa, &mut g, &s, t);
-                    assert_close2(
+                    assert_close(
                         &g,
                         &reference,
                         TOL,
@@ -157,7 +157,7 @@ fn box2_2d9p_matches_scalar() {
                 for m in vec_methods() {
                     let mut g = init.clone();
                     run(m, isa, &mut g, &s, t);
-                    assert_close2(
+                    assert_close(
                         &g,
                         &reference,
                         TOL,
@@ -187,7 +187,7 @@ fn star3_3d7p_matches_scalar() {
                 for m in vec_methods() {
                     let mut g = init.clone();
                     run(m, isa, &mut g, &s, t);
-                    assert_close3(
+                    assert_close(
                         &g,
                         &reference,
                         TOL,
@@ -216,7 +216,7 @@ fn box3_3d27p_matches_scalar() {
                 for m in vec_methods() {
                     let mut g = init.clone();
                     run(m, isa, &mut g, &s, t);
-                    assert_close3(
+                    assert_close(
                         &g,
                         &reference,
                         TOL,
@@ -240,7 +240,7 @@ fn k2_equals_two_k1_steps_exactly() {
             run(Method::TransLayout, isa, &mut a, &s, 2);
             let mut b = init.clone();
             run(Method::TransLayout2, isa, &mut b, &s, 2);
-            assert_eq!(max_abs_diff1(&a, &b), 0.0, "{isa}/n={n}");
+            assert_eq!(max_abs_diff(&a, &b), 0.0, "{isa}/n={n}");
         }
     }
 }
@@ -252,7 +252,7 @@ fn zero_steps_is_identity() {
     for m in Method::ALL {
         let mut g = init.clone();
         run(m, Isa::detect_best(), &mut g, &s, 0);
-        assert_eq!(max_abs_diff1(&g, &init), 0.0, "{m}");
+        assert_eq!(max_abs_diff(&g, &init), 0.0, "{m}");
     }
 }
 
@@ -295,7 +295,7 @@ mod randomized {
             for m in vec_methods() {
                 let mut g = init.clone();
                 run(m, isa, &mut g, &s, t);
-                let d = max_abs_diff1(&g, &reference);
+                let d = max_abs_diff(&g, &reference);
                 assert!(
                     d == 0.0,
                     "case={case}: {m} differs by {d:.3e} (n={n}, t={t})"

@@ -6,7 +6,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stencil_core::exec::{Parallelism, Plan, PlanError, Shape, Tiling};
-use stencil_core::verify::{max_abs_diff1, max_abs_diff2, max_abs_diff3};
+use stencil_core::verify::max_abs_diff;
 use stencil_core::{Grid1, Grid2, Grid3, Method, S1d3p, S1d5p, S2d5p, S2d9p, S3d27p, S3d7p};
 use stencil_simd::Isa;
 
@@ -66,7 +66,7 @@ fn parallel_1d_every_method_matches_scalar_oracle() {
                         .unwrap()
                         .run(&mut g, t);
                     assert_eq!(
-                        max_abs_diff1(&g, &oracle),
+                        max_abs_diff(&g, &oracle),
                         0.0,
                         "1d3p/{m}/threads={k}/n={n}/t={t}"
                     );
@@ -95,7 +95,7 @@ fn parallel_1d_every_method_matches_scalar_oracle() {
                         .unwrap()
                         .run(&mut g, t);
                     assert_eq!(
-                        max_abs_diff1(&g, &oracle),
+                        max_abs_diff(&g, &oracle),
                         0.0,
                         "1d5p/{m}/threads={k}/n={n}/t={t}"
                     );
@@ -136,7 +136,7 @@ fn parallel_2d_every_method_matches_scalar_oracle() {
                         .unwrap()
                         .run(&mut g, t);
                     assert_eq!(
-                        max_abs_diff2(&g, &oracle),
+                        max_abs_diff(&g, &oracle),
                         0.0,
                         "2d5p/{m}/threads={k}/ny={ny}/t={t}"
                     );
@@ -165,7 +165,7 @@ fn parallel_2d_every_method_matches_scalar_oracle() {
                         .unwrap()
                         .run(&mut g, t);
                     assert_eq!(
-                        max_abs_diff2(&g, &oracle),
+                        max_abs_diff(&g, &oracle),
                         0.0,
                         "2d9p/{m}/threads={k}/ny={ny}/t={t}"
                     );
@@ -207,7 +207,7 @@ fn parallel_3d_every_method_matches_scalar_oracle() {
                         .unwrap()
                         .run(&mut g, t);
                     assert_eq!(
-                        max_abs_diff3(&g, &oracle),
+                        max_abs_diff(&g, &oracle),
                         0.0,
                         "3d7p/{m}/threads={k}/nz={nz}/t={t}"
                     );
@@ -239,7 +239,7 @@ fn parallel_3d_every_method_matches_scalar_oracle() {
                         .unwrap()
                         .run(&mut g, t);
                     assert_eq!(
-                        max_abs_diff3(&g, &oracle),
+                        max_abs_diff(&g, &oracle),
                         0.0,
                         "3d27p/{m}/threads={k}/nz={nz}/t={t}"
                     );
@@ -275,7 +275,7 @@ fn two_identical_parallel_runs_produce_identical_bits() {
         };
         let (a, b) = (run(), run());
         assert_eq!(
-            max_abs_diff1(&a, &b),
+            max_abs_diff(&a, &b),
             0.0,
             "{m}: parallel run not deterministic"
         );
@@ -297,7 +297,7 @@ fn two_identical_parallel_runs_produce_identical_bits() {
     };
     let (a, b) = (run(), run());
     assert_eq!(
-        max_abs_diff2(&a, &b),
+        max_abs_diff(&a, &b),
         0.0,
         "2d parallel run not deterministic"
     );
@@ -329,7 +329,7 @@ fn off_equals_threads_one_equals_threads_many() {
         }
         for g in &results[1..] {
             assert_eq!(
-                max_abs_diff1(g, &results[0]),
+                max_abs_diff(g, &results[0]),
                 0.0,
                 "{m}: parallelism changed the result"
             );
@@ -374,7 +374,7 @@ fn parallel_session_runs_compose_exactly() {
             .run(&mut once, 2 * t);
 
         assert_eq!(
-            max_abs_diff1(&resident, &once),
+            max_abs_diff(&resident, &once),
             0.0,
             "{m}: parallel session composition changed the result"
         );
@@ -406,7 +406,7 @@ fn pool_is_reused_across_plan_runs() {
         .star2(s)
         .unwrap()
         .run(&mut once, 4);
-    assert_eq!(max_abs_diff2(&twice, &once), 0.0);
+    assert_eq!(max_abs_diff(&twice, &once), 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -449,7 +449,7 @@ fn parallelism_overrides_tiled_thread_count() {
         assert_eq!(plan.threads(), expected, "{par:?}");
         let mut g = init.clone();
         plan.run(&mut g, t);
-        assert_eq!(max_abs_diff1(&g, &oracle), 0.0, "{par:?}");
+        assert_eq!(max_abs_diff(&g, &oracle), 0.0, "{par:?}");
     }
 }
 
@@ -510,7 +510,7 @@ fn parallel_session_drop_restores_natural_layout() {
         let mut g = init.clone();
         drop(plan.session(&mut g));
         assert_eq!(
-            max_abs_diff1(&g, &init),
+            max_abs_diff(&g, &init),
             0.0,
             "{m}: empty parallel session not identity"
         );

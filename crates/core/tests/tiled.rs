@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stencil_core::exec::{Plan, Shape, Tiling};
-use stencil_core::verify::{max_abs_diff1, max_abs_diff2, max_abs_diff3};
+use stencil_core::verify::max_abs_diff;
 use stencil_core::{Grid1, Grid2, Grid3, Method, S1d3p, S1d5p, S2d5p, S2d9p, S3d27p, S3d7p};
 use stencil_simd::Isa;
 
@@ -69,7 +69,7 @@ fn tessellate1_matches_untiled_bitwise() {
                         .star1(s)
                         .unwrap()
                         .run(&mut g, t);
-                    let d = max_abs_diff1(&g, &reference);
+                    let d = max_abs_diff(&g, &reference);
                     assert_eq!(d, 0.0, "{m}/{isa}/n={n}/w={w}/h={h}/t={t}/thr={threads}");
                 }
             }
@@ -105,7 +105,7 @@ fn tessellate1_r2_matches_untiled() {
                 .star1(s)
                 .unwrap()
                 .run(&mut g, t);
-            assert_eq!(max_abs_diff1(&g, &reference), 0.0, "{m}/{isa}");
+            assert_eq!(max_abs_diff(&g, &reference), 0.0, "{m}/{isa}");
         }
     }
 }
@@ -132,7 +132,7 @@ fn split1_matches_untiled_bitwise() {
                     .star1(s)
                     .unwrap()
                     .run(&mut g, t);
-                let d = max_abs_diff1(&g, &reference);
+                let d = max_abs_diff(&g, &reference);
                 assert_eq!(d, 0.0, "split/{isa}/n={n}/w={w}/h={h}/t={t}/thr={threads}");
             }
         }
@@ -175,7 +175,7 @@ fn tessellate2_matches_untiled() {
                 .star2(s)
                 .unwrap()
                 .run(&mut g, t);
-            let d = max_abs_diff2(&g, &reference);
+            let d = max_abs_diff(&g, &reference);
             assert_eq!(d, 0.0, "{m}/{isa}/thr={threads}");
         }
     }
@@ -212,7 +212,7 @@ fn tessellate2_box_matches_untiled() {
             .box2(s)
             .unwrap()
             .run(&mut g, t);
-        assert_eq!(max_abs_diff2(&g, &reference), 0.0, "{m}/{isa}");
+        assert_eq!(max_abs_diff(&g, &reference), 0.0, "{m}/{isa}");
     }
 }
 
@@ -244,7 +244,7 @@ fn split2_matches_untiled() {
         .star2(s)
         .unwrap()
         .run(&mut g, t);
-    assert_eq!(max_abs_diff2(&g, &reference), 0.0);
+    assert_eq!(max_abs_diff(&g, &reference), 0.0);
 
     let mut rr = StdRng::seed_from_u64(3);
     let mut w = [0.0f64; 9];
@@ -271,7 +271,7 @@ fn split2_matches_untiled() {
         .box2(sb)
         .unwrap()
         .run(&mut g, t);
-    assert_eq!(max_abs_diff2(&g, &reference), 0.0);
+    assert_eq!(max_abs_diff(&g, &reference), 0.0);
 }
 
 fn grid3(nx: usize, ny: usize, nz: usize, seed: u64) -> Grid3 {
@@ -310,7 +310,7 @@ fn tessellate3_matches_untiled() {
             .star3(s)
             .unwrap()
             .run(&mut g, t);
-        assert_eq!(max_abs_diff3(&g, &reference), 0.0, "{m}/{isa}");
+        assert_eq!(max_abs_diff(&g, &reference), 0.0, "{m}/{isa}");
     }
 }
 
@@ -345,7 +345,7 @@ fn tessellate3_box_matches_untiled() {
             .box3(s)
             .unwrap()
             .run(&mut g, t);
-        assert_eq!(max_abs_diff3(&g, &reference), 0.0, "{m}/{isa}");
+        assert_eq!(max_abs_diff(&g, &reference), 0.0, "{m}/{isa}");
     }
 }
 
@@ -378,7 +378,7 @@ fn split3_matches_untiled() {
         .star3(s)
         .unwrap()
         .run(&mut g, t);
-    assert_eq!(max_abs_diff3(&g, &reference), 0.0);
+    assert_eq!(max_abs_diff(&g, &reference), 0.0);
 }
 
 #[test]
@@ -404,7 +404,7 @@ fn parallel_equals_serial_bitwise() {
     let serial = tiled(1);
     for threads in [2usize, 8, 16] {
         let par = tiled(threads);
-        assert_eq!(max_abs_diff1(&par, &serial), 0.0, "threads={threads}");
+        assert_eq!(max_abs_diff(&par, &serial), 0.0, "threads={threads}");
     }
 }
 
@@ -443,5 +443,5 @@ fn sessions_amortize_tiled_stepping_exactly() {
         .star1(s)
         .unwrap()
         .run(&mut once, 32);
-    assert_eq!(max_abs_diff1(&g, &once), 0.0);
+    assert_eq!(max_abs_diff(&g, &once), 0.0);
 }

@@ -38,9 +38,10 @@ pub struct JobSpec {
 impl JobSpec {
     /// A job for `tenant` stepping `grid` by `steps` sweeps of `spec`.
     ///
-    /// The grid must match the spec's dimensionality and element type;
-    /// `Server::submit` rejects mismatches with a [`SubmitError`] instead
-    /// of letting the engine panic on the dispatcher thread.
+    /// The grid must match the spec's dimensionality and element type
+    /// and carry a halo as wide as the stencil's radius; `Server::submit`
+    /// rejects mismatches with a [`SubmitError`] instead of letting the
+    /// engine panic on the dispatcher thread.
     pub fn new(
         tenant: impl Into<String>,
         spec: StencilSpec,
@@ -117,6 +118,14 @@ pub enum SubmitError {
         /// Dimensions the grid has.
         grid: usize,
     },
+    /// The grid carries fewer halo rows/planes than the stencil reaches
+    /// (see [`Geo::holds_radius`](stencil_core::kernels::Geo::holds_radius)).
+    HaloTooNarrow {
+        /// The stencil radius.
+        radius: usize,
+        /// Halo rows/planes per side the grid has.
+        halo: usize,
+    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -135,6 +144,10 @@ impl std::fmt::Display for SubmitError {
             SubmitError::NdimMismatch { spec, grid } => {
                 write!(f, "spec is {spec}D but grid is {grid}D")
             }
+            SubmitError::HaloTooNarrow { radius, halo } => write!(
+                f,
+                "grid halo of {halo} rows/planes is narrower than the stencil radius {radius}"
+            ),
         }
     }
 }

@@ -229,8 +229,10 @@ impl Server {
 
     /// Queue a job; returns immediately with a handle.
     ///
-    /// Validates the grid against the spec up front (mismatches are a
-    /// [`SubmitError`], not a dispatcher panic), enforces the per-tenant
+    /// Validates the grid against the spec up front — dimensionality,
+    /// element type, and a halo that holds the stencil's radius
+    /// (mismatches are a [`SubmitError`], not a dispatcher panic, and the
+    /// cached plan for the key stays cached) — enforces the per-tenant
     /// queue bound, and refuses work during shutdown.
     pub fn submit(&self, job: JobSpec) -> Result<JobHandle, SubmitError> {
         if job.spec.ndim() != job.grid.ndim() {
@@ -243,6 +245,13 @@ impl Server {
             return Err(SubmitError::DtypeMismatch {
                 spec: job.spec.dtype(),
                 grid: job.grid.dtype(),
+            });
+        }
+        let (geo, radius) = (job.grid.geo(), job.spec.radius());
+        if !geo.holds_radius(radius) {
+            return Err(SubmitError::HaloTooNarrow {
+                radius,
+                halo: geo.halo,
             });
         }
         let deadline = job.timeout.map(|d| Instant::now() + d);
@@ -403,7 +412,7 @@ fn execute(inner: &Inner, q: QueuedJob) {
     if let Err(payload) = swept {
         // The plan's scratch state is suspect — drop it, don't re-cache.
         q.shared
-            .finish(Err(JobError::Panicked(panic_message(&payload))));
+            .finish(Err(JobError::Panicked(panic_message(payload))));
         return;
     }
     let trace = make_trace(&tenant, &key, &plan, q.id, seq, steps, seconds, outcome);
@@ -473,12 +482,30 @@ fn tiling_name(t: stencil_core::exec::Tiling) -> &'static str {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+/// The message of a caught panic. Takes the box by value: a `&Box<dyn
+/// Any>` would unsize to a `&dyn Any` of the box itself, and neither
+/// downcast would match.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(payload) => match payload.downcast::<&str>() {
+            Ok(s) => s.to_string(),
+            Err(_) => "non-string panic payload".to_string(),
+        },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::panic_message;
+
+    #[test]
+    fn panic_message_reads_both_string_payloads() {
+        let literal = std::panic::catch_unwind(|| panic!("a literal")).unwrap_err();
+        assert_eq!(panic_message(literal), "a literal");
+        let n = 7;
+        let formatted = std::panic::catch_unwind(|| panic!("formatted {n}")).unwrap_err();
+        assert_eq!(panic_message(formatted), "formatted 7");
+        assert_eq!(panic_message(Box::new(5u8)), "non-string panic payload");
     }
 }

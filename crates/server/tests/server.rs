@@ -84,6 +84,30 @@ fn submit_validates_grid_against_spec() {
     assert!(matches!(err, SubmitError::DtypeMismatch { .. }));
 }
 
+/// A grid whose halo is narrower than the stencil is refused at submit,
+/// and the hot plan for the same key stays cached.
+#[test]
+fn narrow_halo_grid_is_refused_and_the_plan_stays_cached() {
+    let server = Server::with_defaults();
+    let spec: StencilSpec = "2d5p".parse().unwrap();
+    let shape = Shape::d2(16, 16);
+    let good = || JobSpec::new("t", spec.clone(), grid_for(&spec, shape), 2);
+    let first = server.submit(good()).unwrap().wait().unwrap();
+    assert_eq!(first.trace.cache, CacheOutcome::Miss);
+    assert_eq!(server.cache_stats().len, 1);
+
+    let narrow = AnyGrid::from_fn(shape, 0, 0.0, |_, y, x| (x + y) as f64);
+    let err = server
+        .submit(JobSpec::new("t", spec.clone(), narrow, 2))
+        .unwrap_err();
+    assert_eq!(err, SubmitError::HaloTooNarrow { radius: 1, halo: 0 });
+    assert!(err.to_string().contains("radius 1"), "{err}");
+
+    assert_eq!(server.cache_stats().len, 1);
+    let next = server.submit(good()).unwrap().wait().unwrap();
+    assert_eq!(next.trace.cache, CacheOutcome::Hit);
+}
+
 /// The headline contract: two tenants hammering the server from eight
 /// threads with a mix of dimensionalities, dtypes, and boundaries get
 /// results bit-identical to driving the engine directly — and after the

@@ -51,7 +51,7 @@ fn main() {
         let t0 = Instant::now();
         plan.run(&mut g, steps);
         let dt = t0.elapsed();
-        let diff = stencil_lab::core::verify::max_abs_diff1(&g, &reference);
+        let diff = stencil_lab::core::verify::max_abs_diff(&g, &reference);
         println!("{:<14} {:>8.2?} {:>14.1e}", method.name(), dt, diff);
         assert_eq!(diff, 0.0, "all schemes are bit-identical");
     }
@@ -76,7 +76,7 @@ fn main() {
     println!(
         "\ntessellate + translayout2 on {threads} threads: {:.2?} (still exact: {:e})",
         t0.elapsed(),
-        stencil_lab::core::verify::max_abs_diff1(&g, &reference)
+        stencil_lab::core::verify::max_abs_diff(&g, &reference)
     );
 
     // Repeated stepping through a layout-resident session: the transpose
@@ -98,7 +98,7 @@ fn main() {
         "session ({} × 20-step calls): {:.2?} (still exact: {:e})",
         steps / 20,
         t0.elapsed(),
-        stencil_lab::core::verify::max_abs_diff1(&g, &reference)
+        stencil_lab::core::verify::max_abs_diff(&g, &reference)
     );
 
     // The fully dynamic container: shape + numbers in, no generic grid
@@ -113,7 +113,7 @@ fn main() {
         .expect("valid plan")
         .run(&mut any, steps);
     let diff =
-        stencil_lab::core::verify::max_abs_diff1(any.as_grid1().expect("1D shape"), &reference);
+        stencil_lab::core::verify::max_abs_diff(any.as_grid1().expect("1D shape"), &reference);
     println!("AnyGrid::from_vec path: still exact: {diff:e}");
     assert_eq!(diff, 0.0);
 
@@ -141,7 +141,7 @@ fn main() {
             .expect("valid plan");
         let mut g = init.clone();
         plan.run(&mut g, steps);
-        let diff = stencil_lab::core::verify::max_abs_diff1(&g, &reference);
+        let diff = stencil_lab::core::verify::max_abs_diff(&g, &reference);
         assert_eq!(diff, 0.0, "{method} under periodic");
     }
     let ring_total: f64 = reference.interior().iter().sum();

@@ -45,8 +45,8 @@ fn prelude_end_to_end_pipeline() {
         .star1(s)
         .unwrap()
         .run(&mut c, 40);
-    assert_eq!(stencil_lab::core::verify::max_abs_diff1(&a, &b), 0.0);
-    assert_eq!(stencil_lab::core::verify::max_abs_diff1(&a, &c), 0.0);
+    assert_eq!(stencil_lab::core::verify::max_abs_diff(&a, &b), 0.0);
+    assert_eq!(stencil_lab::core::verify::max_abs_diff(&a, &c), 0.0);
 }
 
 #[test]
@@ -122,7 +122,7 @@ fn cross_isa_agreement_end_to_end() {
             .unwrap()
             .run(&mut g, 12);
         assert_eq!(
-            stencil_lab::core::verify::max_abs_diff2(&g, &reference),
+            stencil_lab::core::verify::max_abs_diff(&g, &reference),
             0.0,
             "{isa}"
         );
@@ -167,8 +167,8 @@ fn three_d_tiled_matches_untiled_through_prelude() {
         .star3(s)
         .unwrap()
         .run(&mut c, 6);
-    assert_eq!(stencil_lab::core::verify::max_abs_diff3(&a, &b), 0.0);
-    assert_eq!(stencil_lab::core::verify::max_abs_diff3(&a, &c), 0.0);
+    assert_eq!(stencil_lab::core::verify::max_abs_diff(&a, &b), 0.0);
+    assert_eq!(stencil_lab::core::verify::max_abs_diff(&a, &c), 0.0);
 }
 
 /// `t` steps of the 1D star with weights `w` through the per-call surface.
@@ -197,7 +197,7 @@ fn legacy_free_functions_still_agree_with_plan() {
     let mut via_legacy = init.clone();
     one_shot(Method::TransLayout2, isa, &mut via_legacy, s.w(), 24);
     assert_eq!(
-        stencil_lab::core::verify::max_abs_diff1(&via_plan, &via_legacy),
+        stencil_lab::core::verify::max_abs_diff(&via_plan, &via_legacy),
         0.0
     );
 }
