@@ -43,19 +43,21 @@
 //!   Adjacent bands may both write a shared halo cell, but always with
 //!   **bit-identical values** folded from the immutable source interior
 //!   — the benign-race contract that makes the refresh barrier-free
-//!   (see `exec::par`).
-//! * **Temporally tiled** plans (`Tiling::Tessellate` / `Split`)
-//!   advance different cells to different time levels inside one chunk,
-//!   so there is no global "the" source buffer to refresh. Instead the
-//!   wavefront scheduler (see `exec::wave`) gives each time chunk one
-//!   **edge group**: a single node owning every tile whose radius-
-//!   extended footprint leaves the interior. The group steps its
+//!   (see `exec::par`). The `par::drive` bands are the one place in the
+//!   engine where two workers write the same halo cell.
+//! * **Temporally tiled** plans (`Tiling::Tessellate` / `Split`, and the
+//!   untiled parallel 1D DLT row, which runs as a height-one column
+//!   split) advance different cells to different time levels inside one
+//!   chunk, so there is no global "the" source buffer to refresh.
+//!   Instead the wavefront scheduler (see `exec::wave`) gives each time
+//!   chunk one **edge group**: a single node owning every tile whose
+//!   radius-extended footprint leaves the interior. The group steps its
 //!   members level by level, refreshing the halos of the level about to
-//!   be read before each sub-step, while interior tiles never read a
-//!   halo cell at all (their footprints stay inside the domain, and the
-//!   split drivers' per-tile band refreshes only touch rows the tile
-//!   itself owns). That is what lets every boundary compose with
-//!   temporal tiling and threads at 0 ULP.
+//!   be read before each sub-step, while interior tiles never read or
+//!   write a halo cell at all (their footprints stay inside the domain).
+//!   One node per chunk writes every halo cell, so no halo write races.
+//!   That is what lets every boundary compose with temporal tiling and
+//!   threads at 0 ULP.
 //!
 //! # Layout awareness
 //!
@@ -73,14 +75,13 @@
 //! folds of every row, then — per further real axis, innermost first —
 //! the shell of every slab followed by whole-slab copies. An absent axis
 //! has nothing to fold, so the recursion simply starts lower. A plan's
-//! own buffers (ping-pong scratch, DLT staging) are plain buffers laid
-//! out as the caller's grid's `Geo`, filled at session open by the
-//! helpers at the bottom.
+//! own ping-pong scratch is a plain buffer laid out as the caller's
+//! grid's `Geo`, filled at session open by the helpers at the bottom.
 
 use stencil_simd::{AlignedBuf, Elem, Isa};
 
 use crate::kernels::Geo;
-use crate::layout::{dlt_buf, DltGeo, SetGeo};
+use crate::layout::{DltGeo, SetGeo};
 use crate::spec::SpecError;
 
 use super::Method;
@@ -203,7 +204,7 @@ pub enum RowMap {
     Natural,
     /// The paper's local transpose layout (translayout / translayout2).
     Transpose(SetGeo),
-    /// Dimension-lifting transpose (DLT staging buffers).
+    /// Dimension-lifting transpose (DLT buffers).
     Dlt(DltGeo),
 }
 
@@ -358,21 +359,22 @@ unsafe fn refresh_axes<T: Elem>(
 }
 
 // ---------------------------------------------------------------------------
-// Per-band refresh — the fused fast path for the parallel drivers
+// Per-band refresh — the fused fast path for the band-parallel driver
 // ---------------------------------------------------------------------------
 //
-// The whole-grid `refresh` above is what a sequential plan runs between
-// steps. The parallel drivers (`exec::par`, the hybrid split driver)
-// instead fold the refresh into each band's work item: a band refreshes
-// exactly the halo cells its own compute reads, immediately before
-// computing, while those cache lines are hot — no serial pre-pass and no
-// extra barrier.
+// The whole-grid `refresh` above is what a sequential plan and every
+// edge group run between steps. The band-parallel driver (`par::drive`,
+// the only caller of `refresh_band`) instead folds the refresh into each
+// band's work item: a band refreshes exactly the halo cells its own
+// compute reads, immediately before computing, while those cache lines
+// are hot — no serial pre-pass and no extra barrier.
 //
 // Bands overlap by the stencil radius, so adjacent bands may write the
-// same halo cell. Every such write computes the value from the *source*
-// buffer's interior, which is immutable for the whole step, so all
-// writers store bit-identical values; the overlap is a benign race on
-// identical values (aligned element-sized stores). A halo slab is built
+// same halo cell; these are the only concurrent halo writes in the
+// engine. Every such write computes the value from the *source* buffer's
+// interior, which is immutable for the whole step, so all writers store
+// bit-identical values; the overlap is a benign race on identical values
+// (aligned element-sized stores). A halo slab is built
 // by copying the raw fold-source slab first (whose own lower-axis halos
 // may be mid-refresh by its owning band) and then recomputing the copy's
 // shell locally from the copied interior, so every cell a kernel can
@@ -440,26 +442,6 @@ pub(crate) fn ensure_scratch<T: Elem>(slot: &mut Option<AlignedBuf<T>>, g: &Alig
         Some(sc) if sc.len() == g.len() => sc.copy_from(g),
         _ => *slot = Some(g.clone()),
     }
-}
-
-/// Fill the plan's DLT staging pair from `g` (laid out as `geo`): carry
-/// `g`'s halos into the first staging buffer, apply the forward layout
-/// transform (which writes only the interior), and mirror the result
-/// into the second buffer so both ping-pong partners start with
-/// identical halos.
-pub(crate) fn ensure_stage<T: Elem>(
-    slot: &mut Option<(AlignedBuf<T>, AlignedBuf<T>)>,
-    g: &AlignedBuf<T>,
-    geo: &Geo,
-    isa: Isa,
-) {
-    if slot.as_ref().is_none_or(|(a, _)| a.len() != g.len()) {
-        *slot = Some((g.clone(), g.clone()));
-    }
-    let (a, b) = slot.as_mut().expect("just ensured");
-    a.copy_from(g); // halos ride along; the transform overwrites the interior
-    dlt_buf(g, a, geo, isa, false);
-    b.copy_from(a);
 }
 
 /// The k = 2 ring buffer of a 2D/3D fused pass over `geo`, as `(length,

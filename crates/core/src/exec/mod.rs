@@ -15,10 +15,10 @@
 //!   height the tile width cannot support, a radius or weight table the
 //!   kernels cannot hold) with a [`PlanError`] instead of a mid-run
 //!   panic;
-//! * **allocate once** — the ping-pong scratch grid, the DLT staging
-//!   pair, the k = 2 ring buffer, and the **persistent worker pool** live
-//!   in the plan and are reused by every [`CompiledPlan::run`] (no buffer
-//!   allocation and no thread spawning in the steady state — pool
+//! * **allocate once** — the ping-pong scratch grid, the k = 2 ring
+//!   buffer, the tile staging arena, and the **persistent worker pool**
+//!   live in the plan and are reused by every [`CompiledPlan::run`] (no
+//!   buffer allocation and no thread spawning in the steady state — pool
 //!   workers are spawned at plan compile time and a stage dispatch is a
 //!   condvar wake);
 //! * **stay resident** — a [`Session`] keeps the grid in the method's
@@ -38,11 +38,11 @@
 //! [`crate::kernels`] for the boundary) and meets the caller's grid as a
 //! [`GridMut`] — the grid's buffer plus its [`Geo`], extents
 //! `[nx, ny, nz]` where **an absent axis is an axis of extent 1**. Its
-//! scratch and staging buffers are plain buffers laid out the same way.
-//! From there one runner body picks one driver (`tess::drive`,
-//! `par::drive`, the `split` drivers, or the sequential loop), each
-//! generic over the element type only, and the kernel is called once per
-//! range sweep or tile step. The typed terminals ([`Plan::star1`] …
+//! ping-pong scratch is a plain buffer laid out the same way — the one
+//! partner of every layout, DLT included. From there one runner body
+//! picks one driver (`tess::drive`, `par::drive`, `split::drive_cols`,
+//! or the sequential loop), each generic over the element type only,
+//! and the kernel is called once per range sweep or tile step. The typed terminals ([`Plan::star1`] …
 //! [`Plan::box3`]) and the runtime-spec terminal ([`Plan::stencil`])
 //! differ only in how the kernel object is made; both hand it to the
 //! same constructor, so they cannot drift apart. A plan of one rank
@@ -51,10 +51,13 @@
 //!
 //! Two paths stay 1D-specific, because they index something a plane or a
 //! volume does not have rather than "one axis fewer": the DLT
-//! *column-space* drivers (`par::drive_cols`, `split::drive_cols` — a
-//! row's DLT columns are `vl` distant segments, tiled and banded in that
-//! space) and the fused `TransLayout2` tile pair (`tess`'s `pair1`, a
-//! register pipeline over the vector sets of one row).
+//! *column space* (`split::drive_cols` — a row's DLT columns are `vl`
+//! distant segments, tiled in that space; split tiling and untiled
+//! parallel stepping of a 1D DLT row both run there) and the fused
+//! `TransLayout2` tile pair (`tess`'s `pair1`, a register pipeline over
+//! the vector sets of one row). Split tiling of a plane or volume is no
+//! such path: it is the tessellation whose tiles span every axis but the
+//! outermost, and runs through `tess::drive`.
 //!
 //! ```
 //! use stencil_core::exec::{Plan, Shape, Tiling};
@@ -224,6 +227,17 @@ pub enum Tiling {
     /// Split tiling over the DLT layout — the SDSL stand-in (Henretty et
     /// al., ICS'13). Requires [`Method::Dlt`]; tiles the DLT column space
     /// in 1D and the outermost dimension in 2D/3D.
+    ///
+    /// In 2D/3D this is the [`Tiling::Tessellate`] schedule with widths
+    /// `[nx, ny, w]`: one tile spans every axis but the outermost (so
+    /// every kernel call covers whole DLT rows), and the outermost axis
+    /// is tiled with base `w`. Under a refreshed [`Boundary`] every such
+    /// tile reads the x halos, so each chunk runs as one edge group — a
+    /// lockstep per-level sweep on one worker, still bit-identical. The
+    /// same holds for a 1D column split, whose tiles are `vl` distant
+    /// segments of the row. Split tiling therefore runs in parallel only
+    /// under a Dirichlet boundary — the one every workload and paper
+    /// driver gives it.
     Split {
         /// Tile base width (DLT columns in 1D, `y`/`z` cells in 2D/3D).
         w: usize,
@@ -515,9 +529,13 @@ impl Plan {
     /// parallelism level: untiled runs refresh the halos once per step,
     /// and the temporally tiled frameworks ([`Tiling::Tessellate`] /
     /// [`Tiling::Split`]) refresh them per tile step inside the
-    /// wavefront schedule (see the `exec::wave` module docs). The one
-    /// genuine restriction is shape-level, validated at
-    /// build time: wrap/mirror folds need every interior extent ≥ the
+    /// wavefront schedule (see the `exec::wave` module docs). Tiles that
+    /// read halos fuse into one lockstep edge group per chunk; under
+    /// split tiling, and for an untiled parallel 1D [`Method::Dlt`] row
+    /// (a column split of height 1), that is every tile, so those
+    /// configurations step one worker per chunk under a refreshed
+    /// boundary. The one genuine restriction is shape-level, validated
+    /// at build time: wrap/mirror folds need every interior extent ≥ the
     /// stencil radius, else [`PlanError::Boundary`] with
     /// [`BoundaryReason::ExtentBelowRadius`].
     pub fn boundary(mut self, boundary: Boundary) -> Plan {
@@ -612,80 +630,64 @@ impl Plan {
         }
         self.validate_boundary(ndim, r, boundary)?;
         let threads = self.resolve_threads()?;
-        match self.tiling {
+        let conflict = match self.tiling {
             // Untiled sequential plans skip the pool entirely; tiled
             // plans always own one (a 1-thread pool runs stages inline).
-            Tiling::None => Ok((threads, (threads > 1).then(|| tess::make_pool(threads)))),
-            Tiling::Tessellate { w, h, .. } => {
-                if self.method == Method::Dlt {
-                    return Err(PlanError::MethodTilingConflict {
-                        method: self.method,
-                        tiling: self.tiling.name(),
-                        reason: "DLT runs under split tiling (its own layout/tile geometry)",
-                    });
-                }
-                if h == 0 {
-                    return Err(PlanError::BadTiling("chunk height h must be ≥ 1".into()));
-                }
-                for (axis, (&n, &wi)) in self.shape.dims[..ndim].iter().zip(&w[..ndim]).enumerate()
-                {
-                    if wi == 0 {
-                        return Err(PlanError::BadTiling(format!(
-                            "tile width w[{axis}] must be ≥ 1"
-                        )));
-                    }
-                    let d = DimTiling::new(n, wi.min(n), r, true);
-                    if h > d.max_height() {
-                        return Err(PlanError::BadTiling(format!(
-                            "chunk height {h} exceeds max {} for axis {axis} (n={n}, w={}, r={r})",
-                            d.max_height(),
-                            wi.min(n),
-                        )));
-                    }
-                }
-                Ok((threads, Some(tess::make_pool(threads))))
+            Tiling::None => return Ok((threads, (threads > 1).then(|| tess::make_pool(threads)))),
+            Tiling::Tessellate { .. } if self.method == Method::Dlt => {
+                Some("DLT runs under split tiling (its own layout/tile geometry)")
             }
-            Tiling::Split { w, h, .. } => {
-                if self.method != Method::Dlt {
-                    return Err(PlanError::MethodTilingConflict {
-                        method: self.method,
-                        tiling: self.tiling.name(),
-                        reason: "split tiling tiles the DLT layout; use Method::Dlt",
-                    });
+            Tiling::Split { .. } if self.method != Method::Dlt => {
+                Some("split tiling tiles the DLT layout; use Method::Dlt")
+            }
+            _ => None,
+        };
+        if let Some(reason) = conflict {
+            return Err(PlanError::MethodTilingConflict {
+                method: self.method,
+                tiling: self.tiling.name(),
+                reason,
+            });
+        }
+        if let Some((w, h)) = tess_widths(&self.shape, self.tiling) {
+            if h == 0 {
+                return Err(PlanError::BadTiling("chunk height h must be ≥ 1".into()));
+            }
+            if let Some(axis) = w[..ndim].iter().position(|&wi| wi == 0) {
+                return Err(PlanError::BadTiling(format!(
+                    "tile width w[{axis}] must be ≥ 1"
+                )));
+            }
+            for (axis, d) in tess_dims(&self.shape, w, r)[..ndim].iter().enumerate() {
+                if h > d.max_height() {
+                    return Err(PlanError::BadTiling(format!(
+                        "chunk height {h} exceeds max {} for axis {axis} (n={}, w={}, r={r})",
+                        d.max_height(),
+                        d.n,
+                        d.w,
+                    )));
                 }
-                if w == 0 || h == 0 {
-                    return Err(PlanError::BadTiling("w and h must be ≥ 1".into()));
+            }
+        } else if let Tiling::Split { w, h, .. } = self.tiling {
+            // 1D split tiles the DLT column space; degenerate widths
+            // fall back to plain stepping at run time.
+            if w == 0 || h == 0 {
+                return Err(PlanError::BadTiling("w and h must be ≥ 1".into()));
+            }
+            let cols = self.shape.dims[0] / lanes;
+            if cols > 4 * r {
+                let d = DimTiling::new(cols, w.min(cols), r, false);
+                if h > d.max_height() {
+                    return Err(PlanError::BadTiling(format!(
+                        "chunk height {h} exceeds max {} in DLT column space \
+                         (cols={cols}, w={}, r={r})",
+                        d.max_height(),
+                        w.min(cols),
+                    )));
                 }
-                if ndim == 1 {
-                    // 1D split tiles the DLT column space; degenerate
-                    // widths fall back to plain stepping at run time.
-                    let cols = self.shape.dims[0] / lanes;
-                    if cols > 4 * r {
-                        let d = DimTiling::new(cols, w.min(cols), r, false);
-                        if h > d.max_height() {
-                            return Err(PlanError::BadTiling(format!(
-                                "chunk height {h} exceeds max {} in DLT column space \
-                                 (cols={cols}, w={}, r={r})",
-                                d.max_height(),
-                                w.min(cols),
-                            )));
-                        }
-                    }
-                } else {
-                    let n = self.shape.dims[ndim - 1]; // outermost dimension
-                    let d = DimTiling::new(n, w.min(n), r, true);
-                    if h > d.max_height() {
-                        return Err(PlanError::BadTiling(format!(
-                            "chunk height {h} exceeds max {} for the outer dimension \
-                             (n={n}, w={}, r={r})",
-                            d.max_height(),
-                            w.min(n),
-                        )));
-                    }
-                }
-                Ok((threads, Some(tess::make_pool(threads))))
             }
         }
+        Ok((threads, Some(tess::make_pool(threads))))
     }
 
     /// The ISA the plan actually compiles for. The transpose-layout
@@ -701,47 +703,28 @@ impl Plan {
     ///
     /// Under tessellate tiling the extent that matters is the **tile**
     /// x-footprint, not the grid: staged tiles step `vl²` sets of the
-    /// staged width `w + 2r`, so that width is what must hold two full
-    /// sets — one is enough for a transposed region, but a single-set
-    /// row is all edge work (see [`Self::tess_isa`]). Partial edge
-    /// sets ride the vector pipeline — see `kernels::tl` — so they no
-    /// longer push the choice narrower on their own.
+    /// staged width `w + 2r`, and that width must hold **two** full
+    /// sets. One set is the floor for having a transposed region at
+    /// all, but a row that holds only a single set is all edge — every
+    /// step pays the partial-set snapshot/restore and the prev/next
+    /// overhang assembly on its one set — so the class is kept only
+    /// when at least one *interior* set can exist. Partial edge sets
+    /// ride the vector pipeline either way — see `kernels::tl`.
     fn narrowed_isa<T: Elem>(&self, r: usize) -> Isa {
         if !matches!(self.method, Method::TransLayout | Method::TransLayout2) {
             return self.isa;
         }
         let nx = self.shape.dims[0];
-        if let Tiling::Tessellate { w, .. } = self.tiling {
+        let (extent, sets) = match self.tiling {
             // Typical staged triangle width: the tile base plus the
             // radius-extended reach on both sides.
-            let wt = w[0].max(1).min(nx) + 2 * r;
-            return Self::tess_isa::<T>(self.isa, wt);
-        }
+            Tiling::Tessellate { w, .. } => (w[0].max(1).min(nx) + 2 * r, 2),
+            _ => (nx, 1),
+        };
         let mut isa = self.isa;
         loop {
             let vl = isa.lanes_for::<T>();
-            if nx >= vl * vl {
-                return isa;
-            }
-            match isa.narrower().filter(|i| i.is_available()) {
-                Some(n) => isa = n,
-                None => return isa,
-            }
-        }
-    }
-
-    /// Register class for staged tess tiles of staged x-extent `w`:
-    /// step down the `narrower()` ladder until two full `vl²` sets fit
-    /// (`w ≥ 2·vl²`). One set is the floor for having a transposed
-    /// region at all, but a row that holds only a single set is all
-    /// edge — every step pays the partial-set snapshot/restore and the
-    /// prev/next overhang assembly on its one set — so the class is
-    /// kept only when at least one *interior* set can exist. Partial
-    /// edge sets ride the vector pipeline either way.
-    fn tess_isa<T: Elem>(top: Isa, w: usize) -> Isa {
-        let mut isa = top;
-        loop {
-            if w >= 2 * isa.lanes_for::<T>().pow(2) {
+            if extent >= sets * vl * vl {
                 return isa;
             }
             match isa.narrower().filter(|i| i.is_available()) {
@@ -804,7 +787,6 @@ impl Plan {
             core,
             kernel,
             scratch: None,
-            stage: None,
             ring: None,
             arena,
         })
@@ -877,6 +859,27 @@ fn tess_dims(shape: &Shape, w: [usize; 3], r: usize) -> [DimTiling; 3] {
     })
 }
 
+/// The tessellation `tiling` runs as over `shape`, as per-axis triangle
+/// bases and the chunk height: [`Tiling::Tessellate`] by its own widths,
+/// and 2D/3D [`Tiling::Split`] by widths `[nx, ny, w]` — every axis but
+/// the outermost is one tile spanning the whole axis, the outermost gets
+/// base `w`. A spanning axis is a triangle that never shrinks and has no
+/// inverted tile, so the tiles are split tiling's outer-axis triangles
+/// and inverted trapezoids, in the same order, and every kernel call
+/// covers whole DLT rows. `None` for untiled plans and for 1D split,
+/// which tiles the DLT column space instead.
+fn tess_widths(shape: &Shape, tiling: Tiling) -> Option<([usize; 3], usize)> {
+    match tiling {
+        Tiling::Tessellate { w, h, .. } => Some((w, h)),
+        Tiling::Split { w, h, .. } if shape.ndim > 1 => {
+            let mut widths = shape.dims;
+            widths[shape.ndim - 1] = w;
+            Some((widths, h))
+        }
+        _ => None,
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Compiled plans
 // ---------------------------------------------------------------------------
@@ -939,8 +942,13 @@ impl PlanCore {
         self.shape
     }
 
-    /// Cumulative wall-time phase totals recorded by the tiled drivers
-    /// (all zero for untiled plans); see [`PhaseTotals`].
+    /// Cumulative wall-time phase totals recorded by the tessellation
+    /// driver; see [`PhaseTotals`]. Staged tiles (tessellate +
+    /// `TransLayout`/`TransLayout2`) record stage-in, compute and
+    /// stage-out; edge groups under a refreshed boundary record halo and
+    /// compute, which includes every 2D/3D [`Tiling::Split`] plan there.
+    /// Untiled plans, 1D split plans and unstaged interior tiles record
+    /// nothing.
     pub fn phase_totals(&self) -> PhaseTotals {
         self.phases.totals()
     }
@@ -960,14 +968,13 @@ impl PlanCore {
 /// box — the boxed kernel knows which).
 ///
 /// Owns the kernel and every buffer the method needs (ping-pong scratch,
-/// DLT staging, k = 2 ring, staging arena, worker pool);
+/// k = 2 ring, staging arena, worker pool);
 /// [`CompiledPlan::run`] and [`CompiledPlan::session`] reuse them across
 /// calls.
 pub struct CompiledPlan<T: Elem = f64> {
     core: PlanCore,
     kernel: Box<dyn Kernel<T>>,
     scratch: Option<AlignedBuf<T>>,
-    stage: Option<(AlignedBuf<T>, AlignedBuf<T>)>,
     ring: Option<AlignedBuf<T>>,
     arena: Option<stage::TileArena<T>>,
 }
@@ -1034,7 +1041,14 @@ impl<T: Elem> CompiledPlan<T> {
                     }
                 }
             }
-            Layout::Dlt => halo::ensure_stage(&mut self.stage, buf, &geo, cfg.isa),
+            Layout::Dlt => {
+                // Transform into the scratch (which carries `buf`'s
+                // halos), then copy back: both partners start identical.
+                halo::ensure_scratch(&mut self.scratch, buf);
+                let scratch = self.scratch.as_mut().expect("scratch");
+                layout::dlt_buf(buf, scratch, &geo, cfg.isa, false);
+                buf.copy_from(scratch);
+            }
         }
         Session {
             plan: self,
@@ -1063,13 +1077,10 @@ impl<T: Elem> Session<'_, T> {
         }
         let plan = &mut *self.plan;
         let geo = self.geo;
-        // The ping-pong pair the method steps: the DLT staging buffers,
-        // or the caller's grid and the plan's scratch — all `geo.len()`
-        // long, so the interior origin lies inside each.
-        let (a, b) = match plan.stage.as_mut() {
-            Some((a, b)) => (a, b),
-            None => (&mut *self.buf, plan.scratch.as_mut().expect("scratch")),
-        };
+        // The ping-pong pair the method steps: the caller's grid and the
+        // plan's scratch — both `geo.len()` long, so the interior origin
+        // lies inside each.
+        let (a, b) = (&mut *self.buf, plan.scratch.as_mut().expect("scratch"));
         let o = geo.origin::<T>();
         // SAFETY: see above.
         let (pa, pb) = unsafe { (a.as_mut_ptr().add(o), b.as_mut_ptr().add(o)) };
@@ -1090,8 +1101,9 @@ impl<T: Elem> Drop for Session<'_, T> {
             Layout::Natural => {}
             Layout::Transpose => layout::tl_buf(self.buf, &self.geo, isa),
             Layout::Dlt => {
-                let (a, _) = self.plan.stage.as_ref().expect("stage");
-                layout::dlt_buf(a, self.buf, &self.geo, isa, true);
+                let scratch = self.plan.scratch.as_mut().expect("scratch");
+                layout::dlt_buf(self.buf, scratch, &self.geo, isa, true);
+                std::mem::swap(self.buf, scratch);
             }
         }
     }
@@ -1144,35 +1156,30 @@ fn run_steps<T: Elem>(
         bufs,
         geo,
     };
-    // A 1D DLT row is tiled and banded in its column space; one too
-    // narrow for that steps sequentially — the only sensible schedule at
-    // that width.
+    if let Some((w, h)) = tess_widths(&core.shape, tiling) {
+        let dims = tess_dims(&core.shape, w, r);
+        tess::drive(&st, &dims, t, h, core.pool(), boundary, arena, &core.phases);
+        return t;
+    }
+    // A 1D DLT row is tiled in its column space, and an untiled parallel
+    // one runs there as a column split of height 1, one column band per
+    // thread. A row too narrow for column tiles steps sequentially — the
+    // only sensible schedule at that width.
+    let dlt_row = geo.ndim == 1 && method == Method::Dlt;
     let cols = DltGeo::new(geo.n[0], isa.lanes_for::<T>());
-    let in_cols = geo.ndim == 1 && method == Method::Dlt;
-    let narrow = in_cols && cols.cols <= 4 * r;
+    let narrow = dlt_row && cols.cols <= 4 * r;
     match tiling {
-        Tiling::Tessellate { w, h, .. } => {
-            let dims = tess_dims(&core.shape, w, r);
-            tess::drive(&st, &dims, t, h, core.pool(), boundary, arena, &core.phases);
+        Tiling::Split { w, h, .. } if !narrow => {
+            split::drive_cols(&st, &cols, w, t, h, core.pool(), boundary);
             t
         }
-        Tiling::Split { w, h, .. } if in_cols && !narrow => {
-            let d = DimTiling::new(cols.cols, w.min(cols.cols), r, false);
-            split::drive_cols(&st, &cols, &d, t, h, core.pool(), boundary);
+        Tiling::None if threads > 1 && dlt_row && !narrow => {
+            let w = cols.cols.div_ceil(threads);
+            split::drive_cols(&st, &cols, w, t, 1, core.pool(), boundary);
             t
         }
-        Tiling::Split { w, h, .. } if !in_cols => {
-            let n = geo.n[geo.ndim - 1];
-            let d = DimTiling::new(n, w.min(n), r, true);
-            split::drive_outer(&st, &d, t, h, core.pool(), boundary);
-            t
-        }
-        Tiling::None if threads > 1 && !in_cols => {
+        Tiling::None if threads > 1 && !dlt_row => {
             par::drive(&st, t, core.pool(), threads, boundary);
-            t
-        }
-        Tiling::None if threads > 1 && !narrow => {
-            par::drive_cols(&st, &cols, t, core.pool(), threads, boundary);
             t
         }
         _ => {

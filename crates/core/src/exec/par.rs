@@ -1,4 +1,4 @@
-//! The parallel untiled drivers: spatial domain decomposition over the
+//! The parallel untiled driver: spatial domain decomposition over the
 //! persistent worker pool.
 //!
 //! A plan with [`super::Parallelism`] resolved to `k > 1` threads and no
@@ -18,13 +18,11 @@
 //! domain into bands (any bands) cannot change the result, and a fixed
 //! band layout per plan makes parallel runs deterministic run-to-run.
 //!
-//! A 1D DLT row is the exception, and gets its own driver
-//! ([`drive_cols`]): its seam-free vector core is indexed by DLT
-//! *column*, a different index space rather than a different rank, so it
-//! bands columns `[R, cols−R)` and adds one scalar work item for the
-//! seam columns and the natural tail strip. 2D/3D DLT plans band the
-//! outermost axis like every other method, with full DLT rows inside —
-//! the same hybrid the split-tiling driver uses.
+//! A 1D DLT row is the exception and never reaches this driver: its
+//! vector core is indexed by DLT *column*, a different index space rather
+//! than a different rank, so the plan runs it as the column split of
+//! chunk height 1 (`split::drive_cols`). 2D/3D DLT plans band the
+//! outermost axis like every other method, with full DLT rows inside.
 //!
 //! Non-Dirichlet [`Boundary`] conditions are **fused into the band work
 //! items**: each band refreshes exactly the halo cells its own compute
@@ -33,18 +31,16 @@
 //! no extra barrier. Bands overlap by the stencil radius, so adjacent
 //! bands may write the same halo cell; every writer derives the value
 //! from the step's shared *source* interior (immutable within the step),
-//! so all writes store bit-identical doubles and the overlap is a benign
-//! race on identical values. The column driver folds the refresh into
-//! its scalar `Edges` item instead — the seam-free `Cols` items never
-//! read halo cells.
+//! so all writes store bit-identical values and the overlap is a benign
+//! race on identical values. These bands are the only workers anywhere
+//! in the engine that write a shared halo cell: the tiled drivers give
+//! every halo refresh to one edge-group node per chunk.
 
 use rayon::prelude::*;
 use stencil_simd::Elem;
 
 use super::halo::{self, Boundary, RowMap};
-use super::split::dlt_cols_scalar;
 use super::tess::Stepper;
-use crate::layout::DltGeo;
 
 /// Split `[0, n)` into `k.min(n)` contiguous bands whose sizes differ by
 /// at most one. Deterministic in `(n, k)`, which (with a fixed thread
@@ -87,57 +83,6 @@ pub(crate) fn drive<T: Elem>(
                 let mut bx = geo.interior();
                 bx[axis] = band;
                 st.step(bx, time);
-            });
-        }
-    });
-}
-
-/// One work item of the decomposed 1D DLT step.
-#[derive(Copy, Clone)]
-enum DltItem {
-    /// Seam-free vector columns `[j0, j1)`.
-    Cols(usize, usize),
-    /// The scalar remainder: seam columns of every lane + the tail strip.
-    Edges,
-}
-
-/// Step `t` levels of a 1D stencil over pre-transformed DLT staging
-/// buffers, banded in DLT column space. Caller guarantees
-/// `geo.cols > 2·R` (the plan falls back to sequential stepping below
-/// that). The step-`t` result lands in `bufs[t % 2]`.
-pub(crate) fn drive_cols<T: Elem>(
-    st: &Stepper<'_, T>,
-    geo: &DltGeo,
-    t: usize,
-    pool: &rayon::ThreadPool,
-    nthreads: usize,
-    b: Boundary,
-) {
-    let Stepper { k, isa, bufs, .. } = *st;
-    let r = k.radius();
-    let map = RowMap::Dlt(*geo);
-    let mut items: Vec<DltItem> = bands(geo.cols - 2 * r, nthreads)
-        .into_iter()
-        .map(|(lo, hi)| DltItem::Cols(r + lo, r + hi))
-        .collect();
-    items.push(DltItem::Edges);
-    pool.install(|| {
-        for time in 0..t {
-            items.clone().into_par_iter().for_each(|item| unsafe {
-                let src = bufs[time % 2].0.cast_const();
-                let dst = bufs[(time + 1) % 2].0;
-                match item {
-                    DltItem::Cols(j0, j1) => k.dlt_cols(isa, src, dst, j0, j1),
-                    DltItem::Edges => {
-                        // The interior Cols items are seam-free and never
-                        // read halo cells, so the wrap/mirror refresh is
-                        // fused into the one item that does.
-                        halo::refresh_row(bufs[time % 2].0, geo.n, r, b, &map);
-                        dlt_cols_scalar(k, src, dst, geo, 0, r);
-                        dlt_cols_scalar(k, src, dst, geo, geo.cols - r, geo.cols);
-                        k.dlt_scalar(src, dst, geo.region, geo.n, geo);
-                    }
-                }
             });
         }
     });

@@ -31,7 +31,16 @@
 //! fused step-pair kernel cannot interleave the per-step refresh);
 //! interior tiles keep the fused pairs. That fused pair (`pair1`) is the
 //! one rank-specific path here: it pipelines vector *sets* of a single
-//! row, an index space a 2D/3D tile step does not have.
+//! row, an index space a 2D/3D tile step does not have. A tile that
+//! spans a whole axis always reaches past the domain along it, so under
+//! a refreshed boundary such a tiling is one edge group per chunk.
+//!
+//! Split tiling of a plane or volume (SDSL's hybrid scheme: split tiling
+//! of the outermost axis, full DLT rows inside) runs here too, with no
+//! staging arena: it is the tessellation whose every axis but the
+//! outermost is one spanning, never-shrinking triangle, so the product
+//! tiles are exactly the outer-axis triangles and inverted trapezoids,
+//! and each step box covers whole rows, as [`Method::Dlt`] requires.
 //!
 //! Intra-tile vectorization is pluggable ([`Method`]): the paper's
 //! *Tessellation* baseline uses `MultiLoad` ("auto-vectorization"), *Our*

@@ -1,8 +1,9 @@
 //! Wavefront tile scheduler: dependency-counted execution of temporally
 //! tiled work without per-stage barriers.
 //!
-//! The tessellate/split drivers ([`super::tess`], [`super::split`]) cut
-//! space-time into tiles whose legal orders form a DAG: a tile touching
+//! The tiled drivers — tessellation ([`super::tess`], which also runs
+//! 2D/3D split tiling) and the 1D DLT column split ([`super::split`]) —
+//! cut space-time into tiles whose legal orders form a DAG: a tile touching
 //! cells at time `t+1` may run only after the tiles that produced its
 //! inputs at time `t`. The original drivers over-approximated that DAG
 //! with global stage barriers (all triangles, *barrier*, all inverted
@@ -54,10 +55,12 @@
 //!
 //! Every schedule the graph admits produces bit-identical grids: nodes
 //! with no path between them have disjoint writes (exact tessellation
-//! coverage), and any halo cells two nodes both refresh are written with
-//! identical bits derived from the same immutable source interior (the
-//! PR-6 benign-race contract, see [`super::halo`]). The worker loop's
-//! pop order is therefore a performance detail, not a correctness one.
+//! coverage), and no two nodes write the same halo cell — under a
+//! refreshed boundary one edge-group node per chunk does every halo
+//! refresh, and consecutive groups overlap, so they are ordered (the
+//! band-parallel untiled driver is the one concurrent halo writer, see
+//! [`super::halo`]). The worker loop's pop order is therefore a
+//! performance detail, not a correctness one.
 //!
 //! # Memory ordering
 //!

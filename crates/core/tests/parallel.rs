@@ -39,8 +39,13 @@ fn grid3(nx: usize, ny: usize, nz: usize, seed: u64) -> Grid3 {
 #[test]
 fn parallel_1d_every_method_matches_scalar_oracle() {
     let isa = Isa::detect_best();
-    // 257 and 601 are prime-ish and never divisible by 2 or 7 bands.
-    for n in [257usize, 601] {
+    let vl = isa.lanes();
+    // 257 and 601 are prime-ish and never divisible by 2 or 7 bands. The
+    // rest sit at the edge of the parallel DLT column split (cols = n/vl
+    // columns of width cols.div_ceil(threads), split only when cols > 4r):
+    // 4·vl is the 1d3p sequential fallback, 5·vl + 3 the smallest 1d3p
+    // split (width 1 at 7 threads), 9·vl + 1 the smallest 1d5p split.
+    for n in [257usize, 601, 4 * vl, 5 * vl + 3, 9 * vl + 1] {
         for t in [1usize, 2, 5] {
             let init = grid1(n, 13 + n as u64);
 
