@@ -30,34 +30,31 @@
 //!
 //! # When the refresh runs, and who runs it
 //!
-//! The refresh is O(surface) against the kernels' O(volume): before any
-//! kernel reads a halo cell, that cell is rewritten from the interior of
-//! the step's **source** buffer at the matching time level. Who does the
-//! rewriting depends on the driver:
+//! The refresh is O(surface) against the kernels' O(volume). Every halo
+//! cell is a bit-copy of one interior *fold-source* cell, and one rule
+//! decides who writes it: **a halo cell is written by the owner of its
+//! source**, after the source holds the level the next step reads.
 //!
-//! * **Untiled sequential** plans refresh the whole surface between
-//!   steps (`refresh`).
-//! * **Untiled parallel** plans fuse a band-granular refresh into the
-//!   sweep (`refresh_band`): each band of the outermost axis refreshes
-//!   exactly the halo cells/rows/planes its own cells read, while hot.
-//!   Adjacent bands may both write a shared halo cell, but always with
-//!   **bit-identical values** folded from the immutable source interior
-//!   — the benign-race contract that makes the refresh barrier-free
-//!   (see `exec::par`). The `par::drive` bands are the one place in the
-//!   engine where two workers write the same halo cell.
+//! * **Untiled sequential** plans own everything: they refresh the whole
+//!   surface of the step's source buffer before each step (`refresh`).
+//! * **Untiled parallel** plans own one band of the outermost axis per
+//!   work item: a band steps its slabs, then refreshes, in the step's
+//!   *destination* buffer, the halo cells whose sources it just computed
+//!   (`refresh_own`). No band reads that buffer until the next step, and
+//!   the pool's end-of-step barrier orders the writes before those reads
+//!   (see `exec::par`).
 //! * **Temporally tiled** plans (`Tiling::Tessellate` / `Split`, and the
 //!   untiled parallel 1D DLT row, which runs as a height-one column
 //!   split) advance different cells to different time levels inside one
 //!   chunk, so there is no global "the" source buffer to refresh.
 //!   Instead the wavefront scheduler (see `exec::wave`) gives each time
 //!   chunk one **edge group**: a single node owning every tile whose
-//!   radius-extended footprint leaves the interior. The group steps its
-//!   members level by level, refreshing the halos of the level about to
-//!   be read before each sub-step, while interior tiles never read or
-//!   write a halo cell at all (their footprints stay inside the domain).
-//!   One node per chunk writes every halo cell, so no halo write races.
-//!   That is what lets every boundary compose with temporal tiling and
-//!   threads at 0 ULP.
+//!   radius-extended footprint leaves the interior, and so every fold
+//!   source. The group steps its members level by level, refreshing the
+//!   halos of the level about to be read before each sub-step, while
+//!   interior tiles never read or write a halo cell at all (their
+//!   footprints stay inside the domain). That is what lets every
+//!   boundary compose with temporal tiling and threads at 0 ULP.
 //!
 //! # Layout awareness
 //!
@@ -71,7 +68,7 @@
 //!
 //! # Rank
 //!
-//! Both refreshes are written once over a [`Geo`]: a halo shell is the x
+//! The refresh is written once over a [`Geo`]: a halo shell is the x
 //! folds of every row, then — per further real axis, innermost first —
 //! the shell of every slab followed by whole-slab copies. An absent axis
 //! has nothing to fold, so the recursion simply starts lower. A plan's
@@ -239,42 +236,14 @@ impl RowMap {
 // Refresh engine
 // ---------------------------------------------------------------------------
 
-/// Fold the left and/or right x halos (raw positions `-r..0` and
-/// `n..n+r` relative to the interior) of one row from its interior.
+/// Refresh both x halos of one row from its interior (no-op under
+/// Dirichlet): the 1D whole-row call of [`refresh_own`].
 ///
 /// # Safety
 /// `row` points at the row's interior origin; positions `[-r, n + r)`
 /// must be addressable (`r ≤ T::PAD`, guaranteed by `MAX_R`); the
 /// map's geometry must match `n`. Caller guarantees `n ≥ r` for the
 /// non-Dirichlet modes (validated at plan build).
-#[inline]
-unsafe fn fold_row<T: Elem>(
-    row: *mut T,
-    n: usize,
-    r: usize,
-    b: Boundary,
-    map: &RowMap,
-    (left, right): (bool, bool),
-) {
-    debug_assert!(r <= T::PAD);
-    if b.is_dirichlet() {
-        return;
-    }
-    for k in 1..=r {
-        if left {
-            *row.offset(-(k as isize)) = map.read(row, fold_src(n, k, true, b));
-        }
-        if right {
-            *row.add(n - 1 + k) = map.read(row, fold_src(n, k, false, b));
-        }
-    }
-}
-
-/// Refresh both x halos of one row from its interior (no-op under
-/// Dirichlet).
-///
-/// # Safety
-/// As [`fold_row`].
 pub(crate) unsafe fn refresh_row<T: Elem>(
     row: *mut T,
     n: usize,
@@ -282,7 +251,14 @@ pub(crate) unsafe fn refresh_row<T: Elem>(
     b: Boundary,
     map: &RowMap,
 ) {
-    fold_row(row, n, r, b, map, (true, true));
+    let geo = Geo {
+        ndim: 1,
+        n: [n, 1, 1],
+        rs: 0,
+        ps: 0,
+        halo: 0,
+    };
+    refresh(row, &geo, r, b, map);
 }
 
 /// The source row index (in `[0, n)`) that halo row/plane `-k` (for
@@ -299,31 +275,49 @@ pub(crate) fn fold_src(n: usize, k: usize, lo: bool, b: Boundary) -> usize {
     }
 }
 
-/// The two halo slabs at distance `k` outside an axis of extent `n`:
-/// `(slab index, is the low side)`.
-#[inline]
-fn halo_slabs(n: usize, k: usize) -> [(isize, bool); 2] {
-    [(-(k as isize), true), ((n - 1 + k) as isize, false)]
+/// Refresh the whole halo shell of a buffer from its interior (no-op
+/// under Dirichlet): [`refresh_own`] over every slab of the outermost
+/// real axis.
+///
+/// # Safety
+/// As [`refresh_own`].
+pub(crate) unsafe fn refresh<T: Elem>(ptr: *mut T, geo: &Geo, r: usize, b: Boundary, map: &RowMap) {
+    refresh_own(ptr, geo, r, b, map, (0, geo.n[geo.ndim - 1]));
 }
 
-/// Refresh the halo shell of a buffer from its interior (no-op under
-/// Dirichlet): the x halos of every row, then per further real axis the
-/// `r` whole halo slabs on each side, copied raw from their fold-source
-/// slab — which carries the freshly folded lower-axis halos into the
-/// edges and corners, so corners compose per axis.
+/// Refresh the halo cells whose fold sources lie in the slabs
+/// `own = (lo, hi)` of the outermost real axis (no-op under Dirichlet):
+/// the shells of those slabs — the x halos of every row, then per
+/// further real axis, innermost first, the halo slabs of each slab —
+/// and then each outer halo slab whose fold source is owned, copied
+/// whole with its freshly refreshed shell, so corners compose per axis.
+/// In 1D the slabs are cells and an owned halo slab is one x fold.
+///
+/// Every halo cell is a bit-copy of exactly one interior cell, so the
+/// calls over a partition of `[0, n)` write disjoint cells whose union
+/// is what [`refresh`] writes.
 ///
 /// # Safety
 /// `ptr` points at the interior origin of a buffer laid out as `geo`
 /// says, with at least `r` halo rows/planes per side on every real y/z
 /// axis and `T::PAD` row padding; the map's geometry must match
-/// `geo.n[0]`; every real extent is `≥ r` for non-Dirichlet modes.
-pub(crate) unsafe fn refresh<T: Elem>(ptr: *mut T, geo: &Geo, r: usize, b: Boundary, map: &RowMap) {
+/// `geo.n[0]`; every real extent is `≥ r` for non-Dirichlet modes;
+/// `lo ≤ hi ≤ n`.
+pub(crate) unsafe fn refresh_own<T: Elem>(
+    ptr: *mut T,
+    geo: &Geo,
+    r: usize,
+    b: Boundary,
+    map: &RowMap,
+    own: (usize, usize),
+) {
     if !b.is_dirichlet() {
-        refresh_axes(ptr, geo, geo.ndim, r, b, map);
+        refresh_axes(ptr, geo, geo.ndim, r, b, map, own);
     }
 }
 
-/// [`refresh`] restricted to the leading `axes` axes of the slab at `ptr`.
+/// [`refresh_own`] restricted to the leading `axes` axes of the slab at
+/// `ptr`, owning the slabs `[lo, hi)` of axis `axes - 1`.
 unsafe fn refresh_axes<T: Elem>(
     ptr: *mut T,
     geo: &Geo,
@@ -331,101 +325,34 @@ unsafe fn refresh_axes<T: Elem>(
     r: usize,
     b: Boundary,
     map: &RowMap,
+    (lo, hi): (usize, usize),
 ) {
-    if axes == 1 {
-        return refresh_row(ptr, geo.n[0], r, b, map);
-    }
     let a = axes - 1;
-    let (n, stride) = (geo.n[a], geo.stride(a) as isize);
-    for i in 0..n {
-        refresh_axes(ptr.add(i * stride as usize), geo, a, r, b, map);
+    let (n, stride) = (geo.n[a], geo.stride(a));
+    if a > 0 {
+        for i in lo..hi {
+            refresh_axes(ptr.add(i * stride), geo, a, r, b, map, (0, geo.n[a - 1]));
+        }
     }
-    // One contiguous raw copy per halo slab: a row from its leading pad,
-    // or a plane's rows `[-r, ny + r)`.
+    // One copy per owned halo slab: a cell read through the row map, a
+    // raw row from its leading pad, or a plane's raw rows `[-r, ny + r)`.
     let (lead, len) = match a {
+        0 => (0, 1),
         1 => (T::PAD, geo.rs),
         _ => (r * geo.rs + T::PAD, (geo.n[1] + 2 * r) * geo.rs),
     };
     for k in 1..=r {
-        for (dst, lo) in halo_slabs(n, k) {
-            let src = fold_src(n, k, lo, b) as isize;
-            std::ptr::copy_nonoverlapping(
-                ptr.offset(src * stride - lead as isize),
-                ptr.offset(dst * stride - lead as isize),
-                len,
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-band refresh — the fused fast path for the band-parallel driver
-// ---------------------------------------------------------------------------
-//
-// The whole-grid `refresh` above is what a sequential plan and every
-// edge group run between steps. The band-parallel driver (`par::drive`,
-// the only caller of `refresh_band`) instead folds the refresh into each
-// band's work item: a band refreshes exactly the halo cells its own
-// compute reads, immediately before computing, while those cache lines
-// are hot — no serial pre-pass and no extra barrier.
-//
-// Bands overlap by the stencil radius, so adjacent bands may write the
-// same halo cell; these are the only concurrent halo writes in the
-// engine. Every such write computes the value from the *source* buffer's
-// interior, which is immutable for the whole step, so all writers store
-// bit-identical values; the overlap is a benign race on identical values
-// (aligned element-sized stores). A halo slab is built
-// by copying the raw fold-source slab first (whose own lower-axis halos
-// may be mid-refresh by its owning band) and then recomputing the copy's
-// shell locally from the copied interior, so every cell a kernel can
-// read is deterministic.
-
-/// Per-band [`refresh`]: refresh only what the band `[lo, hi)` of the
-/// outermost real axis reads. In 1D that is the left x halo when
-/// `lo < r` and the right when `hi + r > n`; otherwise the shells of the
-/// slabs `[lo - r, hi + r) ∩ [0, n)` plus the whole halo slabs the band
-/// touches (below when `lo < r`, above when `hi + r > n`).
-///
-/// # Safety
-/// Same contract as [`refresh`]; `lo ≤ hi ≤ n`.
-pub(crate) unsafe fn refresh_band<T: Elem>(
-    ptr: *mut T,
-    geo: &Geo,
-    r: usize,
-    b: Boundary,
-    map: &RowMap,
-    (lo, hi): (usize, usize),
-) {
-    if b.is_dirichlet() {
-        return;
-    }
-    let a = geo.ndim - 1;
-    let (n, stride) = (geo.n[a], geo.stride(a) as isize);
-    let touches = (lo < r, hi + r > n);
-    if a == 0 {
-        return fold_row(ptr, n, r, b, map, touches);
-    }
-    for i in lo.saturating_sub(r)..(hi + r).min(n) {
-        refresh_axes(ptr.add(i * stride as usize), geo, a, r, b, map);
-    }
-    // The fold source's interior from its leading pad: one raw row, or a
-    // plane's rows `[0, ny)`.
-    let len = match a {
-        1 => geo.rs,
-        _ => geo.n[1] * geo.rs + T::PAD,
-    };
-    for k in 1..=r {
-        for (dst, low) in halo_slabs(n, k) {
-            if !(if low { touches.0 } else { touches.1 }) {
+        for (dst, low) in [(-(k as isize), true), ((n - 1 + k) as isize, false)] {
+            let src = fold_src(n, k, low, b);
+            if !(lo..hi).contains(&src) {
                 continue;
             }
-            let src = fold_src(n, k, low, b) as isize;
-            std::ptr::copy_nonoverlapping(
-                ptr.offset(src * stride - T::PAD as isize),
-                ptr.offset(dst * stride - T::PAD as isize),
-                len,
-            );
-            refresh_axes(ptr.offset(dst * stride), geo, a, r, b, map);
+            let at = |slab: isize| ptr.offset(slab * stride as isize - lead as isize);
+            if a == 0 {
+                *at(dst) = map.read(ptr, src);
+            } else {
+                std::ptr::copy_nonoverlapping(at(src as isize), at(dst), len);
+            }
         }
     }
 }
@@ -457,8 +384,10 @@ pub(crate) fn ring_layout<T: Elem>(geo: &Geo, r: usize) -> (usize, usize) {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
-    use crate::grid::{Grid1, Grid2, Grid3, HALO_PAD};
+    use crate::grid::{Grid, Grid1, Grid2, Grid3, HALO_PAD};
     use crate::layout::{dlt_grid, tl_grid, tl_read};
 
     #[test]
@@ -484,20 +413,32 @@ mod tests {
         }
     }
 
+    /// `g` after [`refresh_own`] of the outermost slabs `own`, or after
+    /// the whole-grid [`refresh`] when `own` is `None`.
+    fn refreshed<const D: usize>(
+        mut g: Grid<f64, D>,
+        r: usize,
+        b: Boundary,
+        map: &RowMap,
+        own: Option<(usize, usize)>,
+    ) -> Grid<f64, D> {
+        let (geo, ptr) = (g.geo(), g.ptr_mut());
+        // SAFETY: `g` carries `r` halo rows/planes (or the row pad) and
+        // its extents are ≥ r.
+        unsafe {
+            match own {
+                None => refresh(ptr, &geo, r, b, map),
+                Some(own) => refresh_own(ptr, &geo, r, b, map, own),
+            }
+        }
+        g
+    }
+
     #[test]
     fn refresh1_natural_folds_both_modes() {
-        let n = 11;
-        let r = 3;
-        let mut g = Grid1::from_fn(n, -9.0, |i| (i + 1) as f64);
-        unsafe {
-            refresh(
-                g.ptr_mut(),
-                &g.geo(),
-                r,
-                Boundary::Periodic,
-                &RowMap::Natural,
-            )
-        };
+        let (n, r, nat) = (11, 3, &RowMap::Natural);
+        let g = Grid1::from_fn(n, -9.0, |i| (i + 1) as f64);
+        let g = refreshed(g, r, Boundary::Periodic, nat, None);
         for k in 1..=r as isize {
             assert_eq!(g.get(-k), g.get(n as isize - k), "periodic left k={k}");
             assert_eq!(
@@ -506,15 +447,7 @@ mod tests {
                 "periodic right k={k}"
             );
         }
-        unsafe {
-            refresh(
-                g.ptr_mut(),
-                &g.geo(),
-                r,
-                Boundary::Reflect,
-                &RowMap::Natural,
-            )
-        };
+        let g = refreshed(g, r, Boundary::Reflect, nat, None);
         for k in 1..=r as isize {
             assert_eq!(g.get(-k), g.get(k - 1), "reflect left k={k}");
             assert_eq!(
@@ -524,18 +457,10 @@ mod tests {
             );
         }
         // Dirichlet never writes.
-        let before = g.clone();
-        let geo = g.geo();
-        unsafe {
-            refresh(
-                g.ptr_mut(),
-                &geo,
-                r,
-                Boundary::Dirichlet(5.0),
-                &RowMap::Natural,
-            )
-        };
-        assert_eq!(g, before);
+        assert_eq!(
+            refreshed(g.clone(), r, Boundary::Dirichlet(5.0), nat, None),
+            g
+        );
     }
 
     #[test]
@@ -546,7 +471,7 @@ mod tests {
             let mut g = Grid1::from_fn(n, 0.0, |i| (10 + i) as f64);
             tl_grid(&mut g, isa);
             let map = RowMap::for_method::<f64>(Method::TransLayout, isa, n);
-            unsafe { refresh(g.ptr_mut(), &g.geo(), 2, Boundary::Periodic, &map) };
+            let g = refreshed(g, 2, Boundary::Periodic, &map, None);
             // Halo cells live at raw offsets and must hold the wrapped
             // *logical* interior values.
             assert_eq!(g.get(-1), (10 + n - 1) as f64, "{isa}");
@@ -566,7 +491,7 @@ mod tests {
             let mut d = src.clone();
             dlt_grid(&src, &mut d, isa, false);
             let map = RowMap::for_method::<f64>(Method::Dlt, isa, n);
-            unsafe { refresh(d.ptr_mut(), &d.geo(), 1, Boundary::Reflect, &map) };
+            let d = refreshed(d, 1, Boundary::Reflect, &map, None);
             assert_eq!(d.get(-1), 10.0, "{isa}");
             assert_eq!(d.get(n as isize), (10 + n - 1) as f64, "{isa}");
         }
@@ -575,16 +500,8 @@ mod tests {
     #[test]
     fn refresh2_corners_compose_per_axis() {
         let (nx, ny, r) = (7, 5, 2);
-        let mut g = Grid2::from_fn(nx, ny, r, 0.0, |y, x| (100 * y + x) as f64);
-        unsafe {
-            refresh(
-                g.ptr_mut(),
-                &g.geo(),
-                r,
-                Boundary::Periodic,
-                &RowMap::Natural,
-            )
-        };
+        let g = Grid2::from_fn(nx, ny, r, 0.0, |y, x| (100 * y + x) as f64);
+        let g = refreshed(g, r, Boundary::Periodic, &RowMap::Natural, None);
         // Edge halos wrap...
         assert_eq!(g.get(0, -1), (nx - 1) as f64);
         assert_eq!(g.get(-1, 0), (100 * (ny - 1)) as f64);
@@ -593,16 +510,8 @@ mod tests {
         assert_eq!(g.get(-2, -2), (100 * (ny - 2) + nx - 2) as f64);
         assert_eq!(g.get(ny as isize, nx as isize), 0.0);
 
-        let mut g = Grid2::from_fn(nx, ny, r, 0.0, |y, x| (100 * y + x) as f64);
-        unsafe {
-            refresh(
-                g.ptr_mut(),
-                &g.geo(),
-                r,
-                Boundary::Reflect,
-                &RowMap::Natural,
-            )
-        };
+        let g = Grid2::from_fn(nx, ny, r, 0.0, |y, x| (100 * y + x) as f64);
+        let g = refreshed(g, r, Boundary::Reflect, &RowMap::Natural, None);
         assert_eq!(g.get(-1, -1), 0.0);
         assert_eq!(g.get(-2, 3), 103.0);
         assert_eq!(
@@ -615,22 +524,67 @@ mod tests {
     fn refresh3_fills_planes_edges_and_corners() {
         let (nx, ny, nz, r) = (5, 4, 3, 1);
         let val = |z: usize, y: usize, x: usize| (10_000 * z + 100 * y + x) as f64;
-        let mut g = Grid3::from_fn(nx, ny, nz, r, -1.0, val);
-        unsafe {
-            refresh(
-                g.ptr_mut(),
-                &g.geo(),
-                r,
-                Boundary::Periodic,
-                &RowMap::Natural,
-            )
-        };
+        let g = Grid3::from_fn(nx, ny, nz, r, -1.0, val);
+        let g = refreshed(g, r, Boundary::Periodic, &RowMap::Natural, None);
         // Face, edge, corner: all per-axis folds.
         assert_eq!(g.get(-1, 2, 3), val(nz - 1, 2, 3));
         assert_eq!(g.get(-1, -1, 3), val(nz - 1, ny - 1, 3));
         assert_eq!(g.get(-1, -1, -1), val(nz - 1, ny - 1, nx - 1));
         assert_eq!(g.get(nz as isize, 0, 0), val(0, 0, 0));
         assert_eq!(g.get(nz as isize, ny as isize, nx as isize), val(0, 0, 0));
+    }
+
+    /// The cells (buffer indices, halos included) whose bits differ.
+    fn changed<const D: usize>(a: &Grid<f64, D>, b: &Grid<f64, D>) -> BTreeSet<usize> {
+        let bits = |g: &Grid<f64, D>| g.buf().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (a, b) = (bits(a), bits(b));
+        (0..a.len()).filter(|&i| a[i] != b[i]).collect()
+    }
+
+    /// Each band's `refresh_own` of `base` (a sentinel halo) writes its
+    /// own cells: pairwise disjoint, their union is what `refresh`
+    /// writes, and applied in sequence they are bit-equal to it.
+    fn check_ownership<const D: usize>(base: Grid<f64, D>, r: usize) {
+        let geo = base.geo();
+        let n = geo.n[geo.ndim - 1];
+        let maps = [RowMap::Natural, RowMap::Transpose(SetGeo::new(geo.n[0], 4))];
+        for b in [Boundary::Periodic, Boundary::Reflect] {
+            for map in &maps {
+                let whole = refreshed(base.clone(), r, b, map, None);
+                let all = changed(&base, &whole);
+                assert!(!all.is_empty(), "{b} D={D}: nothing refreshed");
+                for k in [1, 2, 3, n] {
+                    let (mut seq, mut union) = (base.clone(), BTreeSet::new());
+                    for band in super::super::par::bands(n, k) {
+                        let cells = changed(&base, &refreshed(base.clone(), r, b, map, Some(band)));
+                        assert!(
+                            union.is_disjoint(&cells),
+                            "{b} {map:?} D={D} k={k} {band:?}"
+                        );
+                        union.extend(cells);
+                        seq = refreshed(seq, r, b, map, Some(band));
+                    }
+                    assert_eq!(union, all, "{b} {map:?} D={D} k={k}");
+                    assert!(changed(&seq, &whole).is_empty(), "{b} {map:?} D={D} k={k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_halo_cell_has_one_owning_band() {
+        let (nx, r, sentinel) = (37, 2, -0.5);
+        check_ownership(Grid1::from_fn(nx, sentinel, |x| (1 + x) as f64), r);
+        check_ownership(
+            Grid2::from_fn(nx, 9, r, sentinel, |y, x| (1 + 100 * y + x) as f64),
+            r,
+        );
+        check_ownership(
+            Grid3::from_fn(nx, 6, 5, r, sentinel, |z, y, x| {
+                (1 + 10_000 * z + 100 * y + x) as f64
+            }),
+            r,
+        );
     }
 
     #[test]

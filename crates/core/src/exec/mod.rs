@@ -25,9 +25,9 @@
 //!   layout between runs, so repeated stepping pays the transpose/DLT
 //!   round-trip once instead of per call;
 //! * **scale out** — core-level parallelism is a validated knob
-//!   ([`Parallelism`]): untiled plans decompose into per-thread
-//!   subdomains with per-step halo synchronization on the pool's barrier
-//!   (see `exec::par`), tiled plans size the pool their stages run on,
+//!   ([`Parallelism`]): untiled plans decompose into per-thread bands,
+//!   each the one writer of the halo cells its own cells feed (see
+//!   `exec::par`), tiled plans size the pool their stages run on,
 //!   and every parallel result is bit-identical to sequential.
 //!
 //! # Where the stencil — and the rank — end

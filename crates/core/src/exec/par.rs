@@ -6,11 +6,10 @@
 //! the **outermost real axis** of its [`Geo`] (`x` of a row, `y` of a
 //! plane, `z` of a volume — one driver, the axis is data). Each time
 //! step dispatches one work item per band onto the pool; the `for_each`
-//! barrier at the end of the step is the halo synchronization point —
-//! the ping-pong source buffer is shared and immutable within a step, so
-//! a band's boundary reads (its halo rows) see the neighbour's
-//! *previous-step* values by construction, and no cells are ever
-//! exchanged or copied.
+//! barrier at the end of the step is the synchronization point — the
+//! ping-pong source buffer is shared and immutable within a step, so a
+//! band's boundary reads see the neighbour's *previous-step* values by
+//! construction, and no cells are ever exchanged or copied.
 //!
 //! Bit-exactness falls out of the same property the tessellate driver
 //! relies on: every kernel in this workspace produces identical bits for
@@ -24,17 +23,13 @@
 //! chunk height 1 (`split::drive_cols`). 2D/3D DLT plans band the
 //! outermost axis like every other method, with full DLT rows inside.
 //!
-//! Non-Dirichlet [`Boundary`] conditions are **fused into the band work
-//! items**: each band refreshes exactly the halo cells its own compute
-//! reads (see `halo::refresh_band`) immediately before computing, while
-//! those cache lines are hot — there is no serial refresh pre-pass and
-//! no extra barrier. Bands overlap by the stencil radius, so adjacent
-//! bands may write the same halo cell; every writer derives the value
-//! from the step's shared *source* interior (immutable within the step),
-//! so all writes store bit-identical values and the overlap is a benign
-//! race on identical values. These bands are the only workers anywhere
-//! in the engine that write a shared halo cell: the tiled drivers give
-//! every halo refresh to one edge-group node per chunk.
+//! Non-Dirichlet [`Boundary`] conditions follow the ownership rule of
+//! [`super::halo`]: after a band steps its slabs it refreshes, in the
+//! step's destination buffer, the halo cells whose fold sources it just
+//! computed (`halo::refresh_own`). Each halo cell has one writer, and
+//! the end-of-step barrier orders its write before the next step reads
+//! it. One band-parallel refresh of the first source precedes the first
+//! step.
 
 use rayon::prelude::*;
 use stencil_simd::Elem;
@@ -73,16 +68,26 @@ pub(crate) fn drive<T: Elem>(
     let axis = geo.ndim - 1;
     let bands = bands(geo.n[axis], nthreads);
     let map = RowMap::for_method::<T>(st.method, st.isa, geo.n[0]);
+    // SAFETY: both buffers carry ≥ r halo rows/planes and the row pad
+    // (asserted at session open) and extents ≥ r were validated at plan
+    // build; `band` lies in the outermost axis. Within one dispatch each
+    // halo cell has exactly one writer (the owner of its fold source),
+    // and no band reads the refreshed buffer before the barrier.
+    let refresh_own =
+        |buf: usize, band| unsafe { halo::refresh_own(st.bufs[buf].0, geo, r, b, &map, band) };
     pool.install(|| {
+        if !b.is_dirichlet() {
+            bands
+                .clone()
+                .into_par_iter()
+                .for_each(|band| refresh_own(0, band));
+        }
         for time in 0..t {
             bands.clone().into_par_iter().for_each(|band| {
-                // Fused wrap/mirror refresh of the halo cells this band
-                // reads (no-op under Dirichlet); overlapping bands write
-                // identical bits from the shared immutable source.
-                unsafe { halo::refresh_band(st.bufs[time % 2].0, geo, r, b, &map, band) };
                 let mut bx = geo.interior();
                 bx[axis] = band;
                 st.step(bx, time);
+                refresh_own((time + 1) % 2, band);
             });
         }
     });

@@ -57,8 +57,7 @@
 //! with no path between them have disjoint writes (exact tessellation
 //! coverage), and no two nodes write the same halo cell — under a
 //! refreshed boundary one edge-group node per chunk does every halo
-//! refresh, and consecutive groups overlap, so they are ordered (the
-//! band-parallel untiled driver is the one concurrent halo writer, see
+//! refresh, and consecutive groups overlap, so they are ordered (see
 //! [`super::halo`]). The worker loop's pop order is therefore a
 //! performance detail, not a correctness one.
 //!

@@ -131,30 +131,6 @@ pub unsafe fn tl_transform_row<V: Vector>(ptr: *mut V::Elem, n: usize) {
     }
 }
 
-/// [`tl_transform_row`] with the conventional in-lane-first transpose
-/// schedule — ablation baseline for the §3.5 latency-hiding claim.
-///
-/// # Safety
-/// Same contract as [`tl_transform_row`].
-#[inline(always)]
-pub unsafe fn tl_transform_row_baseline<V: Vector>(ptr: *mut V::Elem, n: usize) {
-    let l = V::LANES;
-    let bs = l * l;
-    let zero = V::zero();
-    // Sized for the widest register file: 16 lanes (f32 AVX-512).
-    let mut m = [zero; 16];
-    for b in 0..n / bs {
-        let base = b * bs;
-        for j in 0..l {
-            m[j] = V::load(ptr.add(base + j * l));
-        }
-        V::transpose_baseline(&mut m[..l]);
-        for j in 0..l {
-            m[j].store(ptr.add(base + j * l));
-        }
-    }
-}
-
 /// DLT geometry of a row of `n` interior cells for vector length `vl`.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct DltGeo {

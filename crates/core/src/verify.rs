@@ -5,15 +5,26 @@ use stencil_simd::Elem;
 
 use crate::grid::{AnyGrid, Grid};
 
+/// `|x - y|`, except that a NaN on exactly one side differs by infinity;
+/// two NaNs agree, and so do two equal infinities.
+fn cell_diff(x: f64, y: f64) -> f64 {
+    match (x.is_nan(), y.is_nan()) {
+        (false, false) if x == y => 0.0,
+        (false, false) => (x - y).abs(),
+        (true, true) => 0.0,
+        _ => f64::INFINITY,
+    }
+}
+
 /// Maximum absolute difference over the interiors of two grids of the
 /// same extents (any rank and element type; differences are accumulated
-/// in `f64`).
+/// in `f64`; a NaN on one side only differs by infinity).
 pub fn max_abs_diff<T: Elem, const D: usize>(a: &Grid<T, D>, b: &Grid<T, D>) -> f64 {
     assert_eq!(a.geo().n, b.geo().n, "grids differ in extents");
     a.rows()
         .flatten()
         .zip(b.rows().flatten())
-        .map(|(x, y)| (x.to_f64() - y.to_f64()).abs())
+        .map(|(x, y)| cell_diff(x.to_f64(), y.to_f64()))
         .fold(0.0, f64::max)
 }
 
@@ -30,7 +41,8 @@ pub fn max_abs_diff_any(a: &AnyGrid, b: &AnyGrid) -> f64 {
 /// Maximum absolute difference between an [`AnyGrid`]'s interior and a
 /// flat row-major (x fastest) reference slice — the natural comparison
 /// for naive reference implementations that live in plain vectors (e.g.
-/// the boundary-condition oracles). Panics if the lengths differ.
+/// the boundary-condition oracles), NaNs counted as in [`max_abs_diff`].
+/// Panics if the lengths differ.
 pub fn max_abs_diff_ref(a: &AnyGrid, reference: &[f64]) -> f64 {
     let v = a.to_vec();
     assert_eq!(
@@ -40,18 +52,21 @@ pub fn max_abs_diff_ref(a: &AnyGrid, reference: &[f64]) -> f64 {
     );
     v.iter()
         .zip(reference)
-        .map(|(x, y)| (x - y).abs())
+        .map(|(&x, &y)| cell_diff(x, y))
         .fold(0.0, f64::max)
 }
 
 /// Panic with a helpful message unless two grids agree within `tol`
-/// (absolute, relative to the scale of the larger of the two grids, so
-/// the verdict does not depend on argument order).
+/// (absolute, relative to the scale of the larger of the two grids'
+/// finite cells, so the verdict does not depend on argument order and
+/// an infinity cannot widen the tolerance).
 pub fn assert_close<T: Elem, const D: usize>(a: &Grid<T, D>, b: &Grid<T, D>, tol: f64, ctx: &str) {
     let max_abs = |g: &Grid<T, D>| {
         g.rows()
             .flatten()
-            .fold(0.0f64, |m, x| m.max(x.to_f64().abs()))
+            .map(|x| x.to_f64().abs())
+            .filter(|x| x.is_finite())
+            .fold(0.0f64, f64::max)
     };
     let scale = max_abs(a).max(max_abs(b)).max(1.0);
     let d = max_abs_diff(a, b);
@@ -64,7 +79,35 @@ pub fn assert_close<T: Elem, const D: usize>(a: &Grid<T, D>, b: &Grid<T, D>, tol
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::Grid2;
+    use crate::grid::{Grid1, Grid2};
+
+    #[test]
+    fn nan_and_infinity_differences() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        for (x, y, want) in [
+            (nan, 1.0, inf),
+            (nan, nan, 0.0),
+            (inf, inf, 0.0),
+            (inf, 1.0, inf),
+            (2.0, 0.5, 1.5),
+        ] {
+            for (a, b) in [(x, y), (y, x)] {
+                let ga = Grid1::from_fn(3, 0.0, |i| if i == 1 { a } else { 0.0 });
+                let gb = Grid1::from_fn(3, 0.0, |i| if i == 1 { b } else { 0.0 });
+                assert_eq!(max_abs_diff(&ga, &gb), want, "{a} vs {b}");
+                let any = AnyGrid::from(ga.clone());
+                assert_eq!(max_abs_diff_ref(&any, &[0.0, b, 0.0]), want, "{a} vs {b}");
+                assert_eq!(max_abs_diff_any(&any, &gb.into()), want, "{a} vs {b}");
+            }
+        }
+        // assert_close cannot pass a one-sided NaN or infinity.
+        let one = Grid1::from_fn(3, 0.0, |_| 1.0);
+        for bad in [nan, inf] {
+            let g = Grid1::from_fn(3, 0.0, |i| if i == 0 { bad } else { 1.0 });
+            let r = std::panic::catch_unwind(|| assert_close(&g, &one, 1e-6, "bad"));
+            assert!(r.is_err(), "{bad} passed assert_close");
+        }
+    }
 
     #[test]
     fn assert_close_is_symmetric() {

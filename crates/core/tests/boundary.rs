@@ -262,6 +262,14 @@ fn oracle_custom_radii() {
         StencilSpec::star2(&[0.1, 0.2, 0.4, 0.15, 0.15], &[0.12, 0.18, 0.0, 0.22, 0.08]).unwrap();
     let w25: Vec<f64> = (0..25).map(|i| 1.0 / (25.0 + i as f64)).collect();
     let box2_r2 = StencilSpec::box2(&w25).unwrap();
+    // On 72×10×7 at Threads(7) every z band is one plane thick, so the
+    // halo planes at -1 and -2 fold from planes of two different bands.
+    let star3_r2 = StencilSpec::star3(
+        &[0.05, 0.1, 0.3, 0.1, 0.05],
+        &[0.04, 0.08, 0.0, 0.09, 0.03],
+        &[0.02, 0.06, 0.0, 0.05, 0.03],
+    )
+    .unwrap();
     let boundaries = [Boundary::Periodic, Boundary::Reflect];
     let methods = [
         Method::Scalar,
@@ -269,7 +277,7 @@ fn oracle_custom_radii() {
         Method::Dlt,
         Method::TransLayout2,
     ];
-    for spec in [star1_r3, star2_r2, box2_r2] {
+    for spec in [star1_r3, star2_r2, box2_r2, star3_r2] {
         check_matrix(&spec, &boundaries, &methods, isa);
     }
 }

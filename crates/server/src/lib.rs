@@ -17,7 +17,7 @@
 //!   backpressure;
 //! * **structured run traces** ([`RunTrace`]) — one record per
 //!   completed job (resolved method/ISA/tiling, cache outcome, wall
-//!   time, GF/s), dumpable in the bench harness's JSON format.
+//!   time, GF/s), read back with [`Server::traces`].
 //!
 //! Results are bit-identical to driving the engine directly: the server
 //! adds scheduling around [`DynPlan::run`](stencil_core::exec::DynPlan),
@@ -49,4 +49,4 @@ mod trace;
 pub use cache::{CacheStats, PlanKey};
 pub use job::{JobError, JobHandle, JobOutput, JobSpec, SubmitError};
 pub use server::{Server, ServerConfig};
-pub use trace::{dump_traces, CacheOutcome, RunTrace};
+pub use trace::{CacheOutcome, RunTrace};

@@ -24,9 +24,7 @@
 //! `JobError::Shutdown`, and joins the dispatcher.
 
 use std::collections::{HashMap, VecDeque};
-use std::io;
 use std::panic::{self, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -293,12 +291,6 @@ impl Server {
     /// [`ServerConfig::trace_capacity`]).
     pub fn traces(&self) -> Vec<RunTrace> {
         self.inner.traces.lock().unwrap().iter().cloned().collect()
-    }
-
-    /// Dump the retained traces to `<dir>/BENCH_<name>.json` in the
-    /// bench harness's artifact format; returns the path written.
-    pub fn dump_traces(&self, dir: &Path, name: &str) -> io::Result<PathBuf> {
-        crate::trace::dump_traces(dir, name, &self.traces())
     }
 
     /// Number of jobs that ran to completion (successes only).

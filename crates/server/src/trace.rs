@@ -5,15 +5,6 @@
 //! measured wall time with derived GF/s — so a service operator can
 //! answer "what did tenant X run, how fast, and did the cache help?"
 //! without re-deriving anything from logs.
-//!
-//! Traces serialize through the exact same row schema the bench harness
-//! uses ([`stencil_bench::save`]), so a dumped trace file is readable by
-//! the same tooling as a `BENCH_*.json` artifact.
-
-use std::io;
-use std::path::{Path, PathBuf};
-
-use stencil_bench::save::{self, Row, Value};
 
 /// Whether the job's plan came from the cache or was compiled.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -69,35 +60,4 @@ pub struct RunTrace {
     pub gflops: f64,
     /// Whether the plan came from the cache.
     pub cache: CacheOutcome,
-}
-
-impl RunTrace {
-    /// Flatten into the bench harness's row schema (`save::Row`), so
-    /// trace dumps and bench artifacts share one JSON format.
-    pub fn to_row(&self) -> Row {
-        vec![
-            ("job", Value::Int(self.job as i64)),
-            ("seq", Value::Int(self.seq as i64)),
-            ("tenant", Value::Str(self.tenant.clone())),
-            ("spec", Value::Str(self.spec.clone())),
-            ("shape", Value::Str(self.shape.clone())),
-            ("method", Value::from(self.method)),
-            ("isa", Value::from(self.isa)),
-            ("tiling", Value::from(self.tiling)),
-            ("threads", Value::from(self.threads)),
-            ("steps", Value::from(self.steps)),
-            ("cells", Value::from(self.cells)),
-            ("bytes", Value::Int(self.bytes as i64)),
-            ("cache", Value::from(self.cache.name())),
-            ("seconds", Value::from(self.seconds)),
-            ("gflops", Value::from(self.gflops)),
-        ]
-    }
-}
-
-/// Write `traces` to `<dir>/BENCH_<name>.json` in the bench harness's
-/// artifact format; returns the path written.
-pub fn dump_traces(dir: &Path, name: &str, traces: &[RunTrace]) -> io::Result<PathBuf> {
-    let rows: Vec<Row> = traces.iter().map(RunTrace::to_row).collect();
-    save::write_json(dir, name, &rows)
 }

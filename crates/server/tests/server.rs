@@ -318,36 +318,6 @@ fn plan_errors_surface_through_the_handle() {
     }
 }
 
-/// A trace dump is one row per completed job in the `BENCH_*.json`
-/// format, and its `host_threads` is the machine's parallelism — the
-/// writer never looks at the embedding process's argv.
-#[test]
-fn dump_traces_writes_one_row_per_job() {
-    let server = Server::with_defaults();
-    let spec: StencilSpec = "2d5p@periodic".parse().unwrap();
-    let shape = Shape::d2(24, 17);
-    for _ in 0..3 {
-        let job = JobSpec::new("t", spec.clone(), grid_for(&spec, shape), 2);
-        server.submit(job).unwrap().wait().unwrap();
-    }
-    let dir = std::env::temp_dir().join(format!("stencil-dump-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = server.dump_traces(&dir, "server_test").unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
-
-    let count = |needle: &str| text.matches(needle).count();
-    assert_eq!(count("\"job\": "), 3, "{text}");
-    assert_eq!(count("\"spec\": \"2d5p@periodic\""), 3, "{text}");
-    assert_eq!(count("\"cache\": \"miss\""), 1, "{text}");
-    assert_eq!(count("\"cache\": \"hit\""), 2, "{text}");
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    assert!(
-        text.contains(&format!("\"host_threads\": {host},")),
-        "{text}"
-    );
-}
-
 #[test]
 fn dropping_the_server_fails_queued_jobs_cleanly() {
     let server = Server::with_defaults();
