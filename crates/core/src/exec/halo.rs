@@ -371,15 +371,59 @@ pub(crate) fn ensure_scratch<T: Elem>(slot: &mut Option<AlignedBuf<T>>, g: &Alig
     }
 }
 
-/// The k = 2 ring buffer of a 2D/3D fused pass over `geo`, as `(length,
-/// interior origin)` in elements: `2r + 1` rows behind one left halo
-/// pad, or `2r + 1` planes entered `r` halo rows plus the pad in.
+/// The ring buffer of a 2D/3D fused pass of depth `k` over `geo`, as
+/// `(length, interior origin)` in elements: `k - 1` levels of `2r + 1`
+/// rows behind one left halo pad, or of `2r + 1` planes entered `r` halo
+/// rows plus the pad in.
 #[inline]
-pub(crate) fn ring_layout<T: Elem>(geo: &Geo, r: usize) -> (usize, usize) {
+pub(crate) fn ring_layout<T: Elem>(geo: &Geo, r: usize, k: usize) -> (usize, usize) {
+    let slabs = (k - 1) * (2 * r + 1);
     match geo.ndim {
-        2 => (T::PAD + (2 * r + 1) * geo.rs, T::PAD),
-        _ => ((2 * r + 1) * geo.ps, r * geo.rs + T::PAD),
+        2 => (T::PAD + slabs * geo.rs, T::PAD),
+        _ => (slabs * geo.ps, r * geo.rs + T::PAD),
     }
+}
+
+/// Deepest fused pass a 2D/3D Dirichlet plan runs.
+pub(crate) const MAX_DEPTH: usize = 8;
+
+/// The fused pass depth for ring slabs (rows in 2D, planes in 3D) of
+/// `slab_bytes` and radius `r` under an L2 of `l2` bytes: the largest
+/// `k ≤ MAX_DEPTH` whose `k - 1` ring levels of `2r + 1` slabs fill at
+/// most half the L2, and never less than 2 (the ring of the k = 2 pass
+/// is paid even when it spills).
+pub(crate) fn depth(l2: usize, slab_bytes: usize, r: usize) -> usize {
+    let level = ((2 * r + 1) * slab_bytes).max(1);
+    (l2 / 2 / level + 1).clamp(2, MAX_DEPTH)
+}
+
+/// The L2 size of CPU 0 in bytes, read once from sysfs (see
+/// [`l2_from`]).
+pub(crate) fn l2_bytes() -> usize {
+    static L2: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *L2.get_or_init(|| l2_from(std::path::Path::new("/sys/devices/system/cpu/cpu0/cache")))
+}
+
+/// The level-2 cache size listed under a sysfs `cache` directory
+/// (`index*/level`, `index*/size` such as `2048K`); 1 MiB when none
+/// parses.
+fn l2_from(dir: &std::path::Path) -> usize {
+    let read = |i: usize, f: &str| std::fs::read_to_string(dir.join(format!("index{i}/{f}")));
+    (0..16)
+        .map_while(|i| read(i, "level").ok().map(|level| (i, level)))
+        .find(|(_, level)| level.trim() == "2")
+        .and_then(|(i, _)| {
+            let size = read(i, "size").ok()?;
+            let size = size.trim();
+            let (digits, unit) = match size.char_indices().last()? {
+                (at, 'K') => (&size[..at], 1 << 10),
+                (at, 'M') => (&size[..at], 1 << 20),
+                (at, 'G') => (&size[..at], 1 << 30),
+                _ => (size, 1),
+            };
+            digits.parse::<usize>().ok().map(|n| n * unit)
+        })
+        .unwrap_or(1 << 20)
 }
 
 #[cfg(test)]
@@ -596,8 +640,9 @@ mod tests {
             ps: 0,
             halo: 1,
         };
-        assert_eq!(ring_layout::<f64>(&g2, 1), (HALO_PAD + 3 * 40, HALO_PAD));
-        assert_eq!(ring_layout::<f32>(&g2, 1), (16 + 3 * 40, 16));
+        assert_eq!(ring_layout::<f64>(&g2, 1, 2), (HALO_PAD + 3 * 40, HALO_PAD));
+        assert_eq!(ring_layout::<f32>(&g2, 1, 2), (16 + 3 * 40, 16));
+        assert_eq!(ring_layout::<f64>(&g2, 1, 4), (HALO_PAD + 9 * 40, HALO_PAD));
         let g3 = Geo {
             ndim: 3,
             n: [8, 2, 2],
@@ -605,7 +650,52 @@ mod tests {
             ps: 1000,
             halo: 2,
         };
-        assert_eq!(ring_layout::<f64>(&g3, 2).0, 5 * 1000);
-        assert_eq!(ring_layout::<f64>(&g3, 1).1, 16 + HALO_PAD);
+        assert_eq!(ring_layout::<f64>(&g3, 2, 2).0, 5 * 1000);
+        assert_eq!(ring_layout::<f64>(&g3, 2, 3).0, 10 * 1000);
+        assert_eq!(ring_layout::<f64>(&g3, 1, 5).1, 16 + HALO_PAD);
+    }
+
+    /// The depth rule: `k - 1` ring levels of `2r + 1` slabs in half the
+    /// L2, between 2 and [`MAX_DEPTH`].
+    #[test]
+    fn depth_fills_half_the_l2() {
+        let mib = 1 << 20;
+        let row = Geo::packed::<f64>(2, [8192, 4096, 1], 1).rs * 8;
+        assert_eq!(depth(2 * mib, row, 1), 6);
+        // A 512×512 f64 3d7p plane spills the L2.
+        let plane = Geo::packed::<f64>(3, [512, 512, 128], 1).ps * 8;
+        assert_eq!(depth(2 * mib, plane, 1), 2);
+        // A tiny slab is capped; a radius widens every level.
+        assert_eq!(depth(2 * mib, 64, 1), MAX_DEPTH);
+        assert_eq!(depth(mib, row, 1), 3);
+        assert_eq!(depth(mib, row, 2), 2);
+        assert_eq!(depth(0, 0, 0), 2);
+    }
+
+    /// The sysfs probe: a level-2 entry is found and its size parsed
+    /// whatever its index and unit; without a readable one the probe
+    /// falls back to 1 MiB.
+    #[test]
+    fn l2_probe_reads_sysfs_and_falls_back() {
+        let dir = std::env::temp_dir().join(format!("stencil-l2-probe-{}", std::process::id()));
+        let entry = |i: usize, level: &str, size: &str| {
+            let d = dir.join(format!("index{i}"));
+            std::fs::create_dir_all(&d).unwrap();
+            std::fs::write(d.join("level"), level).unwrap();
+            std::fs::write(d.join("size"), size).unwrap();
+        };
+        entry(0, "1\n", "48K\n");
+        entry(1, "1\n", "32K\n");
+        assert_eq!(l2_from(&dir), 1 << 20);
+        entry(2, "2\n", "2048K\n");
+        entry(3, "3\n", "105M\n");
+        assert_eq!(l2_from(&dir), 2 << 20);
+        entry(2, "2\n", "512K\n");
+        assert_eq!(l2_from(&dir), 512 << 10);
+        entry(2, "2\n", "bogus\n");
+        assert_eq!(l2_from(&dir), 1 << 20);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(l2_from(&dir), 1 << 20);
+        assert!(l2_bytes() > 0);
     }
 }

@@ -15,8 +15,8 @@
 //!   height the tile width cannot support, a radius or weight table the
 //!   kernels cannot hold) with a [`PlanError`] instead of a mid-run
 //!   panic;
-//! * **allocate once** — the ping-pong scratch grid, the k = 2 ring
-//!   buffer, the tile staging arena, and the **persistent worker pool**
+//! * **allocate once** — the ping-pong scratch grid, the fused-pass
+//!   ring buffer, the tile staging arena, and the **persistent worker pool**
 //!   live in the plan and are reused by every [`CompiledPlan::run`] (no
 //!   buffer allocation and no thread spawning in the steady state — pool
 //!   workers are spawned at plan compile time and a stage dispatch is a
@@ -422,6 +422,9 @@ struct Cfg {
     threads: usize,
     /// Boundary condition resolved at build time (see [`Boundary`]).
     boundary: Boundary,
+    /// Steps one fused pass advances (1: the plan runs no fused pass);
+    /// see [`PlanCore::fused_steps`].
+    depth: usize,
 }
 
 /// Which layout the grid is resident in during a session.
@@ -769,14 +772,16 @@ impl Plan {
         let lanes = self.isa.lanes_for::<T>();
         let (threads, pool) = self.validate(kernel.ndim(), r, boundary, lanes)?;
         let arena = self.tess_arena(r, pool.as_ref());
-        let cfg = Cfg {
+        let mut cfg = Cfg {
             method: self.method,
             isa: self.isa,
             tiling: self.tiling,
             par: self.par,
             threads,
             boundary,
+            depth: 1,
         };
+        cfg.depth = fused_depth::<T>(&cfg, &self.shape, r);
         let core = PlanCore {
             cfg,
             shape: self.shape,
@@ -902,6 +907,7 @@ impl std::fmt::Debug for PlanCore {
             .field("isa", &self.cfg.isa)
             .field("tiling", &self.cfg.tiling)
             .field("shape", &self.shape)
+            .field("fused_steps", &self.cfg.depth)
             .finish_non_exhaustive()
     }
 }
@@ -942,6 +948,19 @@ impl PlanCore {
         self.shape
     }
 
+    /// Time steps one fused pass of a session advances — the depth `k`
+    /// of the time loop's unroll-and-jam, resolved at build time; 1 when
+    /// the plan runs no fused pass. Untiled single-threaded
+    /// `TransLayout2` plans fuse: a 2D/3D Dirichlet grid larger than the
+    /// probed L2 as deep as its ring fits half of it (2 ≤ k ≤ 8); 1D,
+    /// refreshed-boundary and L2-resident plans in step pairs. A refreshed 2D/3D session
+    /// on a grid halo narrower than twice the radius steps one at a
+    /// time regardless; tiled 1D `TransLayout2` fuses pairs inside each
+    /// tile.
+    pub fn fused_steps(&self) -> usize {
+        self.cfg.depth
+    }
+
     /// Cumulative wall-time phase totals recorded by the tessellation
     /// driver; see [`PhaseTotals`]. Staged tiles (tessellate +
     /// `TransLayout`/`TransLayout2`) record stage-in, compute and
@@ -968,7 +987,7 @@ impl PlanCore {
 /// box — the boxed kernel knows which).
 ///
 /// Owns the kernel and every buffer the method needs (ping-pong scratch,
-/// k = 2 ring, staging arena, worker pool);
+/// fused-pass ring, staging arena, worker pool);
 /// [`CompiledPlan::run`] and [`CompiledPlan::session`] reuse them across
 /// calls.
 pub struct CompiledPlan<T: Elem = f64> {
@@ -1034,8 +1053,8 @@ impl<T: Elem> CompiledPlan<T> {
             Layout::Transpose => {
                 layout::tl_buf(buf, &geo, cfg.isa);
                 halo::ensure_scratch(&mut self.scratch, buf);
-                if geo.ndim > 1 && runs_fused::<T>(cfg, &geo, r) {
-                    let (len, _) = halo::ring_layout::<T>(&geo, r);
+                if geo.ndim > 1 && runs_fused(cfg, &geo, r) {
+                    let (len, _) = halo::ring_layout::<T>(&geo, r, cfg.depth);
                     if self.ring.as_ref().map(|ring| ring.len()) != Some(len) {
                         self.ring = Some(AlignedBuf::zeroed(len));
                     }
@@ -1109,22 +1128,43 @@ impl<T: Elem> Drop for Session<'_, T> {
     }
 }
 
-/// Whether a session runs the sequential fused k = 2 pass: untiled
-/// single-threaded `TransLayout2` (parallel untiled stepping ping-pongs)
-/// on a buffer the pass can hold its t+1 level in. A row needs two full
-/// vector sets for the register pipeline (its t+1 halo folds are computed
-/// in registers under any boundary); a plane or volume pipelines through
-/// the ring buffer and, under a refreshed boundary, needs a grid halo
-/// wide enough (`≥ 2r`) to stage the t+1 halo level (see `kernels::tl2`'s
-/// wide section) — narrower halos step k = 1 with a refresh in between.
-fn runs_fused<T: Elem>(cfg: &Cfg, geo: &Geo, r: usize) -> bool {
-    cfg.method == Method::TransLayout2
-        && cfg.tiling == Tiling::None
-        && cfg.threads == 1
-        && match geo.ndim {
-            1 => SetGeo::new(geo.n[0], cfg.isa.lanes_for::<T>()).nsets >= 2,
-            _ => cfg.boundary.is_dirichlet() || geo.halo >= 2 * r,
-        }
+/// The fused pass depth of a plan (see [`PlanCore::fused_steps`]): only
+/// untiled single-threaded `TransLayout2` fuses (parallel untiled
+/// stepping ping-pongs). A row needs two full vector sets for the
+/// register pipeline, which fuses step pairs (its t+1 halo folds are
+/// computed in registers under any boundary). A plane or volume
+/// pipelines through a ring: `k = 2` under a refreshed boundary (see
+/// `kernels::tl2`'s wide section), else as deep as [`halo::depth`]
+/// allows for its ring slab — a row in 2D, a plane in 3D — in a buffer
+/// laid out with an `r`-wide halo. A buffer that fits the L2 also stays
+/// at `k = 2`: it has no memory traffic for a deeper pass to save, and
+/// the deeper ring only pushes the rows a level reads out of L1 (on an
+/// AVX-512 core with a 2 MiB L2, a 256² f64 2d5p session ran 1.6–1.9×
+/// slower at k = 8 than at k = 2).
+fn fused_depth<T: Elem>(cfg: &Cfg, shape: &Shape, r: usize) -> usize {
+    if cfg.method != Method::TransLayout2 || cfg.tiling != Tiling::None || cfg.threads != 1 {
+        return 1;
+    }
+    let ndim = shape.ndim;
+    let n = std::array::from_fn(|a| if a < ndim { shape.dims[a] } else { 1 });
+    let geo = Geo::packed::<T>(ndim, n, r);
+    let bytes = |elems: usize| elems * std::mem::size_of::<T>();
+    let l2 = halo::l2_bytes();
+    match ndim {
+        1 if SetGeo::new(n[0], cfg.isa.lanes_for::<T>()).nsets >= 2 => 2,
+        1 => 1,
+        _ if !cfg.boundary.is_dirichlet() || bytes(geo.len::<T>()) <= l2 => 2,
+        2 => halo::depth(l2, bytes(geo.rs), r),
+        _ => halo::depth(l2, bytes(geo.ps), r),
+    }
+}
+
+/// Whether a session on `geo` runs the plan's fused pass: the plan
+/// fuses, and under a refreshed boundary a plane or volume carries a
+/// halo wide enough (`≥ 2r`) to stage the t+1 halo level in — narrower
+/// halos step k = 1 with a refresh in between.
+fn runs_fused(cfg: &Cfg, geo: &Geo, r: usize) -> bool {
+    cfg.depth > 1 && (geo.ndim == 1 || cfg.boundary.is_dirichlet() || geo.halo >= 2 * r)
 }
 
 /// The one runner body: step the ping-pong pair `bufs` (laid out as
@@ -1186,30 +1226,34 @@ fn run_steps<T: Elem>(
             // Derived once: at L1 sizes a fused pair is a few µs, so the
             // per-pair constant work has to stay tiny.
             let map = halo::RowMap::for_method::<T>(method, isa, geo.n[0]);
-            let fused = runs_fused::<T>(&core.cfg, geo, r);
+            let fused = runs_fused(&core.cfg, geo, r);
+            let depth = core.cfg.depth;
             let ring = match ring {
                 // SAFETY: the ring was sized by `ring_layout` at session
                 // open.
-                Some(ring) if fused => unsafe { ring.add(halo::ring_layout::<T>(geo, r).1) },
+                Some(ring) if fused => unsafe { ring.add(halo::ring_layout::<T>(geo, r, depth).1) },
                 _ => std::ptr::null_mut(),
             };
             let wide = (!boundary.is_dirichlet()).then_some((boundary, &map));
-            // With `fused`, `t / 2` in-place k = 2 passes on buffer 0, then
-            // the remaining steps one at a time, ping-ponging; each is
-            // preceded by bringing its source's halos to the interior's
-            // time level (a no-op under Dirichlet).
+            // With `fused`, in-place passes of `min(depth, steps left)` on
+            // buffer 0 while at least two steps are left, then the last
+            // step (if any) alone, ping-ponging; each is preceded by
+            // bringing its source's halos to the interior's time level (a
+            // no-op under Dirichlet).
             //
             // SAFETY: both buffers carry ≥ r halo rows/planes (asserted at
             // session open) and the row pad; extents ≥ r were validated at
-            // plan build; the fused pass runs only with its ring allocated.
-            let pairs = if fused { t / 2 } else { 0 };
-            for _ in 0..pairs {
+            // plan build; the fused pass runs only with its ring allocated
+            // for `depth`.
+            let mut rest = t;
+            while fused && rest >= 2 {
+                let steps = depth.min(rest);
                 unsafe {
                     halo::refresh(bufs[0].0, geo, r, boundary, &map);
-                    k.pass2(isa, bufs[0].0, geo, ring, wide);
+                    k.pass(isa, bufs[0].0, geo, ring, steps, wide);
                 }
+                rest -= steps;
             }
-            let rest = t - 2 * pairs;
             for time in 0..rest {
                 unsafe { halo::refresh(bufs[time % 2].0, geo, r, boundary, &map) };
                 st.step(geo.interior(), time);
@@ -1222,7 +1266,65 @@ fn run_steps<T: Elem>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stencil::{S1d3p, S2d5p};
+    use crate::grid::{Grid, Grid2, Grid3};
+    use crate::stencil::{S1d3p, S2d5p, S2d9p, S3d27p, S3d7p};
+    use crate::verify::max_abs_diff;
+
+    /// A grid too large for any L2 fuses as deep as its ring slab
+    /// allows: a row in 2D, a plane in 3D.
+    #[test]
+    fn memory_sized_plans_take_the_l2_depth() {
+        let k = |shape: Shape, spec: &str| {
+            let spec: crate::StencilSpec = spec.parse().unwrap();
+            let plan = Plan::new(shape).method(Method::TransLayout2);
+            plan.parallelism(Parallelism::Off)
+                .stencil(&spec)
+                .unwrap()
+                .fused_steps()
+        };
+        let l2 = halo::l2_bytes();
+        let row = Geo::packed::<f64>(2, [8192, 4096, 1], 1).rs * 8;
+        assert_eq!(k(Shape::d2(8192, 4096), "2d5p"), halo::depth(l2, row, 1));
+        let plane = Geo::packed::<f32>(3, [1024, 1024, 64], 1).ps * 4;
+        assert_eq!(
+            k(Shape::d3(1024, 1024, 64), "3d7p@f32"),
+            halo::depth(l2, plane, 1)
+        );
+    }
+
+    /// A pass as deep as a large grid's would be, forced onto tiny ones:
+    /// step counts that are not a multiple of the depth end in a shorter
+    /// pass and a lone k = 1 step, bit-exact against the oracle.
+    #[test]
+    fn deep_pass_remainders_match_the_oracle() {
+        fn check<T: Elem, const D: usize>(
+            init: &Grid<T, D>,
+            compile: impl Fn(Plan) -> Result<CompiledPlan<T>, PlanError>,
+        ) {
+            let plan = |method| Plan::new(init.geo().shape()).method(method);
+            let mut oracle = compile(plan(Method::Scalar)).unwrap();
+            for depth in [3, 8] {
+                let mut fused = compile(plan(Method::TransLayout2)).unwrap();
+                fused.core.cfg.depth = depth;
+                for t in [1, 2, 7, 9, 13, 17] {
+                    let (mut want, mut got) = (init.clone(), init.clone());
+                    oracle.run(&mut want, t);
+                    fused.run(&mut got, t);
+                    let n = init.geo().n;
+                    assert_eq!(max_abs_diff(&want, &got), 0.0, "{n:?} k={depth} t={t}");
+                }
+            }
+        }
+        let v = |i: usize| ((i * 613 % 211) as f64 - 105.0) / 128.0;
+        let g2 = Grid2::from_fn(37, 5, 1, 0.5, |y, x| v(y * 37 + x));
+        check(&g2, |p| p.star2(S2d5p::heat()));
+        let g2 = Grid2::<f32>::from_fn(37, 5, 1, 0.5, |y, x| v(y * 37 + x) as f32);
+        check(&g2, |p| p.box2_elem(S2d9p::blur()));
+        let g3 = Grid3::from_fn(19, 3, 4, 1, -0.5, |z, y, x| v((z * 3 + y) * 19 + x));
+        check(&g3, |p| p.box3(S3d27p::blur()));
+        let g3 = Grid3::<f32>::from_fn(19, 3, 4, 1, -0.5, |z, y, x| v((z * 3 + y) * 19 + x) as f32);
+        check(&g3, |p| p.star3_elem(S3d7p::heat()));
+    }
 
     #[test]
     fn builder_rejects_dim_mismatch() {

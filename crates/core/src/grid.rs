@@ -64,19 +64,7 @@ impl<T: Elem, const D: usize> Grid<T, D> {
     /// the row pad — and every cell set to `fill`.
     fn shaped(n: [usize; 3], r: usize, fill: T) -> Self {
         assert!(!n.contains(&0), "empty interior");
-        let mut geo = Geo {
-            ndim: D,
-            n,
-            rs: 0,
-            ps: 0,
-            halo: if D > 1 { r } else { 0 },
-        };
-        if D > 1 {
-            geo.rs = geo.row_len::<T>();
-        }
-        if D > 2 {
-            geo.ps = geo.rs * (n[1] + 2 * r);
-        }
+        let geo = Geo::packed::<T>(D, n, r);
         let mut buf = AlignedBuf::zeroed(geo.len::<T>());
         buf.fill(fill);
         Grid { buf, geo }

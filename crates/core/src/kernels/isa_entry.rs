@@ -5,7 +5,8 @@
 //! kernels LLVM inlines the closure and the intrinsics compile with the
 //! vector ISA; for the biggest kernels the inliner can refuse, silently
 //! compiling them *without* the ISA — every fused multiply-add then
-//! lowers to a libm call (a measured 39× slowdown; see DESIGN.md §5).
+//! lowers to a libm call (a measured 39× slowdown; see
+//! `docs/ARCHITECTURE.md`, "Kernel notes").
 //!
 //! `#[target_feature]` is legal on generic functions, so each big kernel
 //! gets an explicit per-ISA entry here under the kernel's own name,
@@ -89,15 +90,15 @@ isa_entry!(
     fn(buf_a: *mut T, buf_b: *mut T, n: usize, sa: usize, sb: usize, s: &S)
 );
 isa_entry!(
-    /// [`tl2::grid2_tl2`] behind a per-ISA feature entry.
-    grid2_tl2<K: Row2>, tl2,
-    fn(buf: *mut T, rs: usize, nx: usize, ny: usize, ring: *mut T, s: &K::S)
+    /// [`tl2::grid2_pass`] behind a per-ISA feature entry.
+    grid2_pass<K: Row2>, tl2,
+    fn(buf: *mut T, rs: usize, nx: usize, ny: usize, ring: *mut T, k: usize, s: &K::S)
 );
 isa_entry!(
-    /// [`tl2::grid3_tl2`] behind a per-ISA feature entry.
-    grid3_tl2<K: Row3>, tl2,
+    /// [`tl2::grid3_pass`] behind a per-ISA feature entry.
+    grid3_pass<K: Row3>, tl2,
     fn(buf: *mut T, rs: usize, ps: usize, nx: usize, ny: usize, nz: usize,
-       ring: *mut T, s: &K::S)
+       ring: *mut T, k: usize, s: &K::S)
 );
 isa_entry!(
     /// [`tl2::star1_tl2_wide`] behind a per-ISA feature entry.

@@ -7,7 +7,7 @@
 //! | [`orig`] | natural | multiple-loads & data-reorganization (§2.1) |
 //! | [`dlt`] | DLT | dimension-lifting transpose (§2.2) |
 //! | [`tl`] | local transpose | the paper's scheme, k = 1 (§3.2) |
-//! | [`tl2`] | local transpose | time unroll-and-jam, k = 2 (§3.3) |
+//! | [`tl2`] | local transpose | time unroll-and-jam, k ≥ 2 (§3.3) |
 //!
 //! Three layers, innermost first:
 //!
@@ -39,7 +39,7 @@
 //! volume; the drivers never ask which rank they run.
 //!
 //! The one indirect call sits between layers 3 and 2: a driver calls
-//! `kernel.step(..)` / `kernel.pass2(..)` once per **range sweep or tile
+//! `kernel.step(..)` / `kernel.pass(..)` once per **range sweep or tile
 //! step** — thousands to millions of cell updates — and everything
 //! beneath that call (method and ISA dispatch, the row loop, every vector
 //! set) is statically dispatched and monomorphized. It is never per row
@@ -88,6 +88,26 @@ pub struct Geo {
 pub type NdBox = [(usize, usize); 3];
 
 impl Geo {
+    /// The geometry of a buffer of `T` with interior extents `n` (1 past
+    /// `ndim`) and `r` halo rows/planes per side on its real y/z axes —
+    /// the x halo is always the row pad.
+    pub(crate) fn packed<T: Elem>(ndim: usize, n: [usize; 3], r: usize) -> Geo {
+        let mut geo = Geo {
+            ndim,
+            n,
+            rs: 0,
+            ps: 0,
+            halo: if ndim > 1 { r } else { 0 },
+        };
+        if ndim > 1 {
+            geo.rs = geo.row_len::<T>();
+        }
+        if ndim > 2 {
+            geo.ps = geo.rs * (n[1] + 2 * r);
+        }
+        geo
+    }
+
     /// The whole interior as a box.
     pub fn interior(&self) -> NdBox {
         self.n.map(|n| (0, n))
@@ -190,20 +210,23 @@ pub trait Kernel<T: Elem>: Send + Sync {
         bx: NdBox,
     );
 
-    /// The fused k = 2 pass over the whole transposed buffer, in place
-    /// ([`tl2::star1_tl2`], or through the row/plane `ring` for
-    /// [`tl2::grid2_tl2`] / [`tl2::grid3_tl2`]; 1D ignores `ring`).
-    /// `wide` names the refreshed boundary whose t+1 halo level the pass
-    /// must produce itself (the `*_wide` variants).
+    /// The fused pass: advance the whole transposed buffer `k` steps in
+    /// place. 1D runs Algorithm 1's register pipeline
+    /// ([`tl2::star1_tl2`]) and ignores `ring`; 2D/3D stream rows/planes
+    /// through the `k - 1` ring levels at `ring` ([`tl2::grid2_pass`] /
+    /// [`tl2::grid3_pass`]). `wide` names the refreshed boundary whose
+    /// t+1 halo level the pass must produce itself (the `*_wide`
+    /// variants). 1D and `wide` passes take `k = 2` only.
     ///
     /// # Safety
-    /// As the kernel selected.
-    unsafe fn pass2(
+    /// As the kernel selected; `k ≥ 2`.
+    unsafe fn pass(
         &self,
         isa: Isa,
         buf: *mut T,
         geo: &Geo,
         ring: *mut T,
+        k: usize,
         wide: Option<(Boundary, &RowMap)>,
     );
 
@@ -344,14 +367,16 @@ impl<T: Elem, S: Star1> Kernel<T> for Kern1<S> {
         }
     }
 
-    unsafe fn pass2(
+    unsafe fn pass(
         &self,
         isa: Isa,
         buf: *mut T,
         geo: &Geo,
         _ring: *mut T,
+        k: usize,
         wide: Option<(Boundary, &RowMap)>,
     ) {
+        debug_assert_eq!(k, 2, "Algorithm 1 fuses step pairs");
         match wide {
             None => isa_entry::star1_tl2(isa, buf, geo.n[0], &self.0),
             Some((b, _)) => isa_entry::star1_tl2_wide(isa, buf, geo.n[0], b, &self.0),
@@ -421,18 +446,20 @@ impl<T: Elem, K: Row2> Kernel<T> for Kern2<K> {
         }
     }
 
-    unsafe fn pass2(
+    unsafe fn pass(
         &self,
         isa: Isa,
         buf: *mut T,
         geo: &Geo,
         ring: *mut T,
+        k: usize,
         wide: Option<(Boundary, &RowMap)>,
     ) {
         let (s, rs, [nx, ny, _]) = (&self.0, geo.rs, geo.n);
         match wide {
-            None => isa_entry::grid2_tl2::<T, K>(isa, buf, rs, nx, ny, ring, s),
+            None => isa_entry::grid2_pass::<T, K>(isa, buf, rs, nx, ny, ring, k, s),
             Some((b, map)) => {
+                debug_assert_eq!(k, 2, "refreshed boundaries fuse step pairs");
                 isa_entry::grid2_tl2_wide::<T, K>(isa, buf, rs, nx, ny, ring, b, map, s)
             }
         }
@@ -486,19 +513,108 @@ impl<T: Elem, K: Row3> Kernel<T> for Kern3<K> {
         }
     }
 
-    unsafe fn pass2(
+    unsafe fn pass(
         &self,
         isa: Isa,
         buf: *mut T,
         geo: &Geo,
         ring: *mut T,
+        k: usize,
         wide: Option<(Boundary, &RowMap)>,
     ) {
         let (s, rs, ps, [nx, ny, nz]) = (&self.0, geo.rs, geo.ps, geo.n);
         match wide {
-            None => isa_entry::grid3_tl2::<T, K>(isa, buf, rs, ps, nx, ny, nz, ring, s),
+            None => isa_entry::grid3_pass::<T, K>(isa, buf, rs, ps, nx, ny, nz, ring, k, s),
             Some((b, map)) => {
+                debug_assert_eq!(k, 2, "refreshed boundaries fuse step pairs");
                 isa_entry::grid3_tl2_wide::<T, K>(isa, buf, rs, ps, nx, ny, nz, ring, b, map, s)
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use stencil_simd::{AlignedBuf, Elem, Isa};
+
+    use super::*;
+    use crate::exec::halo::{ring_layout, MAX_DEPTH};
+    use crate::grid::{Grid, Grid2, Grid3};
+    use crate::layout::tl_grid;
+    use crate::spec::StencilSpec;
+    use crate::verify::max_abs_diff;
+
+    /// One in-place [`Kernel::pass`] of depth `k` on a transposed copy of
+    /// `init` equals `k` scalar-oracle steps, to 0 ULP.
+    fn pass_is_k_steps<T: Elem, const D: usize>(spec: &StencilSpec, init: &Grid<T, D>, k: usize) {
+        let isa = Isa::detect_best();
+        let kern = spec.kernel::<T>().unwrap();
+        let geo = init.geo();
+        let (mut want, mut spare) = (init.clone(), init.clone());
+        for _ in 0..k {
+            let (src, dst) = (want.ptr(), spare.ptr_mut());
+            // SAFETY: two grids of one geometry, halos ≥ the radius.
+            unsafe { kern.step(Method::Scalar, isa, src, dst, &geo, geo.interior()) };
+            std::mem::swap(&mut want, &mut spare);
+        }
+        let mut got = init.clone();
+        tl_grid(&mut got, isa);
+        let (len, origin) = ring_layout::<T>(&geo, kern.radius(), k);
+        let mut ring = AlignedBuf::<T>::zeroed(len);
+        // SAFETY: a transposed grid and a ring laid out for depth `k`.
+        unsafe {
+            let ring = ring.as_mut_ptr().add(origin);
+            kern.pass(isa, got.ptr_mut(), &geo, ring, k, None);
+        }
+        tl_grid(&mut got, isa);
+        let n = geo.n;
+        assert_eq!(max_abs_diff(&want, &got), 0.0, "{spec} {n:?} k={k}");
+    }
+
+    /// A deterministic, sign-mixed cell value: no two neighbours equal,
+    /// so a misplaced row or time level cannot cancel out.
+    fn cell(i: usize) -> f64 {
+        ((i * 7919 % 1009) as f64 - 504.0) / 512.0
+    }
+
+    /// Every depth 2..=8, star and box (and a radius-2 star), 2D and 3D,
+    /// f64 and f32, on outer extents of 1, 2R+1 and below (k-1)R, at
+    /// widths below one full `vl²` set and past two.
+    #[test]
+    fn pass_matches_k_oracle_steps_at_every_depth() {
+        let star_r2 = StencilSpec::star2(&[0.1, 0.2, 0.3, 0.2, 0.1], &[0.05, 0.1, 0.0, 0.1, 0.05]);
+        let specs = [
+            StencilSpec::heat_2d5p(),
+            StencilSpec::blur_2d9p(),
+            star_r2.unwrap(),
+            StencilSpec::heat_3d7p(),
+            StencilSpec::blur_3d27p(),
+        ];
+        let vl = Isa::detect_best().lanes_for::<f32>();
+        for spec in &specs {
+            let r = spec.radius();
+            for k in 2..=MAX_DEPTH {
+                for outer in [1, 2 * r + 1, ((k - 1) * r).saturating_sub(1).max(2)] {
+                    for nx in [vl - 3, 2 * vl * vl + 5] {
+                        let halo = -0.75;
+                        if spec.ndim() == 2 {
+                            let f = |y: usize, x: usize| cell(y * nx + x);
+                            let g = Grid2::from_fn(nx, outer, r, halo, f);
+                            pass_is_k_steps(spec, &g, k);
+                            let g =
+                                Grid2::from_fn(nx, outer, r, halo as f32, |y, x| f(y, x) as f32);
+                            pass_is_k_steps(spec, &g, k);
+                        } else {
+                            let f = |z: usize, y: usize, x: usize| cell((z * 3 + y) * nx + x);
+                            let g = Grid3::from_fn(nx, 3, outer, r, halo, f);
+                            pass_is_k_steps(spec, &g, k);
+                            let g = Grid3::from_fn(nx, 3, outer, r, halo as f32, |z, y, x| {
+                                f(z, y, x) as f32
+                            });
+                            pass_is_k_steps(spec, &g, k);
+                        }
+                    }
+                }
             }
         }
     }

@@ -8,7 +8,7 @@
 //! scheme (scalar accumulate, natural-layout vector span, DLT cell and
 //! columns, transpose-layout row), and the zero-sized [`StarK`] / [`BoxK`]
 //! select the star or box bodies for a stencil type. Every range-level
-//! kernel in [`super`] — the `grid2_*` / `grid3_*` loops, the k = 2 ring
+//! kernel in [`super`] — the `grid2_*` / `grid3_*` loops, the fused ring
 //! pipelines, the per-ISA entries — is written once per dimension over
 //! `K: Row2` / `K: Row3` and monomorphizes to the same inner loops a
 //! hand-written per-family kernel would have. 1D has a single family
@@ -109,8 +109,8 @@ pub trait Row2: Send + Sync + 'static {
 
     /// Transpose layout: update logical cells `[x0, x1)` of one `n`-cell
     /// row into `dst`; `at(dy)` is the interior origin of source row
-    /// `y + dy` (the caller decides whether that is the grid, a k = 2
-    /// ring row, or a staged halo row).
+    /// `y + dy` (the caller decides whether that is the grid, a fused
+    /// pass's ring row, or a staged halo row).
     ///
     /// # Safety
     /// Every pointer `at` returns is a row valid with halos in the same

@@ -297,7 +297,7 @@ pub unsafe fn star1_tl<V: Vector, S: Star1>(
 }
 
 // ---------------------------------------------------------------------------
-// 2D star — row helper shared by k=1 and the k=2 ring pipeline
+// 2D star — row helper shared by k=1 and the fused ring pipelines
 // ---------------------------------------------------------------------------
 
 /// One row of a 2D star stencil in transpose layout: the x-part runs on

@@ -1,5 +1,5 @@
 //! Time-loop **unroll-and-jam** kernels (paper §3.3, Algorithm 1): advance
-//! the grid *two* time steps per memory round-trip.
+//! the grid several time steps per memory round-trip.
 //!
 //! 1D is the paper's algorithm verbatim: a software pipeline of `k = 2`
 //! vector sets held in registers. Each iteration loads one set at time
@@ -13,12 +13,14 @@
 //!
 //! 2D/3D: Algorithm 1 is defined for one dimension; the register file
 //! cannot hold the `t+1` values of all neighbouring rows. We pipeline
-//! along the outermost dimension instead, keeping a ring of `2R+1` rows
-//! (2D) or planes (3D) of `t+1` values in an L1/L2-resident scratch
-//! buffer. Main-array traffic is still one read + one write per point per
-//! two steps — the property that produces the paper's Fig. 7/8 gains —
-//! while the ring stays cache-hot. This substitution is documented in
-//! DESIGN.md.
+//! along the outermost dimension instead, keeping `k - 1` ring levels of
+//! `2R+1` rows (2D) or planes (3D) each, at `t+1 … t+k-1`, in an
+//! L2-resident scratch buffer. Main-array traffic is one read + one write
+//! per point per `k` steps — the property that produces the paper's
+//! Fig. 7/8 gains — while the ring stays cache-hot. Under a Dirichlet
+//! boundary the plan picks `k` from the L2 size; the refreshed-boundary
+//! (`_wide`) kernels stay at `k = 2`. This substitution is documented in
+//! `docs/ARCHITECTURE.md` ("Kernel notes").
 
 use stencil_simd::{Elem, Vector};
 
@@ -362,54 +364,79 @@ unsafe fn t1_slot<T>(
     }
 }
 
-/// Advance a 2D stencil of family `K` two steps in place via the row-ring
-/// pipeline.
+/// Advance a 2D stencil of family `K` **`k` steps** in place (`k ≥ 2`)
+/// via a row ring of `k - 1` levels.
 ///
-/// `ring` points at the interior origin of row 0 of a `(2R+1)`-row scratch
-/// buffer with the grid's row stride and pad structure.
+/// Ring level `j` (`1 ≤ j < k`) holds the `2R+1` most recent rows at
+/// time `t + j`; levels 0 and `k` are the main buffer itself. Iteration
+/// `y` advances row `y - (j-1)R` of every level `j` from level `j - 1`,
+/// so main row `y - (k-1)R` receives `t + k`. A read outside `[0, ny)`
+/// lands on the constant halo (`t1_slot`, shift 0). Main row `y` at
+/// `t` is last read by level 1 at iteration `y + R` — no later than the
+/// iteration that overwrites it — so the update is in place for any
+/// `k ≥ 2`. Every level is the same `row_tl` call, one call site, so the
+/// bits are those of `k` single steps.
+///
+/// `ring` points at the interior origin of row 0 of level 1; level `j`
+/// starts `(j-1)(2R+1)` rows after it, every row with the grid's stride
+/// and pad structure.
 ///
 /// # Safety
 /// `buf` is a transposed 2D grid interior origin (halos addressable);
-/// `ring` valid for `2R+1` rows of `rs` elements with pads.
+/// `ring` valid for `(k-1)(2R+1)` rows of `rs` elements with pads;
+/// `k ≥ 2`.
 #[inline(always)]
-pub unsafe fn grid2_tl2<V: Vector, K: Row2>(
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn grid2_pass<V: Vector, K: Row2>(
     buf: *mut V::Elem,
     rs: usize,
     nx: usize,
     ny: usize,
     ring: *mut V::Elem,
+    k: usize,
     s: &K::S,
 ) {
+    debug_assert!(k >= 2);
     let r = K::R;
     let nr = 2 * r + 1;
-    for y in 0..ny + r {
-        if y < ny {
-            // ring[y] = row y @ t+1 from main rows y-R..y+R @ t
-            let c = buf.add(y * rs).cast_const();
-            let dstrow = ring.add((y % nr) * rs);
-            copy_pads(c, dstrow, nx);
-            K::row_tl::<V>(|dy| c.offset(dy * rs as isize), dstrow, nx, 0, nx, s);
-        }
-        if y >= r {
-            // main[ty] = row ty @ t+2 from t+1 rows (ring or constant halo)
-            let ty = y - r;
-            let at = |dy: isize| t1_slot(buf, ring, rs, nr, ny, ty as isize + dy, 0);
-            K::row_tl::<V>(at, buf.add(ty * rs), nx, 0, nx, s);
+    for y in 0..ny + (k - 1) * r {
+        for j in 1..=k {
+            // Level j's row at this iteration; later levels lag further.
+            let Some(yj) = y.checked_sub((j - 1) * r) else {
+                break;
+            };
+            if yj >= ny {
+                continue;
+            }
+            let src = |i: isize| match j {
+                1 => buf.offset(i * rs as isize).cast_const(),
+                _ => t1_slot(buf, ring.add((j - 2) * nr * rs), rs, nr, ny, i, 0),
+            };
+            let main = buf.add(yj * rs);
+            let dst = if j == k {
+                main
+            } else {
+                let d = ring.add(((j - 1) * nr + yj % nr) * rs);
+                copy_pads(main, d, nx);
+                d
+            };
+            K::row_tl::<V>(|dy| src(yj as isize + dy), dst, nx, 0, nx, s);
         }
     }
 }
 
-/// Advance a 3D stencil of family `K` two steps in place via the
-/// plane-ring pipeline. `ring` points at the `(y=0, x=0)` origin of plane
-/// 0 of a `(2R+1)`-plane scratch with the grid's plane layout (halo rows
-/// included).
+/// Advance a 3D stencil of family `K` **`k` steps** in place via a plane
+/// ring of `k - 1` levels: [`grid2_pass`] with planes for rows. `ring`
+/// points at the `(y=0, x=0)` origin of plane 0 of level 1; level `j`
+/// starts `(j-1)(2R+1)` planes after it, every plane with the grid's
+/// plane layout (`R` halo rows per side included).
 ///
 /// # Safety
-/// `buf` is a transposed 3D grid interior origin; `ring` valid for `2R+1`
-/// planes of `ps` elements.
+/// `buf` is a transposed 3D grid interior origin; `ring` valid for
+/// `(k-1)(2R+1)` planes of `ps` elements; `k ≥ 2`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub unsafe fn grid3_tl2<V: Vector, K: Row3>(
+pub unsafe fn grid3_pass<V: Vector, K: Row3>(
     buf: *mut V::Elem,
     rs: usize,
     ps: usize,
@@ -417,42 +444,49 @@ pub unsafe fn grid3_tl2<V: Vector, K: Row3>(
     ny: usize,
     nz: usize,
     ring: *mut V::Elem,
+    k: usize,
     s: &K::S,
 ) {
+    debug_assert!(k >= 2);
     let r = K::R;
     let nr = 2 * r + 1;
-    for z in 0..nz + r {
-        if z < nz {
-            // ring[z] = plane z @ t+1
-            let cp = buf.add(z * ps).cast_const();
-            let rp = ring.add((z % nr) * ps);
-            // constant halo rows of the plane (full stride rows)
-            let pad = <V::Elem as Elem>::PAD as isize;
-            for d in 1..=r as isize {
-                std::ptr::copy_nonoverlapping(
-                    cp.offset(-d * rs as isize - pad),
-                    rp.offset(-d * rs as isize - pad),
-                    rs,
-                );
-                let dn = (ny as isize + d - 1) * rs as isize;
-                std::ptr::copy_nonoverlapping(cp.offset(dn - pad), rp.offset(dn - pad), rs);
+    let pad = <V::Elem as Elem>::PAD as isize;
+    for z in 0..nz + (k - 1) * r {
+        for j in 1..=k {
+            let Some(zj) = z.checked_sub((j - 1) * r) else {
+                break;
+            };
+            if zj >= nz {
+                continue;
             }
+            let src = |i: isize| match j {
+                1 => buf.offset(i * ps as isize).cast_const(),
+                _ => t1_slot(buf, ring.add((j - 2) * nr * ps), ps, nr, nz, i, 0),
+            };
+            let main = buf.add(zj * ps);
+            let ring_level = j < k;
+            let dp = if ring_level {
+                let dp = ring.add(((j - 1) * nr + zj % nr) * ps);
+                // the plane's constant halo rows (full stride rows)
+                for d in 1..=r as isize {
+                    for row in [-d, ny as isize + d - 1] {
+                        let o = row * rs as isize - pad;
+                        std::ptr::copy_nonoverlapping(main.offset(o), dp.offset(o), rs);
+                    }
+                }
+                dp
+            } else {
+                main
+            };
             for y in 0..ny {
-                let c = cp.add(y * rs);
-                copy_pads(c, rp.add(y * rs), nx);
-                let at = |dz: isize, dy: isize| c.offset(dz * ps as isize + dy * rs as isize);
-                K::row_tl::<V>(at, rp.add(y * rs), nx, 0, nx, s);
-            }
-        }
-        if z >= r {
-            // main[tz] = plane tz @ t+2 from t+1 planes (ring or constant halo)
-            let tz = z - r;
-            for y in 0..ny {
+                let d = dp.add(y * rs);
+                if ring_level {
+                    copy_pads(main.add(y * rs), d, nx);
+                }
                 let at = |dz: isize, dy: isize| {
-                    t1_slot(buf, ring, ps, nr, nz, tz as isize + dz, 0)
-                        .offset((y as isize + dy) * rs as isize)
+                    src(zj as isize + dz).offset((y as isize + dy) * rs as isize)
                 };
-                K::row_tl::<V>(at, buf.add(tz * ps + y * rs), nx, 0, nx, s);
+                K::row_tl::<V>(at, d, nx, 0, nx, s);
             }
         }
     }
@@ -463,7 +497,7 @@ pub unsafe fn grid3_tl2<V: Vector, K: Row3>(
 // boundaries
 // ---------------------------------------------------------------------------
 //
-// The Dirichlet kernels above read halo cells at *both* time levels and
+// The Dirichlet kernels above read halo cells at every time level and
 // rely on them being constant. A refreshed boundary's halo cells change
 // every step, so the fused pass needs the t+1 halo level from somewhere.
 // The key identity: a refreshed halo cell at t+1 is a *bit-copy* (fold)
@@ -556,15 +590,15 @@ unsafe fn advance_row<V: Vector, K: Row2>(
     refresh_row(dst, nx, K::R, b, map);
 }
 
-/// [`grid2_tl2`] under a refreshed boundary on a **wide-halo** grid
+/// A k = 2 [`grid2_pass`] under a refreshed boundary on a **wide-halo** grid
 /// (`ry ≥ 2R`): advance the fold-source rows to t+1 into the outer halo
 /// ring first, then run the usual row-ring pipeline with the second
 /// step's out-of-range row reads redirected to the staged rows.
 ///
 /// # Safety
-/// As [`grid2_tl2`], plus: the grid has at least `2R` halo rows per side;
-/// the inner halo frame holds time-`t` values (caller ran `halo::refresh`);
-/// `b` is not Dirichlet; `map` matches the row layout.
+/// As [`grid2_pass`] at `k = 2`, plus: the grid has at least `2R` halo
+/// rows per side; the inner halo frame holds time-`t` values (caller ran
+/// `halo::refresh`); `b` is not Dirichlet; `map` matches the row layout.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub unsafe fn grid2_tl2_wide<V: Vector, K: Row2>(
@@ -642,15 +676,16 @@ unsafe fn advance_plane<V: Vector, K: Row3>(
     refresh(dp, &plane, K::R, b, map);
 }
 
-/// [`grid3_tl2`] under a refreshed boundary on a wide-halo grid
+/// A k = 2 [`grid3_pass`] under a refreshed boundary on a wide-halo grid
 /// (`r ≥ 2R` halo rows *and* planes): fold-source planes advance to t+1
 /// into the outer halo planes, each given its own 2D halo frame; the
 /// plane-ring pipeline then redirects out-of-range plane reads there.
 ///
 /// # Safety
-/// As [`grid3_tl2`], plus: the grid has at least `2R` halo rows and
-/// planes per side; the inner halo shell holds time-`t` values (caller
-/// ran `halo::refresh`); `b` is not Dirichlet; `map` matches the row layout.
+/// As [`grid3_pass`] at `k = 2`, plus: the grid has at least `2R` halo
+/// rows and planes per side; the inner halo shell holds time-`t` values
+/// (caller ran `halo::refresh`); `b` is not Dirichlet; `map` matches the
+/// row layout.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub unsafe fn grid3_tl2_wide<V: Vector, K: Row3>(

@@ -2,8 +2,8 @@
 //!
 //! A faithful reproduction of *An Efficient Vectorization Scheme for
 //! Stencil Computation* (Li, Yuan, Zhang, Yue, Cao, Lu — IPDPS 2022):
-//! the local transpose layout, its vector-set stencil kernels, the k = 2
-//! time unroll-and-jam, and every baseline the paper compares against
+//! the local transpose layout, its vector-set stencil kernels, the time
+//! unroll-and-jam (k = 2 in 1D, deeper in 2D/3D), and every baseline the paper compares against
 //! (multiple-loads, data-reorganization, DLT), for the paper's six
 //! stencils (1D3P, 1D5P, 2D5P, 2D9P, 3D7P, 3D27P).
 //!

@@ -1,14 +1,14 @@
-//! Focused tests for the k = 2 unroll-and-jam machinery: the in-place
+//! Focused tests for the unroll-and-jam machinery: the in-place k = 2
 //! full-row pipeline (Algorithm 1), the tiled range pipeline, and the
-//! 2D/3D ring pipelines — exercised on adversarial geometries.
+//! k-deep 2D/3D ring pipelines — exercised on adversarial geometries.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stencil_core::exec::{CompiledPlan, Parallelism, Plan, PlanError};
+use stencil_core::exec::{CompiledPlan, Parallelism, Plan, PlanError, Shape};
 use stencil_core::kernels::{scalar, tl, tl2};
 use stencil_core::layout::{tl_grid1, SetGeo};
 use stencil_core::verify::max_abs_diff;
-use stencil_core::{Grid, Grid1, Grid2, Grid3, Method, S1d3p, S1d5p, S2d9p, S3d7p};
+use stencil_core::{Grid, Grid1, Grid2, Grid3, Method, S1d3p, S1d5p, S2d9p, S3d7p, StencilSpec};
 use stencil_simd::{dispatch, Isa};
 
 /// `t` steps on `g` through a throwaway sequential plan built by the
@@ -239,4 +239,28 @@ fn tl_subrange_updates_exactly_the_requested_cells() {
             }
         }
     }
+}
+
+/// The resolved depth is part of the plan: 1D, refreshed-boundary and
+/// L2-resident plans fuse step pairs, plans that run no fused pass
+/// report 1, and the plan's `Debug` output names it.
+#[test]
+fn fused_steps_reports_the_resolved_depth() {
+    let depth = |shape: Shape, spec: &str, method: Method, par: Parallelism| {
+        let spec: StencilSpec = spec.parse().unwrap();
+        let plan = Plan::new(shape)
+            .method(method)
+            .parallelism(par)
+            .stencil(&spec)
+            .unwrap();
+        assert!(format!("{plan:?}").contains(&format!("fused_steps: {}", plan.fused_steps())));
+        plan.fused_steps()
+    };
+    let (tl2, off, sq) = (Method::TransLayout2, Parallelism::Off, Shape::d2(64, 64));
+    assert_eq!(depth(Shape::d1(4096), "1d3p", tl2, off), 2);
+    assert_eq!(depth(sq, "2d5p@periodic", tl2, off), 2);
+    assert_eq!(depth(Shape::d3(32, 32, 32), "3d7p@reflect", tl2, off), 2);
+    assert_eq!(depth(sq, "2d5p", tl2, off), 2);
+    assert_eq!(depth(sq, "2d5p", Method::TransLayout, off), 1);
+    assert_eq!(depth(sq, "2d5p", tl2, Parallelism::Threads(2)), 1);
 }

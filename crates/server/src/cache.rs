@@ -2,7 +2,7 @@
 //!
 //! Compiling a plan is the expensive part of serving a stencil job: the
 //! builder validates the whole configuration, allocates the ping-pong
-//! scratch grid (and the k = 2 ring or the tile staging arena where the
+//! scratch grid (and the fused-pass ring or the tile staging arena where the
 //! method needs one), and spawns the persistent worker pool. Running a
 //! cached plan skips all of that — the steady-state cost of a job is
 //! exactly the sweep itself.
