@@ -36,7 +36,9 @@
 //! source**, after the source holds the level the next step reads.
 //!
 //! * **Untiled sequential** plans own everything: they refresh the whole
-//!   surface of the step's source buffer before each step (`refresh`).
+//!   surface of the step's source buffer before each step (`refresh`),
+//!   or before each fused pass, which folds the halos of its own time
+//!   levels as it makes them (see `kernels::tl2`).
 //! * **Untiled parallel** plans own one band of the outermost axis per
 //!   work item: a band steps its slabs, then refreshes, in the step's
 //!   *destination* buffer, the halo cells whose sources it just computed
@@ -262,8 +264,10 @@ pub(crate) unsafe fn refresh_row<T: Elem>(
 }
 
 /// The source row index (in `[0, n)`) that halo row/plane `-k` (for
-/// `lo = true`) or `n-1+k` copies from. Also used by the wide-halo fused
-/// kernels (`kernels::tl2`) to stage t+1 halo values.
+/// `lo = true`) or `n-1+k` copies from. The fused passes
+/// (`kernels::tl2`) resolve their halo reads at `t + j` through it too:
+/// a ring level's out-of-range rows/planes into the edge strips, and 1D's
+/// `t+1` halo cells into the edge cells they fold.
 #[inline]
 pub(crate) fn fold_src(n: usize, k: usize, lo: bool, b: Boundary) -> usize {
     match (b, lo) {
@@ -371,20 +375,47 @@ pub(crate) fn ensure_scratch<T: Elem>(slot: &mut Option<AlignedBuf<T>>, g: &Alig
     }
 }
 
-/// The ring buffer of a 2D/3D fused pass of depth `k` over `geo`, as
-/// `(length, interior origin)` in elements: `k - 1` levels of `2r + 1`
-/// rows behind one left halo pad, or of `2r + 1` planes entered `r` halo
-/// rows plus the pad in.
+/// Slabs in level `j`'s edge strips of a depth-`k` fused pass over an
+/// outer axis of `n`: the `(k - j)·r` nearest each edge, clamped to `n`
+/// (see `kernels::tl2`).
 #[inline]
-pub(crate) fn ring_layout<T: Elem>(geo: &Geo, r: usize, k: usize) -> (usize, usize) {
-    let slabs = (k - 1) * (2 * r + 1);
-    match geo.ndim {
-        2 => (T::PAD + slabs * geo.rs, T::PAD),
-        _ => (slabs * geo.ps, r * geo.rs + T::PAD),
-    }
+pub(crate) fn strip_slabs(n: usize, r: usize, k: usize, j: usize) -> usize {
+    (2 * (k - j) * r).min(n)
 }
 
-/// Deepest fused pass a 2D/3D Dirichlet plan runs.
+/// The buffer of a 2D/3D fused pass of depth `k` over `geo`, as
+/// `(length, ring origin, strips origin)` in elements: `k - 1` ring
+/// levels of `2r + 1` slabs, then — under a refreshed boundary `b` — the
+/// edge strips of levels `1..k`, every slab a row behind one left halo
+/// pad, or a plane entered `r` halo rows plus the pad in. The length
+/// grows with `k`, and a buffer sized for `k` serves every shallower
+/// pass.
+#[inline]
+pub(crate) fn ring_layout<T: Elem>(
+    geo: &Geo,
+    r: usize,
+    k: usize,
+    b: Boundary,
+) -> (usize, usize, usize) {
+    let outer = geo.ndim - 1;
+    let (n, stride) = (geo.n[outer], geo.stride(outer));
+    let ring = (k - 1) * (2 * r + 1);
+    let strips = match b {
+        Boundary::Dirichlet(_) => 0,
+        _ => (1..k).map(|j| strip_slabs(n, r, k, j)).sum(),
+    };
+    let (lead, origin) = match geo.ndim {
+        2 => (T::PAD, T::PAD),
+        _ => (0, r * geo.rs + T::PAD),
+    };
+    (
+        lead + (ring + strips) * stride,
+        origin,
+        origin + ring * stride,
+    )
+}
+
+/// Deepest fused pass a 2D/3D plan runs.
 pub(crate) const MAX_DEPTH: usize = 8;
 
 /// The fused pass depth for ring slabs (rows in 2D, planes in 3D) of
@@ -633,6 +664,7 @@ mod tests {
 
     #[test]
     fn ring_geometry_helpers() {
+        let d = Boundary::default();
         let g2 = Geo {
             ndim: 2,
             n: [24, 3, 1],
@@ -640,9 +672,21 @@ mod tests {
             ps: 0,
             halo: 1,
         };
-        assert_eq!(ring_layout::<f64>(&g2, 1, 2), (HALO_PAD + 3 * 40, HALO_PAD));
-        assert_eq!(ring_layout::<f32>(&g2, 1, 2), (16 + 3 * 40, 16));
-        assert_eq!(ring_layout::<f64>(&g2, 1, 4), (HALO_PAD + 9 * 40, HALO_PAD));
+        let p = HALO_PAD;
+        // Edge strips follow the ring: 2·(k-j)·r slabs per level j,
+        // clamped to the 3 rows there are (3 + 3 + 2 at k = 4).
+        let b = Boundary::Periodic;
+        for (k, b, want) in [
+            (2, d, (p + 3 * 40, p, p + 3 * 40)),
+            (4, d, (p + 9 * 40, p, p + 9 * 40)),
+            (2, b, (p + 5 * 40, p, p + 3 * 40)),
+            (4, b, (p + 17 * 40, p, p + 9 * 40)),
+        ] {
+            assert_eq!(ring_layout::<f64>(&g2, 1, k, b), want, "{b} k={k}");
+        }
+        assert_eq!(ring_layout::<f32>(&g2, 1, 2, d).0, 16 + 3 * 40);
+        let slabs: Vec<_> = (1..4).map(|j| strip_slabs(3, 1, 4, j)).collect();
+        assert_eq!(slabs, [3, 3, 2]);
         let g3 = Geo {
             ndim: 3,
             n: [8, 2, 2],
@@ -650,9 +694,13 @@ mod tests {
             ps: 1000,
             halo: 2,
         };
-        assert_eq!(ring_layout::<f64>(&g3, 2, 2).0, 5 * 1000);
-        assert_eq!(ring_layout::<f64>(&g3, 2, 3).0, 10 * 1000);
-        assert_eq!(ring_layout::<f64>(&g3, 1, 5).1, 16 + HALO_PAD);
+        assert_eq!(ring_layout::<f64>(&g3, 2, 2, d).0, 5 * 1000);
+        assert_eq!(ring_layout::<f64>(&g3, 2, 3, d).0, 10 * 1000);
+        assert_eq!(ring_layout::<f64>(&g3, 1, 5, d).1, 16 + HALO_PAD);
+        assert_eq!(
+            ring_layout::<f64>(&g3, 2, 2, Boundary::Reflect),
+            (7 * 1000, 32 + p, 32 + p + 5000)
+        );
     }
 
     /// The depth rule: `k - 1` ring levels of `2r + 1` slabs in half the

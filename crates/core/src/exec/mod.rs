@@ -951,12 +951,11 @@ impl PlanCore {
     /// Time steps one fused pass of a session advances — the depth `k`
     /// of the time loop's unroll-and-jam, resolved at build time; 1 when
     /// the plan runs no fused pass. Untiled single-threaded
-    /// `TransLayout2` plans fuse: a 2D/3D Dirichlet grid larger than the
-    /// probed L2 as deep as its ring fits half of it (2 ≤ k ≤ 8); 1D,
-    /// refreshed-boundary and L2-resident plans in step pairs. A refreshed 2D/3D session
-    /// on a grid halo narrower than twice the radius steps one at a
-    /// time regardless; tiled 1D `TransLayout2` fuses pairs inside each
-    /// tile.
+    /// `TransLayout2` plans fuse under every boundary, on any grid whose
+    /// halo holds the radius: a 2D/3D grid larger than the probed L2 as
+    /// deep as its ring fits half of it (2 ≤ k ≤ 8); 1D and L2-resident
+    /// plans in step pairs. A run of `t` steps passes at most `t` deep;
+    /// tiled 1D `TransLayout2` fuses pairs inside each tile.
     pub fn fused_steps(&self) -> usize {
         self.cfg.depth
     }
@@ -1053,12 +1052,6 @@ impl<T: Elem> CompiledPlan<T> {
             Layout::Transpose => {
                 layout::tl_buf(buf, &geo, cfg.isa);
                 halo::ensure_scratch(&mut self.scratch, buf);
-                if geo.ndim > 1 && runs_fused(cfg, &geo, r) {
-                    let (len, _) = halo::ring_layout::<T>(&geo, r, cfg.depth);
-                    if self.ring.as_ref().map(|ring| ring.len()) != Some(len) {
-                        self.ring = Some(AlignedBuf::zeroed(len));
-                    }
-                }
             }
             Layout::Dlt => {
                 // Transform into the scratch (which carries `buf`'s
@@ -1086,16 +1079,27 @@ pub struct Session<'p, T: Elem = f64> {
 }
 
 impl<T: Elem> Session<'_, T> {
-    /// Advance the grid `t` Jacobi steps. No buffer allocation and no
-    /// layout transform happen here — only kernel stepping (tiled runs
-    /// copy small precomputed tile lists per chunk), plus the O(surface)
-    /// per-step halo refresh under a non-Dirichlet [`Boundary`].
+    /// Advance the grid `t` Jacobi steps. No layout transform happens
+    /// here — only kernel stepping (tiled runs copy small precomputed
+    /// tile lists per chunk), plus the O(surface) per-step halo refresh
+    /// under a non-Dirichlet [`Boundary`]. The one allocation is a 2D/3D
+    /// fused plan's ring, sized for the deepest pass a run has asked for
+    /// (`min(fused_steps, t)`) and grown only when a later run goes
+    /// deeper.
     pub fn run(&mut self, t: usize) {
         if t == 0 {
             return;
         }
         let plan = &mut *self.plan;
         let geo = self.geo;
+        let depth = plan.core.cfg.depth.min(t);
+        if geo.ndim > 1 && depth > 1 {
+            let r = plan.kernel.radius();
+            let (len, ..) = halo::ring_layout::<T>(&geo, r, depth, plan.core.cfg.boundary);
+            if plan.ring.as_ref().is_none_or(|ring| ring.len() < len) {
+                plan.ring = Some(AlignedBuf::zeroed(len));
+            }
+        }
         // The ping-pong pair the method steps: the caller's grid and the
         // plan's scratch — both `geo.len()` long, so the interior origin
         // lies inside each.
@@ -1131,12 +1135,10 @@ impl<T: Elem> Drop for Session<'_, T> {
 /// The fused pass depth of a plan (see [`PlanCore::fused_steps`]): only
 /// untiled single-threaded `TransLayout2` fuses (parallel untiled
 /// stepping ping-pongs). A row needs two full vector sets for the
-/// register pipeline, which fuses step pairs (its t+1 halo folds are
-/// computed in registers under any boundary). A plane or volume
-/// pipelines through a ring: `k = 2` under a refreshed boundary (see
-/// `kernels::tl2`'s wide section), else as deep as [`halo::depth`]
-/// allows for its ring slab — a row in 2D, a plane in 3D — in a buffer
-/// laid out with an `r`-wide halo. A buffer that fits the L2 also stays
+/// register pipeline, which fuses step pairs. A plane or volume
+/// pipelines through a ring as deep as [`halo::depth`] allows for its
+/// ring slab — a row in 2D, a plane in 3D — in a buffer laid out with an
+/// `r`-wide halo, under every boundary. A buffer that fits the L2 stays
 /// at `k = 2`: it has no memory traffic for a deeper pass to save, and
 /// the deeper ring only pushes the rows a level reads out of L1 (on an
 /// AVX-512 core with a 2 MiB L2, a 256² f64 2d5p session ran 1.6–1.9×
@@ -1153,18 +1155,10 @@ fn fused_depth<T: Elem>(cfg: &Cfg, shape: &Shape, r: usize) -> usize {
     match ndim {
         1 if SetGeo::new(n[0], cfg.isa.lanes_for::<T>()).nsets >= 2 => 2,
         1 => 1,
-        _ if !cfg.boundary.is_dirichlet() || bytes(geo.len::<T>()) <= l2 => 2,
+        _ if bytes(geo.len::<T>()) <= l2 => 2,
         2 => halo::depth(l2, bytes(geo.rs), r),
         _ => halo::depth(l2, bytes(geo.ps), r),
     }
-}
-
-/// Whether a session on `geo` runs the plan's fused pass: the plan
-/// fuses, and under a refreshed boundary a plane or volume carries a
-/// halo wide enough (`≥ 2r`) to stage the t+1 halo level in — narrower
-/// halos step k = 1 with a refresh in between.
-fn runs_fused(cfg: &Cfg, geo: &Geo, r: usize) -> bool {
-    cfg.depth > 1 && (geo.ndim == 1 || cfg.boundary.is_dirichlet() || geo.halo >= 2 * r)
 }
 
 /// The one runner body: step the ping-pong pair `bufs` (laid out as
@@ -1226,31 +1220,30 @@ fn run_steps<T: Elem>(
             // Derived once: at L1 sizes a fused pair is a few µs, so the
             // per-pair constant work has to stay tiny.
             let map = halo::RowMap::for_method::<T>(method, isa, geo.n[0]);
-            let fused = runs_fused(&core.cfg, geo, r);
             let depth = core.cfg.depth;
-            let ring = match ring {
-                // SAFETY: the ring was sized by `ring_layout` at session
-                // open.
-                Some(ring) if fused => unsafe { ring.add(halo::ring_layout::<T>(geo, r, depth).1) },
-                _ => std::ptr::null_mut(),
-            };
-            let wide = (!boundary.is_dirichlet()).then_some((boundary, &map));
-            // With `fused`, in-place passes of `min(depth, steps left)` on
-            // buffer 0 while at least two steps are left, then the last
-            // step (if any) alone, ping-ponging; each is preceded by
-            // bringing its source's halos to the interior's time level (a
-            // no-op under Dirichlet).
+            // In-place passes of `min(depth, steps left)` on buffer 0
+            // while at least two steps are left, then the last step (if
+            // any) alone, ping-ponging; each is preceded by bringing its
+            // source's halos to the interior's time level (a no-op under
+            // Dirichlet).
             //
             // SAFETY: both buffers carry ≥ r halo rows/planes (asserted at
             // session open) and the row pad; extents ≥ r were validated at
-            // plan build; the fused pass runs only with its ring allocated
-            // for `depth`.
+            // plan build; a 2D/3D session sized the ring for
+            // `min(depth, t)` levels, the deepest pass below.
             let mut rest = t;
-            while fused && rest >= 2 {
+            while depth > 1 && rest >= 2 {
                 let steps = depth.min(rest);
+                let (ring, strips) = match ring {
+                    Some(p) => {
+                        let (_, origin, strips) = halo::ring_layout::<T>(geo, r, steps, boundary);
+                        unsafe { (p.add(origin), p.add(strips)) }
+                    }
+                    None => (std::ptr::null_mut(), std::ptr::null_mut()),
+                };
                 unsafe {
                     halo::refresh(bufs[0].0, geo, r, boundary, &map);
-                    k.pass(isa, bufs[0].0, geo, ring, steps, wide);
+                    k.pass(isa, bufs[0].0, geo, ring, strips, steps, boundary, &map);
                 }
                 rest -= steps;
             }
@@ -1294,24 +1287,46 @@ mod tests {
 
     /// A pass as deep as a large grid's would be, forced onto tiny ones:
     /// step counts that are not a multiple of the depth end in a shorter
-    /// pass and a lone k = 1 step, bit-exact against the oracle.
+    /// pass and a lone k = 1 step, bit-exact against the oracle under
+    /// every boundary, on grids whose halo is the radius. The ring is
+    /// allocated by the first run that fuses, for the deepest pass a run
+    /// has asked for, and grows with it.
     #[test]
     fn deep_pass_remainders_match_the_oracle() {
         fn check<T: Elem, const D: usize>(
             init: &Grid<T, D>,
             compile: impl Fn(Plan) -> Result<CompiledPlan<T>, PlanError>,
         ) {
-            let plan = |method| Plan::new(init.geo().shape()).method(method);
-            let mut oracle = compile(plan(Method::Scalar)).unwrap();
-            for depth in [3, 8] {
-                let mut fused = compile(plan(Method::TransLayout2)).unwrap();
-                fused.core.cfg.depth = depth;
-                for t in [1, 2, 7, 9, 13, 17] {
-                    let (mut want, mut got) = (init.clone(), init.clone());
-                    oracle.run(&mut want, t);
-                    fused.run(&mut got, t);
-                    let n = init.geo().n;
-                    assert_eq!(max_abs_diff(&want, &got), 0.0, "{n:?} k={depth} t={t}");
+            for b in [
+                Boundary::Dirichlet(0.5),
+                Boundary::Periodic,
+                Boundary::Reflect,
+            ] {
+                let plan = |method| {
+                    let plan = Plan::new(init.geo().shape()).parallelism(Parallelism::Off);
+                    plan.method(method).boundary(b)
+                };
+                let mut oracle = compile(plan(Method::Scalar)).unwrap();
+                for depth in [3, 8] {
+                    let mut fused = compile(plan(Method::TransLayout2)).unwrap();
+                    fused.core.cfg.depth = depth;
+                    let mut deepest = 0;
+                    for t in [1, 2, 7, 9, 13, 17, 2] {
+                        let (mut want, mut got) = (init.clone(), init.clone());
+                        oracle.run(&mut want, t);
+                        fused.run(&mut got, t);
+                        let n = init.geo().n;
+                        let diff = max_abs_diff(&want, &got);
+                        assert_eq!(diff, 0.0, "{b} {n:?} k={depth} t={t}");
+                        deepest = deepest.max(depth.min(t) * usize::from(t > 1));
+                        let ring = |k| halo::ring_layout::<T>(&init.geo(), 1, k, b).0;
+                        let len = fused.ring.as_ref().map(|r| r.len());
+                        assert_eq!(
+                            len,
+                            (deepest > 1).then(|| ring(deepest)),
+                            "{b} k={depth} t={t}"
+                        );
+                    }
                 }
             }
         }

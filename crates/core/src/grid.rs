@@ -621,25 +621,11 @@ impl AnyGrid {
         Ok(())
     }
 
-    /// The halo width (rows/planes per side) a spec-derived grid is
-    /// allocated with: the stencil radius under Dirichlet, and **twice**
-    /// the radius for the refreshed (periodic/reflect) modes — the outer
-    /// half stages the t+1 halo level so `TransLayout2` sessions keep
-    /// their fused k = 2 pass (see `exec::halo`). The extra rows cost
-    /// O(surface) memory and are invisible to every other method.
-    fn spec_halo_r(spec: &StencilSpec) -> usize {
-        if spec.boundary().is_dirichlet() {
-            spec.radius()
-        } else {
-            2 * spec.radius()
-        }
-    }
-
     /// Halo-aware [`AnyGrid::from_fn`]: derive the halo geometry, fill,
     /// **and element type** from a [`StencilSpec`] instead of
     /// hand-passing them — the halo is `spec.radius()` rows/planes wide
-    /// under Dirichlet (twice that for the refreshed boundary modes,
-    /// whose fused fast path stages the next time level there), filled
+    /// under every boundary (the fused `TransLayout2` pass makes each
+    /// level's halo itself, so it needs no wider one), filled
     /// with the boundary's constant ([`Boundary::halo_fill`]), and the
     /// shape is checked against the spec (dimensionality, non-zero
     /// extents, and extents ≥ radius for the folded boundary modes). For
@@ -669,7 +655,7 @@ impl AnyGrid {
         mut f: impl FnMut(usize, usize, usize) -> f64,
     ) -> Result<AnyGrid, GridDataError> {
         Self::check_spec(shape, spec)?;
-        let (halo_r, fill) = (Self::spec_halo_r(spec), spec.boundary().halo_fill());
+        let (halo_r, fill) = (spec.radius(), spec.boundary().halo_fill());
         match spec.dtype() {
             Dtype::F64 => Self::build(shape, halo_r, fill, f),
             Dtype::F32 => Self::build(shape, halo_r, fill as f32, |z, y, x| f(z, y, x) as f32),
@@ -690,12 +676,7 @@ impl AnyGrid {
     ) -> Result<AnyGrid, GridDataError> {
         Self::check_dtype(spec, Dtype::F64)?;
         Self::check_spec(shape, spec)?;
-        Self::from_vec(
-            shape,
-            Self::spec_halo_r(spec),
-            spec.boundary().halo_fill(),
-            data,
-        )
+        Self::from_vec(shape, spec.radius(), spec.boundary().halo_fill(), data)
     }
 
     /// f32 twin of [`AnyGrid::from_vec_spec`]: native single-precision
@@ -710,7 +691,7 @@ impl AnyGrid {
         Self::check_spec(shape, spec)?;
         Self::from_vec_f32(
             shape,
-            Self::spec_halo_r(spec),
+            spec.radius(),
             spec.boundary().halo_fill() as f32,
             data,
         )
@@ -970,16 +951,13 @@ mod tests {
     fn spec_aware_constructors_check_shape_and_boundary() {
         let spec: StencilSpec = "2d5p@periodic".parse().unwrap();
 
-        // Happy path: refreshed boundaries get the wide (2×radius) halo
-        // that stages the fused pass's t+1 level; fill = the boundary
-        // constant.
+        // Happy path: every boundary gets the radius-wide halo; fill =
+        // the boundary constant.
         let g =
             AnyGrid::from_fn_spec(Shape::d2(12, 7), &spec, |_, y, x| (y * 100 + x) as f64).unwrap();
         let g2 = g.as_grid2().unwrap();
-        assert_eq!(g2.halo(), 2 * spec.radius());
+        assert_eq!(g2.halo(), spec.radius());
         assert_eq!(g2.get(-1, 0), 0.0, "halo filled with the boundary constant");
-
-        // Dirichlet keeps the tight radius-wide halo.
         let tight: StencilSpec = "2d5p".parse().unwrap();
         let g = AnyGrid::from_fn_spec(Shape::d2(12, 7), &tight, |_, _, _| 0.0).unwrap();
         assert_eq!(g.as_grid2().unwrap().halo(), tight.radius());

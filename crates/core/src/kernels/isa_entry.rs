@@ -20,7 +20,8 @@ use stencil_simd::{Elem, Isa};
 use super::row::{Row2, Row3};
 use super::{tl, tl2};
 use crate::exec::halo::{Boundary, RowMap};
-use crate::stencil::Star1;
+use crate::layout::SetGeo;
+use crate::stencil::{Star1, MAX_R};
 
 macro_rules! isa_entry {
     ($(#[$doc:meta])* $name:ident<$G:ident: $bound:ident>, $km:ident,
@@ -80,9 +81,9 @@ isa_entry!(
        z0: usize, z1: usize, y0: usize, y1: usize, x0: usize, x1: usize, s: &K::S)
 );
 isa_entry!(
-    /// [`tl2::star1_tl2`] behind a per-ISA feature entry.
-    star1_tl2<S: Star1>, tl2,
-    fn(buf: *mut T, n: usize, s: &S)
+    /// [`tl2::star1_tl2_edges`] behind a per-ISA feature entry.
+    star1_tl2_edges<S: Star1>, tl2,
+    fn(buf: *mut T, n: usize, lt1: &[T; MAX_R], rt1: &[T; MAX_R], s: &S)
 );
 isa_entry!(
     /// [`tl2::star1_tl2_range`] behind a per-ISA feature entry.
@@ -92,31 +93,28 @@ isa_entry!(
 isa_entry!(
     /// [`tl2::grid2_pass`] behind a per-ISA feature entry.
     grid2_pass<K: Row2>, tl2,
-    fn(buf: *mut T, rs: usize, nx: usize, ny: usize, ring: *mut T, k: usize, s: &K::S)
+    fn(buf: *mut T, rs: usize, nx: usize, ny: usize, ring: *mut T, strips: *mut T,
+       k: usize, b: Boundary, map: &RowMap, s: &K::S)
 );
 isa_entry!(
     /// [`tl2::grid3_pass`] behind a per-ISA feature entry.
     grid3_pass<K: Row3>, tl2,
     fn(buf: *mut T, rs: usize, ps: usize, nx: usize, ny: usize, nz: usize,
-       ring: *mut T, k: usize, s: &K::S)
+       ring: *mut T, strips: *mut T, k: usize, b: Boundary, map: &RowMap, s: &K::S)
 );
-isa_entry!(
-    /// [`tl2::star1_tl2_wide`] behind a per-ISA feature entry.
-    star1_tl2_wide<S: Star1>, tl2,
-    fn(buf: *mut T, n: usize, b: Boundary, s: &S)
-);
-isa_entry!(
-    /// [`tl2::grid2_tl2_wide`] behind a per-ISA feature entry.
-    grid2_tl2_wide<K: Row2>, tl2,
-    fn(buf: *mut T, rs: usize, nx: usize, ny: usize, ring: *mut T,
-       b: Boundary, map: &RowMap, s: &K::S)
-);
-isa_entry!(
-    /// [`tl2::grid3_tl2_wide`] behind a per-ISA feature entry.
-    grid3_tl2_wide<K: Row3>, tl2,
-    fn(buf: *mut T, rs: usize, ps: usize, nx: usize, ny: usize, nz: usize,
-       ring: *mut T, b: Boundary, map: &RowMap, s: &K::S)
-);
+
+/// [`star1_tl2_edges`] under a Dirichlet boundary, whose constant halo is
+/// its own `t+1` level ([`tl2::edges_t1`]): Algorithm 1 at k = 2 on a
+/// transposed row of `n` cells.
+///
+/// # Safety
+/// As [`tl2::star1_tl2_edges`]; `isa` must be available on this CPU
+/// (checked).
+pub unsafe fn star1_tl2<T: Elem, S: Star1>(isa: Isa, buf: *mut T, n: usize, s: &S) {
+    let geo = SetGeo::new(n, isa.lanes_for::<T>());
+    let [lt1, rt1] = tl2::edges_t1(buf, &geo, Boundary::default(), s);
+    star1_tl2_edges::<T, S>(isa, buf, n, &lt1, &rt1, s)
+}
 
 /// Sanity: the macro's portable fallback uses lane width to pick the
 /// oracle type, so every entry must accept every ISA.

@@ -60,7 +60,7 @@ pub use row::{BoxK, Row2, Row3, StarK};
 
 use crate::exec::halo::{Boundary, RowMap};
 use crate::exec::{Method, Shape};
-use crate::layout::DltGeo;
+use crate::layout::{DltGeo, SetGeo};
 use crate::spec::SpecError;
 use crate::stencil::{Box2, Box3, Star1, Star2, Star3, MAX_R};
 
@@ -211,23 +211,29 @@ pub trait Kernel<T: Elem>: Send + Sync {
     );
 
     /// The fused pass: advance the whole transposed buffer `k` steps in
-    /// place. 1D runs Algorithm 1's register pipeline
-    /// ([`tl2::star1_tl2`]) and ignores `ring`; 2D/3D stream rows/planes
-    /// through the `k - 1` ring levels at `ring` ([`tl2::grid2_pass`] /
-    /// [`tl2::grid3_pass`]). `wide` names the refreshed boundary whose
-    /// t+1 halo level the pass must produce itself (the `*_wide`
-    /// variants). 1D and `wide` passes take `k = 2` only.
+    /// place under boundary `b`, whose halos must hold the interior's
+    /// time level on entry. 1D runs Algorithm 1's register pipeline
+    /// ([`tl2::star1_tl2_edges`], `k = 2` only) with its `t+1` halo
+    /// folds computed first ([`tl2::edges_t1`]) and ignores `ring` and
+    /// `strips`; 2D/3D stream rows/planes through the `k - 1` ring levels
+    /// at `ring` ([`tl2::grid2_pass`] / [`tl2::grid3_pass`]), and under a
+    /// refreshed boundary advance the edge strips at `strips` first. Both
+    /// pointers are laid out by `exec::halo::ring_layout`; `map` is the
+    /// row layout's, through which the pass folds each level's halos.
     ///
     /// # Safety
     /// As the kernel selected; `k ≥ 2`.
+    #[allow(clippy::too_many_arguments)]
     unsafe fn pass(
         &self,
         isa: Isa,
         buf: *mut T,
         geo: &Geo,
         ring: *mut T,
+        strips: *mut T,
         k: usize,
-        wide: Option<(Boundary, &RowMap)>,
+        b: Boundary,
+        map: &RowMap,
     );
 
     /// 1D only: the fused k = 2 pipeline over the set range `[sa, sb)` of
@@ -373,14 +379,15 @@ impl<T: Elem, S: Star1> Kernel<T> for Kern1<S> {
         buf: *mut T,
         geo: &Geo,
         _ring: *mut T,
+        _strips: *mut T,
         k: usize,
-        wide: Option<(Boundary, &RowMap)>,
+        b: Boundary,
+        _map: &RowMap,
     ) {
         debug_assert_eq!(k, 2, "Algorithm 1 fuses step pairs");
-        match wide {
-            None => isa_entry::star1_tl2(isa, buf, geo.n[0], &self.0),
-            Some((b, _)) => isa_entry::star1_tl2_wide(isa, buf, geo.n[0], b, &self.0),
-        }
+        let (s, n) = (&self.0, geo.n[0]);
+        let [lt1, rt1] = tl2::edges_t1(buf, &SetGeo::new(n, isa.lanes_for::<T>()), b, s);
+        isa_entry::star1_tl2_edges(isa, buf, n, &lt1, &rt1, s)
     }
 
     unsafe fn pass2_range(
@@ -452,17 +459,13 @@ impl<T: Elem, K: Row2> Kernel<T> for Kern2<K> {
         buf: *mut T,
         geo: &Geo,
         ring: *mut T,
+        strips: *mut T,
         k: usize,
-        wide: Option<(Boundary, &RowMap)>,
+        b: Boundary,
+        map: &RowMap,
     ) {
         let (s, rs, [nx, ny, _]) = (&self.0, geo.rs, geo.n);
-        match wide {
-            None => isa_entry::grid2_pass::<T, K>(isa, buf, rs, nx, ny, ring, k, s),
-            Some((b, map)) => {
-                debug_assert_eq!(k, 2, "refreshed boundaries fuse step pairs");
-                isa_entry::grid2_tl2_wide::<T, K>(isa, buf, rs, nx, ny, ring, b, map, s)
-            }
-        }
+        isa_entry::grid2_pass::<T, K>(isa, buf, rs, nx, ny, ring, strips, k, b, map, s)
     }
 }
 
@@ -519,17 +522,13 @@ impl<T: Elem, K: Row3> Kernel<T> for Kern3<K> {
         buf: *mut T,
         geo: &Geo,
         ring: *mut T,
+        strips: *mut T,
         k: usize,
-        wide: Option<(Boundary, &RowMap)>,
+        b: Boundary,
+        map: &RowMap,
     ) {
         let (s, rs, ps, [nx, ny, nz]) = (&self.0, geo.rs, geo.ps, geo.n);
-        match wide {
-            None => isa_entry::grid3_pass::<T, K>(isa, buf, rs, ps, nx, ny, nz, ring, k, s),
-            Some((b, map)) => {
-                debug_assert_eq!(k, 2, "refreshed boundaries fuse step pairs");
-                isa_entry::grid3_tl2_wide::<T, K>(isa, buf, rs, ps, nx, ny, nz, ring, b, map, s)
-            }
-        }
+        isa_entry::grid3_pass::<T, K>(isa, buf, rs, ps, nx, ny, nz, ring, strips, k, b, map, s)
     }
 }
 
@@ -538,37 +537,50 @@ mod tests {
     use stencil_simd::{AlignedBuf, Elem, Isa};
 
     use super::*;
-    use crate::exec::halo::{ring_layout, MAX_DEPTH};
+    use crate::exec::halo::{refresh, ring_layout, MAX_DEPTH};
     use crate::grid::{Grid, Grid2, Grid3};
     use crate::layout::tl_grid;
     use crate::spec::StencilSpec;
     use crate::verify::max_abs_diff;
 
     /// One in-place [`Kernel::pass`] of depth `k` on a transposed copy of
-    /// `init` equals `k` scalar-oracle steps, to 0 ULP.
-    fn pass_is_k_steps<T: Elem, const D: usize>(spec: &StencilSpec, init: &Grid<T, D>, k: usize) {
+    /// `init` under boundary `b` equals `k` scalar-oracle steps with a
+    /// halo refresh before each, to 0 ULP.
+    fn pass_is_k_steps<T: Elem, const D: usize>(
+        spec: &StencilSpec,
+        init: &Grid<T, D>,
+        k: usize,
+        b: Boundary,
+    ) {
         let isa = Isa::detect_best();
         let kern = spec.kernel::<T>().unwrap();
-        let geo = init.geo();
+        let (geo, r) = (init.geo(), kern.radius());
         let (mut want, mut spare) = (init.clone(), init.clone());
         for _ in 0..k {
-            let (src, dst) = (want.ptr(), spare.ptr_mut());
-            // SAFETY: two grids of one geometry, halos ≥ the radius.
-            unsafe { kern.step(Method::Scalar, isa, src, dst, &geo, geo.interior()) };
+            let (src, dst) = (want.ptr_mut(), spare.ptr_mut());
+            // SAFETY: two grids of one geometry, halos ≥ the radius,
+            // extents ≥ the radius.
+            unsafe {
+                refresh(src, &geo, r, b, &RowMap::Natural);
+                kern.step(Method::Scalar, isa, src, dst, &geo, geo.interior());
+            }
             std::mem::swap(&mut want, &mut spare);
         }
         let mut got = init.clone();
         tl_grid(&mut got, isa);
-        let (len, origin) = ring_layout::<T>(&geo, kern.radius(), k);
+        let map = RowMap::for_method::<T>(Method::TransLayout2, isa, geo.n[0]);
+        let (len, origin, strips) = ring_layout::<T>(&geo, r, k, b);
         let mut ring = AlignedBuf::<T>::zeroed(len);
-        // SAFETY: a transposed grid and a ring laid out for depth `k`.
+        // SAFETY: a transposed grid, refreshed to its interior's level,
+        // and a ring with strips laid out for depth `k`.
         unsafe {
-            let ring = ring.as_mut_ptr().add(origin);
-            kern.pass(isa, got.ptr_mut(), &geo, ring, k, None);
+            refresh(got.ptr_mut(), &geo, r, b, &map);
+            let (ring, strips) = (ring.as_mut_ptr().add(origin), ring.as_mut_ptr().add(strips));
+            kern.pass(isa, got.ptr_mut(), &geo, ring, strips, k, b, &map);
         }
         tl_grid(&mut got, isa);
         let n = geo.n;
-        assert_eq!(max_abs_diff(&want, &got), 0.0, "{spec} {n:?} k={k}");
+        assert_eq!(max_abs_diff(&want, &got), 0.0, "{spec} {b} {n:?} k={k}");
     }
 
     /// A deterministic, sign-mixed cell value: no two neighbours equal,
@@ -578,8 +590,9 @@ mod tests {
     }
 
     /// Every depth 2..=8, star and box (and a radius-2 star), 2D and 3D,
-    /// f64 and f32, on outer extents of 1, 2R+1 and below (k-1)R, at
-    /// widths below one full `vl²` set and past two.
+    /// f64 and f32, under every boundary, on outer extents of 1 (R under
+    /// a refreshed boundary, which needs extents ≥ R), 2R+1 and below
+    /// (k-1)R, at widths below one full `vl²` set and past two.
     #[test]
     fn pass_matches_k_oracle_steps_at_every_depth() {
         let star_r2 = StencilSpec::star2(&[0.1, 0.2, 0.3, 0.2, 0.1], &[0.05, 0.1, 0.0, 0.1, 0.05]);
@@ -591,27 +604,35 @@ mod tests {
             StencilSpec::blur_3d27p(),
         ];
         let vl = Isa::detect_best().lanes_for::<f32>();
-        for spec in &specs {
-            let r = spec.radius();
-            for k in 2..=MAX_DEPTH {
-                for outer in [1, 2 * r + 1, ((k - 1) * r).saturating_sub(1).max(2)] {
-                    for nx in [vl - 3, 2 * vl * vl + 5] {
-                        let halo = -0.75;
-                        if spec.ndim() == 2 {
-                            let f = |y: usize, x: usize| cell(y * nx + x);
-                            let g = Grid2::from_fn(nx, outer, r, halo, f);
-                            pass_is_k_steps(spec, &g, k);
-                            let g =
-                                Grid2::from_fn(nx, outer, r, halo as f32, |y, x| f(y, x) as f32);
-                            pass_is_k_steps(spec, &g, k);
-                        } else {
-                            let f = |z: usize, y: usize, x: usize| cell((z * 3 + y) * nx + x);
-                            let g = Grid3::from_fn(nx, 3, outer, r, halo, f);
-                            pass_is_k_steps(spec, &g, k);
-                            let g = Grid3::from_fn(nx, 3, outer, r, halo as f32, |z, y, x| {
-                                f(z, y, x) as f32
-                            });
-                            pass_is_k_steps(spec, &g, k);
+        for b in [
+            Boundary::Dirichlet(-0.75),
+            Boundary::Periodic,
+            Boundary::Reflect,
+        ] {
+            for spec in &specs {
+                let r = spec.radius();
+                let least = if b.is_dirichlet() { 1 } else { r };
+                for k in 2..=MAX_DEPTH {
+                    for outer in [least, 2 * r + 1, ((k - 1) * r).saturating_sub(1).max(2)] {
+                        for nx in [vl - 3, 2 * vl * vl + 5] {
+                            let halo = b.halo_fill();
+                            if spec.ndim() == 2 {
+                                let f = |y: usize, x: usize| cell(y * nx + x);
+                                let g = Grid2::from_fn(nx, outer, r, halo, f);
+                                pass_is_k_steps(spec, &g, k, b);
+                                let g = Grid2::from_fn(nx, outer, r, halo as f32, |y, x| {
+                                    f(y, x) as f32
+                                });
+                                pass_is_k_steps(spec, &g, k, b);
+                            } else {
+                                let f = |z: usize, y: usize, x: usize| cell((z * 3 + y) * nx + x);
+                                let g = Grid3::from_fn(nx, 3, outer, r, halo, f);
+                                pass_is_k_steps(spec, &g, k, b);
+                                let g = Grid3::from_fn(nx, 3, outer, r, halo as f32, |z, y, x| {
+                                    f(z, y, x) as f32
+                                });
+                                pass_is_k_steps(spec, &g, k, b);
+                            }
                         }
                     }
                 }

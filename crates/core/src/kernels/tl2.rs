@@ -17,17 +17,28 @@
 //! `2R+1` rows (2D) or planes (3D) each, at `t+1 … t+k-1`, in an
 //! L2-resident scratch buffer. Main-array traffic is one read + one write
 //! per point per `k` steps — the property that produces the paper's
-//! Fig. 7/8 gains — while the ring stays cache-hot. Under a Dirichlet
-//! boundary the plan picks `k` from the L2 size; the refreshed-boundary
-//! (`_wide`) kernels stay at `k = 2`. This substitution is documented in
-//! `docs/ARCHITECTURE.md` ("Kernel notes").
+//! Fig. 7/8 gains — while the ring stays cache-hot. The plan picks `k`
+//! from the L2 size under every boundary. This substitution is
+//! documented in `docs/ARCHITECTURE.md` ("Kernel notes").
+//!
+//! A refreshed (periodic / reflect) boundary changes the halo every
+//! step, so a fused pass must produce each level's halo itself. A
+//! refreshed halo cell at `t + j` is a *bit-copy* (fold) of an interior
+//! cell at `t + j` — never a stencil application at the halo position,
+//! which under reflect would pair the weights in reversed order. So the
+//! pass computes the fold sources in the kernels' canonical order and
+//! copies them: x halos row by row as each level's row is made, and the
+//! out-of-range rows or planes from **edge strips** — the slabs nearest
+//! each edge, advanced level by level before the sweep (see
+//! [`grid2_pass`]). 1D keeps its two `t+1` edge folds in registers
+//! ([`edges_t1`]).
 
 use stencil_simd::{Elem, Vector};
 
 use super::orig::splat_w;
 use super::row::{Row2, Row3};
 use super::tl::xpart_set;
-use crate::exec::halo::{fold_src, refresh, refresh_row, Boundary, RowMap};
+use crate::exec::halo::{fold_src, refresh, refresh_row, strip_slabs, Boundary, RowMap};
 use crate::layout::{tl_read, SetGeo};
 use crate::stencil::{Star1, MAX_R};
 
@@ -86,38 +97,61 @@ unsafe fn update_set<V: Vector>(
     *v = out;
 }
 
+/// The `t+1` halo values [`star1_tl2_edges`] takes, as `[lt1, rt1]`:
+/// the halo itself under Dirichlet, whose constant halo is its own `t+1`
+/// level; else the folds of the `2R` edge-interior cells advanced one
+/// step. Those are computed scalar, in the canonical accumulation order,
+/// so they are bit-identical to the values the vector pipeline stores
+/// (`mul_add` is correctly rounded in any feature context).
+///
+/// # Safety
+/// `buf` points at the interior origin of a transposed row of `geo.n`
+/// cells whose halo holds time `t`; `geo.n ≥ S::R`.
+pub unsafe fn edges_t1<T: Elem, S: Star1>(
+    buf: *const T,
+    geo: &SetGeo,
+    b: Boundary,
+    s: &S,
+) -> [[T; MAX_R]; 2] {
+    let (r, n, w) = (S::R, geo.n, s.w());
+    let mut lt1 = [T::ZERO; MAX_R];
+    let mut rt1 = [T::ZERO; MAX_R];
+    if b.is_dirichlet() {
+        for q in 0..r {
+            lt1[q] = *buf.offset(q as isize - r as isize);
+            rt1[q] = *buf.add(n + q);
+        }
+        return [lt1, rt1];
+    }
+    let cell_t1 = |i: usize| -> T {
+        let base = i as isize - r as isize;
+        let mut acc = T::from_f64(w[0]) * tl_read(buf, base, geo);
+        for o in 1..=2 * r {
+            acc = tl_read(buf, base + o as isize, geo).mul_add(T::from_f64(w[o]), acc);
+        }
+        acc
+    };
+    // Halo cell `q - R` is `lt1[q]`, halo cell `n + q` is `rt1[q]`.
+    for m in 1..=r {
+        lt1[r - m] = cell_t1(fold_src(n, m, true, b));
+        rt1[m - 1] = cell_t1(fold_src(n, m, false, b));
+    }
+    [lt1, rt1]
+}
+
 /// Advance a 1D star stencil **two** time steps, in place, on a transposed
-/// row of `n` cells with constant halos (paper Algorithm 1, k = 2).
+/// row of `n` cells (paper Algorithm 1, k = 2), given the **t+1 halo
+/// values**: `lt1[q]` is halo cell `q - R` and `rt1[q]` halo cell
+/// `n + q`, both at time `t+1` ([`edges_t1`]). The first (t → t+1) step
+/// reads the halo cells from memory at time `t`; the second step's halo
+/// dependences come from these arrays, so every boundary runs this one
+/// pipeline.
 ///
 /// # Safety
 /// `buf` points at the interior origin of a row in transpose layout with
-/// halos addressable; `SetGeo::new(n, V::LANES).nsets >= 2` (callers fall
-/// back to two k=1 steps below that); `S::R ≤ V::LANES`.
-#[inline(always)]
-pub unsafe fn star1_tl2<V: Vector, S: Star1>(buf: *mut V::Elem, n: usize, s: &S) {
-    // Dirichlet halos are time-invariant: the halo cells' values in
-    // memory serve as their own t+1 level.
-    let r = S::R;
-    let cbuf = buf.cast_const();
-    let mut lt1 = [<V::Elem as Elem>::ZERO; MAX_R];
-    let mut rt1 = [<V::Elem as Elem>::ZERO; MAX_R];
-    for q in 0..r {
-        lt1[q] = *cbuf.offset(q as isize - r as isize);
-        rt1[q] = *cbuf.add(n + q);
-    }
-    star1_tl2_edges::<V, S>(buf, n, &lt1, &rt1, s)
-}
-
-/// [`star1_tl2`] with explicit **t+1 halo values**: `lt1[q]` is halo cell
-/// `q - R` and `rt1[q]` halo cell `n + q`, both at time `t+1`. The first
-/// (t → t+1) step still reads the halo cells from memory at time `t`; the
-/// second step's halo dependences come from these arrays — which is what
-/// lets a refreshed (periodic/reflect) boundary run the fused pass: the
-/// caller refreshes memory to time `t` and precomputes the folds of the
-/// edge-interior cells at `t+1` (see [`star1_tl2_wide`]).
-///
-/// # Safety
-/// As [`star1_tl2`].
+/// halos addressable and holding time `t`;
+/// `SetGeo::new(n, V::LANES).nsets >= 2` (callers fall back to two k=1
+/// steps below that); `S::R ≤ V::LANES`.
 #[inline(always)]
 pub unsafe fn star1_tl2_edges<V: Vector, S: Star1>(
     buf: *mut V::Elem,
@@ -247,7 +281,7 @@ pub unsafe fn star1_tl2_edges<V: Vector, S: Star1>(
 }
 
 /// Fused two-step pipeline over the set-aligned sub-range `[sa, sb)` of a
-/// transposed row — the tiled variant of [`star1_tl2`] used inside
+/// transposed row — the tiled variant of [`star1_tl2_edges`] used inside
 /// tessellation tiles (paper §3.4: "multiple time steps computation in
 /// registers over the tiles").
 ///
@@ -340,51 +374,158 @@ unsafe fn copy_pads<T: Elem>(src_row: *const T, dst_row: *mut T, nx: usize) {
     std::ptr::copy_nonoverlapping(src_row.add(nx), dst_row.add(nx), T::PAD);
 }
 
-/// The `t+1` source of plane/row index `i` of an `n`-long axis for the
-/// second pipeline step: a ring slot when `i` is interior, else the halo
-/// slot `i` shifted outward by `shift` (0: the constant Dirichlet halo in
-/// place; `R`: the outer half of a wide halo, where the refreshed
-/// kernels stage the `t+1` halo level).
-#[inline(always)]
-unsafe fn t1_slot<T>(
-    buf: *mut T,
-    ring: *mut T,
-    stride: usize,
-    nr: usize,
+/// The slab tasks of a ring pass in order, as `(edge, level, slab)` (see
+/// `ring_pass`): level `j`'s edge-strip slabs while `edges`, storage
+/// slot `q` next; then the sweep, iteration `q`, level `j` next. One
+/// state machine for both phases, so the pass's loop has one body with
+/// one inlined row kernel: a chain of two iterators had the compiler
+/// clone the body per phase.
+struct Tasks {
     n: usize,
-    i: isize,
-    shift: usize,
-) -> *const T {
-    if i < 0 {
-        buf.offset((i - shift as isize) * stride as isize)
-    } else if i >= n as isize {
-        buf.offset((i + shift as isize) * stride as isize)
-    } else {
-        ring.add((i as usize % nr) * stride)
+    r: usize,
+    k: usize,
+    edges: bool,
+    j: usize,
+    q: usize,
+}
+
+impl Tasks {
+    #[inline(always)]
+    fn next(&mut self) -> Option<(bool, usize, usize)> {
+        let (n, r, k) = (self.n, self.r, self.k);
+        while self.edges && self.j < k {
+            let (reach, len) = ((k - self.j) * r, strip_slabs(n, r, k, self.j));
+            if self.q < len {
+                let q = self.q;
+                self.q += 1;
+                return Some((true, self.j, if q < reach { q } else { q + n - len }));
+            }
+            (self.j, self.q) = (self.j + 1, 0);
+        }
+        if self.edges {
+            (self.edges, self.j, self.q) = (false, 1, 0);
+        }
+        while self.q < n + (k - 1) * r {
+            let j = self.j;
+            match self.q.checked_sub((j - 1) * r) {
+                Some(yj) if j <= k => {
+                    self.j += 1;
+                    if yj < n {
+                        return Some((false, j, yj));
+                    }
+                }
+                _ => (self.j, self.q) = (1, self.q + 1),
+            }
+        }
+        None
+    }
+}
+
+/// The schedule both ring passes share, over slabs `stride` elements
+/// apart along an outer axis of `n`: under a refreshed boundary, every
+/// edge-strip slab level by level first, then the sweep — iteration `y`
+/// advances slab `y - (j-1)R` of every level `j` from level `j - 1`, so
+/// main slab `y - (k-1)R` receives `t + k`. Level 0 and level `k` are
+/// the main buffer; a strip slab reads strip slabs of the level below,
+/// and a ring slab reads the ring level below, or at a halo index the
+/// level-below strip (refreshed) or the constant halo (Dirichlet).
+///
+/// `slab(from, main, dst)` computes one slab into `dst` from the
+/// `2R + 1` source slabs `from` (offsets `-R..=R`); `dst == main` marks
+/// the last level, any other `dst` a ring or strip slab, which must get
+/// its own halos at its time level. It is the one call site of the row
+/// kernel per rank.
+///
+/// Main slab `y` at `t` is last read by level 1 at iteration `y + R`, no
+/// later than the iteration that overwrites it, and strips are filled
+/// before the first write, so the update is in place for any `k ≥ 2`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn ring_pass<T>(
+    buf: *mut T,
+    stride: usize,
+    n: usize,
+    ring: *mut T,
+    strips: *mut T,
+    k: usize,
+    r: usize,
+    b: Boundary,
+    mut slab: impl FnMut(&[*mut T], *mut T, *mut T),
+) {
+    debug_assert!(k >= 2 && r <= MAX_R);
+    let nr = 2 * r + 1;
+    let refreshed = !b.is_dirichlet();
+    // The edge strips: for each ring level `j` in `1..k`, the slabs
+    // within `(k - j)·R` of either edge at `t + j`, level after level,
+    // slab after slab. Level `j + 1` reads a halo slab there, as its fold
+    // source: under periodic, a slab at the far edge the sweep has not
+    // reached. `strip(j, i)` is slab `i` of level `j`, a halo index
+    // (`-R ≤ i < n + R`) resolved to its fold source first.
+    let strip = |j: usize, i: isize| {
+        let i = match i {
+            _ if i < 0 => fold_src(n, i.unsigned_abs(), true, b),
+            _ if i >= n as isize => fold_src(n, i as usize + 1 - n, false, b),
+            _ => i as usize,
+        };
+        let (reach, len) = ((k - j) * r, strip_slabs(n, r, k, j));
+        debug_assert!(
+            i < reach || i + reach >= n,
+            "slab {i} in no level-{j} strip"
+        );
+        let base: usize = (1..j).map(|l| strip_slabs(n, r, k, l)).sum();
+        let slot = if i < reach { i } else { i + len - n };
+        strips.add((base + slot) * stride)
+    };
+    let at = |i: isize| buf.offset(i * stride as isize);
+    let mut tasks = Tasks {
+        n,
+        r,
+        k,
+        edges: refreshed,
+        j: 1,
+        q: 0,
+    };
+    while let Some((edge, j, i)) = tasks.next() {
+        let mut from = [buf; 2 * MAX_R + 1];
+        for (d, f) in from[..nr].iter_mut().enumerate() {
+            let i = (i + d) as isize - r as isize;
+            let inside = (0..n as isize).contains(&i);
+            *f = if j == 1 || !(inside || refreshed) {
+                at(i)
+            } else if edge || !inside {
+                strip(j - 1, i)
+            } else {
+                ring.add(((j - 2) * nr + i as usize % nr) * stride)
+            };
+        }
+        let main = at(i as isize);
+        let dst = match (edge, j == k) {
+            (true, _) => strip(j, i as isize),
+            (false, true) => main,
+            (false, false) => ring.add(((j - 1) * nr + i % nr) * stride),
+        };
+        slab(&from[..nr], main, dst);
     }
 }
 
 /// Advance a 2D stencil of family `K` **`k` steps** in place (`k ≥ 2`)
-/// via a row ring of `k - 1` levels.
-///
-/// Ring level `j` (`1 ≤ j < k`) holds the `2R+1` most recent rows at
-/// time `t + j`; levels 0 and `k` are the main buffer itself. Iteration
-/// `y` advances row `y - (j-1)R` of every level `j` from level `j - 1`,
-/// so main row `y - (k-1)R` receives `t + k`. A read outside `[0, ny)`
-/// lands on the constant halo (`t1_slot`, shift 0). Main row `y` at
-/// `t` is last read by level 1 at iteration `y + R` — no later than the
-/// iteration that overwrites it — so the update is in place for any
-/// `k ≥ 2`. Every level is the same `row_tl` call, one call site, so the
-/// bits are those of `k` single steps.
+/// via a row ring of `k - 1` levels (`ring_pass`'s schedule). Ring
+/// level `j` (`1 ≤ j < k`) holds the `2R+1` most recent rows at time
+/// `t + j`, each with its x halos folded from its own interior. Every
+/// level is the same `row_tl` call, so the bits are those of `k` single
+/// steps with a halo refresh between them.
 ///
 /// `ring` points at the interior origin of row 0 of level 1; level `j`
 /// starts `(j-1)(2R+1)` rows after it, every row with the grid's stride
-/// and pad structure.
+/// and pad structure. `strips` points at the interior origin of the
+/// first edge-strip row, laid out the same way (see
+/// `exec::halo::ring_layout`); it is not read under Dirichlet.
 ///
 /// # Safety
-/// `buf` is a transposed 2D grid interior origin (halos addressable);
-/// `ring` valid for `(k-1)(2R+1)` rows of `rs` elements with pads;
-/// `k ≥ 2`.
+/// `buf` is a transposed 2D grid interior origin (halos addressable,
+/// holding time `t`); `ring` and `strips` valid for the rows above;
+/// `k ≥ 2`; under a refreshed boundary `ny ≥ R` and `map` matches the
+/// row layout.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub unsafe fn grid2_pass<V: Vector, K: Row2>(
@@ -393,47 +534,41 @@ pub unsafe fn grid2_pass<V: Vector, K: Row2>(
     nx: usize,
     ny: usize,
     ring: *mut V::Elem,
+    strips: *mut V::Elem,
     k: usize,
+    b: Boundary,
+    map: &RowMap,
     s: &K::S,
 ) {
-    debug_assert!(k >= 2);
     let r = K::R;
-    let nr = 2 * r + 1;
-    for y in 0..ny + (k - 1) * r {
-        for j in 1..=k {
-            // Level j's row at this iteration; later levels lag further.
-            let Some(yj) = y.checked_sub((j - 1) * r) else {
-                break;
-            };
-            if yj >= ny {
-                continue;
-            }
-            let src = |i: isize| match j {
-                1 => buf.offset(i * rs as isize).cast_const(),
-                _ => t1_slot(buf, ring.add((j - 2) * nr * rs), rs, nr, ny, i, 0),
-            };
-            let main = buf.add(yj * rs);
-            let dst = if j == k {
-                main
-            } else {
-                let d = ring.add(((j - 1) * nr + yj % nr) * rs);
-                copy_pads(main, d, nx);
-                d
-            };
-            K::row_tl::<V>(|dy| src(yj as isize + dy), dst, nx, 0, nx, s);
+    ring_pass(buf, rs, ny, ring, strips, k, r, b, |from, main, dst| {
+        K::row_tl::<V>(
+            |dy| from[(dy + r as isize) as usize].cast_const(),
+            dst,
+            nx,
+            0,
+            nx,
+            s,
+        );
+        // Tested once, after the row kernel: a test on both sides of it
+        // has the compiler duplicate the kernel per branch.
+        if dst != main {
+            copy_pads(main, dst, nx);
+            refresh_row(dst, nx, r, b, map);
         }
-    }
+    });
 }
 
 /// Advance a 3D stencil of family `K` **`k` steps** in place via a plane
-/// ring of `k - 1` levels: [`grid2_pass`] with planes for rows. `ring`
-/// points at the `(y=0, x=0)` origin of plane 0 of level 1; level `j`
-/// starts `(j-1)(2R+1)` planes after it, every plane with the grid's
+/// ring of `k - 1` levels: [`grid2_pass`] with planes for rows, each
+/// ring or strip plane given its own 2D halo frame at its time level
+/// (per-axis composition). `ring` and `strips` point at the
+/// `(y=0, x=0)` origin of their first plane, every plane with the grid's
 /// plane layout (`R` halo rows per side included).
 ///
 /// # Safety
-/// `buf` is a transposed 3D grid interior origin; `ring` valid for
-/// `(k-1)(2R+1)` planes of `ps` elements; `k ≥ 2`.
+/// As [`grid2_pass`], with planes of `ps` elements; under a refreshed
+/// boundary `ny, nz ≥ R`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub unsafe fn grid3_pass<V: Vector, K: Row3>(
@@ -444,290 +579,45 @@ pub unsafe fn grid3_pass<V: Vector, K: Row3>(
     ny: usize,
     nz: usize,
     ring: *mut V::Elem,
+    strips: *mut V::Elem,
     k: usize,
+    b: Boundary,
+    map: &RowMap,
     s: &K::S,
 ) {
-    debug_assert!(k >= 2);
     let r = K::R;
-    let nr = 2 * r + 1;
     let pad = <V::Elem as Elem>::PAD as isize;
-    for z in 0..nz + (k - 1) * r {
-        for j in 1..=k {
-            let Some(zj) = z.checked_sub((j - 1) * r) else {
-                break;
-            };
-            if zj >= nz {
-                continue;
-            }
-            let src = |i: isize| match j {
-                1 => buf.offset(i * ps as isize).cast_const(),
-                _ => t1_slot(buf, ring.add((j - 2) * nr * ps), ps, nr, nz, i, 0),
-            };
-            let main = buf.add(zj * ps);
-            let ring_level = j < k;
-            let dp = if ring_level {
-                let dp = ring.add(((j - 1) * nr + zj % nr) * ps);
-                // the plane's constant halo rows (full stride rows)
-                for d in 1..=r as isize {
-                    for row in [-d, ny as isize + d - 1] {
-                        let o = row * rs as isize - pad;
-                        std::ptr::copy_nonoverlapping(main.offset(o), dp.offset(o), rs);
-                    }
-                }
-                dp
-            } else {
-                main
-            };
-            for y in 0..ny {
-                let d = dp.add(y * rs);
-                if ring_level {
-                    copy_pads(main.add(y * rs), d, nx);
-                }
-                let at = |dz: isize, dy: isize| {
-                    src(zj as isize + dz).offset((y as isize + dy) * rs as isize)
-                };
-                K::row_tl::<V>(at, d, nx, 0, nx, s);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Wide-halo fused kernels: k = 2 under refreshed (periodic / reflect)
-// boundaries
-// ---------------------------------------------------------------------------
-//
-// The Dirichlet kernels above read halo cells at every time level and
-// rely on them being constant. A refreshed boundary's halo cells change
-// every step, so the fused pass needs the t+1 halo level from somewhere.
-// The key identity: a refreshed halo cell at t+1 is a *bit-copy* (fold)
-// of an interior cell at t+1 — never a stencil application at the halo
-// position (reflect would pair the weights in reversed order and lose
-// bit-equality with two k = 1 steps). So the wide kernels compute the
-// fold-source interior cells at t+1 first, in the kernels' canonical
-// accumulation order, and stage the folds where the second step reads
-// them:
-//
-// * 1D keeps them in scalars/registers (`star1_tl2_edges`) — the memory
-//   halo layout is untouched.
-// * 2D/3D stage whole t+1 halo rows/planes in the **outer half of a
-//   2R-wide halo**: halo row `-k` at t+1 lives at raw row `-(R+k)`, row
-//   `ny-1+k` at `ny-1+R+k` (same for z planes). The t-level pass reads
-//   ghost distance ≤ R only, so the staging never aliases it. Grids for
-//   refreshed boundaries are allocated with the wide halo (see
-//   `AnyGrid::from_fn_spec`).
-//
-// Callers refresh the (inner) halo to time t before invoking, exactly as
-// for a k = 1 step.
-
-/// [`star1_tl2`] under a refreshed boundary: precompute the t+1 values of
-/// the fold-source edge cells and feed their folds to the second step via
-/// [`star1_tl2_edges`]. No wide memory halo is needed in 1D.
-///
-/// # Safety
-/// As [`star1_tl2`]; additionally the halo cells hold time-`t` values
-/// (caller refreshed them) and `b` is not Dirichlet.
-#[inline(always)]
-pub unsafe fn star1_tl2_wide<V: Vector, S: Star1>(buf: *mut V::Elem, n: usize, b: Boundary, s: &S) {
-    let r = S::R;
-    let geo = SetGeo::new(n, V::LANES);
-    let cbuf = buf.cast_const();
-    let w = s.w();
-    let cv = <V::Elem as Elem>::from_f64;
-    // Edge-interior cells at t+1, scalar in the canonical accumulation
-    // order — bit-identical to the value the vector pipeline stores.
-    let cell_t1 = |i: usize| -> V::Elem {
-        let base = i as isize - r as isize;
-        let mut acc = cv(w[0]) * tl_read(cbuf, base, &geo);
-        for o in 1..=2 * r {
-            acc = tl_read(cbuf, base + o as isize, &geo).mul_add(cv(w[o]), acc);
-        }
-        acc
-    };
-    let mut lo_t1 = [<V::Elem as Elem>::ZERO; MAX_R]; // cells 0..r @ t+1
-    let mut hi_t1 = [<V::Elem as Elem>::ZERO; MAX_R]; // cells n-r..n @ t+1
-    for m in 0..r {
-        lo_t1[m] = cell_t1(m);
-        hi_t1[m] = cell_t1(n - r + m);
-    }
-    // Fold into the t+1 halo values star1_tl2_edges consumes: halo cell
-    // q - R is lt1[q], halo cell n + q is rt1[q].
-    let edge = |src: usize| {
-        if src < r {
-            lo_t1[src]
-        } else {
-            hi_t1[src - (n - r)]
-        }
-    };
-    let mut lt1 = [<V::Elem as Elem>::ZERO; MAX_R];
-    let mut rt1 = [<V::Elem as Elem>::ZERO; MAX_R];
-    for k in 1..=r {
-        lt1[r - k] = edge(fold_src(n, k, true, b));
-        rt1[k - 1] = edge(fold_src(n, k, false, b));
-    }
-    star1_tl2_edges::<V, S>(buf, n, &lt1, &rt1, s)
-}
-
-/// Row `sy` of `buf` advanced to t+1 into `dst`, with the x halos of
-/// `dst` folded from its own just-computed interior (not copied from the
-/// t-level pads). An `#[inline(always)]` `fn`, not a closure: it has two
-/// call sites, and vector code must inline into the caller's ISA feature
-/// context.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn advance_row<V: Vector, K: Row2>(
-    buf: *mut V::Elem,
-    rs: usize,
-    nx: usize,
-    sy: isize,
-    dst: *mut V::Elem,
-    b: Boundary,
-    map: &RowMap,
-    s: &K::S,
-) {
-    let c = buf.offset(sy * rs as isize).cast_const();
-    K::row_tl::<V>(|dy| c.offset(dy * rs as isize), dst, nx, 0, nx, s);
-    refresh_row(dst, nx, K::R, b, map);
-}
-
-/// A k = 2 [`grid2_pass`] under a refreshed boundary on a **wide-halo** grid
-/// (`ry ≥ 2R`): advance the fold-source rows to t+1 into the outer halo
-/// ring first, then run the usual row-ring pipeline with the second
-/// step's out-of-range row reads redirected to the staged rows.
-///
-/// # Safety
-/// As [`grid2_pass`] at `k = 2`, plus: the grid has at least `2R` halo
-/// rows per side; the inner halo frame holds time-`t` values (caller ran
-/// `halo::refresh`); `b` is not Dirichlet; `map` matches the row layout.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn grid2_tl2_wide<V: Vector, K: Row2>(
-    buf: *mut V::Elem,
-    rs: usize,
-    nx: usize,
-    ny: usize,
-    ring: *mut V::Elem,
-    b: Boundary,
-    map: &RowMap,
-    s: &K::S,
-) {
-    let r = K::R;
-    let nr = 2 * r + 1;
-    // Boot: halo row -k @ t+1 staged at raw row -(R+k), row ny-1+k @ t+1
-    // at raw row ny-1+R+k — the fold-source row advanced one step. The
-    // t-level pass below reads ghost distance ≤ R only, so the staging
-    // rows are invisible to it.
-    for k in 1..=r {
-        for lo in [true, false] {
-            let sy = fold_src(ny, k, lo, b) as isize;
-            let dy = if lo {
-                -((r + k) as isize)
-            } else {
-                (ny - 1 + r + k) as isize
-            };
-            advance_row::<V, K>(buf, rs, nx, sy, buf.offset(dy * rs as isize), b, map, s);
-        }
-    }
-    for y in 0..ny + r {
-        if y < ny {
-            // ring[y] = row y @ t+1
-            advance_row::<V, K>(buf, rs, nx, y as isize, ring.add((y % nr) * rs), b, map, s);
-        }
-        if y >= r {
-            // main[ty] = row ty @ t+2 from t+1 rows (ring or staged halo)
-            let ty = y - r;
-            let at = |dy: isize| t1_slot(buf, ring, rs, nr, ny, ty as isize + dy, r);
-            K::row_tl::<V>(at, buf.add(ty * rs), nx, 0, nx, s);
-        }
-    }
-}
-
-/// Plane `sz` of `buf` advanced to t+1 into the plane at `dp`, plus that
-/// plane's own 2D halo frame at t+1, folded from its just-computed
-/// interior (per-axis composition). See [`advance_row`] on why this is
-/// not a closure.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn advance_plane<V: Vector, K: Row3>(
-    buf: *mut V::Elem,
-    rs: usize,
-    ps: usize,
-    nx: usize,
-    ny: usize,
-    sz: isize,
-    dp: *mut V::Elem,
-    b: Boundary,
-    map: &RowMap,
-    s: &K::S,
-) {
-    let cp = buf.offset(sz * ps as isize).cast_const();
-    for y in 0..ny {
-        let c = cp.add(y * rs);
-        let at = |dz: isize, dy: isize| c.offset(dz * ps as isize + dy * rs as isize);
-        K::row_tl::<V>(at, dp.add(y * rs), nx, 0, nx, s);
-    }
     let plane = super::Geo {
         ndim: 2,
         n: [nx, ny, 1],
         rs,
         ps: 0,
-        halo: K::R,
+        halo: r,
     };
-    refresh(dp, &plane, K::R, b, map);
-}
-
-/// A k = 2 [`grid3_pass`] under a refreshed boundary on a wide-halo grid
-/// (`r ≥ 2R` halo rows *and* planes): fold-source planes advance to t+1
-/// into the outer halo planes, each given its own 2D halo frame; the
-/// plane-ring pipeline then redirects out-of-range plane reads there.
-///
-/// # Safety
-/// As [`grid3_pass`] at `k = 2`, plus: the grid has at least `2R` halo
-/// rows and planes per side; the inner halo shell holds time-`t` values
-/// (caller ran `halo::refresh`); `b` is not Dirichlet; `map` matches the
-/// row layout.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn grid3_tl2_wide<V: Vector, K: Row3>(
-    buf: *mut V::Elem,
-    rs: usize,
-    ps: usize,
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    ring: *mut V::Elem,
-    b: Boundary,
-    map: &RowMap,
-    s: &K::S,
-) {
-    let r = K::R;
-    let nr = 2 * r + 1;
-    for k in 1..=r {
-        for lo in [true, false] {
-            let sz = fold_src(nz, k, lo, b) as isize;
-            let dz = if lo {
-                -((r + k) as isize)
-            } else {
-                (nz - 1 + r + k) as isize
-            };
-            let dp = buf.offset(dz * ps as isize);
-            advance_plane::<V, K>(buf, rs, ps, nx, ny, sz, dp, b, map, s);
-        }
-    }
-    for z in 0..nz + r {
-        if z < nz {
-            let rp = ring.add((z % nr) * ps);
-            advance_plane::<V, K>(buf, rs, ps, nx, ny, z as isize, rp, b, map, s);
-        }
-        if z >= r {
-            let tz = z - r;
-            for y in 0..ny {
-                let at = |dz: isize, dy: isize| {
-                    t1_slot(buf, ring, ps, nr, nz, tz as isize + dz, r)
-                        .offset((y as isize + dy) * rs as isize)
-                };
-                K::row_tl::<V>(at, buf.add(tz * ps + y * rs), nx, 0, nx, s);
+    ring_pass(buf, ps, nz, ring, strips, k, r, b, |from, main, dp| {
+        let level = dp != main;
+        if level {
+            // The plane's constant halo rows (full stride rows).
+            for d in 1..=r as isize {
+                for row in [-d, ny as isize + d - 1] {
+                    let o = row * rs as isize - pad;
+                    std::ptr::copy_nonoverlapping(main.offset(o), dp.offset(o), rs);
+                }
             }
         }
-    }
+        for y in 0..ny {
+            let d = dp.add(y * rs);
+            if level {
+                copy_pads(main.add(y * rs), d, nx);
+            }
+            let at = |dz: isize, dy: isize| {
+                let p = from[(dz + r as isize) as usize];
+                p.offset((y as isize + dy) * rs as isize).cast_const()
+            };
+            K::row_tl::<V>(at, d, nx, 0, nx, s);
+        }
+        if level {
+            refresh(dp, &plane, r, b, map);
+        }
+    });
 }

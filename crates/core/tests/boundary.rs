@@ -17,8 +17,8 @@
 use stencil_core::exec::{Boundary, BoundaryReason, Parallelism, Plan, PlanError, Shape, Tiling};
 use stencil_core::grid::AnyGrid;
 use stencil_core::spec::{StencilShape, StencilSpec};
-use stencil_core::verify::max_abs_diff_ref;
-use stencil_core::{run_spec, Grid1, Method, S1d3p};
+use stencil_core::verify::{max_abs_diff, max_abs_diff_ref};
+use stencil_core::{run_spec, Grid1, Grid2, Method, S1d3p, S2d5p};
 use stencil_simd::Isa;
 
 // ---------------------------------------------------------------------------
@@ -305,15 +305,13 @@ fn oracle_across_isas() {
 }
 
 #[test]
-fn fused_k2_matches_two_sequential_k1_steps() {
-    // The TL2 fused fast path needs a grid with 2r-wide halos (the outer
-    // half stages the t+1 level); a grid with the plain r-wide halo falls
-    // back to per-step k = 1 refreshes. Running the same plan over both
-    // allocations must agree to 0 ULP — the fused pass is two sequential
-    // k = 1 steps, bit for bit. Every method rides along (the extra halo
-    // rows must be inert for the non-fused paths), over non-divisible
+fn halo_wider_than_radius_is_inert() {
+    // Grids carry radius-wide halos, and the fused TL2 pass makes each
+    // level's halo itself, so a halo twice as wide must change nothing:
+    // running the same plan over a 2r-halo and an r-halo allocation must
+    // agree to 0 ULP. Every method rides along, over non-divisible
     // thread splits (137 = 7·19 + 4; ny = 13 over 7 bands) and both time
-    // parities (t = 4 exercises only fused pairs, t = 5 the trailing
+    // parities (t = 4 exercises only fused passes, t = 5 the trailing
     // single step).
     let isa = Isa::detect_best();
     for name in ["1d3p", "1d5p", "2d5p", "2d9p", "3d7p", "3d27p"] {
@@ -337,10 +335,12 @@ fn fused_k2_matches_two_sequential_k1_steps() {
                                 .unwrap()
                                 .run(g, t)
                         };
-                        let mut wide = AnyGrid::from_vec_spec(shape, &spec, init.clone()).unwrap();
-                        let mut narrow =
-                            AnyGrid::from_vec(shape, spec.radius(), b.halo_fill(), init.clone())
+                        let fill = b.halo_fill();
+                        let mut wide =
+                            AnyGrid::from_vec(shape, 2 * spec.radius(), fill, init.clone())
                                 .unwrap();
+                        let mut narrow =
+                            AnyGrid::from_vec_spec(shape, &spec, init.clone()).unwrap();
                         run(&mut wide);
                         run(&mut narrow);
                         assert_eq!(
@@ -353,6 +353,30 @@ fn fused_k2_matches_two_sequential_k1_steps() {
             }
         }
     }
+    // A typed grid with the radius-wide halo takes the fused pass too:
+    // its plan reports a fused depth, which every session runs.
+    let (nx, ny) = (81, 13);
+    let plan = |method| {
+        Plan::new(Shape::d2(nx, ny))
+            .method(method)
+            .parallelism(Parallelism::Off)
+            .boundary(Boundary::Periodic)
+            .star2(S2d5p::heat())
+            .unwrap()
+    };
+    let mut fused = plan(Method::TransLayout2);
+    assert!(
+        fused.fused_steps() > 1,
+        "a typed r-halo periodic plan fuses"
+    );
+    let f = |y: usize, x: usize| ((y * nx + x) % 17) as f64 / 16.0;
+    let (mut got, mut want) = (
+        Grid2::from_fn(nx, ny, 1, 0.0, f),
+        Grid2::from_fn(nx, ny, 1, 0.0, f),
+    );
+    fused.run(&mut got, 5);
+    plan(Method::Scalar).run(&mut want, 5);
+    assert_eq!(max_abs_diff(&want, &got), 0.0);
 }
 
 // ---------------------------------------------------------------------------

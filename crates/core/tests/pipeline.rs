@@ -241,9 +241,10 @@ fn tl_subrange_updates_exactly_the_requested_cells() {
     }
 }
 
-/// The resolved depth is part of the plan: 1D, refreshed-boundary and
-/// L2-resident plans fuse step pairs, plans that run no fused pass
-/// report 1, and the plan's `Debug` output names it.
+/// The resolved depth is part of the plan: 1D and L2-resident plans
+/// fuse step pairs, a memory-sized plan fuses as deep under a refreshed
+/// boundary as under Dirichlet, plans that run no fused pass report 1,
+/// and the plan's `Debug` output names it.
 #[test]
 fn fused_steps_reports_the_resolved_depth() {
     let depth = |shape: Shape, spec: &str, method: Method, par: Parallelism| {
@@ -263,4 +264,9 @@ fn fused_steps_reports_the_resolved_depth() {
     assert_eq!(depth(sq, "2d5p", tl2, off), 2);
     assert_eq!(depth(sq, "2d5p", Method::TransLayout, off), 1);
     assert_eq!(depth(sq, "2d5p", tl2, Parallelism::Threads(2)), 1);
+    let big = Shape::d2(8192, 4096);
+    assert_eq!(
+        depth(big, "2d5p@periodic", tl2, off),
+        depth(big, "2d5p", tl2, off)
+    );
 }
