@@ -44,7 +44,11 @@
 //!   *destination* buffer, the halo cells whose sources it just computed
 //!   (`refresh_own`). No band reads that buffer until the next step, and
 //!   the pool's end-of-step barrier orders the writes before those reads
-//!   (see `exec::par`).
+//!   (see `exec::par`). A band of a fused pass refreshes the same way
+//!   after its in-place sweep: during the sweep no band reads a halo
+//!   slab or another band's rows, only the seam strips ([`BandPass`]),
+//!   which the seam tasks filled from the main buffer before the
+//!   sweep's dispatch.
 //! * **Temporally tiled** plans (`Tiling::Tessellate` / `Split`, and the
 //!   untiled parallel 1D DLT row, which runs as a height-one column
 //!   split) advance different cells to different time levels inside one
@@ -332,14 +336,50 @@ unsafe fn refresh_axes<T: Elem>(
     (lo, hi): (usize, usize),
 ) {
     let a = axes - 1;
-    let (n, stride) = (geo.n[a], geo.stride(a));
     if a > 0 {
         for i in lo..hi {
-            refresh_axes(ptr.add(i * stride), geo, a, r, b, map, (0, geo.n[a - 1]));
+            let slab = ptr.add(i * geo.stride(a));
+            refresh_axes(slab, geo, a, r, b, map, (0, geo.n[a - 1]));
         }
     }
-    // One copy per owned halo slab: a cell read through the row map, a
-    // raw row from its leading pad, or a plane's raw rows `[-r, ny + r)`.
+    copy_halo_slabs(ptr, geo, a, r, b, map, (lo, hi));
+}
+
+/// The halo slabs of the outermost real axis whose fold sources lie in
+/// the slabs `own = (lo, hi)` (no-op under Dirichlet), copied whole with
+/// the shells those sources already carry: [`refresh_own`] for a buffer
+/// whose owned slabs' shells are fresh — as a fused pass leaves them,
+/// folding each slab's shell as it writes the slab (see `exec::par`).
+/// In 1D that is the whole refresh.
+///
+/// # Safety
+/// As [`refresh_own`].
+pub(crate) unsafe fn refresh_outer<T: Elem>(
+    ptr: *mut T,
+    geo: &Geo,
+    r: usize,
+    b: Boundary,
+    map: &RowMap,
+    own: (usize, usize),
+) {
+    if !b.is_dirichlet() {
+        copy_halo_slabs(ptr, geo, geo.ndim - 1, r, b, map, own);
+    }
+}
+
+/// One copy per halo slab of axis `a` whose fold source lies in
+/// `[lo, hi)`: a cell read through the row map, a raw row from its
+/// leading pad, or a plane's raw rows `[-r, ny + r)`.
+unsafe fn copy_halo_slabs<T: Elem>(
+    ptr: *mut T,
+    geo: &Geo,
+    a: usize,
+    r: usize,
+    b: Boundary,
+    map: &RowMap,
+    (lo, hi): (usize, usize),
+) {
+    let (n, stride) = (geo.n[a], geo.stride(a));
     let (lead, len) = match a {
         0 => (0, 1),
         1 => (T::PAD, geo.rs),
@@ -375,44 +415,133 @@ pub(crate) fn ensure_scratch<T: Elem>(slot: &mut Option<AlignedBuf<T>>, g: &Alig
     }
 }
 
-/// Slabs in level `j`'s edge strips of a depth-`k` fused pass over an
-/// outer axis of `n`: the `(k - j)·r` nearest each edge, clamped to `n`
-/// (see `kernels::tl2`).
-#[inline]
-pub(crate) fn strip_slabs(n: usize, r: usize, k: usize, j: usize) -> usize {
-    (2 * (k - j) * r).min(n)
+/// One seam's strip at one level of a fused pass: the slabs
+/// `[lo, lo + len)` of the outer axis, wrapping past `n`, stored from
+/// slab `off` of the strip buffer on.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Window {
+    pub(crate) lo: usize,
+    pub(crate) len: usize,
+    pub(crate) off: usize,
 }
 
-/// The buffer of a 2D/3D fused pass of depth `k` over `geo`, as
-/// `(length, ring origin, strips origin)` in elements: `k - 1` ring
-/// levels of `2r + 1` slabs, then — under a refreshed boundary `b` — the
-/// edge strips of levels `1..k`, every slab a row behind one left halo
-/// pad, or a plane entered `r` halo rows plus the pad in. The length
-/// grows with `k`, and a buffer sized for `k` serves every shallower
-/// pass.
-#[inline]
-pub(crate) fn ring_layout<T: Elem>(
-    geo: &Geo,
-    r: usize,
-    k: usize,
-    b: Boundary,
-) -> (usize, usize, usize) {
-    let outer = geo.ndim - 1;
-    let (n, stride) = (geo.n[outer], geo.stride(outer));
-    let ring = (k - 1) * (2 * r + 1);
-    let strips = match b {
-        Boundary::Dirichlet(_) => 0,
-        _ => (1..k).map(|j| strip_slabs(n, r, k, j)).sum(),
-    };
-    let (lead, origin) = match geo.ndim {
-        2 => (T::PAD, T::PAD),
-        _ => (0, r * geo.rs + T::PAD),
-    };
-    (
-        lead + (ring + strips) * stride,
-        origin,
-        origin + ring * stride,
-    )
+impl Window {
+    /// The strip-buffer slab that holds slab `i` (`< n`) of the window.
+    #[inline(always)]
+    pub(crate) fn slot(&self, i: usize, n: usize) -> usize {
+        let s = if i >= self.lo {
+            i - self.lo
+        } else {
+            i + n - self.lo
+        };
+        debug_assert!(s < self.len, "slab {i} outside {self:?}");
+        self.off + s
+    }
+}
+
+/// The geometry of a fused pass of depth `k` over the `n` slabs of the
+/// outer axis, cut into `bands` (see `kernels::tl2`): one ring of `k - 1`
+/// levels of `2r + 1` slabs per band, and per **seam** a strip at every
+/// level `j < k`. Seam `s ≥ 1` is the low edge of band `s`; seam 0 is the
+/// wrap, which only a refreshed boundary has. At level 0 a seam's strip
+/// is a copy of the `r` slabs on each side of it; at level `j ≥ 1` it
+/// holds the `(k - j)·r` on each side at `t + j`. A window wider than the
+/// axis is clamped to it, which only the wrap of a lone band can be
+/// (`exec::fused_depth` caps `k` so that no other window reaches past
+/// its bands).
+#[derive(Clone, Debug)]
+pub struct BandPass {
+    pub(crate) n: usize,
+    pub(crate) r: usize,
+    pub(crate) k: usize,
+    pub(crate) bands: Vec<(usize, usize)>,
+    /// `windows[s * k + j]`: seam `s`'s strip at level `j`.
+    windows: Vec<Window>,
+    /// Slabs in every strip together.
+    strip_slabs: usize,
+}
+
+/// One work item of a [`BandPass`]: fill seam `s`'s strips, or sweep
+/// band `b` through its ring.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum PassTask {
+    /// Fill the strips of seam `s` (see [`BandPass`]).
+    Seam(usize),
+    /// Advance band `b` in place.
+    Band(usize),
+}
+
+impl BandPass {
+    pub(crate) fn new(
+        n: usize,
+        r: usize,
+        k: usize,
+        b: Boundary,
+        bands: Vec<(usize, usize)>,
+    ) -> Self {
+        let mut windows = Vec::with_capacity(bands.len() * k);
+        let mut off = 0;
+        for (s, &(c, _)) in bands.iter().enumerate() {
+            for j in 0..k {
+                let reach = if j == 0 { r } else { (k - j) * r };
+                let len = match s {
+                    0 if b.is_dirichlet() => 0,
+                    0 => (2 * reach).min(n),
+                    _ => {
+                        debug_assert!(reach <= c && c + reach <= n, "seam {c} reach {reach}");
+                        2 * reach
+                    }
+                };
+                let lo = if len == n || len == 0 {
+                    0
+                } else {
+                    (c + n - reach) % n
+                };
+                windows.push(Window { lo, len, off });
+                off += len;
+            }
+        }
+        BandPass {
+            n,
+            r,
+            k,
+            bands,
+            windows,
+            strip_slabs: off,
+        }
+    }
+
+    /// Seam `s`'s strip at level `j`.
+    #[inline(always)]
+    pub(crate) fn window(&self, s: usize, j: usize) -> &Window {
+        &self.windows[s * self.k + j]
+    }
+
+    /// Slabs in one band's ring.
+    pub(crate) fn ring_slabs(&self) -> usize {
+        (self.k - 1) * (2 * self.r + 1)
+    }
+
+    /// The buffer of this pass over `geo`, as `(length, ring origin,
+    /// strips origin)` in elements: the bands' rings one after another,
+    /// then the strips, every slab a row behind one left halo pad, or a
+    /// plane entered `r` halo rows plus the pad in. Band `b`'s ring starts
+    /// `b · ring_slabs()` slabs after the ring origin. The length grows
+    /// with `k`, so a buffer sized for `k` serves every shallower pass
+    /// over the same bands.
+    pub(crate) fn layout<T: Elem>(&self, geo: &Geo) -> (usize, usize, usize) {
+        let stride = geo.stride(geo.ndim - 1);
+        let rings = self.bands.len() * self.ring_slabs();
+        let (lead, origin) = match geo.ndim {
+            2 => (T::PAD, T::PAD),
+            _ => (0, self.r * geo.rs + T::PAD),
+        };
+        (
+            lead + (rings + self.strip_slabs) * stride,
+            origin,
+            origin + rings * stride,
+        )
+    }
 }
 
 /// Deepest fused pass a 2D/3D plan runs.
@@ -673,20 +802,51 @@ mod tests {
             halo: 1,
         };
         let p = HALO_PAD;
-        // Edge strips follow the ring: 2·(k-j)·r slabs per level j,
-        // clamped to the 3 rows there are (3 + 3 + 2 at k = 4).
+        let one = |n, r, k, b| BandPass::new(n, r, k, b, vec![(0, n)]);
+        // A lone band's wrap strips: 2·(k-j)·r slabs per level j ≥ 1 and
+        // 2r at level 0, clamped to the 3 rows there are (2 + 3 + 3 + 2
+        // at k = 4).
         let b = Boundary::Periodic;
         for (k, b, want) in [
             (2, d, (p + 3 * 40, p, p + 3 * 40)),
             (4, d, (p + 9 * 40, p, p + 9 * 40)),
-            (2, b, (p + 5 * 40, p, p + 3 * 40)),
-            (4, b, (p + 17 * 40, p, p + 9 * 40)),
+            (2, b, (p + 7 * 40, p, p + 3 * 40)),
+            (4, b, (p + 19 * 40, p, p + 9 * 40)),
         ] {
-            assert_eq!(ring_layout::<f64>(&g2, 1, k, b), want, "{b} k={k}");
+            assert_eq!(one(3, 1, k, b).layout::<f64>(&g2), want, "{b} k={k}");
         }
-        assert_eq!(ring_layout::<f32>(&g2, 1, 2, d).0, 16 + 3 * 40);
-        let slabs: Vec<_> = (1..4).map(|j| strip_slabs(3, 1, 4, j)).collect();
-        assert_eq!(slabs, [3, 3, 2]);
+        assert_eq!(one(3, 1, 2, d).layout::<f32>(&g2).0, 16 + 3 * 40);
+        let lens: Vec<_> = (0..4).map(|j| one(3, 1, 4, b).window(0, j).len).collect();
+        assert_eq!(lens, [2, 3, 3, 2]);
+        // Two bands: a ring each, and the wrap and the seam at 6 with a
+        // strip of 2, 4, 2 slabs at levels 0, 1, 2 (k = 3); the wrap's
+        // level-1 window runs 10, 11, 0, 1.
+        let two = |b| BandPass::new(12, 1, 3, b, vec![(0, 6), (6, 12)]);
+        let g12 = Geo {
+            n: [24, 12, 1],
+            ..g2
+        };
+        assert_eq!(two(b).layout::<f64>(&g12), (p + 28 * 40, p, p + 12 * 40));
+        assert_eq!(two(d).layout::<f64>(&g12).0, p + 20 * 40);
+        let (wrap, seam) = (two(b).windows[1], two(b).windows[4]);
+        assert_eq!(
+            wrap,
+            Window {
+                lo: 10,
+                len: 4,
+                off: 2
+            }
+        );
+        assert_eq!(
+            seam,
+            Window {
+                lo: 4,
+                len: 4,
+                off: 10
+            }
+        );
+        assert_eq!((wrap.slot(11, 12), wrap.slot(0, 12)), (3, 4));
+        assert_eq!(seam.slot(7, 12), 13);
         let g3 = Geo {
             ndim: 3,
             n: [8, 2, 2],
@@ -694,12 +854,12 @@ mod tests {
             ps: 1000,
             halo: 2,
         };
-        assert_eq!(ring_layout::<f64>(&g3, 2, 2, d).0, 5 * 1000);
-        assert_eq!(ring_layout::<f64>(&g3, 2, 3, d).0, 10 * 1000);
-        assert_eq!(ring_layout::<f64>(&g3, 1, 5, d).1, 16 + HALO_PAD);
+        assert_eq!(one(2, 2, 2, d).layout::<f64>(&g3).0, 5 * 1000);
+        assert_eq!(one(2, 2, 3, d).layout::<f64>(&g3).0, 10 * 1000);
+        assert_eq!(one(2, 1, 5, d).layout::<f64>(&g3).1, 16 + HALO_PAD);
         assert_eq!(
-            ring_layout::<f64>(&g3, 2, 2, Boundary::Reflect),
-            (7 * 1000, 32 + p, 32 + p + 5000)
+            one(2, 2, 2, Boundary::Reflect).layout::<f64>(&g3),
+            (9 * 1000, 32 + p, 32 + p + 5000)
         );
     }
 

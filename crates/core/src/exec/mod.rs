@@ -40,8 +40,9 @@
 //! `[nx, ny, nz]` where **an absent axis is an axis of extent 1**. Its
 //! ping-pong scratch is a plain buffer laid out the same way — the one
 //! partner of every layout, DLT included. From there one runner body
-//! picks one driver (`tess::drive`, `par::drive`, `split::drive_cols`,
-//! or the sequential loop), each generic over the element type only,
+//! picks one driver (`tess::drive`, `par::passes` for fused passes,
+//! `par::drive`, `split::drive_cols`, or the sequential loop), each
+//! generic over the element type only,
 //! and the kernel is called once per range sweep or tile step. The typed terminals ([`Plan::star1`] …
 //! [`Plan::box3`]) and the runtime-spec terminal ([`Plan::stencil`])
 //! differ only in how the kernel object is made; both hand it to the
@@ -262,9 +263,11 @@ impl Tiling {
 /// every other knob).
 ///
 /// Untiled plans decompose their grid into per-thread subdomains along
-/// the outermost dimension and synchronize at every time step on the
-/// plan's persistent pool (see [`par`](self) module docs on `exec::par`);
-/// tiled plans size the pool their tile stages run on.
+/// the outermost dimension and synchronize on the plan's persistent
+/// pool — once per fused pass of `fused_steps` steps, plus once to fill
+/// the seam strips, for 2D/3D `TransLayout2`, else at every time step
+/// (see the `exec::par` module docs); tiled plans size the pool their
+/// tile stages run on.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Parallelism {
     /// Single-threaded stepping — the paper's sequential accounting. For
@@ -436,6 +439,16 @@ enum Layout {
 }
 
 impl Cfg {
+    /// The k = 1 steps a run of `t` takes between the ping-pong pair: all
+    /// of them, unless the plan fuses — then only a last lone step left
+    /// over by passes of `depth` (see `run_steps`).
+    fn pingpongs(&self, t: usize) -> usize {
+        match self.depth {
+            1 => t,
+            k => usize::from(t % k == 1),
+        }
+    }
+
     fn layout(&self) -> Layout {
         match self.method {
             Method::Scalar | Method::MultiLoad | Method::Reorg => Layout::Natural,
@@ -950,12 +963,15 @@ impl PlanCore {
 
     /// Time steps one fused pass of a session advances — the depth `k`
     /// of the time loop's unroll-and-jam, resolved at build time; 1 when
-    /// the plan runs no fused pass. Untiled single-threaded
-    /// `TransLayout2` plans fuse under every boundary, on any grid whose
-    /// halo holds the radius: a 2D/3D grid larger than the probed L2 as
-    /// deep as its ring fits half of it (2 ≤ k ≤ 8); 1D and L2-resident
-    /// plans in step pairs. A run of `t` steps passes at most `t` deep;
-    /// tiled 1D `TransLayout2` fuses pairs inside each tile.
+    /// the plan runs no fused pass. Untiled `TransLayout2` plans fuse
+    /// under every boundary, on any grid whose halo holds the radius: a
+    /// 2D/3D grid larger than the probed L2 as deep as its ring fits
+    /// half of it (2 ≤ k ≤ 8); L2-resident plans and a sequential 1D row
+    /// in step pairs. With threads, each band of the outer axis runs the
+    /// pass, and `k` is capped so that `2(k - 1)·r` fits the shortest
+    /// band (1 if even `k = 2` does not; parallel 1D rows report 1). A
+    /// run of `t` steps passes at most `t` deep; tiled 1D `TransLayout2`
+    /// fuses pairs inside each tile.
     pub fn fused_steps(&self) -> usize {
         self.cfg.depth
     }
@@ -1047,12 +1063,12 @@ impl<T: Elem> CompiledPlan<T> {
             "grid halo narrower than stencil radius"
         );
         let cfg = &self.core.cfg;
+        // The ping-pong partner is filled on the first step that needs
+        // one (see `Session::run`); only DLT needs it to open.
+        let partner = cfg.layout() == Layout::Dlt;
         match cfg.layout() {
-            Layout::Natural => halo::ensure_scratch(&mut self.scratch, buf),
-            Layout::Transpose => {
-                layout::tl_buf(buf, &geo, cfg.isa);
-                halo::ensure_scratch(&mut self.scratch, buf);
-            }
+            Layout::Natural => {}
+            Layout::Transpose => layout::tl_buf(buf, &geo, cfg.isa),
             Layout::Dlt => {
                 // Transform into the scratch (which carries `buf`'s
                 // halos), then copy back: both partners start identical.
@@ -1066,6 +1082,7 @@ impl<T: Elem> CompiledPlan<T> {
             plan: self,
             buf,
             geo,
+            partner,
         }
     }
 }
@@ -1076,43 +1093,59 @@ pub struct Session<'p, T: Elem = f64> {
     /// The caller's grid buffer, laid out as `geo`.
     buf: &'p mut AlignedBuf<T>,
     geo: Geo,
+    /// Whether the plan's scratch holds this grid's halos and pads, as
+    /// the ping-pong partner of its k = 1 steps.
+    partner: bool,
 }
 
 impl<T: Elem> Session<'_, T> {
     /// Advance the grid `t` Jacobi steps. No layout transform happens
     /// here — only kernel stepping (tiled runs copy small precomputed
     /// tile lists per chunk), plus the O(surface) per-step halo refresh
-    /// under a non-Dirichlet [`Boundary`]. The one allocation is a 2D/3D
-    /// fused plan's ring, sized for the deepest pass a run has asked for
-    /// (`min(fused_steps, t)`) and grown only when a later run goes
-    /// deeper.
+    /// under a non-Dirichlet [`Boundary`]. Two allocations can happen,
+    /// each once: a 2D/3D fused plan's ring (one per band) and strips,
+    /// sized for the deepest pass a run has asked for (`min(fused_steps,
+    /// t)`) and grown only when a later run goes deeper; and the
+    /// ping-pong partner of k = 1 steps, copied from the grid on the
+    /// session's first such step — a fused run whose steps all fall in
+    /// passes never takes one.
     pub fn run(&mut self, t: usize) {
         if t == 0 {
             return;
         }
         let plan = &mut *self.plan;
         let geo = self.geo;
-        let depth = plan.core.cfg.depth.min(t);
+        let cfg = plan.core.cfg;
+        let depth = cfg.depth.min(t);
         if geo.ndim > 1 && depth > 1 {
             let r = plan.kernel.radius();
-            let (len, ..) = halo::ring_layout::<T>(&geo, r, depth, plan.core.cfg.boundary);
+            let bp = par::band_pass(&geo, r, depth, cfg.boundary, cfg.threads);
+            let (len, ..) = bp.layout::<T>(&geo);
             if plan.ring.as_ref().is_none_or(|ring| ring.len() < len) {
                 plan.ring = Some(AlignedBuf::zeroed(len));
             }
         }
-        // The ping-pong pair the method steps: the caller's grid and the
-        // plan's scratch — both `geo.len()` long, so the interior origin
-        // lies inside each.
-        let (a, b) = (&mut *self.buf, plan.scratch.as_mut().expect("scratch"));
+        if cfg.pingpongs(t) > 0 && !self.partner {
+            halo::ensure_scratch(&mut plan.scratch, self.buf);
+            self.partner = true;
+        }
+        // The ping-pong pair the method steps: the caller's grid and, once
+        // filled, the plan's scratch — both `geo.len()` long, so the
+        // interior origin lies inside each.
         let o = geo.origin::<T>();
-        // SAFETY: see above.
-        let (pa, pb) = unsafe { (a.as_mut_ptr().add(o), b.as_mut_ptr().add(o)) };
-        let bufs = [SyncPtr(pa), SyncPtr(pb)];
+        let partner = match plan.scratch.as_mut() {
+            Some(b) if self.partner => b.as_mut_ptr().wrapping_add(o),
+            _ => std::ptr::null_mut(),
+        };
+        let bufs = [
+            SyncPtr(self.buf.as_mut_ptr().wrapping_add(o)),
+            SyncPtr(partner),
+        ];
         let ring = plan.ring.as_mut().map(|ring| ring.as_mut_ptr());
         let arena = plan.arena.as_ref();
         let pingpongs = run_steps(&plan.core, &*plan.kernel, &geo, bufs, ring, arena, t);
         if pingpongs % 2 == 1 {
-            std::mem::swap(a, b);
+            std::mem::swap(self.buf, plan.scratch.as_mut().expect("scratch"));
         }
     }
 }
@@ -1133,18 +1166,24 @@ impl<T: Elem> Drop for Session<'_, T> {
 }
 
 /// The fused pass depth of a plan (see [`PlanCore::fused_steps`]): only
-/// untiled single-threaded `TransLayout2` fuses (parallel untiled
-/// stepping ping-pongs). A row needs two full vector sets for the
-/// register pipeline, which fuses step pairs. A plane or volume
-/// pipelines through a ring as deep as [`halo::depth`] allows for its
-/// ring slab — a row in 2D, a plane in 3D — in a buffer laid out with an
-/// `r`-wide halo, under every boundary. A buffer that fits the L2 stays
-/// at `k = 2`: it has no memory traffic for a deeper pass to save, and
-/// the deeper ring only pushes the rows a level reads out of L1 (on an
-/// AVX-512 core with a 2 MiB L2, a 256² f64 2d5p session ran 1.6–1.9×
-/// slower at k = 8 than at k = 2).
+/// untiled `TransLayout2` fuses. A row needs two full vector sets for
+/// the register pipeline, which fuses step pairs on one thread (parallel
+/// rows step k = 1). A plane or volume pipelines through a ring as deep
+/// as [`halo::depth`] allows for its ring slab — a row in 2D, a plane in
+/// 3D — in a buffer laid out with an `r`-wide halo, under every
+/// boundary. A buffer that fits the L2 stays at `k = 2`: it has no
+/// memory traffic for a deeper pass to save, and the deeper ring only
+/// pushes the rows a level reads out of L1 (on an AVX-512 core with a
+/// 2 MiB L2, a 256² f64 2d5p session ran 1.6–1.9× slower at k = 8 than
+/// at k = 2).
+///
+/// With several threads each band of the outer axis sweeps its own
+/// ring, and every seam between bands costs strips `(k - 1)·r` slabs
+/// deep on each side. `k` is capped so that the strips of a band's two
+/// seams do not overlap — `2(k - 1)·r` no taller than the shortest
+/// band — and a plan whose bands are too short for `k = 2` steps k = 1.
 fn fused_depth<T: Elem>(cfg: &Cfg, shape: &Shape, r: usize) -> usize {
-    if cfg.method != Method::TransLayout2 || cfg.tiling != Tiling::None || cfg.threads != 1 {
+    if cfg.method != Method::TransLayout2 || cfg.tiling != Tiling::None {
         return 1;
     }
     let ndim = shape.ndim;
@@ -1152,12 +1191,24 @@ fn fused_depth<T: Elem>(cfg: &Cfg, shape: &Shape, r: usize) -> usize {
     let geo = Geo::packed::<T>(ndim, n, r);
     let bytes = |elems: usize| elems * std::mem::size_of::<T>();
     let l2 = halo::l2_bytes();
-    match ndim {
-        1 if SetGeo::new(n[0], cfg.isa.lanes_for::<T>()).nsets >= 2 => 2,
+    let k = match ndim {
+        1 if cfg.threads == 1 && SetGeo::new(n[0], cfg.isa.lanes_for::<T>()).nsets >= 2 => 2,
         1 => 1,
         _ if bytes(geo.len::<T>()) <= l2 => 2,
         2 => halo::depth(l2, bytes(geo.rs), r),
         _ => halo::depth(l2, bytes(geo.ps), r),
+    };
+    k.min(band_cap(n[ndim - 1], cfg.threads, r))
+}
+
+/// The deepest fused pass the bands of `threads` workers over an outer
+/// axis of `n` slabs run at radius `r`: unbounded for one band, else the
+/// largest `k` with `2(k - 1)·r` no taller than the shortest band (1 if
+/// even `k = 2` is not).
+fn band_cap(n: usize, threads: usize, r: usize) -> usize {
+    match par::bands(n, threads).len() {
+        1 => usize::MAX,
+        m => (n / m) / (2 * r) + 1,
     }
 }
 
@@ -1212,45 +1263,29 @@ fn run_steps<T: Elem>(
             split::drive_cols(&st, &cols, w, t, 1, core.pool(), boundary);
             t
         }
-        Tiling::None if threads > 1 && !dlt_row => {
-            par::drive(&st, t, core.pool(), threads, boundary);
-            t
-        }
         _ => {
-            // Derived once: at L1 sizes a fused pair is a few µs, so the
-            // per-pair constant work has to stay tiny.
-            let map = halo::RowMap::for_method::<T>(method, isa, geo.n[0]);
-            let depth = core.cfg.depth;
             // In-place passes of `min(depth, steps left)` on buffer 0
             // while at least two steps are left, then the last step (if
-            // any) alone, ping-ponging; each is preceded by bringing its
-            // source's halos to the interior's time level (a no-op under
-            // Dirichlet).
-            //
-            // SAFETY: both buffers carry ≥ r halo rows/planes (asserted at
-            // session open) and the row pad; extents ≥ r were validated at
-            // plan build; a 2D/3D session sized the ring for
-            // `min(depth, t)` levels, the deepest pass below.
-            let mut rest = t;
-            while depth > 1 && rest >= 2 {
-                let steps = depth.min(rest);
-                let (ring, strips) = match ring {
-                    Some(p) => {
-                        let (_, origin, strips) = halo::ring_layout::<T>(geo, r, steps, boundary);
-                        unsafe { (p.add(origin), p.add(strips)) }
-                    }
-                    None => (std::ptr::null_mut(), std::ptr::null_mut()),
-                };
-                unsafe {
-                    halo::refresh(bufs[0].0, geo, r, boundary, &map);
-                    k.pass(isa, bufs[0].0, geo, ring, strips, steps, boundary, &map);
+            // any) alone, ping-ponging, each band-parallel on a plan with
+            // threads.
+            let depth = core.cfg.depth;
+            let rest = match depth {
+                1 => t,
+                _ => par::passes(&st, ring, depth, t, core.pool.as_ref(), threads, boundary),
+            };
+            if rest > 0 && threads > 1 && !dlt_row {
+                par::drive(&st, rest, core.pool(), threads, boundary);
+            } else if rest > 0 {
+                let map = halo::RowMap::for_method::<T>(method, isa, geo.n[0]);
+                for time in 0..rest {
+                    // SAFETY: both buffers carry ≥ r halo rows/planes
+                    // (asserted at session open) and the row pad; extents
+                    // ≥ r were validated at plan build.
+                    unsafe { halo::refresh(bufs[time % 2].0, geo, r, boundary, &map) };
+                    st.step(geo.interior(), time);
                 }
-                rest -= steps;
             }
-            for time in 0..rest {
-                unsafe { halo::refresh(bufs[time % 2].0, geo, r, boundary, &map) };
-                st.step(geo.interior(), time);
-            }
+            debug_assert_eq!(rest, core.cfg.pingpongs(t));
             rest
         }
     }
@@ -1285,52 +1320,90 @@ mod tests {
         );
     }
 
+    /// Run `fused` (a `TransLayout2` plan, its depth forced to `depth`
+    /// within its band cap) and `oracle` from `init` for each step count
+    /// in `ts`, 0 ULP apart, and check the buffers the fused plan holds
+    /// after each run: its ring and strips, sized by the deepest pass a
+    /// run has asked for, and the ping-pong scratch, present only once a
+    /// run took a k = 1 step.
+    fn check_fused<T: Elem, const D: usize>(
+        init: &Grid<T, D>,
+        oracle: &mut CompiledPlan<T>,
+        fused: &mut CompiledPlan<T>,
+        depth: usize,
+        ts: &[usize],
+    ) {
+        let (geo, b, threads) = (init.geo(), fused.boundary(), fused.threads());
+        let outer = geo.n[geo.ndim - 1];
+        let depth = depth.min(band_cap(outer, threads, 1));
+        fused.core.cfg.depth = depth;
+        let (mut deepest, mut stepped) = (0, false);
+        for &t in ts {
+            let (mut want, mut got) = (init.clone(), init.clone());
+            oracle.run(&mut want, t);
+            fused.run(&mut got, t);
+            let n = geo.n;
+            let diff = max_abs_diff(&want, &got);
+            assert_eq!(diff, 0.0, "{b} {n:?} threads={threads} k={depth} t={t}");
+            deepest = deepest.max(depth.min(t) * usize::from(t > 1 && depth > 1));
+            stepped |= fused.core.cfg.pingpongs(t) > 0;
+            let len = fused.ring.as_ref().map(|r| r.len());
+            let want = |k| par::band_pass(&geo, 1, k, b, threads).layout::<T>(&geo).0;
+            assert_eq!(
+                len,
+                (deepest > 1).then(|| want(deepest)),
+                "{b} k={depth} t={t}"
+            );
+            let scratch = fused.scratch.is_some();
+            assert_eq!(scratch, stepped, "{b} threads={threads} k={depth} t={t}");
+        }
+    }
+
+    fn plan_for<T: Elem, const D: usize>(init: &Grid<T, D>, b: Boundary, par: Parallelism) -> Plan {
+        Plan::new(init.geo().shape()).parallelism(par).boundary(b)
+    }
+
+    const BOUNDARIES: [Boundary; 3] = [
+        Boundary::Dirichlet(0.5),
+        Boundary::Periodic,
+        Boundary::Reflect,
+    ];
+
+    /// A deterministic, sign-mixed cell value.
+    fn v(i: usize) -> f64 {
+        ((i * 613 % 211) as f64 - 105.0) / 128.0
+    }
+
     /// A pass as deep as a large grid's would be, forced onto tiny ones:
     /// step counts that are not a multiple of the depth end in a shorter
     /// pass and a lone k = 1 step, bit-exact against the oracle under
-    /// every boundary, on grids whose halo is the radius. The ring is
-    /// allocated by the first run that fuses, for the deepest pass a run
-    /// has asked for, and grows with it.
+    /// every boundary, on grids whose halo is the radius, sequential and
+    /// in bands (whose cap brings these outer extents down to k = 2).
+    /// The ring is allocated by the first run that fuses, for the deepest
+    /// pass a run has asked for, and grows with it; the scratch by the
+    /// first lone step.
     #[test]
     fn deep_pass_remainders_match_the_oracle() {
         fn check<T: Elem, const D: usize>(
             init: &Grid<T, D>,
             compile: impl Fn(Plan) -> Result<CompiledPlan<T>, PlanError>,
         ) {
-            for b in [
-                Boundary::Dirichlet(0.5),
-                Boundary::Periodic,
-                Boundary::Reflect,
-            ] {
-                let plan = |method| {
-                    let plan = Plan::new(init.geo().shape()).parallelism(Parallelism::Off);
-                    plan.method(method).boundary(b)
-                };
-                let mut oracle = compile(plan(Method::Scalar)).unwrap();
-                for depth in [3, 8] {
-                    let mut fused = compile(plan(Method::TransLayout2)).unwrap();
-                    fused.core.cfg.depth = depth;
-                    let mut deepest = 0;
-                    for t in [1, 2, 7, 9, 13, 17, 2] {
-                        let (mut want, mut got) = (init.clone(), init.clone());
-                        oracle.run(&mut want, t);
-                        fused.run(&mut got, t);
-                        let n = init.geo().n;
-                        let diff = max_abs_diff(&want, &got);
-                        assert_eq!(diff, 0.0, "{b} {n:?} k={depth} t={t}");
-                        deepest = deepest.max(depth.min(t) * usize::from(t > 1));
-                        let ring = |k| halo::ring_layout::<T>(&init.geo(), 1, k, b).0;
-                        let len = fused.ring.as_ref().map(|r| r.len());
-                        assert_eq!(
-                            len,
-                            (deepest > 1).then(|| ring(deepest)),
-                            "{b} k={depth} t={t}"
-                        );
+            for b in BOUNDARIES {
+                for par in [
+                    Parallelism::Off,
+                    Parallelism::Threads(2),
+                    Parallelism::Threads(3),
+                ] {
+                    let plan = |m| plan_for(init, b, par).method(m);
+                    let mut oracle = compile(plan(Method::Scalar)).unwrap();
+                    for depth in [3, 8] {
+                        let mut fused = compile(plan(Method::TransLayout2)).unwrap();
+                        let ts = [1, 2, 7, 9, 13, 17, 2];
+                        check_fused(init, &mut oracle, &mut fused, depth, &ts);
                     }
                 }
             }
         }
-        let v = |i: usize| ((i * 613 % 211) as f64 - 105.0) / 128.0;
         let g2 = Grid2::from_fn(37, 5, 1, 0.5, |y, x| v(y * 37 + x));
         check(&g2, |p| p.star2(S2d5p::heat()));
         let g2 = Grid2::<f32>::from_fn(37, 5, 1, 0.5, |y, x| v(y * 37 + x) as f32);
@@ -1339,6 +1412,57 @@ mod tests {
         check(&g3, |p| p.box3(S3d27p::blur()));
         let g3 = Grid3::<f32>::from_fn(19, 3, 4, 1, -0.5, |z, y, x| v((z * 3 + y) * 19 + x) as f32);
         check(&g3, |p| p.star3_elem(S3d7p::heat()));
+    }
+
+    /// The band form against the oracle, 0 ULP: 2D and 3D, f64 and f32,
+    /// every boundary, 2, 3 and 5 bands, forced depths 2, 3 and 8. Each
+    /// depth runs on an outer extent the band count does not divide whose
+    /// shortest band sits exactly at the cap (`2(k-1)·r` slabs), and on
+    /// one a slab short of it, where the cap lowers the depth (to k = 1,
+    /// the k = 1 band driver, for depth 2).
+    #[test]
+    fn band_passes_match_the_oracle() {
+        fn check<T: Elem, const D: usize>(
+            grid: impl Fn(usize) -> Grid<T, D>,
+            compile: impl Fn(Plan) -> Result<CompiledPlan<T>, PlanError>,
+        ) {
+            for threads in [2, 3, 5] {
+                for depth in [2, 3, 8] {
+                    let at_cap = threads * 2 * (depth - 1) + threads - 1;
+                    for outer in [at_cap, threads * 2 * (depth - 1) - 1] {
+                        let init = grid(outer);
+                        assert_eq!(band_cap(at_cap, threads, 1), depth);
+                        assert!(band_cap(outer, threads, 1) <= depth);
+                        for b in BOUNDARIES {
+                            let plan =
+                                |m| plan_for(&init, b, Parallelism::Threads(threads)).method(m);
+                            let mut oracle = compile(plan(Method::Scalar)).unwrap();
+                            let mut fused = compile(plan(Method::TransLayout2)).unwrap();
+                            let ts = [1, 2, 7, 9, 13];
+                            check_fused(&init, &mut oracle, &mut fused, depth, &ts);
+                        }
+                    }
+                }
+            }
+        }
+        check(
+            |ny| Grid2::from_fn(37, ny, 1, 0.5, |y, x| v(y * 37 + x)),
+            |p| p.star2(S2d5p::heat()),
+        );
+        check(
+            |ny| Grid2::<f32>::from_fn(37, ny, 1, 0.5, |y, x| v(y * 37 + x) as f32),
+            |p| p.box2_elem(S2d9p::blur()),
+        );
+        check(
+            |nz| Grid3::from_fn(11, 3, nz, 1, -0.5, |z, y, x| v((z * 3 + y) * 11 + x)),
+            |p| p.star3(S3d7p::heat()),
+        );
+        check(
+            |nz| {
+                Grid3::<f32>::from_fn(11, 3, nz, 1, -0.5, |z, y, x| v((z * 3 + y) * 11 + x) as f32)
+            },
+            |p| p.box3_elem(S3d27p::blur()),
+        );
     }
 
     #[test]

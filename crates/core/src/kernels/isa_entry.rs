@@ -19,7 +19,7 @@ use stencil_simd::{Elem, Isa};
 
 use super::row::{Row2, Row3};
 use super::{tl, tl2};
-use crate::exec::halo::{Boundary, RowMap};
+use crate::exec::halo::{BandPass, Boundary, PassTask, RowMap};
 use crate::layout::SetGeo;
 use crate::stencil::{Star1, MAX_R};
 
@@ -93,14 +93,15 @@ isa_entry!(
 isa_entry!(
     /// [`tl2::grid2_pass`] behind a per-ISA feature entry.
     grid2_pass<K: Row2>, tl2,
-    fn(buf: *mut T, rs: usize, nx: usize, ny: usize, ring: *mut T, strips: *mut T,
-       k: usize, b: Boundary, map: &RowMap, s: &K::S)
+    fn(buf: *mut T, rs: usize, nx: usize, ring: *mut T, strips: *mut T,
+       bp: &BandPass, task: PassTask, b: Boundary, map: &RowMap, s: &K::S)
 );
 isa_entry!(
     /// [`tl2::grid3_pass`] behind a per-ISA feature entry.
     grid3_pass<K: Row3>, tl2,
-    fn(buf: *mut T, rs: usize, ps: usize, nx: usize, ny: usize, nz: usize,
-       ring: *mut T, strips: *mut T, k: usize, b: Boundary, map: &RowMap, s: &K::S)
+    fn(buf: *mut T, rs: usize, ps: usize, nx: usize, ny: usize,
+       ring: *mut T, strips: *mut T, bp: &BandPass, task: PassTask, b: Boundary, map: &RowMap,
+       s: &K::S)
 );
 
 /// [`star1_tl2_edges`] under a Dirichlet boundary, whose constant halo is

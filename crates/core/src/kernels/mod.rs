@@ -58,7 +58,7 @@ use stencil_simd::{dispatch_elem, Elem, Isa};
 
 pub use row::{BoxK, Row2, Row3, StarK};
 
-use crate::exec::halo::{Boundary, RowMap};
+use crate::exec::halo::{BandPass, Boundary, PassTask, RowMap};
 use crate::exec::{Method, Shape};
 use crate::layout::{DltGeo, SetGeo};
 use crate::spec::SpecError;
@@ -210,19 +210,22 @@ pub trait Kernel<T: Elem>: Send + Sync {
         bx: NdBox,
     );
 
-    /// The fused pass: advance the whole transposed buffer `k` steps in
-    /// place under boundary `b`, whose halos must hold the interior's
-    /// time level on entry. 1D runs Algorithm 1's register pipeline
-    /// ([`tl2::star1_tl2_edges`], `k = 2` only) with its `t+1` halo
-    /// folds computed first ([`tl2::edges_t1`]) and ignores `ring` and
-    /// `strips`; 2D/3D stream rows/planes through the `k - 1` ring levels
-    /// at `ring` ([`tl2::grid2_pass`] / [`tl2::grid3_pass`]), and under a
-    /// refreshed boundary advance the edge strips at `strips` first. Both
-    /// pointers are laid out by `exec::halo::ring_layout`; `map` is the
-    /// row layout's, through which the pass folds each level's halos.
+    /// One task of the fused pass `bp`: advance the transposed buffer
+    /// `bp.k` steps in place under boundary `b`, whose halos must hold
+    /// the interior's time level on entry. 2D/3D fill one seam's strips
+    /// or sweep one band of rows/planes through its `k - 1` ring levels
+    /// ([`tl2::grid2_pass`] / [`tl2::grid3_pass`]); a sequential pass is
+    /// the one band `[0, n)` after the wrap's seam. `ring` and `strips`
+    /// are laid out by [`BandPass::layout`]; `map` is the row layout's,
+    /// through which the pass folds each level's halos. 1D runs Algorithm
+    /// 1's register pipeline over its one band ([`tl2::star1_tl2_edges`],
+    /// `k = 2` only) with its `t+1` halo folds computed first
+    /// ([`tl2::edges_t1`]), has no seams, and ignores `ring` and
+    /// `strips`.
     ///
     /// # Safety
-    /// As the kernel selected; `k ≥ 2`.
+    /// As the kernel selected; `bp.k ≥ 2`; every seam task of a pass
+    /// completes before its first band task starts.
     #[allow(clippy::too_many_arguments)]
     unsafe fn pass(
         &self,
@@ -231,7 +234,8 @@ pub trait Kernel<T: Elem>: Send + Sync {
         geo: &Geo,
         ring: *mut T,
         strips: *mut T,
-        k: usize,
+        bp: &BandPass,
+        task: PassTask,
         b: Boundary,
         map: &RowMap,
     );
@@ -380,11 +384,15 @@ impl<T: Elem, S: Star1> Kernel<T> for Kern1<S> {
         geo: &Geo,
         _ring: *mut T,
         _strips: *mut T,
-        k: usize,
+        bp: &BandPass,
+        task: PassTask,
         b: Boundary,
         _map: &RowMap,
     ) {
-        debug_assert_eq!(k, 2, "Algorithm 1 fuses step pairs");
+        debug_assert_eq!(bp.k, 2, "Algorithm 1 fuses step pairs");
+        if let PassTask::Seam(_) = task {
+            return;
+        }
         let (s, n) = (&self.0, geo.n[0]);
         let [lt1, rt1] = tl2::edges_t1(buf, &SetGeo::new(n, isa.lanes_for::<T>()), b, s);
         isa_entry::star1_tl2_edges(isa, buf, n, &lt1, &rt1, s)
@@ -460,12 +468,13 @@ impl<T: Elem, K: Row2> Kernel<T> for Kern2<K> {
         geo: &Geo,
         ring: *mut T,
         strips: *mut T,
-        k: usize,
+        bp: &BandPass,
+        task: PassTask,
         b: Boundary,
         map: &RowMap,
     ) {
-        let (s, rs, [nx, ny, _]) = (&self.0, geo.rs, geo.n);
-        isa_entry::grid2_pass::<T, K>(isa, buf, rs, nx, ny, ring, strips, k, b, map, s)
+        let (s, rs, nx) = (&self.0, geo.rs, geo.n[0]);
+        isa_entry::grid2_pass::<T, K>(isa, buf, rs, nx, ring, strips, bp, task, b, map, s)
     }
 }
 
@@ -523,12 +532,13 @@ impl<T: Elem, K: Row3> Kernel<T> for Kern3<K> {
         geo: &Geo,
         ring: *mut T,
         strips: *mut T,
-        k: usize,
+        bp: &BandPass,
+        task: PassTask,
         b: Boundary,
         map: &RowMap,
     ) {
-        let (s, rs, ps, [nx, ny, nz]) = (&self.0, geo.rs, geo.ps, geo.n);
-        isa_entry::grid3_pass::<T, K>(isa, buf, rs, ps, nx, ny, nz, ring, strips, k, b, map, s)
+        let (s, rs, ps, [nx, ny, _]) = (&self.0, geo.rs, geo.ps, geo.n);
+        isa_entry::grid3_pass::<T, K>(isa, buf, rs, ps, nx, ny, ring, strips, bp, task, b, map, s)
     }
 }
 
@@ -537,7 +547,7 @@ mod tests {
     use stencil_simd::{AlignedBuf, Elem, Isa};
 
     use super::*;
-    use crate::exec::halo::{refresh, ring_layout, MAX_DEPTH};
+    use crate::exec::halo::{refresh, MAX_DEPTH};
     use crate::grid::{Grid, Grid2, Grid3};
     use crate::layout::tl_grid;
     use crate::spec::StencilSpec;
@@ -569,14 +579,19 @@ mod tests {
         let mut got = init.clone();
         tl_grid(&mut got, isa);
         let map = RowMap::for_method::<T>(Method::TransLayout2, isa, geo.n[0]);
-        let (len, origin, strips) = ring_layout::<T>(&geo, r, k, b);
+        let n = geo.n[geo.ndim - 1];
+        let bp = BandPass::new(n, r, k, b, vec![(0, n)]);
+        let (len, origin, strips) = bp.layout::<T>(&geo);
         let mut ring = AlignedBuf::<T>::zeroed(len);
         // SAFETY: a transposed grid, refreshed to its interior's level,
-        // and a ring with strips laid out for depth `k`.
+        // and a ring with strips laid out for the pass; the seam is
+        // filled before the band is swept.
         unsafe {
             refresh(got.ptr_mut(), &geo, r, b, &map);
             let (ring, strips) = (ring.as_mut_ptr().add(origin), ring.as_mut_ptr().add(strips));
-            kern.pass(isa, got.ptr_mut(), &geo, ring, strips, k, b, &map);
+            for task in [PassTask::Seam(0), PassTask::Band(0)] {
+                kern.pass(isa, got.ptr_mut(), &geo, ring, strips, &bp, task, b, &map);
+            }
         }
         tl_grid(&mut got, isa);
         let n = geo.n;

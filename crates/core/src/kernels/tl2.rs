@@ -38,7 +38,9 @@ use stencil_simd::{Elem, Vector};
 use super::orig::splat_w;
 use super::row::{Row2, Row3};
 use super::tl::xpart_set;
-use crate::exec::halo::{fold_src, refresh, refresh_row, strip_slabs, Boundary, RowMap};
+use crate::exec::halo::{
+    fold_src, refresh, refresh_row, BandPass, Boundary, PassTask, RowMap, MAX_DEPTH,
+};
 use crate::layout::{tl_read, SetGeo};
 use crate::stencil::{Star1, MAX_R};
 
@@ -374,201 +376,321 @@ unsafe fn copy_pads<T: Elem>(src_row: *const T, dst_row: *mut T, nx: usize) {
     std::ptr::copy_nonoverlapping(src_row.add(nx), dst_row.add(nx), T::PAD);
 }
 
-/// The slab tasks of a ring pass in order, as `(edge, level, slab)` (see
-/// `ring_pass`): level `j`'s edge-strip slabs while `edges`, storage
-/// slot `q` next; then the sweep, iteration `q`, level `j` next. One
-/// state machine for both phases, so the pass's loop has one body with
-/// one inlined row kernel: a chain of two iterators had the compiler
-/// clone the body per phase.
-struct Tasks {
-    n: usize,
-    r: usize,
-    k: usize,
-    edges: bool,
-    j: usize,
-    q: usize,
+/// What one task of a ring pass reads and writes (see `ring_pass`): the
+/// main buffer, the task's band and ring, and the strips, with the
+/// lookups that place a slab of a level in them.
+struct Slabs<'a, T> {
+    buf: *mut T,
+    stride: usize,
+    ring: *mut T,
+    strips: *mut T,
+    bp: &'a BandPass,
+    b: Boundary,
+    /// The band swept, its index and `[y0, y1)` (a seam task: unused).
+    band: usize,
+    y0: isize,
+    y1: isize,
 }
 
-impl Tasks {
+impl<T> Slabs<'_, T> {
+    /// Main slab `i`, halo slabs included.
     #[inline(always)]
-    fn next(&mut self) -> Option<(bool, usize, usize)> {
-        let (n, r, k) = (self.n, self.r, self.k);
-        while self.edges && self.j < k {
-            let (reach, len) = ((k - self.j) * r, strip_slabs(n, r, k, self.j));
-            if self.q < len {
-                let q = self.q;
-                self.q += 1;
-                return Some((true, self.j, if q < reach { q } else { q + n - len }));
+    unsafe fn at(&self, i: isize) -> *mut T {
+        self.buf.offset(i * self.stride as isize)
+    }
+
+    /// Slab `i` (`< n`) of seam `s`'s level-`j` strip.
+    #[inline(always)]
+    unsafe fn strip(&self, s: usize, j: usize, i: usize) -> *mut T {
+        let w = self.bp.window(s, j);
+        self.strips.add(w.slot(i, self.bp.n) * self.stride)
+    }
+
+    /// Slot `q` of the band's level-`j` ring (`1 ≤ j < k`).
+    #[inline(always)]
+    unsafe fn ring_slot(&self, j: usize, q: usize) -> *mut T {
+        let nr = 2 * self.bp.r + 1;
+        self.ring.add(((j - 1) * nr + q) * self.stride)
+    }
+
+    /// Level-`j` slab `i` as a task finds it beyond what it computes
+    /// itself: a halo index is the constant halo under Dirichlet, else
+    /// its fold source in the wrap's strip (seam 0) or, for seam `s`'s
+    /// own reads, in `s`'s strip; an interior index lies in the strip of
+    /// seam `s`, or for a band, of the seam at the edge it is past.
+    #[inline(always)]
+    unsafe fn beyond(&self, s: Option<usize>, j: usize, i: isize) -> *mut T {
+        let n = self.bp.n as isize;
+        let (s, i) = match i {
+            _ if (0..n).contains(&i) => {
+                let s = s.unwrap_or(self.band + usize::from(i >= self.y1));
+                (s, i as usize)
             }
-            (self.j, self.q) = (self.j + 1, 0);
+            _ if self.b.is_dirichlet() => return self.at(i),
+            _ if i < 0 => (
+                s.unwrap_or(0),
+                fold_src(self.bp.n, i.unsigned_abs(), true, self.b),
+            ),
+            _ => (
+                s.unwrap_or(0),
+                fold_src(self.bp.n, (i - n) as usize + 1, false, self.b),
+            ),
+        };
+        self.strip(s, j, i)
+    }
+
+    /// The band's level-`j` slab `i`: its own inside the band (the main
+    /// buffer at level 0, else ring slot `q`), else [`Slabs::beyond`].
+    #[inline(always)]
+    unsafe fn band_slab(&self, j: usize, i: isize, q: usize) -> *mut T {
+        if i < self.y0 || i >= self.y1 {
+            self.beyond(None, j, i)
+        } else if j == 0 {
+            self.at(i)
+        } else {
+            self.ring_slot(j, q)
         }
-        if self.edges {
-            (self.edges, self.j, self.q) = (false, 1, 0);
-        }
-        while self.q < n + (k - 1) * r {
-            let j = self.j;
-            match self.q.checked_sub((j - 1) * r) {
-                Some(yj) if j <= k => {
-                    self.j += 1;
-                    if yj < n {
-                        return Some((false, j, yj));
-                    }
-                }
-                _ => (self.j, self.q) = (1, self.q + 1),
-            }
-        }
-        None
     }
 }
 
 /// The schedule both ring passes share, over slabs `stride` elements
-/// apart along an outer axis of `n`: under a refreshed boundary, every
-/// edge-strip slab level by level first, then the sweep — iteration `y`
-/// advances slab `y - (j-1)R` of every level `j` from level `j - 1`, so
-/// main slab `y - (k-1)R` receives `t + k`. Level 0 and level `k` are
-/// the main buffer; a strip slab reads strip slabs of the level below,
-/// and a ring slab reads the ring level below, or at a halo index the
-/// level-below strip (refreshed) or the constant halo (Dirichlet).
+/// apart along an outer axis (`lead` elements from a slab's start to its
+/// interior origin), for one task of the fused pass `bp` (see
+/// [`BandPass`]):
 ///
-/// `slab(from, main, dst)` computes one slab into `dst` from the
-/// `2R + 1` source slabs `from` (offsets `-R..=R`); `dst == main` marks
+/// * `Seam(s)` fills seam `s`'s strips: level 0 as copies of the main
+///   slabs, then level `j` of the window from level `j - 1`. It reads the
+///   main buffer and writes only its own strips, so every seam of a pass
+///   can be filled at once.
+/// * `Band(b)` sweeps band `[y0, y1)` in place: iteration `y` advances
+///   slab `y - (j-1)R` of every level `j` from level `j - 1`, so main slab
+///   `y - (k-1)R` receives `t + k`. Level 0 and level `k` are the main
+///   buffer, the levels between the band's ring. A read outside the band
+///   goes to a seam's strip (its neighbour's slabs, or under a refreshed
+///   boundary the fold source of a halo slab), or under Dirichlet to the
+///   constant halo. It writes only the band's own main slabs, so once the
+///   pass's seams are filled every band can sweep at once.
+///
+/// The sweep keeps, per level `j < k`, the sources of the next slab
+/// level `j + 1` makes (`src[j]`), and shifts that window by one slab
+/// after each use, appending the slab that enters it; ring slots rotate
+/// through a per-level counter. So a row costs a pointer shift, not a
+/// table rebuilt from divisions. The loop has one body with one call of
+/// `slab(from, main, dst)`, which computes one slab into `dst` from the
+/// `2R + 1` source slabs `from[..2R + 1]` (offsets `-R..=R`; a
+/// fixed-length array, so the row kernel's constant offsets index it
+/// unchecked); `dst == main` marks
 /// the last level, any other `dst` a ring or strip slab, which must get
 /// its own halos at its time level. It is the one call site of the row
 /// kernel per rank.
 ///
 /// Main slab `y` at `t` is last read by level 1 at iteration `y + R`, no
-/// later than the iteration that overwrites it, and strips are filled
-/// before the first write, so the update is in place for any `k ≥ 2`.
+/// later than the iteration that overwrites it, and no other task reads
+/// it after the seams are filled, so the update is in place for any
+/// `k ≥ 2`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 unsafe fn ring_pass<T>(
     buf: *mut T,
     stride: usize,
-    n: usize,
+    lead: usize,
     ring: *mut T,
     strips: *mut T,
-    k: usize,
-    r: usize,
+    bp: &BandPass,
+    task: PassTask,
     b: Boundary,
-    mut slab: impl FnMut(&[*mut T], *mut T, *mut T),
+    mut slab: impl FnMut(&[*mut T; 2 * MAX_R + 1], *mut T, *mut T),
 ) {
-    debug_assert!(k >= 2 && r <= MAX_R);
+    let (n, r, k) = (bp.n, bp.r, bp.k);
+    debug_assert!((2..=MAX_DEPTH).contains(&k) && r <= MAX_R);
     let nr = 2 * r + 1;
-    let refreshed = !b.is_dirichlet();
-    // The edge strips: for each ring level `j` in `1..k`, the slabs
-    // within `(k - j)·R` of either edge at `t + j`, level after level,
-    // slab after slab. Level `j + 1` reads a halo slab there, as its fold
-    // source: under periodic, a slab at the far edge the sweep has not
-    // reached. `strip(j, i)` is slab `i` of level `j`, a halo index
-    // (`-R ≤ i < n + R`) resolved to its fold source first.
-    let strip = |j: usize, i: isize| {
-        let i = match i {
-            _ if i < 0 => fold_src(n, i.unsigned_abs(), true, b),
-            _ if i >= n as isize => fold_src(n, i as usize + 1 - n, false, b),
-            _ => i as usize,
-        };
-        let (reach, len) = ((k - j) * r, strip_slabs(n, r, k, j));
-        debug_assert!(
-            i < reach || i + reach >= n,
-            "slab {i} in no level-{j} strip"
-        );
-        let base: usize = (1..j).map(|l| strip_slabs(n, r, k, l)).sum();
-        let slot = if i < reach { i } else { i + len - n };
-        strips.add((base + slot) * stride)
+    let (band, (y0, y1)) = match task {
+        PassTask::Band(i) => (i, bp.bands[i]),
+        PassTask::Seam(_) => (0, (0, 0)),
     };
-    let at = |i: isize| buf.offset(i * stride as isize);
-    let mut tasks = Tasks {
-        n,
-        r,
-        k,
-        edges: refreshed,
-        j: 1,
-        q: 0,
+    let io = Slabs {
+        buf,
+        stride,
+        ring: ring.wrapping_add(band * bp.ring_slabs() * stride),
+        strips,
+        bp,
+        b,
+        band,
+        y0: y0 as isize,
+        y1: y1 as isize,
     };
-    while let Some((edge, j, i)) = tasks.next() {
-        let mut from = [buf; 2 * MAX_R + 1];
-        for (d, f) in from[..nr].iter_mut().enumerate() {
-            let i = (i + d) as isize - r as isize;
-            let inside = (0..n as isize).contains(&i);
-            *f = if j == 1 || !(inside || refreshed) {
-                at(i)
-            } else if edge || !inside {
-                strip(j - 1, i)
-            } else {
-                ring.add(((j - 2) * nr + i as usize % nr) * stride)
-            };
+    let mut src = [[buf; 2 * MAX_R + 1]; MAX_DEPTH];
+    let mut slot = [0; MAX_DEPTH];
+    // A seam's level-`j` window slot `q` next; a band's iteration `q`,
+    // level `j` next.
+    let (mut j, mut q) = (1, 0);
+    match task {
+        PassTask::Seam(s) => {
+            // Level 0: the seam's slabs at `t`, whole (halo rows and pads
+            // included), before any band overwrites them.
+            let w = *bp.window(s, 0);
+            for q in 0..w.len {
+                let i = if w.lo + q < n { w.lo + q } else { w.lo + q - n };
+                let dst = strips.add((w.off + q) * stride);
+                std::ptr::copy_nonoverlapping(io.at(i as isize).sub(lead), dst.sub(lead), stride);
+            }
         }
-        let main = at(i as isize);
-        let dst = match (edge, j == k) {
-            (true, _) => strip(j, i as isize),
-            (false, true) => main,
-            (false, false) => ring.add(((j - 1) * nr + i % nr) * stride),
-        };
-        slab(&from[..nr], main, dst);
+        PassTask::Band(_) => {
+            q = y0;
+            for (j, src) in src[..k].iter_mut().enumerate() {
+                for (d, p) in src[..nr].iter_mut().enumerate() {
+                    let i = (y0 + d) as isize - r as isize;
+                    *p = io.band_slab(j, i, d.wrapping_sub(r));
+                }
+            }
+        }
+    }
+    loop {
+        let (from, main, dst);
+        if let PassTask::Seam(s) = task {
+            // Level `j` of the strip, window slot `q`, from level `j - 1`:
+            // the main buffer at `t`, or the strip below.
+            if j == k {
+                break;
+            }
+            let w = bp.window(s, j);
+            if q == w.len {
+                (j, q) = (j + 1, 0);
+                continue;
+            }
+            let i = if w.lo + q < n { w.lo + q } else { w.lo + q - n };
+            let mut f = [buf; 2 * MAX_R + 1];
+            for (d, f) in f[..nr].iter_mut().enumerate() {
+                let i = (i + d) as isize - r as isize;
+                *f = match i {
+                    _ if j == 1 => io.at(i),
+                    _ if (0..n as isize).contains(&i) => io.strip(s, j - 1, i as usize),
+                    _ => io.beyond(Some(s), j - 1, i),
+                };
+            }
+            (from, main, dst) = (f, io.at(i as isize), io.strip(s, j, i));
+            q += 1;
+        } else {
+            // Iteration `q` advances slab `q - (j-1)R` of every level `j`;
+            // levels run in order, so level `j - 1` has made the slab `R`
+            // ahead before level `j` reads it.
+            if j > k {
+                (j, q) = (1, q + 1);
+            }
+            if q >= y1 + (k - 1) * r {
+                break;
+            }
+            let y = q as isize - ((j - 1) * r) as isize;
+            if y < io.y0 {
+                j = k + 1;
+                continue;
+            }
+            j += 1;
+            if y >= io.y1 {
+                continue;
+            }
+            let l = j - 2;
+            (from, main) = (src[l], io.at(y));
+            dst = if l + 1 == k {
+                main
+            } else {
+                let s = slot[l + 1];
+                slot[l + 1] = if s + 1 == nr { 0 } else { s + 1 };
+                io.ring_slot(l + 1, s)
+            };
+            // Level `l`'s window moves on by one slab, if there is a next
+            // one to make: the one level `l` makes next, into the slot its
+            // counter names. A fixed-length shift; entries past `nr` are
+            // unused.
+            if y + 1 < io.y1 {
+                let enter = io.band_slab(l, y + r as isize + 1, slot[l]);
+                src[l].copy_within(1.., 0);
+                src[l][nr - 1] = enter;
+            }
+        }
+        slab(&from, main, dst);
     }
 }
 
-/// Advance a 2D stencil of family `K` **`k` steps** in place (`k ≥ 2`)
-/// via a row ring of `k - 1` levels (`ring_pass`'s schedule). Ring
-/// level `j` (`1 ≤ j < k`) holds the `2R+1` most recent rows at time
-/// `t + j`, each with its x halos folded from its own interior. Every
-/// level is the same `row_tl` call, so the bits are those of `k` single
-/// steps with a halo refresh between them.
+/// Advance a 2D stencil of family `K` **`k` steps** in place (`k ≥ 2`,
+/// `bp.k`) via a row ring of `k - 1` levels (`ring_pass`'s schedule), one
+/// task of the pass at a time. Ring level `j` (`1 ≤ j < k`) holds the
+/// `2R+1` most recent rows of the band at time `t + j`. Every row made —
+/// ring, strip, or main at `t + k` — has its x halos folded from its own
+/// interior at once (the halo rows/planes of the outer axis are the
+/// caller's: `exec::halo::refresh_outer`). Every level is the same
+/// `row_tl` call, so the bits are those of `k` single steps with a halo
+/// refresh between them.
 ///
-/// `ring` points at the interior origin of row 0 of level 1; level `j`
-/// starts `(j-1)(2R+1)` rows after it, every row with the grid's stride
-/// and pad structure. `strips` points at the interior origin of the
-/// first edge-strip row, laid out the same way (see
-/// `exec::halo::ring_layout`); it is not read under Dirichlet.
+/// `ring` points at the interior origin of row 0 of band 0's ring; level
+/// `j` of band `b` starts `b · bp.ring_slabs() + (j-1)(2R+1)` rows after
+/// it, every row with the grid's stride and pad structure. `strips`
+/// points at the interior origin of the first strip row, laid out the
+/// same way (see `BandPass::layout`).
 ///
 /// # Safety
 /// `buf` is a transposed 2D grid interior origin (halos addressable,
-/// holding time `t`); `ring` and `strips` valid for the rows above;
-/// `k ≥ 2`; under a refreshed boundary `ny ≥ R` and `map` matches the
-/// row layout.
+/// holding time `t`, `bp.n` rows); `ring` and `strips` valid for the rows
+/// above; a band task runs after every seam task of the pass, and no two
+/// tasks share a ring; under a refreshed boundary `ny ≥ R` and `map`
+/// matches the row layout.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub unsafe fn grid2_pass<V: Vector, K: Row2>(
     buf: *mut V::Elem,
     rs: usize,
     nx: usize,
-    ny: usize,
     ring: *mut V::Elem,
     strips: *mut V::Elem,
-    k: usize,
+    bp: &BandPass,
+    task: PassTask,
     b: Boundary,
     map: &RowMap,
     s: &K::S,
 ) {
-    let r = K::R;
-    ring_pass(buf, rs, ny, ring, strips, k, r, b, |from, main, dst| {
-        K::row_tl::<V>(
-            |dy| from[(dy + r as isize) as usize].cast_const(),
-            dst,
-            nx,
-            0,
-            nx,
-            s,
-        );
-        // Tested once, after the row kernel: a test on both sides of it
-        // has the compiler duplicate the kernel per branch.
-        if dst != main {
-            copy_pads(main, dst, nx);
-            refresh_row(dst, nx, r, b, map);
-        }
-    });
+    let (r, refreshed) = (K::R, !b.is_dirichlet());
+    let lead = <V::Elem as Elem>::PAD;
+    ring_pass(
+        buf,
+        rs,
+        lead,
+        ring,
+        strips,
+        bp,
+        task,
+        b,
+        |from, main, dst| {
+            K::row_tl::<V>(
+                |dy| from[(dy + r as isize) as usize].cast_const(),
+                dst,
+                nx,
+                0,
+                nx,
+                s,
+            );
+            // Tested after the row kernel only: a test on both sides of it
+            // has the compiler duplicate the kernel per branch. Every row
+            // folds its x halos as it is made, main rows too, while in cache.
+            if dst != main {
+                copy_pads(main, dst, nx);
+            }
+            if refreshed {
+                refresh_row(dst, nx, r, b, map);
+            }
+        },
+    );
 }
 
 /// Advance a 3D stencil of family `K` **`k` steps** in place via a plane
 /// ring of `k - 1` levels: [`grid2_pass`] with planes for rows, each
-/// ring or strip plane given its own 2D halo frame at its time level
-/// (per-axis composition). `ring` and `strips` point at the
+/// plane made given its own 2D halo frame at its time level (per-axis
+/// composition). `ring` and `strips` point at the
 /// `(y=0, x=0)` origin of their first plane, every plane with the grid's
 /// plane layout (`R` halo rows per side included).
 ///
 /// # Safety
-/// As [`grid2_pass`], with planes of `ps` elements; under a refreshed
-/// boundary `ny, nz ≥ R`.
+/// As [`grid2_pass`], with planes of `ps` elements (`bp.n` of them);
+/// under a refreshed boundary `ny, nz ≥ R`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub unsafe fn grid3_pass<V: Vector, K: Row3>(
@@ -577,16 +699,16 @@ pub unsafe fn grid3_pass<V: Vector, K: Row3>(
     ps: usize,
     nx: usize,
     ny: usize,
-    nz: usize,
     ring: *mut V::Elem,
     strips: *mut V::Elem,
-    k: usize,
+    bp: &BandPass,
+    task: PassTask,
     b: Boundary,
     map: &RowMap,
     s: &K::S,
 ) {
-    let r = K::R;
-    let pad = <V::Elem as Elem>::PAD as isize;
+    let (r, refreshed) = (K::R, !b.is_dirichlet());
+    let pad = <V::Elem as Elem>::PAD;
     let plane = super::Geo {
         ndim: 2,
         n: [nx, ny, 1],
@@ -594,30 +716,41 @@ pub unsafe fn grid3_pass<V: Vector, K: Row3>(
         ps: 0,
         halo: r,
     };
-    ring_pass(buf, ps, nz, ring, strips, k, r, b, |from, main, dp| {
-        let level = dp != main;
-        if level {
-            // The plane's constant halo rows (full stride rows).
-            for d in 1..=r as isize {
-                for row in [-d, ny as isize + d - 1] {
-                    let o = row * rs as isize - pad;
-                    std::ptr::copy_nonoverlapping(main.offset(o), dp.offset(o), rs);
+    let lead = r * rs + pad;
+    ring_pass(
+        buf,
+        ps,
+        lead,
+        ring,
+        strips,
+        bp,
+        task,
+        b,
+        |from, main, dp| {
+            let level = dp != main;
+            if level {
+                // The plane's constant halo rows (full stride rows).
+                for d in 1..=r as isize {
+                    for row in [-d, ny as isize + d - 1] {
+                        let o = row * rs as isize - pad as isize;
+                        std::ptr::copy_nonoverlapping(main.offset(o), dp.offset(o), rs);
+                    }
                 }
             }
-        }
-        for y in 0..ny {
-            let d = dp.add(y * rs);
-            if level {
-                copy_pads(main.add(y * rs), d, nx);
+            for y in 0..ny {
+                let d = dp.add(y * rs);
+                if level {
+                    copy_pads(main.add(y * rs), d, nx);
+                }
+                let at = |dz: isize, dy: isize| {
+                    let p = from[(dz + r as isize) as usize];
+                    p.offset((y as isize + dy) * rs as isize).cast_const()
+                };
+                K::row_tl::<V>(at, d, nx, 0, nx, s);
             }
-            let at = |dz: isize, dy: isize| {
-                let p = from[(dz + r as isize) as usize];
-                p.offset((y as isize + dy) * rs as isize).cast_const()
-            };
-            K::row_tl::<V>(at, d, nx, 0, nx, s);
-        }
-        if level {
-            refresh(dp, &plane, r, b, map);
-        }
-    });
+            if refreshed {
+                refresh(dp, &plane, r, b, map);
+            }
+        },
+    );
 }

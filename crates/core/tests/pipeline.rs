@@ -243,8 +243,10 @@ fn tl_subrange_updates_exactly_the_requested_cells() {
 
 /// The resolved depth is part of the plan: 1D and L2-resident plans
 /// fuse step pairs, a memory-sized plan fuses as deep under a refreshed
-/// boundary as under Dirichlet, plans that run no fused pass report 1,
-/// and the plan's `Debug` output names it.
+/// boundary as under Dirichlet and in bands as on one thread, a band
+/// too short for the strips of its two seams caps the depth (down to 1,
+/// no fused pass), plans that run no fused pass report 1, and the plan's
+/// `Debug` output names it.
 #[test]
 fn fused_steps_reports_the_resolved_depth() {
     let depth = |shape: Shape, spec: &str, method: Method, par: Parallelism| {
@@ -258,15 +260,28 @@ fn fused_steps_reports_the_resolved_depth() {
         plan.fused_steps()
     };
     let (tl2, off, sq) = (Method::TransLayout2, Parallelism::Off, Shape::d2(64, 64));
+    let t2 = Parallelism::Threads(2);
     assert_eq!(depth(Shape::d1(4096), "1d3p", tl2, off), 2);
+    assert_eq!(depth(Shape::d1(4096), "1d3p", tl2, t2), 1);
     assert_eq!(depth(sq, "2d5p@periodic", tl2, off), 2);
     assert_eq!(depth(Shape::d3(32, 32, 32), "3d7p@reflect", tl2, off), 2);
     assert_eq!(depth(sq, "2d5p", tl2, off), 2);
     assert_eq!(depth(sq, "2d5p", Method::TransLayout, off), 1);
-    assert_eq!(depth(sq, "2d5p", tl2, Parallelism::Threads(2)), 1);
+    assert_eq!(depth(sq, "2d5p", tl2, t2), 2);
+    // Bands of 2 and 1 rows hold no strips of a k = 2 pass.
+    assert_eq!(depth(Shape::d2(64, 3), "2d5p", tl2, t2), 1);
+    // Eight bands of 12 or 13 rows of 32 KiB: the cap, 12 / 2 + 1, is
+    // below the L2 rule's depth on a 2 MiB L2 (8).
+    let short = Shape::d2(4096, 100);
+    let capped = depth(short, "2d5p", tl2, Parallelism::Threads(8));
+    assert_eq!(capped, depth(short, "2d5p", tl2, off).min(7));
+    // `par_mem_3d7p`'s grid: two bands of 64 planes of 2 MiB.
+    let par_mem = Shape::d3(512, 512, 128);
+    assert_eq!(depth(par_mem, "3d7p@periodic", tl2, t2), 2);
     let big = Shape::d2(8192, 4096);
     assert_eq!(
         depth(big, "2d5p@periodic", tl2, off),
         depth(big, "2d5p", tl2, off)
     );
+    assert_eq!(depth(big, "2d5p", tl2, t2), depth(big, "2d5p", tl2, off));
 }
