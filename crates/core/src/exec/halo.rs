@@ -36,9 +36,9 @@
 //! source**, after the source holds the level the next step reads.
 //!
 //! * **Untiled sequential** plans own everything: they refresh the whole
-//!   surface of the step's source buffer before each step (`refresh`),
-//!   or before each fused pass, which folds the halos of its own time
-//!   levels as it makes them (see `kernels::tl2`).
+//!   surface before each fused pass, which folds the halos of its own
+//!   time levels as it makes them (see `kernels::tl2`), and step k = 1
+//!   as the one band of an untiled parallel plan (below).
 //! * **Untiled parallel** plans own one band of the outermost axis per
 //!   work item: a band steps its slabs, then refreshes, in the step's
 //!   *destination* buffer, the halo cells whose sources it just computed

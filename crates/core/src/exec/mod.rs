@@ -4,7 +4,7 @@
 //! for the ping-pong partner, transform layouts in and out, re-check the
 //! (dimension × stencil × method × tiling) combination. That is faithful
 //! to how the paper *accounts* for layout costs (Fig. 7 amortizes the
-//! transform over one time loop — [`crate::api::run_spec`] keeps that
+//! transform over one time loop — a throwaway plan run once keeps that
 //! accounting), but it is the wrong shape for a system that steps many
 //! scenarios repeatedly.
 //!
@@ -346,10 +346,6 @@ pub enum BoundaryReason {
         /// The stencil radius.
         radius: usize,
     },
-    /// The legacy one-shot surface ([`run_spec`](crate::api::run_spec))
-    /// pins the paper's constant-halo Dirichlet semantics and never
-    /// refreshes.
-    LegacySurface,
 }
 
 impl std::fmt::Display for BoundaryReason {
@@ -363,12 +359,6 @@ impl std::fmt::Display for BoundaryReason {
                 f,
                 "axis {axis} extent {extent} is smaller than the stencil radius {radius}; \
                  the wrap/mirror halo folds need every extent ≥ the radius"
-            ),
-            BoundaryReason::LegacySurface => write!(
-                f,
-                "the legacy run* surface (run_spec) pins the paper's constant-halo \
-                 Dirichlet semantics; compile a Plan (Plan::stencil / Plan::boundary) \
-                 to run refreshed boundaries"
             ),
         }
     }
@@ -1267,23 +1257,16 @@ fn run_steps<T: Elem>(
             // In-place passes of `min(depth, steps left)` on buffer 0
             // while at least two steps are left, then the last step (if
             // any) alone, ping-ponging, each band-parallel on a plan with
-            // threads.
-            let depth = core.cfg.depth;
+            // threads. A 1D DLT row here is too narrow for column bands:
+            // one band.
+            let (depth, pool) = (core.cfg.depth, core.pool.as_ref());
             let rest = match depth {
                 1 => t,
-                _ => par::passes(&st, ring, depth, t, core.pool.as_ref(), threads, boundary),
+                _ => par::passes(&st, ring, depth, t, pool, threads, boundary),
             };
-            if rest > 0 && threads > 1 && !dlt_row {
-                par::drive(&st, rest, core.pool(), threads, boundary);
-            } else if rest > 0 {
-                let map = halo::RowMap::for_method::<T>(method, isa, geo.n[0]);
-                for time in 0..rest {
-                    // SAFETY: both buffers carry ≥ r halo rows/planes
-                    // (asserted at session open) and the row pad; extents
-                    // ≥ r were validated at plan build.
-                    unsafe { halo::refresh(bufs[time % 2].0, geo, r, boundary, &map) };
-                    st.step(geo.interior(), time);
-                }
+            if rest > 0 {
+                let bands = if dlt_row { 1 } else { threads };
+                par::drive(&st, rest, pool, bands, boundary);
             }
             debug_assert_eq!(rest, core.cfg.pingpongs(t));
             rest

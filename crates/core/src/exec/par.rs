@@ -15,8 +15,10 @@
 //!   sweeps its own slabs through its own ring, reading past its edges
 //!   only through those strips. Two barriers per `k` steps. A
 //!   sequential plan runs the same tasks, one band, on its own thread.
-//! * [`drive`] — every other plan, and the lone last step of a fused
-//!   run: one work item per band per step; the `for_each` barrier at
+//! * [`drive`] — every other untiled plan, and the lone last step of a
+//!   fused run: one work item per band per step (a sequential plan, or
+//!   a 1D DLT row too narrow for column tiles, is one band run on its
+//!   own thread); the `for_each` barrier at
 //!   the end of the step is the synchronization point — the ping-pong
 //!   source buffer is shared and immutable within a step, so a band's
 //!   boundary reads see the neighbour's *previous-step* values by
@@ -165,11 +167,12 @@ pub(crate) fn passes<T: Elem>(
 /// Step `t` levels over pre-prepared ping-pong buffers, one band of the
 /// outermost real axis per pool thread, barrier per step (DLT plans of
 /// rank ≥ 2 step full DLT rows inside each band). The step-`t` result
-/// lands in `bufs[t % 2]` — the caller owns the parity swap.
+/// lands in `bufs[t % 2]` — the caller owns the parity swap. Without a
+/// pool (a sequential plan) the bands run in order on the calling thread.
 pub(crate) fn drive<T: Elem>(
     st: &Stepper<'_, T>,
     t: usize,
-    pool: &rayon::ThreadPool,
+    pool: Option<&rayon::ThreadPool>,
     nthreads: usize,
     b: Boundary,
 ) {
@@ -184,22 +187,21 @@ pub(crate) fn drive<T: Elem>(
     // and no band reads the refreshed buffer before the barrier.
     let refresh_own =
         |buf: usize, band| unsafe { halo::refresh_own(st.bufs[buf].0, geo, r, b, &map, band) };
-    pool.install(|| {
-        if !b.is_dirichlet() {
-            bands
-                .clone()
-                .into_par_iter()
-                .for_each(|band| refresh_own(0, band));
-        }
-        for time in 0..t {
-            bands.clone().into_par_iter().for_each(|band| {
-                let mut bx = geo.interior();
-                bx[axis] = band;
-                st.step(bx, time);
-                refresh_own((time + 1) % 2, band);
-            });
-        }
-    });
+    let each = |f: &(dyn Fn((usize, usize)) + Sync)| match pool {
+        Some(pool) => pool.install(|| bands.clone().into_par_iter().for_each(f)),
+        None => bands.iter().copied().for_each(f),
+    };
+    if !b.is_dirichlet() {
+        each(&|band| refresh_own(0, band));
+    }
+    for time in 0..t {
+        each(&|band| {
+            let mut bx = geo.interior();
+            bx[axis] = band;
+            st.step(bx, time);
+            refresh_own((time + 1) % 2, band);
+        });
+    }
 }
 
 #[cfg(test)]

@@ -45,9 +45,11 @@
 //! Intra-tile vectorization is pluggable ([`Method`]): the paper's
 //! *Tessellation* baseline uses `MultiLoad` ("auto-vectorization"), *Our*
 //! uses `TransLayout`, and *Our (2 steps)* uses `TransLayout2`, whose 1D
-//! tiles fuse step pairs with the register pipeline
-//! ([`crate::kernels::tl2::star1_tl2_range`]) plus scalar margins for the
-//! shrinking/expanding boundary cells — the Fig. 5d treatment.
+//! tiles fuse step pairs with the register pipeline the whole-row pass
+//! runs too ([`crate::kernels::tl2::star1_tl2_sets`], through
+//! `Kernel::pass2_range`, its margins read from the two parities) plus
+//! k = 1 margins for the shrinking/expanding boundary cells — the
+//! Fig. 5d treatment.
 //!
 //! The driver is **parameterized by the plan**: it steps pre-prepared
 //! ping-pong buffers (already in the method's layout, scratch already

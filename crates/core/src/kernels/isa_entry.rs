@@ -18,10 +18,10 @@
 use stencil_simd::{Elem, Isa};
 
 use super::row::{Row2, Row3};
+use super::tl2::Margins;
 use super::{tl, tl2};
 use crate::exec::halo::{BandPass, Boundary, PassTask, RowMap};
-use crate::layout::SetGeo;
-use crate::stencil::{Star1, MAX_R};
+use crate::stencil::Star1;
 
 macro_rules! isa_entry {
     ($(#[$doc:meta])* $name:ident<$G:ident: $bound:ident>, $km:ident,
@@ -81,14 +81,9 @@ isa_entry!(
        z0: usize, z1: usize, y0: usize, y1: usize, x0: usize, x1: usize, s: &K::S)
 );
 isa_entry!(
-    /// [`tl2::star1_tl2_edges`] behind a per-ISA feature entry.
-    star1_tl2_edges<S: Star1>, tl2,
-    fn(buf: *mut T, n: usize, lt1: &[T; MAX_R], rt1: &[T; MAX_R], s: &S)
-);
-isa_entry!(
-    /// [`tl2::star1_tl2_range`] behind a per-ISA feature entry.
-    star1_tl2_range<S: Star1>, tl2,
-    fn(buf_a: *mut T, buf_b: *mut T, n: usize, sa: usize, sb: usize, s: &S)
+    /// [`tl2::star1_tl2_sets`] behind a per-ISA feature entry.
+    star1_tl2_sets<S: Star1>, tl2,
+    fn(buf: *mut T, sa: usize, sb: usize, edge: &Margins<T>, t1: [*mut T; 2], s: &S)
 );
 isa_entry!(
     /// [`tl2::grid2_pass`] behind a per-ISA feature entry.
@@ -104,17 +99,13 @@ isa_entry!(
        s: &K::S)
 );
 
-/// [`star1_tl2_edges`] under a Dirichlet boundary, whose constant halo is
-/// its own `t+1` level ([`tl2::edges_t1`]): Algorithm 1 at k = 2 on a
-/// transposed row of `n` cells.
+/// [`tl2::star1_tl2_row`] under a Dirichlet boundary: Algorithm 1 at
+/// k = 2, in place, on a transposed row of `n` cells.
 ///
 /// # Safety
-/// As [`tl2::star1_tl2_edges`]; `isa` must be available on this CPU
-/// (checked).
+/// As [`tl2::star1_tl2_row`].
 pub unsafe fn star1_tl2<T: Elem, S: Star1>(isa: Isa, buf: *mut T, n: usize, s: &S) {
-    let geo = SetGeo::new(n, isa.lanes_for::<T>());
-    let [lt1, rt1] = tl2::edges_t1(buf, &geo, Boundary::default(), s);
-    star1_tl2_edges::<T, S>(isa, buf, n, &lt1, &rt1, s)
+    tl2::star1_tl2_row(isa, buf, n, Boundary::default(), s)
 }
 
 /// Sanity: the macro's portable fallback uses lane width to pick the

@@ -60,7 +60,7 @@ pub use row::{BoxK, Row2, Row3, StarK};
 
 use crate::exec::halo::{BandPass, Boundary, PassTask, RowMap};
 use crate::exec::{Method, Shape};
-use crate::layout::{DltGeo, SetGeo};
+use crate::layout::{tl_read, DltGeo, SetGeo};
 use crate::spec::SpecError;
 use crate::stencil::{Box2, Box3, Star1, Star2, Star3, MAX_R};
 
@@ -216,12 +216,12 @@ pub trait Kernel<T: Elem>: Send + Sync {
     /// or sweep one band of rows/planes through its `k - 1` ring levels
     /// ([`tl2::grid2_pass`] / [`tl2::grid3_pass`]); a sequential pass is
     /// the one band `[0, n)` after the wrap's seam. `ring` and `strips`
-    /// are laid out by [`BandPass::layout`]; `map` is the row layout's,
-    /// through which the pass folds each level's halos. 1D runs Algorithm
-    /// 1's register pipeline over its one band ([`tl2::star1_tl2_edges`],
-    /// `k = 2` only) with its `t+1` halo folds computed first
-    /// ([`tl2::edges_t1`]), has no seams, and ignores `ring` and
-    /// `strips`.
+    /// are laid out by `BandPass::layout`; `map` is the row layout's,
+    /// through which the pass folds each level's halos. 1D runs the
+    /// whole-row caller of Algorithm 1's register pipeline over its one
+    /// band ([`tl2::star1_tl2_row`], `k = 2` only: the `t+1` halo folds
+    /// and tail first, then [`tl2::star1_tl2_sets`] over every full set),
+    /// has no seams, and ignores `ring` and `strips`.
     ///
     /// # Safety
     /// As the kernel selected; `bp.k ≥ 2`; every seam task of a pass
@@ -240,11 +240,17 @@ pub trait Kernel<T: Elem>: Send + Sync {
         map: &RowMap,
     );
 
-    /// 1D only: the fused k = 2 pipeline over the set range `[sa, sb)` of
-    /// a double-buffered tile ([`tl2::star1_tl2_range`]).
+    /// 1D only: the fused k = 2 pipeline ([`tl2::star1_tl2_sets`]) over
+    /// the set range `[sa, sb)` of a double-buffered tile of a row of `n`
+    /// cells. `buf_a` holds time `t` at the sets and receives `t+2`;
+    /// `buf_b` gives the `t+1` margin cells (the tile driver steps them
+    /// first) and receives the `t+1` values of the first and last sets,
+    /// which the driver's trailing margin step reads.
     ///
     /// # Safety
-    /// As [`tl2::star1_tl2_range`].
+    /// Both rows transposed with halos addressable; `sb - sa ≥ 2` and
+    /// `sb ≤ nsets`; the `R` cells before set `sa` and after set `sb - 1`
+    /// hold `t` in `buf_a` and `t+1` in `buf_b`.
     unsafe fn pass2_range(&self, _: Isa, _: *mut T, _: *mut T, _n: usize, _sa: usize, _sb: usize) {
         not_1d(self.ndim(), "pass2_range")
     }
@@ -393,9 +399,7 @@ impl<T: Elem, S: Star1> Kernel<T> for Kern1<S> {
         if let PassTask::Seam(_) = task {
             return;
         }
-        let (s, n) = (&self.0, geo.n[0]);
-        let [lt1, rt1] = tl2::edges_t1(buf, &SetGeo::new(n, isa.lanes_for::<T>()), b, s);
-        isa_entry::star1_tl2_edges(isa, buf, n, &lt1, &rt1, s)
+        tl2::star1_tl2_row(isa, buf, geo.n[0], b, &self.0)
     }
 
     unsafe fn pass2_range(
@@ -407,7 +411,17 @@ impl<T: Elem, S: Star1> Kernel<T> for Kern1<S> {
         sa: usize,
         sb: usize,
     ) {
-        isa_entry::star1_tl2_range(isa, buf_a, buf_b, n, sa, sb, &self.0)
+        let geo = SetGeo::new(n, isa.lanes_for::<T>());
+        let (a, b) = (sa * geo.bs, sb * geo.bs);
+        let mut edge = [[[T::ZERO; MAX_R]; 2]; 2];
+        for q in 0..S::R {
+            for (lvl, p) in [buf_a, buf_b].into_iter().enumerate() {
+                edge[0][lvl][q] = tl_read(p, (a + q) as isize - S::R as isize, &geo);
+                edge[1][lvl][q] = tl_read(p, (b + q) as isize, &geo);
+            }
+        }
+        let t1 = [buf_b.add(a), buf_b.add(b - geo.bs)];
+        isa_entry::star1_tl2_sets(isa, buf_a, sa, sb, &edge, t1, &self.0)
     }
 
     unsafe fn dlt_cols(&self, isa: Isa, src: *const T, dst: *mut T, j0: usize, j1: usize) {

@@ -11,6 +11,15 @@
 //! Algorithm 1. Because input and output live at even time levels, the
 //! update is legally **in place** (§3.3's space-saving observation).
 //!
+//! The pipeline is written once, [`star1_tl2_sets`], over a range of
+//! vector sets that reads no cell outside them: the `R` cells past each
+//! end come in as values at `t` and `t+1`, and the `t+1` values of its
+//! first and last sets go back out. Its two callers supply those margins:
+//! the in-place whole-row pass ([`star1_tl2_row`]) from the halo and the
+//! scalar tail, computed from time-`t` memory before the pipeline runs,
+//! and a tessellation tile (`Kernel::pass2_range`, paper §3.4) from the
+//! two ping-pong parities.
+//!
 //! 2D/3D: Algorithm 1 is defined for one dimension; the register file
 //! cannot hold the `t+1` values of all neighbouring rows. We pipeline
 //! along the outermost dimension instead, keeping `k - 1` ring levels of
@@ -30,11 +39,12 @@
 //! copies them: x halos row by row as each level's row is made, and the
 //! out-of-range rows or planes from **edge strips** — the slabs nearest
 //! each edge, advanced level by level before the sweep (see
-//! [`grid2_pass`]). 1D keeps its two `t+1` edge folds in registers
-//! ([`edges_t1`]).
+//! [`grid2_pass`]). 1D computes its two `t+1` edge folds scalar before
+//! the pipeline ([`edges_t1`]) and hands them to it as margins.
 
-use stencil_simd::{Elem, Vector};
+use stencil_simd::{Elem, Isa, Vector};
 
+use super::isa_entry;
 use super::orig::splat_w;
 use super::row::{Row2, Row3};
 use super::tl::xpart_set;
@@ -44,9 +54,17 @@ use crate::exec::halo::{
 use crate::layout::{tl_read, SetGeo};
 use crate::stencil::{Star1, MAX_R};
 
-/// Scalar tail scratch, sized for the widest vector set: 16 f32 lanes give
-/// a `vl² = 256`-cell set block, plus an `R`-cell margin on both sides.
-const TAIL_BUF: usize = 16 * 16 + 2 * MAX_R;
+/// Cells in the widest vector set block: 16 f32 lanes give `vl² = 256`.
+const SET: usize = 16 * 16;
+
+/// One set block of cells, aligned for the vector stores that fill it.
+#[repr(align(64))]
+struct SetBlock<T>([T; SET]);
+
+/// The margin cells a pipeline over the cells `[a, b)` reads, as values:
+/// `[left, right]`, each `[at t, at t+1]`; `left[_][q]` is cell
+/// `a - R + q` and `right[_][q]` is cell `b + q`.
+pub type Margins<T> = [[[T; MAX_R]; 2]; 2];
 
 #[inline(always)]
 unsafe fn load_set<V: Vector>(row: *const V::Elem, set: usize) -> [V; 16] {
@@ -99,12 +117,22 @@ unsafe fn update_set<V: Vector>(
     *v = out;
 }
 
-/// The `t+1` halo values [`star1_tl2_edges`] takes, as `[lt1, rt1]`:
-/// the halo itself under Dirichlet, whose constant halo is its own `t+1`
-/// level; else the folds of the `2R` edge-interior cells advanced one
-/// step. Those are computed scalar, in the canonical accumulation order,
-/// so they are bit-identical to the values the vector pipeline stores
-/// (`mul_add` is correctly rounded in any feature context).
+/// One scalar cell update from its `2R + 1` inputs `x(0..=2R)` (offsets
+/// `-R..=R`), in the canonical accumulation order — bit-identical to the
+/// vector sets' (`mul_add` is correctly rounded in any feature context).
+#[inline(always)]
+fn apply<T: Elem>(w: &[f64], x: impl Fn(usize) -> T) -> T {
+    let mut acc = T::from_f64(w[0]) * x(0);
+    for o in 1..w.len() {
+        acc = x(o).mul_add(T::from_f64(w[o]), acc);
+    }
+    acc
+}
+
+/// The `t+1` halo values of a whole row, as `[lt1, rt1]` (`lt1[q]` is
+/// halo cell `q - R`, `rt1[q]` halo cell `n + q`): the halo itself under
+/// Dirichlet, whose constant halo is its own `t+1` level; else the folds
+/// of the `2R` edge-interior cells advanced one step, computed scalar.
 ///
 /// # Safety
 /// `buf` points at the interior origin of a transposed row of `geo.n`
@@ -115,7 +143,7 @@ pub unsafe fn edges_t1<T: Elem, S: Star1>(
     b: Boundary,
     s: &S,
 ) -> [[T; MAX_R]; 2] {
-    let (r, n, w) = (S::R, geo.n, s.w());
+    let (r, n) = (S::R, geo.n);
     let mut lt1 = [T::ZERO; MAX_R];
     let mut rt1 = [T::ZERO; MAX_R];
     if b.is_dirichlet() {
@@ -125,14 +153,7 @@ pub unsafe fn edges_t1<T: Elem, S: Star1>(
         }
         return [lt1, rt1];
     }
-    let cell_t1 = |i: usize| -> T {
-        let base = i as isize - r as isize;
-        let mut acc = T::from_f64(w[0]) * tl_read(buf, base, geo);
-        for o in 1..=2 * r {
-            acc = tl_read(buf, base + o as isize, geo).mul_add(T::from_f64(w[o]), acc);
-        }
-        acc
-    };
+    let cell_t1 = |i: usize| apply(s.w(), |o| tl_read(buf, (i + o) as isize - r as isize, geo));
     // Halo cell `q - R` is `lt1[q]`, halo cell `n + q` is `rt1[q]`.
     for m in 1..=r {
         lt1[r - m] = cell_t1(fold_src(n, m, true, b));
@@ -141,57 +162,62 @@ pub unsafe fn edges_t1<T: Elem, S: Star1>(
     [lt1, rt1]
 }
 
-/// Advance a 1D star stencil **two** time steps, in place, on a transposed
-/// row of `n` cells (paper Algorithm 1, k = 2), given the **t+1 halo
-/// values**: `lt1[q]` is halo cell `q - R` and `rt1[q]` halo cell
-/// `n + q`, both at time `t+1` ([`edges_t1`]). The first (t → t+1) step
-/// reads the halo cells from memory at time `t`; the second step's halo
-/// dependences come from these arrays, so every boundary runs this one
-/// pipeline.
+/// Advance the sets `[sa, sb)` of a transposed row **two** time steps in
+/// place: paper Algorithm 1 (k = 2), the one register pipeline of both
+/// the whole-row pass ([`star1_tl2_row`]) and the tessellation tiles
+/// (`Kernel::pass2_range`, paper §3.4). Each iteration loads one set at
+/// `t`, forwards the two sets in flight one step each, and stores one set
+/// at `t+2`.
+///
+/// The pipeline reads no cell of `buf` outside its sets: its margin
+/// dependences come in `edge` as values, the `R` cells past each end at
+/// `t` and at `t+1` ([`Margins`]). It hands back the `t+1` values of its
+/// first and last sets, one set block each, at `t1[0]` and `t1[1]`
+/// (first, then last: a caller that wants only the last may pass one
+/// block twice).
 ///
 /// # Safety
-/// `buf` points at the interior origin of a row in transpose layout with
-/// halos addressable and holding time `t`;
-/// `SetGeo::new(n, V::LANES).nsets >= 2` (callers fall back to two k=1
-/// steps below that); `S::R ≤ V::LANES`.
+/// `buf` points at the interior origin of a row in transpose layout whose
+/// sets `[sa, sb)` are full sets holding time `t`; `sb - sa ≥ 2`;
+/// `S::R ≤ V::LANES`; `t1[0]` and `t1[1]` are each valid for one set
+/// block (`V::LANES²` cells), aligned as a set of the row is, and
+/// overlap no set of the range.
 #[inline(always)]
-pub unsafe fn star1_tl2_edges<V: Vector, S: Star1>(
+pub unsafe fn star1_tl2_sets<V: Vector, S: Star1>(
     buf: *mut V::Elem,
-    n: usize,
-    lt1: &[V::Elem; MAX_R],
-    rt1: &[V::Elem; MAX_R],
+    sa: usize,
+    sb: usize,
+    edge: &Margins<V::Elem>,
+    t1: [*mut V::Elem; 2],
     s: &S,
 ) {
-    let l = V::LANES;
     let r = S::R;
-    let geo = SetGeo::new(n, l);
-    let (nsets, bs) = (geo.nsets, geo.bs);
-    debug_assert!(nsets >= 2);
-    debug_assert!(r <= l);
+    debug_assert!(sb >= sa + 2 && r <= V::LANES);
     let wv: [V; 2 * MAX_R + 1] = splat_w(s.w());
     let cbuf = buf.cast_const();
-    let w = s.w();
-    let cv = <V::Elem as Elem>::from_f64;
+    // A margin cell fills every lane of its vector: the set update reads
+    // the left one from lane `vl-1`, the right one from lane 0.
+    let [[lt, lt1], [rt, rt1]] = edge.map(|side| {
+        side.map(|cells| {
+            let mut v = [V::zero(); MAX_R];
+            for q in 0..r {
+                v[q] = V::splat(cells[q]);
+            }
+            v
+        })
+    });
 
-    // Virtual "set -1 last vectors" @ t: lane l-1 = halo cell A[-(r-q)].
-    let mut halo_virt = [V::zero(); MAX_R];
-    for q in 0..r {
-        halo_virt[q] = V::splat(*cbuf.offset(q as isize - r as isize));
-    }
-
-    // Booting computation (Algorithm 1 line 30).
-    let mut vs1 = load_set::<V>(cbuf, 0);
-    let mut vs2 = load_set::<V>(cbuf, 1);
-    let mut vrl1 = last_r(&vs1, r); // set 0 @ t
-    update_set(&mut vs1, &halo_virt, &first_r(&vs2, r), &wv, r); // set 0 → t+1
-    let mut vrl0 = [V::zero(); MAX_R]; // "set -1" @ t+1
-    for q in 0..r {
-        vrl0[q] = V::splat(lt1[q]);
-    }
+    // Booting computation (Algorithm 1 line 30): set sa → t+1, exported.
+    let mut vs1 = load_set::<V>(cbuf, sa);
+    let mut vs2 = load_set::<V>(cbuf, sa + 1);
+    let mut vrl1 = last_r(&vs1, r); // set sa @ t
+    update_set(&mut vs1, &lt, &first_r(&vs2, r), &wv, r);
+    store_set(t1[0], 0, &vs1);
+    let mut vrl0 = lt1; // "set sa-1" @ t+1
 
     // Steady state (Algorithm 1 lines 15–26): load set m, forward the two
     // in-flight sets, store the set that reached t+2.
-    for m in 2..nsets {
+    for m in sa + 2..sb {
         let vs3 = load_set::<V>(cbuf, m);
         let vrl2 = last_r(&vs2, r); // set m-1 @ t
         update_set(&mut vs2, &vrl1, &first_r(&vs3, r), &wv, r); // set m-1 → t+1
@@ -204,165 +230,68 @@ pub unsafe fn star1_tl2_edges<V: Vector, S: Star1>(
         vrl1 = vrl2;
     }
 
-    // Epilogue: vs1 = set nsets-2 @ t+1, vs2 = set nsets-1 @ t; the memory
-    // of both sets and of the tail still holds time-t values.
-    let ts = geo.tail_start;
-    let tail_len = n - ts;
-    debug_assert!(tail_len + 2 * r < TAIL_BUF);
-
-    // Right-dependent cells of the last set @ t (tail or halo, natural).
-    let mut rt_t = [V::zero(); MAX_R];
-    for q in 0..r {
-        rt_t[q] = V::splat(*cbuf.add(ts + q));
-    }
-    // Extended tail window @ t: [left r | tail | right halo r].
-    let mut ext_t = [<V::Elem as Elem>::ZERO; TAIL_BUF];
-    for q in 0..r {
-        ext_t[q] = tl_read(cbuf, (ts + q) as isize - r as isize, &geo);
-    }
-    for i in 0..tail_len {
-        ext_t[r + i] = *cbuf.add(ts + i);
-    }
-    for q in 0..r {
-        ext_t[r + tail_len + q] = *cbuf.add(n + q);
-    }
-
-    // Last set → t+1.
-    update_set(&mut vs2, &vrl1, &rt_t, &wv, r);
-
-    // Tail's left neighbours @ t+1, extracted from the updated registers.
-    let mut left_t1 = [<V::Elem as Elem>::ZERO; MAX_R];
-    for q in 1..=r {
-        let p = bs - q; // block position of logical cell ts - q
-        left_t1[r - q] = vs2[p % l].lane(p / l);
-    }
-
-    // Tail @ t+1 into scratch.
-    let mut tail_t1 = [<V::Elem as Elem>::ZERO; TAIL_BUF];
-    for i in 0..tail_len {
-        let mut acc = cv(w[0]) * ext_t[i];
-        for o in 1..=2 * r {
-            acc = ext_t[i + o].mul_add(cv(w[o]), acc);
-        }
-        tail_t1[i] = acc;
-    }
-
-    // Set nsets-2 → t+2 and store.
-    let vrl1_new = last_r(&vs1, r);
-    update_set(&mut vs1, &vrl0, &first_r(&vs2, r), &wv, r);
-    store_set(buf, nsets - 2, &vs1);
-
-    // Set nsets-1 → t+2 (right deps @ t+1 from the tail scratch / halo).
-    let mut rt_t1 = [V::zero(); MAX_R];
-    for q in 0..r {
-        rt_t1[q] = V::splat(if q < tail_len {
-            tail_t1[q]
-        } else {
-            rt1[q - tail_len]
-        });
-    }
-    update_set(&mut vs2, &vrl1_new, &rt_t1, &wv, r);
-    store_set(buf, nsets - 1, &vs2);
-
-    // Tail → t+2 written back.
-    if tail_len > 0 {
-        let mut ext_t1 = [<V::Elem as Elem>::ZERO; TAIL_BUF];
-        ext_t1[..r].copy_from_slice(&left_t1[..r]);
-        ext_t1[r..r + tail_len].copy_from_slice(&tail_t1[..tail_len]);
-        for q in 0..r {
-            ext_t1[r + tail_len + q] = rt1[q];
-        }
-        for i in 0..tail_len {
-            let mut acc = cv(w[0]) * ext_t1[i];
-            for o in 1..=2 * r {
-                acc = ext_t1[i + o].mul_add(cv(w[o]), acc);
-            }
-            *buf.add(ts + i) = acc;
-        }
-    }
-}
-
-/// Fused two-step pipeline over the set-aligned sub-range `[sa, sb)` of a
-/// transposed row — the tiled variant of [`star1_tl2_edges`] used inside
-/// tessellation tiles (paper §3.4: "multiple time steps computation in
-/// registers over the tiles").
-///
-/// Double-buffered tiling semantics instead of in-place halo semantics:
-///
-/// * `buf_a` holds time `t` at the covered cells and receives `t+2`;
-/// * `buf_b` provides the `t+1` values of the margin cells just outside
-///   `[sa·vl², sb·vl²)` (the tile driver computes those margins first) and
-///   receives the `t+1` values of the **first and last** pipeline sets,
-///   which the driver's trailing step-`s+1` margin pass needs.
-///
-/// # Safety
-/// Both rows transposed with halos addressable; `sb - sa ≥ 2`; margin
-/// cells `[a-r, a)` and `[b, b+r)` hold valid `t` / `t+1` values in
-/// `buf_a` / `buf_b` respectively.
-#[inline(always)]
-pub unsafe fn star1_tl2_range<V: Vector, S: Star1>(
-    buf_a: *mut V::Elem,
-    buf_b: *mut V::Elem,
-    n: usize,
-    sa: usize,
-    sb: usize,
-    s: &S,
-) {
-    let l = V::LANES;
-    let r = S::R;
-    let geo = SetGeo::new(n, l);
-    debug_assert!(sb - sa >= 2 && sb <= geo.nsets);
-    let bs = geo.bs;
-    let (a, b) = (sa * bs, sb * bs);
-    let wv: [V; 2 * MAX_R + 1] = splat_w(s.w());
-    let ca = buf_a.cast_const();
-    let cb = buf_b.cast_const();
-
-    // Left margin dependence vectors at both time levels (lane l-1 = cell
-    // a - (r-q); scalar reads through the index map).
-    let mut virt_t = [V::zero(); MAX_R];
-    let mut virt_t1 = [V::zero(); MAX_R];
-    for q in 0..r {
-        let i = a as isize + q as isize - r as isize;
-        virt_t[q] = V::splat(tl_read(ca, i, &geo));
-        virt_t1[q] = V::splat(tl_read(cb, i, &geo));
-    }
-
-    // Boot: first set to t+1 (exporting its t+1 values to buf_b).
-    let mut vs1 = load_set::<V>(ca, sa);
-    let mut vs2 = load_set::<V>(ca, sa + 1);
-    let mut vrl1 = last_r(&vs1, r); // set sa @ t
-    update_set(&mut vs1, &virt_t, &first_r(&vs2, r), &wv, r); // set sa → t+1
-    store_set(buf_b, sa, &vs1);
-    let mut vrl0 = virt_t1;
-
-    for m in sa + 2..sb {
-        let vs3 = load_set::<V>(ca, m);
-        let vrl2 = last_r(&vs2, r);
-        update_set(&mut vs2, &vrl1, &first_r(&vs3, r), &wv, r); // set m-1 → t+1
-        let vrl1_new = last_r(&vs1, r);
-        update_set(&mut vs1, &vrl0, &first_r(&vs2, r), &wv, r); // set m-2 → t+2
-        store_set(buf_a, m - 2, &vs1);
-        vs1 = vs2;
-        vs2 = vs3;
-        vrl0 = vrl1_new;
-        vrl1 = vrl2;
-    }
-
-    // Epilogue: right margin dependences from the two parities.
-    let mut rt_t = [V::zero(); MAX_R];
-    let mut rt_t1 = [V::zero(); MAX_R];
-    for q in 0..r {
-        rt_t[q] = V::splat(tl_read(ca, (b + q) as isize, &geo));
-        rt_t1[q] = V::splat(tl_read(cb, (b + q) as isize, &geo));
-    }
-    update_set(&mut vs2, &vrl1, &rt_t, &wv, r); // set sb-1 → t+1
-    store_set(buf_b, sb - 1, &vs2); // export last set's t+1
+    // Epilogue: the last set's right neighbours are the right margin.
+    update_set(&mut vs2, &vrl1, &rt, &wv, r); // set sb-1 → t+1
+    store_set(t1[1], 0, &vs2);
     let vrl1_new = last_r(&vs1, r);
     update_set(&mut vs1, &vrl0, &first_r(&vs2, r), &wv, r); // set sb-2 → t+2
-    store_set(buf_a, sb - 2, &vs1);
-    update_set(&mut vs2, &vrl1_new, &rt_t1, &wv, r); // set sb-1 → t+2
-    store_set(buf_a, sb - 1, &vs2);
+    store_set(buf, sb - 2, &vs1);
+    update_set(&mut vs2, &vrl1_new, &rt1, &wv, r); // set sb-1 → t+2
+    store_set(buf, sb - 1, &vs2);
+}
+
+/// Advance a 1D star stencil **two** time steps, in place, on a whole
+/// transposed row of `n` cells under boundary `b`: [`star1_tl2_sets`]
+/// over every full set, with the scalar tail around it.
+///
+/// 1. From time-`t` memory: the `t+1` halo ([`edges_t1`]) and the tail's
+///    `t+1` cells.
+/// 2. The pipeline over sets `[0, nsets)`; its margins are the halo on
+///    the left and the tail (or the halo) on the right, at `t` and `t+1`.
+/// 3. The tail's `t+2` cells, from the last set's exported `t+1` values.
+///
+/// # Safety
+/// `buf` points at the interior origin of a row in transpose layout with
+/// halos addressable and holding time `t`; the row holds at least two
+/// full sets at `isa`'s lane count, which is at least `S::R`; `isa` is
+/// available on this CPU (checked).
+pub unsafe fn star1_tl2_row<T: Elem, S: Star1>(
+    isa: Isa,
+    buf: *mut T,
+    n: usize,
+    b: Boundary,
+    s: &S,
+) {
+    let geo = SetGeo::new(n, isa.lanes_for::<T>());
+    let (r, ts, w) = (S::R, geo.tail_start, s.w());
+    let tail = n - ts;
+    let [lt1, rt1] = edges_t1(buf, &geo, b, s);
+    // Cells `ts ..` at t+1: the tail, then the right halo.
+    let mut right = [T::ZERO; SET + MAX_R];
+    for i in 0..tail {
+        right[i] = apply(w, |o| {
+            tl_read(buf, (ts + i + o) as isize - r as isize, &geo)
+        });
+    }
+    right[tail..tail + r].copy_from_slice(&rt1[..r]);
+    let mut edge = [[[T::ZERO; MAX_R], lt1], [[T::ZERO; MAX_R]; 2]];
+    for q in 0..r {
+        edge[0][0][q] = *buf.offset(q as isize - r as isize);
+        edge[1][0][q] = *buf.add(ts + q);
+        edge[1][1][q] = right[q];
+    }
+    let mut last = SetBlock([T::ZERO; SET]);
+    let t1 = [last.0.as_mut_ptr(); 2];
+    isa_entry::star1_tl2_sets(isa, buf, 0, geo.nsets, &edge, t1, s);
+    // The last set's block is a transposed row of one set.
+    let one = SetGeo::new(geo.bs, geo.vl);
+    let at_t1 = |j: usize| match j.checked_sub(r) {
+        Some(i) => right[i],
+        None => last.0[one.map(geo.bs + j - r)],
+    };
+    for i in 0..tail {
+        *buf.add(ts + i) = apply(w, |o| at_t1(i + o));
+    }
 }
 
 /// Copy a row's left/right pad regions (halo cells and alignment padding).

@@ -63,9 +63,8 @@
 //! See [`exec`] for the plan engine (including layout-resident sessions
 //! and temporal tiling, which runs on all cores via a wavefront tile
 //! scheduler under any boundary), [`spec`] for runtime stencil
-//! descriptions,
-//! [`api`] for the one-shot per-call entry point, [`layout`] for the
-//! data layouts, and [`kernels`] for the per-scheme implementations.
+//! descriptions, [`layout`] for the data layouts, and [`kernels`] for
+//! the per-scheme implementations.
 
 #![warn(missing_docs)]
 // Index-based loops in the kernels are deliberate: the index arithmetic
@@ -73,7 +72,6 @@
 // obscure it and complicate the unroll-friendly shape LLVM needs.
 #![allow(clippy::needless_range_loop)]
 
-pub mod api;
 pub mod exec;
 pub mod grid;
 pub mod kernels;
@@ -82,10 +80,9 @@ pub mod spec;
 pub mod stencil;
 pub mod verify;
 
-pub use api::{run_spec, Method};
 pub use exec::{
-    AnyGridMut, Boundary, BoundaryReason, DynPlan, DynSession, Parallelism, Plan, PlanError, Shape,
-    Tiling,
+    AnyGridMut, Boundary, BoundaryReason, DynPlan, DynSession, Method, Parallelism, Plan,
+    PlanError, Shape, Tiling,
 };
 pub use grid::{AnyGrid, Grid, Grid1, Grid2, Grid3, GridMut, HALO_PAD};
 pub use layout::{DltGeo, SetGeo};

@@ -11,14 +11,13 @@
 //! Plus the build-time contracts: every boundary composes with every
 //! tiling framework (the wavefront drivers refresh halos per tile
 //! step), folds reject extents below the radius, sessions stay
-//! consistent across reuse (2 × t ≡ 2t), and the legacy `run*` surface
-//! pins Dirichlet semantics.
+//! consistent across reuse (2 × t ≡ 2t).
 
 use stencil_core::exec::{Boundary, BoundaryReason, Parallelism, Plan, PlanError, Shape, Tiling};
 use stencil_core::grid::AnyGrid;
 use stencil_core::spec::{StencilShape, StencilSpec};
 use stencil_core::verify::{max_abs_diff, max_abs_diff_ref};
-use stencil_core::{run_spec, Grid1, Grid2, Method, S1d3p, S2d5p};
+use stencil_core::{Grid2, Method, S1d3p, S2d5p};
 use stencil_simd::Isa;
 
 // ---------------------------------------------------------------------------
@@ -480,30 +479,6 @@ fn boundary_rejections_name_the_restriction() {
         msg.contains("axis 1 extent 1 is smaller than the stencil radius 2"),
         "{msg}"
     );
-
-    // The legacy surface points at the Plan API.
-    let mut g = Grid1::from_fn(16, 0.0, |_| 0.0);
-    let err = run_spec(
-        Method::Scalar,
-        Isa::detect_best(),
-        &mut g,
-        &"1d3p@reflect".parse().unwrap(),
-        1,
-    )
-    .unwrap_err();
-    assert!(
-        matches!(
-            err,
-            PlanError::Boundary {
-                reason: BoundaryReason::LegacySurface,
-                ..
-            }
-        ),
-        "{err}"
-    );
-    let msg = err.to_string();
-    assert!(msg.contains("legacy run*"), "{msg}");
-    assert!(msg.contains("Plan::stencil"), "{msg}");
 }
 
 #[test]
@@ -522,7 +497,7 @@ fn builder_knob_overrides_spec_boundary() {
 }
 
 // ---------------------------------------------------------------------------
-// Sessions and the legacy surface
+// Sessions
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -556,49 +531,6 @@ fn session_reuse_is_consistent_under_periodic() {
         let want = Naive::new(&spec, shape).run(init.clone(), 6);
         assert_eq!(max_abs_diff_ref(&whole, &want), 0.0, "{method} vs naive");
     }
-}
-
-/// One sequential throwaway plan through the typed 1D terminal.
-fn run_typed_1d3p(method: Method, isa: Isa, g: &mut Grid1, t: usize) {
-    Plan::new(Shape::d1(g.n()))
-        .method(method)
-        .isa(isa)
-        .parallelism(Parallelism::Off)
-        .star1(S1d3p::heat())
-        .unwrap()
-        .run(g, t);
-}
-
-#[test]
-fn legacy_run_surface_pins_dirichlet() {
-    let isa = Isa::detect_best();
-    let n = 256;
-    let mut g = Grid1::from_fn(n, 0.0, |i| (i % 17) as f64);
-
-    // A refreshed boundary is rejected with PlanError::Boundary...
-    let periodic: StencilSpec = "1d3p@periodic".parse().unwrap();
-    let err = run_spec(Method::MultiLoad, isa, &mut g, &periodic, 4).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            PlanError::Boundary {
-                boundary: Boundary::Periodic,
-                ..
-            }
-        ),
-        "{err}"
-    );
-    assert!(err.to_string().contains("legacy"), "{err}");
-
-    // ...the grid is untouched by the failed call...
-    assert_eq!(g.get(5), 5.0);
-
-    // ...and the Dirichlet path is bit-identical to the typed terminal.
-    let dirichlet: StencilSpec = "1d3p".parse().unwrap();
-    run_spec(Method::MultiLoad, isa, &mut g, &dirichlet, 4).unwrap();
-    let mut h = Grid1::from_fn(n, 0.0, |i| (i % 17) as f64);
-    run_typed_1d3p(Method::MultiLoad, isa, &mut h, 4);
-    assert_eq!(stencil_core::verify::max_abs_diff(&g, &h), 0.0);
 }
 
 #[test]

@@ -3,11 +3,10 @@
 //! family, ISA, grid size (full sets, tails, tiny grids), and step count
 //! (even/odd, so the k=2 pipeline's trailing k=1 step is exercised).
 //!
-//! This suite deliberately drives [`stencil_core::run_spec`] — a throwaway
-//! sequential plan per call, the stencil's weights lifted into a
-//! [`StencilSpec`] — and this coverage keeps that path green. The same
-//! matrix driven through typed `Plan` terminals lives in
-//! `tests/exec_plan.rs`.
+//! This suite drives the erased surface — a throwaway sequential plan
+//! per call, built by [`Plan::stencil`] from the stencil's weights lifted
+//! into a [`StencilSpec`]. The same matrix driven through typed `Plan`
+//! terminals lives in `tests/exec_plan.rs`.
 //!
 //! Because every kernel follows the canonical accumulation order with
 //! fused multiply-adds, agreement is expected to be *bit-exact*; we assert
@@ -16,16 +15,23 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stencil_core::exec::AnyGridMut;
+use stencil_core::exec::{AnyGridMut, Parallelism, Plan};
 use stencil_core::verify::{assert_close, max_abs_diff};
-use stencil_core::{run_spec, Grid1, Grid2, Grid3, Method, StencilSpec};
+use stencil_core::{Grid1, Grid2, Grid3, Method, StencilSpec};
 use stencil_simd::Isa;
 
 const TOL: f64 = 1e-13;
 
 /// `t` sequential steps of `s` on `g` with a throwaway plan.
 fn run<'a>(m: Method, isa: Isa, g: impl Into<AnyGridMut<'a>>, s: &StencilSpec, t: usize) {
-    run_spec(m, isa, g, s, t).unwrap()
+    let g = g.into();
+    Plan::new(g.shape())
+        .method(m)
+        .isa(isa)
+        .parallelism(Parallelism::Off)
+        .stencil(s)
+        .unwrap()
+        .run(g, t)
 }
 
 fn isas() -> Vec<Isa> {

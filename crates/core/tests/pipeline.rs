@@ -4,12 +4,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stencil_core::exec::{CompiledPlan, Parallelism, Plan, PlanError, Shape};
-use stencil_core::kernels::{scalar, tl, tl2};
-use stencil_core::layout::{tl_grid1, SetGeo};
-use stencil_core::verify::max_abs_diff;
-use stencil_core::{Grid, Grid1, Grid2, Grid3, Method, S1d3p, S1d5p, S2d9p, S3d7p, StencilSpec};
-use stencil_simd::{dispatch, Isa};
+use stencil_core::exec::{Boundary, CompiledPlan, Parallelism, Plan, PlanError, Shape};
+use stencil_core::kernels::{isa_entry, scalar, tl};
+use stencil_core::layout::{tl_grid1, tl_read, SetGeo};
+use stencil_core::verify::{max_abs_diff, max_abs_diff_any};
+use stencil_core::{AnyGrid, Grid, Grid1, Grid2, Grid3, Method, S1d3p, S2d9p, S3d7p};
+use stencil_core::{Star1, StencilSpec};
+use stencil_simd::{dispatch, Dtype, Elem, Isa};
 
 /// `t` steps on `g` through a throwaway sequential plan built by the
 /// typed terminal `compile` names.
@@ -38,30 +39,49 @@ fn grid1(n: usize, seed: u64) -> Grid1 {
 }
 
 /// The full-row pipeline at the minimum supported set count (2), with and
-/// without tails, for both radii.
+/// without tails, for radii 1–4, f64 and f32, under every boundary (the
+/// refreshed ones through the `t+1` halo folds of `edges_t1`), over two
+/// consecutive passes.
 #[test]
 fn pipeline_minimum_geometries() {
+    let stars: [&[f64]; 4] = [
+        &[0.3, 0.4, 0.29],
+        &[0.05, 0.2, 0.45, 0.22, 0.06],
+        &[0.02, -0.05, 0.21, 0.44, 0.23, -0.04, 0.03],
+        &[0.01, 0.03, -0.06, 0.2, 0.41, 0.22, -0.05, 0.02, 0.015],
+    ];
+    let boundaries = [
+        Boundary::Dirichlet(-0.375),
+        Boundary::Periodic,
+        Boundary::Reflect,
+    ];
     for isa in isas() {
-        let bs = isa.lanes() * isa.lanes();
-        for n in [2 * bs, 2 * bs + 1, 2 * bs + isa.lanes(), 3 * bs - 1] {
-            let s1 = S1d3p {
-                w: [0.3, 0.4, 0.29],
+        for dtype in [Dtype::F64, Dtype::F32] {
+            let l = match dtype {
+                Dtype::F64 => isa.lanes_for::<f64>(),
+                Dtype::F32 => isa.lanes_for::<f32>(),
             };
-            let init = grid1(n, n as u64);
-            let mut a = init.clone();
-            run(Method::Scalar, isa, &mut a, |p| p.star1(s1), 2);
-            let mut b = init.clone();
-            run(Method::TransLayout2, isa, &mut b, |p| p.star1(s1), 2);
-            assert_eq!(max_abs_diff(&a, &b), 0.0, "{isa}/n={n}/r1");
-
-            let s2 = S1d5p {
-                w: [0.05, 0.2, 0.45, 0.22, 0.06],
-            };
-            let mut a = init.clone();
-            run(Method::Scalar, isa, &mut a, |p| p.star1(s2), 2);
-            let mut b = init.clone();
-            run(Method::TransLayout2, isa, &mut b, |p| p.star1(s2), 2);
-            assert_eq!(max_abs_diff(&a, &b), 0.0, "{isa}/n={n}/r2");
+            let bs = l * l;
+            for n in [2 * bs, 2 * bs + 1, 2 * bs + l, 3 * bs - 1] {
+                let shape = Shape::d1(n);
+                let mut rng = StdRng::seed_from_u64(n as u64);
+                let init: Vec<f64> = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
+                for (w, b) in stars.iter().flat_map(|w| boundaries.map(|b| (w, b))) {
+                    let spec = StencilSpec::star1(w).unwrap().with_boundary(b);
+                    let spec = spec.with_dtype(dtype);
+                    let run = |method| {
+                        let mut g = AnyGrid::from_fn_spec(shape, &spec, |_, _, x| init[x]).unwrap();
+                        let plan = Plan::new(shape)
+                            .method(method)
+                            .isa(isa)
+                            .parallelism(Parallelism::Off);
+                        plan.stencil(&spec).unwrap().run(&mut g, 4);
+                        g
+                    };
+                    let (want, got) = (run(Method::Scalar), run(Method::TransLayout2));
+                    assert_eq!(max_abs_diff_any(&want, &got), 0.0, "{isa}/{spec}/n={n}");
+                }
+            }
         }
     }
 }
@@ -83,52 +103,98 @@ fn pipeline_fallback_below_two_sets() {
     }
 }
 
-/// The range pipeline over an interior window must equal two k=1 steps
-/// over the same window, including the t+1 exports of its first/last sets.
+/// A 1D star of radius `R` with fixed test weights: the typed kernels
+/// take radii 1–4, and only 1 and 2 have named types.
+#[derive(Clone, Copy)]
+struct StarR<const R: usize>([f64; 9]);
+
+impl<const R: usize> Star1 for StarR<R> {
+    const R: usize = R;
+    const NAME: &'static str = "star-r";
+    fn w(&self) -> &[f64] {
+        &self.0[..2 * R + 1]
+    }
+}
+
+/// The range pipeline over the sets `[sa, sb)` of a row, given its
+/// margins the way the tile driver gives them (the t+1 margins first, by
+/// k = 1 steps into the other parity), leaves t+2 in its sets and exports
+/// the t+1 values of its first and last sets, each equal to one or two
+/// k = 1 steps of the whole row.
+fn range_pipeline_case<T: Elem, S: Star1>(isa: Isa, s: S) {
+    let l = isa.lanes_for::<T>();
+    let (bs, r) = (l * l, S::R);
+    let n = 8 * bs + 7;
+    let geo = SetGeo::new(n, l);
+    let mut rng = StdRng::seed_from_u64(99);
+    let halo = T::from_f64(rng.random_range(-1.0..1.0));
+    let mut base = Grid1::<T>::from_fn(n, halo, |_| T::from_f64(rng.random_range(-1.0..1.0)));
+    tl_grid1(&mut base, isa);
+    let step = |src: &Grid1<T>, dst: &mut Grid1<T>, lo: usize, hi: usize| {
+        // SAFETY: two transposed rows of `n` cells with halo pads.
+        unsafe { isa_entry::star1_tl::<T, S>(isa, src.ptr(), dst.ptr_mut(), n, lo, hi, &s) }
+    };
+    // SAFETY: `i` is an interior or halo cell of the row.
+    let cell = |g: &Grid1<T>, i: isize| unsafe { tl_read(g.ptr(), i, &geo) };
+    // Reference: one and two k = 1 steps of the whole row.
+    let (mut want1, mut want2) = (base.clone(), base.clone());
+    step(&base, &mut want1, 0, n);
+    step(&want1, &mut want2, 0, n);
+
+    for (sa, sb) in [(0usize, 2usize), (1, 4), (3, 8), (0, 8)] {
+        let (a, b) = (sa * bs, sb * bs);
+        let (mut ga, mut gb) = (base.clone(), base.clone());
+        step(&ga, &mut gb, 0, a);
+        step(&ga, &mut gb, b, n);
+        // The `MAX_R` cells from `first` on; the pipeline reads `R`.
+        let cells =
+            |g: &Grid1<T>, first: isize| std::array::from_fn(|q| cell(g, first + q as isize));
+        let (left, right) = (a as isize - r as isize, b as isize);
+        let edge = [
+            [cells(&ga, left), cells(&gb, left)],
+            [cells(&ga, right), cells(&gb, right)],
+        ];
+        let qb = gb.ptr_mut();
+        // SAFETY: the sets lie in the row; the exports go to the sets'
+        // own blocks in the other parity.
+        unsafe {
+            let t1 = [qb.add(a), qb.add(b - bs)];
+            isa_entry::star1_tl2_sets::<T, S>(isa, ga.ptr_mut(), sa, sb, &edge, t1, &s);
+        }
+        let at = |i: isize| {
+            format!(
+                "{isa}/{}/R={r}/sets [{sa}, {sb})/cell {i}",
+                std::any::type_name::<T>()
+            )
+        };
+        for i in (a..b).map(|i| i as isize) {
+            assert_eq!(cell(&ga, i), cell(&want2, i), "{} (t+2)", at(i));
+        }
+        for i in (a..a + bs).chain(b - bs..b).map(|i| i as isize) {
+            assert_eq!(cell(&gb, i), cell(&want1, i), "{} (t+1 export)", at(i));
+        }
+        // The tile driver's trailing margins read the exports.
+        step(&gb, &mut ga, 0, a);
+        step(&gb, &mut ga, b, n);
+        for i in 0..n as isize {
+            assert_eq!(cell(&ga, i), cell(&want2, i), "{} (t+2 row)", at(i));
+        }
+    }
+}
+
+/// [`range_pipeline_case`] for radii 1–4, f64 and f32, on every ISA.
 #[test]
 fn range_pipeline_matches_two_k1_steps() {
-    let s = S1d3p {
-        w: [0.25, 0.5, 0.24],
-    };
+    let w = [0.02, -0.05, 0.21, 0.25, 0.24, 0.23, -0.04, 0.03, 0.015];
     for isa in isas() {
-        let l = isa.lanes();
-        let bs = l * l;
-        let nsets = 8usize;
-        let n = nsets * bs + 7;
-        let mut base = grid1(n, 99);
-        tl_grid1(&mut base, isa);
-
-        for (sa, sb) in [(0usize, 2usize), (1, 4), (3, 8), (0, 8)] {
-            // Reference: two k=1 steps of the whole row.
-            let mut ra = base.clone();
-            let mut rb = base.clone();
-            let n_ = n;
-            let (pa, pb) = (ra.ptr_mut(), rb.ptr_mut());
-            dispatch!(isa, V => {
-                tl::star1_tl::<V, S1d3p>(pa as *const f64, pb, n_, 0, n_, &s);
-                tl::star1_tl::<V, S1d3p>(pb as *const f64, pa, n_, 0, n_, &s);
-            });
-
-            // Range pipeline with margins prepared exactly like the tiled
-            // driver: step-1 margins into parity B first.
-            let mut ga = base.clone();
-            let mut gb = base.clone();
-            let (qa, qb) = (ga.ptr_mut(), gb.ptr_mut());
-            let (a, b) = (sa * bs, sb * bs);
-            dispatch!(isa, V => {
-                tl::star1_tl::<V, S1d3p>(qa as *const f64, qb, n_, 0, a, &s);
-                tl::star1_tl::<V, S1d3p>(qa as *const f64, qb, n_, b, n_, &s);
-                tl2::star1_tl2_range::<V, S1d3p>(qa, qb, n_, sa, sb, &s);
-                tl::star1_tl::<V, S1d3p>(qb as *const f64, qa, n_, 0, a, &s);
-                tl::star1_tl::<V, S1d3p>(qb as *const f64, qa, n_, b, n_, &s);
-            });
-            // parity A holds t+2 everywhere
-            assert_eq!(
-                max_abs_diff(&ga, &ra),
-                0.0,
-                "{isa}/sa={sa}/sb={sb} (t+2 values)"
-            );
-        }
+        range_pipeline_case::<f64, _>(isa, StarR::<1>(w));
+        range_pipeline_case::<f64, _>(isa, StarR::<2>(w));
+        range_pipeline_case::<f64, _>(isa, StarR::<3>(w));
+        range_pipeline_case::<f64, _>(isa, StarR::<4>(w));
+        range_pipeline_case::<f32, _>(isa, StarR::<1>(w));
+        range_pipeline_case::<f32, _>(isa, StarR::<2>(w));
+        range_pipeline_case::<f32, _>(isa, StarR::<3>(w));
+        range_pipeline_case::<f32, _>(isa, StarR::<4>(w));
     }
 }
 

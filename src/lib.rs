@@ -37,8 +37,8 @@ pub mod prelude {
         AnyGridMut, Boundary, DynPlan, DynSession, Parallelism, Plan, PlanError, Shape, Tiling,
     };
     pub use stencil_core::{
-        run_spec, AnyGrid, Box2, Box3, Grid1, Grid2, Grid3, Method, S1d3p, S1d5p, S2d5p, S2d9p,
-        S3d27p, S3d7p, SpecError, Star1, Star2, Star3, StencilShape, StencilSpec,
+        AnyGrid, Box2, Box3, Grid1, Grid2, Grid3, Method, S1d3p, S1d5p, S2d5p, S2d9p, S3d27p,
+        S3d7p, SpecError, Star1, Star2, Star3, StencilShape, StencilSpec,
     };
     pub use stencil_simd::Isa;
 }

@@ -171,37 +171,6 @@ fn three_d_tiled_matches_untiled_through_prelude() {
     assert_eq!(stencil_lab::core::verify::max_abs_diff(&a, &c), 0.0);
 }
 
-/// `t` steps of the 1D star with weights `w` through the per-call surface.
-fn one_shot(method: Method, isa: Isa, g: &mut Grid1, w: &[f64], t: usize) {
-    run_spec(method, isa, g, &StencilSpec::star1(w).unwrap(), t).unwrap();
-}
-
-#[test]
-fn legacy_free_functions_still_agree_with_plan() {
-    // The one-shot `run_spec` entry point is a thin wrapper over Plan;
-    // spot-check that the wrapper path stays bit-identical to driving
-    // Plan directly.
-    let isa = Isa::detect_best();
-    let n = 2048;
-    let s = S1d3p::heat();
-    let init = Grid1::from_fn(n, 0.0, |i| ((i * 13) % 31) as f64);
-
-    let mut via_plan = init.clone();
-    Plan::new(Shape::d1(n))
-        .method(Method::TransLayout2)
-        .isa(isa)
-        .star1(s)
-        .unwrap()
-        .run(&mut via_plan, 24);
-
-    let mut via_legacy = init.clone();
-    one_shot(Method::TransLayout2, isa, &mut via_legacy, s.w(), 24);
-    assert_eq!(
-        stencil_lab::core::verify::max_abs_diff(&via_plan, &via_legacy),
-        0.0
-    );
-}
-
 #[test]
 fn simd_substrate_is_reexported_and_usable() {
     let b = AlignedBuf::from_slice(&[1.0, 2.0, 3.0]);
